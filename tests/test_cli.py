@@ -6,10 +6,14 @@ final verdict line and nothing else, so the human summary can evolve.
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import quadrant_atlas
 import quadrant_atlas.cli as cli
 from quadrant_atlas.solver import SolverFailure
 
@@ -127,6 +131,13 @@ def test_certify_rejects_flat_disc_order(capsys):
     assert err != ""
 
 
+def test_certify_rejects_non_finite_and_overflowing_scales(capsys):
+    for a, b in (("1", "inf"), ("1", "nan"), ("nan", "1"), ("1", "1e200")):
+        code, out, err = run_cli(["certify", "--A", a, "--B", b], capsys)
+        assert code == 2, (a, b)
+        assert err.startswith("error: "), (a, b)
+
+
 def test_certify_dump_points_writes_all_four_curves(tmp_path, capsys):
     target = tmp_path / "curves.csv"
     code, out, err = run_cli(
@@ -224,6 +235,24 @@ def test_json_byte_identical_across_thread_counts(capsys, monkeypatch):
         )
         outputs.append(strip_wall_time(out))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_certify_json_byte_identical_across_blas_threads():
+    # the linking sum runs through BLAS, so its own thread setting must not
+    # change a bit of the certificate either
+    src_dir = os.path.dirname(os.path.dirname(quadrant_atlas.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    argv = [
+        sys.executable, "-m", "quadrant_atlas.cli", "certify", "--A", "1", "--B", "2",
+        "--segments", "512", "--grid", "2000", "--format", "json",
+    ]
+    outputs = []
+    for blas_env in (dict(env, OPENBLAS_NUM_THREADS="1"), env):
+        proc = subprocess.run(argv, capture_output=True, text=True, env=blas_env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(strip_wall_time(proc.stdout))
+    assert outputs[0] == outputs[1]
 
 
 def test_repeated_runs_are_byte_identical(capsys):
