@@ -22,6 +22,8 @@ import sys
 import time
 from typing import Any
 
+import numpy as np
+
 from . import __version__
 from .polynomial import (
     PolyMap2,
@@ -48,10 +50,11 @@ from .topology import (
     ALPHA1_D1_SIGN,
     ALPHA2_D2_SIGN,
     BoundaryLoop,
+    DegenerateGeometryError,
     LinkingResult,
     TransversalityReport,
-    disc_boundary,
-    eval_loop,
+    _circle,
+    _loop_points,
     gauss_linking,
     make_tube,
     transversality_scan,
@@ -223,15 +226,13 @@ def _run_preimage(args) -> tuple[dict, dict, bool, list[str]]:
         a, b = float(parts[0]), float(parts[1])
     except ValueError:
         raise _UsageError(f"--target components must be decimals, got {args.target!r}")
-    if args.tol <= 0.0:
-        raise _UsageError(f"--tol must be positive, got {args.tol}")
     try:
         query = PreimageQuery(a, b)
+        cfg = SolverConfig(residual_tol=args.tol)
     except ValueError as exc:
         raise _UsageError(str(exc))
 
     params = {"target": [a, b], "tol": args.tol, "format": args.format}
-    cfg = SolverConfig(residual_tol=args.tol)
     result = preimage(query, cfg)
     passed = result.residual <= args.tol
     results = {
@@ -253,20 +254,18 @@ def _run_preimage(args) -> tuple[dict, dict, bool, list[str]]:
 
 
 def _dump_certify_points(path: str, loops, discs, segments: int) -> None:
+    curves = []
+    for name, loop in loops:
+        t = np.arange(segments) * (loop.t_max / segments)
+        curves.append((name, t, _loop_points(loop, t)))
+    for name, spec in discs:
+        s = np.arange(segments) * (math.tau / segments)
+        curves.append((name, s, _circle(spec, s)[0]))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("curve,param,x,y,z\n")
-        for name, loop in loops:
-            step = loop.t_max / segments
-            for i in range(segments):
-                t = i * step
-                x, y, z = eval_loop(loop, t)
-                handle.write(f"{name},{t!r},{x!r},{y!r},{z!r}\n")
-        for name, spec in discs:
-            step = math.tau / segments
-            for i in range(segments):
-                s = i * step
-                x, y, z = disc_boundary(spec, s)
-                handle.write(f"{name},{s!r},{x!r},{y!r},{z!r}\n")
+        for name, params, points in curves:
+            for p, (x, y, z) in zip(params.tolist(), points.tolist()):
+                handle.write(f"{name},{p!r},{x!r},{y!r},{z!r}\n")
 
 
 def _run_certify(args) -> tuple[dict, dict, bool, list[str]]:
@@ -284,8 +283,11 @@ def _run_certify(args) -> tuple[dict, dict, bool, list[str]]:
 
     trans1 = transversality_scan(loop1, tube1, args.grid)
     trans2 = transversality_scan(loop2, tube2, args.grid)
-    link1 = gauss_linking(loop1, tube1.disc, args.segments, args.segments)
-    link2 = gauss_linking(loop2, tube2.disc, args.segments, args.segments)
+    try:
+        link1 = gauss_linking(loop1, tube1.disc, args.segments, args.segments)
+        link2 = gauss_linking(loop2, tube2.disc, args.segments, args.segments)
+    except DegenerateGeometryError as exc:
+        raise _UsageError(f"no linking certificate at A={args.a!r}, B={args.b!r}: {exc}")
 
     link1_ok = abs(link1.value - ALPHA1_D1_SIGN) <= _LINKING_TOL
     link2_ok = abs(link2.value - ALPHA2_D2_SIGN) <= _LINKING_TOL

@@ -1,6 +1,7 @@
 """Closed-form maps behind the quadrant construction.
 
-Everything here is scalar double-precision arithmetic on plain tuples:
+Each formula has one body, shared by the scalar entry points here and the
+array sweeps in topology and sampler:
 
 * ``g`` embeds the closed quadrant into 3-space; ``h`` projects back to the
   plane by summing squares of adjacent coordinates, and the composition
@@ -21,6 +22,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 Point2 = tuple[float, float]
 Point3 = tuple[float, float, float]
 ParamPoint = tuple[float, float]
@@ -37,6 +40,92 @@ class Jacobian2(NamedTuple):
     d2_dtheta: float
 
 
+# ---------------------------------------------------------------------------
+# Formula bodies. Each map is written once, with + - * / only, and runs
+# unchanged on floats (the scalar entry points below) and on numpy arrays
+# (topology and sampler). Those four operations round identically in both,
+# so given the same cos, sin and roots the two paths agree bit for bit; a
+# test checks that numpy's cos, sin and sqrt match libm's where it runs.
+# Integer powers are explicit products: numpy's c**k and libm's pow round
+# differently. Callers supply cos, sin and the square roots, via _trig or
+# _trig_vec for the strip angle; only the scalar entry points check their
+# domain.
+
+
+def _g_terms(x, y, root_x):
+    """g(x, y) given root_x = sqrt(x)."""
+    return (x * y * y + x * x * y - y - 1.0, root_x * x * y, x * x * x * y + x * y - x - 1.0)
+
+
+def _psi_terms(rho, c, s):
+    """psi(rho, theta) given c = cos theta, s = sin theta."""
+    return (s / c, (c + s + rho * c * s) * c * c / s)
+
+
+def _phi_terms(rho, c, s, w):
+    """phi(rho, theta) given c = cos theta, s = sin theta, w = sqrt(c s)."""
+    cs, d = c * s, c - s
+    c4 = (c * c) * (c * c)
+    s4 = (s * s) * (s * s)
+    return (
+        cs * (d * d) + rho * (2.0 * c4 * s + c * s4 + c4 * c) + rho * rho * (c4 * c) * s,
+        w * (c + s + rho * cs),
+        rho * s,
+    )
+
+
+def _phi_rho(rho, c, s, w):
+    """d phi / d rho, arguments as for _phi_terms."""
+    c4 = (c * c) * (c * c)
+    s4 = (s * s) * (s * s)
+    return (2.0 * c4 * s + c * s4 + c4 * c + 2.0 * rho * (c4 * c) * s, (c * s) * w, s)
+
+
+def _phi_theta(rho, c, s, w):
+    """d phi / d theta, arguments as for _phi_terms; needs w > 0, that is
+    theta strictly inside the strip, where phi2 is differentiable."""
+    cs, c2, s2 = c * s, c * c, s * s
+    c4, cc_ss = c2 * c2, c2 - s2
+    lin = -8.0 * (c2 * c) * s2 + 2.0 * (c4 * c) - s2 * s2 * s + 4.0 * c2 * (s2 * s) - 5.0 * c4 * s
+    return (
+        cc_ss * (1.0 - 4.0 * cs) + rho * lin + rho * rho * (c4 * c2 - 5.0 * c4 * s2),
+        cc_ss / (2.0 * w) * (c + s + rho * cs) + w * ((c - s) + rho * cc_ss),
+        rho * c,
+    )
+
+
+def _mu_terms(theta):
+    """The gluing profile mu(theta)."""
+    t = 4.0 * theta / math.pi - 1.0
+    return t * t
+
+
+def _trig(theta: float) -> tuple[float, float, float]:
+    """(cos, sin, sqrt(cos sin)) of a strip angle, collapsing exactly at the
+    edges, where cos(pi/2) is only ~6e-17 in doubles."""
+    if theta == 0.0:
+        return 1.0, 0.0, 0.0
+    if theta == HALF_PI:
+        return 0.0, 1.0, 0.0
+    c, s = math.cos(theta), math.sin(theta)
+    cs = c * s
+    # the clamp mirrors _trig_vec, whose angles may overshoot pi/2 by an ulp
+    return c, s, math.sqrt(cs) if cs > 0.0 else 0.0
+
+
+def _trig_vec(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_trig on an array of angles."""
+    at_zero = theta == 0.0
+    at_half = theta == HALF_PI
+    c = np.where(at_zero, 1.0, np.where(at_half, 0.0, np.cos(theta)))
+    s = np.where(at_zero, 0.0, np.where(at_half, 1.0, np.sin(theta)))
+    return c, s, np.sqrt(np.maximum(c * s, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# Scalar entry points.
+
+
 def eval_g(p: Point2) -> Point3:
     """g(x, y) = (x*y^2 + x^2*y - y - 1, x^(3/2)*y, x^3*y + x*y - x - 1).
 
@@ -45,15 +134,11 @@ def eval_g(p: Point2) -> Point3:
     x, y = p
     if x < 0.0:
         raise ValueError(f"eval_g needs a non-negative first coordinate, got {x}")
-    return (
-        x * y * y + x * x * y - y - 1.0,
-        math.sqrt(x) * x * y,
-        x * x * x * y + x * y - x - 1.0,
-    )
+    return _g_terms(x, y, math.sqrt(x))
 
 
 def eval_h(p: Point3) -> Point2:
-    """h(x, y, z) = (x^2 + y^2, y^2 + z^2)."""
+    """h(x, y, z) = (x^2 + y^2, y^2 + z^2); also takes a triple of arrays."""
     x, y, z = p
     return (x * x + y * y, y * y + z * z)
 
@@ -69,17 +154,8 @@ def eval_psi(p: ParamPoint) -> Point2:
         raise ValueError(f"eval_psi needs rho >= 0, got {rho}")
     if not 0.0 < theta < HALF_PI:
         raise ValueError(f"eval_psi needs theta strictly inside (0, pi/2), got {theta}")
-    c, s = math.cos(theta), math.sin(theta)
-    return (s / c, (c + s + rho * c * s) * c * c / s)
-
-
-def _trig(theta: float) -> tuple[float, float]:
-    # exact collapse at the strip edges; cos(pi/2) is only ~6e-17 in doubles
-    if theta == 0.0:
-        return 1.0, 0.0
-    if theta == HALF_PI:
-        return 0.0, 1.0
-    return math.cos(theta), math.sin(theta)
+    c, s, _ = _trig(theta)
+    return _psi_terms(rho, c, s)
 
 
 def eval_phi(p: ParamPoint) -> Point3:
@@ -95,15 +171,7 @@ def eval_phi(p: ParamPoint) -> Point3:
     rho, theta = p
     if rho < 0.0 or not 0.0 <= theta <= HALF_PI:
         raise ValueError(f"parameter point out of the closed strip: {p}")
-    c, s = _trig(theta)
-    cs = c * s
-    phi1 = cs * (c - s) ** 2 + rho * (
-        2.0 * c**4 * s + c * s**4 + c**5
-    ) + rho * rho * c**5 * s
-    # clamp absorbs -1e-17-scale rounding so the root stays defined edge to edge
-    phi2 = math.sqrt(cs if cs > 0.0 else 0.0) * (c + s + rho * cs)
-    phi3 = rho * s
-    return (phi1, phi2, phi3)
+    return _phi_terms(rho, *_trig(theta))
 
 
 def eval_xi1(x: float, y: float, b: float) -> float:
@@ -137,8 +205,7 @@ def eval_mu(theta: float) -> float:
     """Edge gluing profile (4 theta / pi - 1)^2 on [0, pi/2]."""
     if not 0.0 <= theta <= HALF_PI:
         raise ValueError(f"eval_mu needs theta in [0, pi/2], got {theta}")
-    t = 4.0 * theta / math.pi - 1.0
-    return t * t
+    return _mu_terms(theta)
 
 
 def objective_F(p: ParamPoint) -> Point2:
@@ -147,38 +214,24 @@ def objective_F(p: ParamPoint) -> Point2:
 
 
 def jacobian_F(p: ParamPoint) -> Jacobian2:
-    """Analytic Jacobian of objective_F on the open strip.
+    """Analytic Jacobian of objective_F on the open strip, by the chain rule
+    D(h . phi) = Dh(phi) Dphi with Dh = [[2x, 2y, 0], [0, 2y, 2z]].
 
-    Written in terms of the squares, so the sqrt(cos*sin) edge singularity
-    of phi2 cancels; the boundary angles are still rejected because the
-    solver has no business evaluating derivatives there.
+    The boundary angles are rejected: the theta-partial of phi2 is singular
+    there, and the solver has no business evaluating derivatives there.
     """
     rho, theta = p
     if rho < 0.0:
         raise ValueError(f"jacobian_F needs rho >= 0, got {rho}")
     if not 0.0 < theta < HALF_PI:
         raise ValueError(f"jacobian_F needs theta strictly inside (0, pi/2), got {theta}")
-    c, s = math.cos(theta), math.sin(theta)
-    cs = c * s
-    cc_ss = c * c - s * s
-
-    phi1 = cs * (c - s) ** 2 + rho * (2 * c**4 * s + c * s**4 + c**5) + rho**2 * c**5 * s
-    dphi1_drho = 2 * c**4 * s + c * s**4 + c**5 + 2 * rho * c**5 * s
-    dphi1_dtheta = (
-        cc_ss * (1.0 - 4.0 * cs)
-        + rho * (-8 * c**3 * s**2 + 2 * c**5 - s**5 + 4 * c**2 * s**3 - 5 * c**4 * s)
-        + rho * rho * (c**6 - 5 * c**4 * s**2)
-    )
-
-    # phi2^2 = cs * P^2 with P = c + s + rho*c*s
-    big_p = c + s + rho * cs
-    dp_dtheta = (c - s) + rho * cc_ss
-    dphi2sq_drho = 2.0 * cs * cs * big_p
-    dphi2sq_dtheta = cc_ss * big_p * big_p + 2.0 * cs * big_p * dp_dtheta
-
+    trig = _trig(theta)
+    f1, f2, f3 = _phi_terms(rho, *trig)
+    r1, r2, r3 = _phi_rho(rho, *trig)
+    t1, t2, t3 = _phi_theta(rho, *trig)
     return Jacobian2(
-        d1_drho=2.0 * phi1 * dphi1_drho + dphi2sq_drho,
-        d1_dtheta=2.0 * phi1 * dphi1_dtheta + dphi2sq_dtheta,
-        d2_drho=dphi2sq_drho + 2.0 * rho * s * s,
-        d2_dtheta=dphi2sq_dtheta + 2.0 * rho * rho * s * c,
+        d1_drho=2.0 * (f1 * r1 + f2 * r2),
+        d1_dtheta=2.0 * (f1 * t1 + f2 * t2),
+        d2_drho=2.0 * (f2 * r2 + f3 * r3),
+        d2_dtheta=2.0 * (f2 * t2 + f3 * t3),
     )

@@ -14,6 +14,7 @@ it factors through, and the outer factor of that composition.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,6 +243,7 @@ def build_f1() -> PolyMap2:
     return PolyMap2(X**2, Y**2)
 
 
+@functools.cache
 def build_f2() -> PolyMap2:
     """The outer factor:
 
@@ -257,6 +259,7 @@ def build_f2() -> PolyMap2:
     return PolyMap2(c1, c2)
 
 
+@functools.cache
 def build_theorem_map() -> PolyMap2:
     """The degree-16 plane map whose image is the open quadrant:
 
@@ -265,6 +268,7 @@ def build_theorem_map() -> PolyMap2:
 
     Built directly from this formula; that it equals the composition of
     build_f2 after build_f1 is a separate checked fact, not an input here.
+    Both builders are cached: maps are immutable, so callers share one.
     """
     tail = X**6 * Y**4
     c1 = (X**2 * Y**4 + X**4 * Y**2 - Y**2 - 1) ** 2 + tail

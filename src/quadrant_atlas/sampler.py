@@ -22,16 +22,17 @@ from typing import Callable
 
 import numpy as np
 
-from .maps import HALF_PI, eval_g, eval_h, eval_mu, eval_phi, eval_psi
-from .parallel import thread_count
-from .polynomial import (
-    PolyMap2,
-    build_f2,
-    build_theorem_map,
-    evaluate_exact,
-    evaluate_float,
-    to_triples,
+from .maps import (
+    HALF_PI,
+    _g_terms,
+    _mu_terms,
+    _phi_terms,
+    _psi_terms,
+    _trig_vec,
+    eval_h,
 )
+from .parallel import thread_count
+from .polynomial import PolyMap2, build_f2, build_theorem_map, evaluate_exact, to_triples
 
 _MASK64 = (1 << 64) - 1
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -143,90 +144,8 @@ def _report(stats: _Stats) -> SamplerReport:
     )
 
 
-def _run_chunks(count: int, worker: Callable[[tuple[int, int]], _Stats]) -> _Stats:
-    plan = []
-    start = 0
-    while start < count:
-        plan.append((len(plan), min(CHUNK_SAMPLES, count - start)))
-        start += CHUNK_SAMPLES
-    workers = min(thread_count(), len(plan))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(worker, plan))
-    else:
-        parts = [worker(spec) for spec in plan]
-    total = _EMPTY_STATS
-    for part in parts:
-        total = _merge(total, part)
-    return total
-
-
-def _stream_chunk(
-    spec: tuple[int, int],
-    seed: int,
-    per_sample: Callable[[float, float], tuple[tuple, float, float, float, bool]],
-) -> _Stats:
-    chunk, n = spec
-    chunk_seed = (seed + chunk) & _MASK64
-    base = chunk * CHUNK_SAMPLES
-    failures = 0
-    m1 = m2 = math.inf
-    maxerr = 0.0
-    first = None
-    for t in range(n):
-        u1 = unit_double(chunk_seed, 2 * t)
-        u2 = unit_double(chunk_seed, 2 * t + 1)
-        inp, v1, v2, err, ok = per_sample(u1, u2)
-        m1 = min(m1, v1)
-        m2 = min(m2, v2)
-        maxerr = max(maxerr, err)
-        if not ok:
-            failures += 1
-            if first is None:
-                first = (base + t, inp)
-    return (n, failures, m1, m2, maxerr, first)
-
-
 # ---------------------------------------------------------------------------
-# Cached maps and the vectorized polynomial evaluator.
-
-
-_THEOREM: PolyMap2 | None = None
-_OUTER: PolyMap2 | None = None
-
-
-def _theorem_map() -> PolyMap2:
-    global _THEOREM
-    if _THEOREM is None:
-        _THEOREM = build_theorem_map()
-    return _THEOREM
-
-
-def _outer_map() -> PolyMap2:
-    global _OUTER
-    if _OUTER is None:
-        _OUTER = build_f2()
-    return _OUTER
-
-
-def _pow_table(base: np.ndarray, top: int) -> list[np.ndarray]:
-    table = [np.ones_like(base)]
-    for _ in range(top):
-        table.append(table[-1] * base)
-    return table
-
-
-def _eval_terms(
-    triples: list[tuple[int, int, int]],
-    px: list[np.ndarray],
-    py: list[np.ndarray],
-) -> np.ndarray:
-    # term order and association mirror the scalar evaluator exactly, so
-    # the vectorized minima are bit-identical to a plain Python sweep
-    total = np.zeros_like(px[0])
-    for a, b, c in triples:
-        total += (c * px[a]) * py[b]
-    return total
+# The vectorized sweep: every check evaluates whole chunks of the stream.
 
 
 def _unit_matrix(seed: int, chunk: int, n: int) -> np.ndarray:
@@ -244,6 +163,95 @@ def _unit_matrix(seed: int, chunk: int, n: int) -> np.ndarray:
     return unit.reshape(n, 2)
 
 
+def _reduce(base: int, inputs: tuple, v1, v2, err, ok: np.ndarray) -> _Stats:
+    """Stats of samples base, base + 1, ...: inputs is the pair of input
+    arrays reported on failure, v1 and v2 the tracked quantities, err the
+    error array (None when the check tracks none) and ok the mask of
+    samples whose check holds.
+
+    A sample fails unless ok holds for it and both tracked values are
+    finite, so an overflow fails, and a check written as the comparison
+    that holds on success fails every NaN too. Minima and the error
+    maximum skip NaN, which the failure count already reports.
+    """
+    bad = ~(ok & np.isfinite(v1) & np.isfinite(v2))
+    failures = int(np.count_nonzero(bad))
+    first = None
+    if failures:
+        i = int(np.argmax(bad))
+        first = (base + i, (float(inputs[0][i]), float(inputs[1][i])))
+    maxerr = 0.0 if err is None else float(np.fmax.reduce(err))
+    return (ok.size, failures, float(np.fmin.reduce(v1)), float(np.fmin.reduce(v2)), maxerr, first)
+
+
+def _sweep(cfg: SamplerConfig, probe: Callable[[np.ndarray, np.ndarray], tuple]) -> _Stats:
+    """Run probe over the config's stream, chunk by chunk, and reduce.
+
+    probe maps one chunk's unit doubles (u1, u2) to the arguments of
+    _reduce after base.
+    """
+
+    def run(spec: tuple[int, int]) -> _Stats:
+        chunk, n = spec
+        unit = _unit_matrix(cfg.seed, chunk, n)
+        return _reduce(chunk * CHUNK_SAMPLES, *probe(unit[:, 0], unit[:, 1]))
+
+    plan = [
+        (k, min(CHUNK_SAMPLES, cfg.count - start))
+        for k, start in enumerate(range(0, cfg.count, CHUNK_SAMPLES))
+    ]
+    workers = min(thread_count(), len(plan))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, plan))
+    else:
+        parts = [run(spec) for spec in plan]
+    total = _EMPTY_STATS
+    for part in parts:
+        total = _merge(total, part)
+    return total
+
+
+def _pow_table(base: np.ndarray, top: int) -> list[np.ndarray]:
+    table = [np.ones_like(base)]
+    for _ in range(top):
+        table.append(table[-1] * base)
+    return table
+
+
+def _eval_terms(
+    triples: list[tuple[int, int, int]],
+    px: list[np.ndarray],
+    py: list[np.ndarray],
+) -> np.ndarray:
+    # term order and association mirror the scalar evaluator exactly, so
+    # the vectorized values are bit-identical to evaluate_float
+    total = np.zeros_like(px[0])
+    for a, b, c in triples:
+        total += (c * px[a]) * py[b]
+    return total
+
+
+def _map_on_arrays(fmap: PolyMap2) -> Callable[[np.ndarray, np.ndarray], tuple]:
+    """Both components of fmap as one evaluator on arrays."""
+    t1, t2 = to_triples(fmap.component1), to_triples(fmap.component2)
+    top_x = max(a for a, _, _ in t1 + t2)
+    top_y = max(b for _, b, _ in t1 + t2)
+
+    def evaluate(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        px, py = _pow_table(x, top_x), _pow_table(y, top_y)
+        return _eval_terms(t1, px, py), _eval_terms(t2, px, py)
+
+    return evaluate
+
+
+def _relative_error(lhs: tuple, rhs: tuple) -> np.ndarray:
+    """Largest componentwise |l - r| / max(1, |r|)."""
+    return np.maximum.reduce(
+        [np.abs(l - r) / np.maximum(1.0, np.abs(r)) for l, r in zip(lhs, rhs)]
+    )
+
+
 # ---------------------------------------------------------------------------
 # The five checks.
 
@@ -252,37 +260,24 @@ def check_positivity(cfg: SamplerConfig) -> SamplerReport:
     """Both components of the glued map stay strictly positive.
 
     Samples the square [-range, range]^2 and records the minimum of each
-    component; a sample fails if either evaluates to zero or below. A
-    fixed 21-by-21 grid of half-integers is additionally evaluated in
-    exact rational arithmetic, so the verdict cannot be a rounding
-    artifact; the grid contributes to checked and to the minima. The
-    relative-error field is unused and reported as zero.
+    component; a sample fails unless both evaluate finite and strictly
+    above zero, so an overflow fails too. A fixed 21-by-21 grid of
+    half-integers is additionally evaluated in exact rational arithmetic,
+    so the verdict cannot be a rounding artifact; the grid contributes to
+    checked and to the minima. The relative-error field is unused and
+    reported as zero.
     """
-    fmap = _theorem_map()
-    triples1 = to_triples(fmap.component1)
-    triples2 = to_triples(fmap.component2)
-    top1 = max(max(a for a, _, _ in triples1), max(a for a, _, _ in triples2))
-    top2 = max(max(b for _, b, _ in triples1), max(b for _, b, _ in triples2))
+    fmap = build_theorem_map()
+    evaluate = _map_on_arrays(fmap)
     half = cfg.range
 
-    def run(spec: tuple[int, int]) -> _Stats:
-        chunk, n = spec
-        unit = _unit_matrix(cfg.seed, chunk, n)
-        x = (2.0 * unit[:, 0] - 1.0) * half
-        y = (2.0 * unit[:, 1] - 1.0) * half
-        px = _pow_table(x, top1)
-        py = _pow_table(y, top2)
-        c1 = _eval_terms(triples1, px, py)
-        c2 = _eval_terms(triples2, px, py)
-        bad = (c1 <= 0.0) | (c2 <= 0.0)
-        failures = int(bad.sum())
-        first = None
-        if failures:
-            i = int(np.argmax(bad))
-            first = (chunk * CHUNK_SAMPLES + i, (float(x[i]), float(y[i])))
-        return (n, failures, float(c1.min()), float(c2.min()), 0.0, first)
+    def probe(u1: np.ndarray, u2: np.ndarray) -> tuple:
+        x = (2.0 * u1 - 1.0) * half
+        y = (2.0 * u2 - 1.0) * half
+        c1, c2 = evaluate(x, y)
+        return (x, y), c1, c2, None, (c1 > 0.0) & (c2 > 0.0)
 
-    stats = _run_chunks(cfg.count, run)
+    stats = _sweep(cfg, probe)
 
     grid_failures = 0
     grid_first = None
@@ -314,21 +309,15 @@ def check_f2_equals_h_g(cfg: SamplerConfig) -> SamplerReport:
     The minima record the reference components, which stay positive on
     the closed quadrant.
     """
-    outer = _outer_map()
+    evaluate = _map_on_arrays(build_f2())
 
-    def probe(u1: float, u2: float):
-        u = u1 * cfg.range
-        v = u2 * cfg.range
-        lhs1 = evaluate_float(outer.component1, u, v)
-        lhs2 = evaluate_float(outer.component2, u, v)
-        r1, r2 = eval_h(eval_g((u, v)))
-        err = max(
-            abs(lhs1 - r1) / max(1.0, abs(r1)),
-            abs(lhs2 - r2) / max(1.0, abs(r2)),
-        )
-        return (u, v), r1, r2, err, err <= _IDENTITY_TOL
+    def probe(u1: np.ndarray, u2: np.ndarray) -> tuple:
+        u, v = u1 * cfg.range, u2 * cfg.range
+        rhs = eval_h(_g_terms(u, v, np.sqrt(u)))
+        err = _relative_error(evaluate(u, v), rhs)
+        return (u, v), rhs[0], rhs[1], err, err <= _IDENTITY_TOL
 
-    return _report(_run_chunks(cfg.count, lambda s: _stream_chunk(s, cfg.seed, probe)))
+    return _report(_sweep(cfg, probe))
 
 
 def check_g_psi_equals_phi(cfg: SamplerConfig) -> SamplerReport:
@@ -341,15 +330,16 @@ def check_g_psi_equals_phi(cfg: SamplerConfig) -> SamplerReport:
     two components.
     """
 
-    def probe(u1: float, u2: float):
+    def probe(u1: np.ndarray, u2: np.ndarray) -> tuple:
         rho = u1 * 10.0
         theta = 0.01 + u2 * (HALF_PI - 0.02)
-        lhs = eval_g(eval_psi((rho, theta)))
-        rhs = eval_phi((rho, theta))
-        err = max(abs(l - r) / max(1.0, abs(r)) for l, r in zip(lhs, rhs))
+        c, s, w = _trig_vec(theta)
+        x, y = _psi_terms(rho, c, s)
+        rhs = _phi_terms(rho, c, s, w)
+        err = _relative_error(_g_terms(x, y, np.sqrt(x)), rhs)
         return (rho, theta), rhs[0], rhs[1], err, err <= _IDENTITY_TOL
 
-    return _report(_run_chunks(cfg.count, lambda s: _stream_chunk(s, cfg.seed, probe)))
+    return _report(_sweep(cfg, probe))
 
 
 def check_phi_bound(cfg: SamplerConfig) -> SamplerReport:
@@ -357,20 +347,19 @@ def check_phi_bound(cfg: SamplerConfig) -> SamplerReport:
 
     Samples rho in [0, 100], theta in [0, pi/2] (ranges fixed by the
     bound's domain) and evaluates the margin phi1^2 + phi3^2 - rho^2/4.
-    A sample fails only if the margin drops below the floating slack
+    A sample fails unless the margin stays at or above the floating slack
     -1e-12 * max(1, rho^2). min_component_1 is the raw margin minimum,
     min_component_2 the slack-scaled one; the error field stays zero.
     """
 
-    def probe(u1: float, u2: float):
-        rho = u1 * 100.0
-        theta = u2 * HALF_PI
-        f1, _, f3 = eval_phi((rho, theta))
+    def probe(u1: np.ndarray, u2: np.ndarray) -> tuple:
+        rho, theta = u1 * 100.0, u2 * HALF_PI
+        f1, _, f3 = _phi_terms(rho, *_trig_vec(theta))
         margin = f1 * f1 + f3 * f3 - rho * rho / 4.0
-        scale = max(1.0, rho * rho)
-        return (rho, theta), margin, margin / scale, 0.0, margin >= -_BOUND_SLACK * scale
+        scale = np.maximum(1.0, rho * rho)
+        return (rho, theta), margin, margin / scale, None, margin >= -_BOUND_SLACK * scale
 
-    return _report(_run_chunks(cfg.count, lambda s: _stream_chunk(s, cfg.seed, probe)))
+    return _report(_sweep(cfg, probe))
 
 
 def check_mu_gluing(grid: int) -> SamplerReport:
@@ -386,30 +375,12 @@ def check_mu_gluing(grid: int) -> SamplerReport:
     """
     if not isinstance(grid, int) or grid < 2:
         raise ValueError("grid must be an integer with at least 2 points")
-    failures = 0
-    first = None
-    maxerr = 0.0
-    min_mu = math.inf
-    min_second = math.inf
-    for i in range(grid):
-        theta = HALF_PI * (i / (grid - 1))
-        mirror = HALF_PI - theta
-        left = eval_phi((0.0, theta))
-        right = eval_phi((0.0, mirror))
-        phi_err = max(abs(l - r) for l, r in zip(left, right))
-        mu_err = abs(eval_mu(theta) - eval_mu(mirror))
-        maxerr = max(maxerr, phi_err, mu_err)
-        min_mu = min(min_mu, eval_mu(theta))
-        min_second = min(min_second, left[1])
-        if phi_err > _GLUE_PHI_TOL or mu_err > _GLUE_MU_TOL:
-            failures += 1
-            if first is None:
-                first = (theta, mirror)
-    return SamplerReport(
-        checked=grid,
-        failures=failures,
-        min_component_1=min_mu,
-        min_component_2=min_second,
-        max_relative_error=maxerr,
-        first_failure_input=first,
-    )
+    theta = HALF_PI * (np.arange(grid) / (grid - 1))
+    mirror = HALF_PI - theta
+    left = _phi_terms(0.0, *_trig_vec(theta))
+    right = _phi_terms(0.0, *_trig_vec(mirror))
+    phi_err = np.maximum.reduce([np.abs(l - r) for l, r in zip(left, right)])
+    mu = _mu_terms(theta)
+    mu_err = np.abs(mu - _mu_terms(mirror))
+    ok = (phi_err <= _GLUE_PHI_TOL) & (mu_err <= _GLUE_MU_TOL)
+    return _report(_reduce(0, (theta, mirror), mu, left[1], np.fmax(phi_err, mu_err), ok))

@@ -23,18 +23,9 @@ import math
 from dataclasses import dataclass
 
 from .maps import HALF_PI, ParamPoint, Point2, eval_psi, jacobian_F, objective_F
-from .polynomial import PolyMap2, build_theorem_map, evaluate_float
+from .polynomial import build_theorem_map, evaluate_float
 
 DELTA_THETA = 1e-6
-
-_theorem_map: PolyMap2 | None = None
-
-
-def _f_map() -> PolyMap2:
-    global _theorem_map
-    if _theorem_map is None:
-        _theorem_map = build_theorem_map()
-    return _theorem_map
 
 
 class SolverFailure(RuntimeError):
@@ -63,8 +54,10 @@ class SolverConfig:
     max_backtracks: int = 40
 
     def __post_init__(self):
-        if self.residual_tol <= 0.0:
-            raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
+        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0.0):
+            raise ValueError(
+                f"residual_tol must be positive and finite, got {self.residual_tol}"
+            )
         for name in ("max_newton_iters", "grid_rho", "grid_theta", "max_backtracks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -76,9 +69,9 @@ class PreimageQuery:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
             raise ValueError(
-                f"target must lie strictly inside the open quadrant, got ({self.a}, {self.b})"
+                f"target must be a finite point of the open quadrant, got ({self.a}, {self.b})"
             )
 
 
@@ -304,7 +297,7 @@ def refine_direct(seed: Point2, q: PreimageQuery, cfg: SolverConfig) -> Point2:
 
 
 def _official_residual(x: float, y: float, q: PreimageQuery) -> float:
-    f = _f_map()
+    f = build_theorem_map()
     fa = evaluate_float(f.component1, x, y)
     fb = evaluate_float(f.component2, x, y)
     return max(abs(fa - q.a), abs(fb - q.b)) / max(q.a, q.b, 1.0)

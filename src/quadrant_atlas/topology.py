@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import HALF_PI, Point3
+from .maps import HALF_PI, Point3, _phi_rho, _phi_terms, _phi_theta, _trig_vec
 from .parallel import thread_count
 
 # Orientation regression constants: the loop and circle orientations below
@@ -40,7 +40,8 @@ _TILE_ELEMENTS = 1 << 16
 
 
 class DegenerateGeometryError(RuntimeError):
-    """Raised when the two curves of a linking integral nearly touch."""
+    """Raised when the two curves of a linking integral nearly touch, or
+    when their sum is not finite because the coordinates overflow."""
 
 
 @dataclass(frozen=True)
@@ -126,67 +127,33 @@ def make_tube(a: float, b: float, variant: str) -> TubeSpec:
     return TubeSpec(disc=disc, epsilon=min(b, m0 - b) / 2.0, m0=m0, m=4.0 * m0)
 
 
+# ---------------------------------------------------------------------------
+# Curves on arrays of parameters; the scalar entry points wrap one element.
+
+
+def _circle(spec: WarpedDiscSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Disc boundary points at angles s and their s-derivatives."""
+    a, b = spec.a, spec.b
+    c, sn = np.cos(s), np.sin(s)
+    w = np.sqrt(np.maximum(b * b - a * a * sn * sn, 0.0))
+    dw = np.where(w > 0.0, -a * a * sn * c / np.where(w > 0.0, w, 1.0), 0.0)
+    if spec.variant == "d1":
+        pts = np.stack([a * c, a * sn, w], axis=-1)
+        tan = np.stack([-a * sn, a * c, dw], axis=-1)
+    else:
+        pts = np.stack([w, a * sn, a * c], axis=-1)
+        tan = np.stack([dw, a * c, -a * sn], axis=-1)
+    return pts, tan
+
+
 def disc_boundary(spec: WarpedDiscSpec, s: float) -> Point3:
     """Point of the disc boundary at angle s.
 
     d1: (a cos s, a sin s, sqrt(b^2 - a^2 sin^2 s)), which lies on both
     quadrics x^2+y^2 = a^2 and y^2+z^2 = b^2; d2 swaps x and z.
     """
-    a, b = spec.a, spec.b
-    c, sn = math.cos(s), math.sin(s)
-    w = math.sqrt(max(b * b - a * a * sn * sn, 0.0))
-    if spec.variant == "d1":
-        return (a * c, a * sn, w)
-    return (w, a * sn, a * c)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized surface parameterization (mirrors maps.eval_phi exactly).
-
-
-def _trig_arrays(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c = np.cos(theta)
-    s = np.sin(theta)
-    at_zero = theta == 0.0
-    at_half = theta == HALF_PI
-    c = np.where(at_zero, 1.0, np.where(at_half, 0.0, c))
-    s = np.where(at_zero, 0.0, np.where(at_half, 1.0, s))
-    return c, s
-
-
-def _phi_arrays(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    c, s = _trig_arrays(theta)
-    cs = c * s
-    phi1 = cs * (c - s) ** 2 + rho * (2 * c**4 * s + c * s**4 + c**5) + rho**2 * c**5 * s
-    phi2 = np.sqrt(np.maximum(cs, 0.0)) * (c + s + rho * cs)
-    phi3 = rho * s
-    return np.stack([phi1, phi2, phi3], axis=-1)
-
-
-def _dphi_drho_arrays(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    c, s = _trig_arrays(theta)
-    cs = c * s
-    d1 = 2 * c**4 * s + c * s**4 + c**5 + 2 * rho * c**5 * s
-    d2 = np.power(np.maximum(cs, 0.0), 1.5)
-    d3 = np.broadcast_to(s, rho.shape).copy()
-    return np.stack([d1, d2, d3], axis=-1)
-
-
-def _dphi_dtheta_arrays(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    # only called with theta strictly inside (0, pi/2)
-    c, s = np.cos(theta), np.sin(theta)
-    cs = c * s
-    cc_ss = c * c - s * s
-    d1 = (
-        cc_ss * (1.0 - 4.0 * cs)
-        + rho * (-8 * c**3 * s**2 + 2 * c**5 - s**5 + 4 * c**2 * s**3 - 5 * c**4 * s)
-        + rho**2 * (c**6 - 5 * c**4 * s**2)
-    )
-    w = np.sqrt(cs)
-    big_p = c + s + rho * cs
-    d2 = cc_ss / (2.0 * w) * big_p + w * ((c - s) + rho * cc_ss)
-    d3 = rho * c
-    return np.stack([d1, d2, d3], axis=-1)
+    x, y, z = _circle(spec, np.asarray([s], dtype=float))[0][0].tolist()
+    return (x, y, z)
 
 
 def _loop_params(loop: BoundaryLoop, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,17 +171,17 @@ def _loop_params(loop: BoundaryLoop, t: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _loop_points(loop: BoundaryLoop, t: np.ndarray) -> np.ndarray:
     rho, theta, _ = _loop_params(loop, t)
-    return _phi_arrays(rho, theta)
+    return np.stack(_phi_terms(rho, *_trig_vec(theta)), axis=-1)
 
 
 def _loop_tangents(loop: BoundaryLoop, t: np.ndarray) -> np.ndarray:
     """dt-derivative of the loop; segment 2 is the only theta-moving piece."""
     rho, theta, seg = _loop_params(loop, t)
-    d_rho = _dphi_drho_arrays(rho, theta)
+    d_rho = np.stack(_phi_rho(rho, *_trig_vec(theta)), axis=-1)
     # clamp theta into the open strip for the theta-derivative formula; the
     # result is only used where seg == 1, where theta is already interior
     safe_theta = np.clip(theta, 1e-300, HALF_PI * (1.0 - 1e-16))
-    d_theta = _dphi_dtheta_arrays(rho, safe_theta)
+    d_theta = np.stack(_phi_theta(rho, *_trig_vec(safe_theta)), axis=-1)
     theta_sign = -1.0 if loop.variant == "alpha1" else 1.0
     out = np.where(
         (seg == 0)[..., None],
@@ -306,18 +273,7 @@ def transversality_scan(loop: BoundaryLoop, tube: TubeSpec, grid: int) -> Transv
 
 def _circle_samples(spec: WarpedDiscSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint samples of the disc boundary and its s-derivative."""
-    a, b = spec.a, spec.b
-    s = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    c, sn = np.cos(s), np.sin(s)
-    w = np.sqrt(np.maximum(b * b - a * a * sn * sn, 0.0))
-    dw = np.where(w > 0.0, -a * a * sn * c / np.where(w > 0.0, w, 1.0), 0.0)
-    if spec.variant == "d1":
-        pts = np.stack([a * c, a * sn, w], axis=-1)
-        tan = np.stack([-a * sn, a * c, dw], axis=-1)
-    else:
-        pts = np.stack([w, a * sn, a * c], axis=-1)
-        tan = np.stack([dw, a * c, -a * sn], axis=-1)
-    return pts, tan
+    return _circle(spec, (np.arange(n) + 0.5) * (2.0 * math.pi / n))
 
 
 def _linking_double_sum(
@@ -392,6 +348,10 @@ def _linking_double_sum(
     if closest < _PROXIMITY_LIMIT:
         raise DegenerateGeometryError(
             f"curves pass within {closest:.3e} of each other; linking integrand is unreliable"
+        )
+    if not all(math.isfinite(v) for v, _ in results):
+        raise DegenerateGeometryError(
+            "linking sum is not finite; the curve coordinates overflow doubles"
         )
     return math.fsum(v for v, _ in results) * h1 * h2 / (4.0 * math.pi)
 

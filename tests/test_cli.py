@@ -263,3 +263,41 @@ def test_repeated_runs_are_byte_identical(capsys):
         ["identities", "--count", "500", "--seed", "11", "--format", "json"], capsys
     )
     assert strip_wall_time(first) == strip_wall_time(second)
+
+
+def test_sample_overflowing_range_fails_loudly(capsys):
+    # samples of magnitude 1e30 overflow the map; they must count as failures
+    code, out, _ = run_cli(
+        ["sample", "--count", "1000", "--seed", "1", "--range", "1e30", "--format", "json"],
+        capsys,
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    assert doc["results"]["failures"] > 0
+
+
+def test_preimage_rejects_non_finite_target_and_tol(capsys):
+    for argv in (
+        ["--target", "inf,1"],
+        ["--target", "1,nan"],
+        ["--target", "1,1", "--tol", "nan"],
+        ["--target", "1,1", "--tol", "inf"],
+        ["--target", "1,1", "--tol", "0"],
+    ):
+        code, out, err = run_cli(["preimage", *argv, "--format", "json"], capsys)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: "), argv
+
+
+def test_certify_overflowing_loop_geometry_exits_2(capsys):
+    # the tube constants are finite here but the loop coordinates overflow
+    code, out, err = run_cli(
+        ["certify", "--A", "1", "--B", "1e154", "--segments", "512", "--grid", "2000"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        err.splitlines()[-1]
+    ]

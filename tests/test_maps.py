@@ -205,3 +205,46 @@ def test_jacobian_rejects_boundary_angles():
     for theta in (0.0, HALF_PI):
         with pytest.raises(ValueError):
             jacobian_F((1.0, theta))
+
+
+def test_scalar_and_array_kernels_agree_bit_for_bit():
+    # one body per formula: the float path and the array path must round
+    # identically, edges included
+    import numpy as np
+
+    from quadrant_atlas.maps import (
+        _g_terms,
+        _phi_rho,
+        _phi_terms,
+        _phi_theta,
+        _psi_terms,
+        _trig,
+        _trig_vec,
+    )
+
+    rng = random.Random(91)
+    n = 10_000
+    rho = [100.0 * rng.random() for _ in range(n)]
+    theta = [HALF_PI * rng.random() for _ in range(n - 200)] + [0.0, HALF_PI] * 100
+    arrays = (np.array(rho), np.array(theta))
+    trig = _trig_vec(arrays[1])
+    got_phi = np.stack(_phi_terms(arrays[0], *trig), axis=-1).tolist()
+    got_rho = np.stack(_phi_rho(arrays[0], *trig), axis=-1).tolist()
+    for k in range(n):
+        assert tuple(got_phi[k]) == eval_phi((rho[k], theta[k])), k
+        assert tuple(got_rho[k]) == _phi_rho(rho[k], *_trig(theta[k])), k
+
+    inner = np.array([0.01 + (HALF_PI - 0.02) * rng.random() for _ in range(n)])
+    trig = _trig_vec(inner)
+    got_theta = np.stack(_phi_theta(arrays[0], *trig), axis=-1).tolist()
+    got_psi = np.stack(_psi_terms(arrays[0], trig[0], trig[1]), axis=-1).tolist()
+    for k in range(n):
+        point = (rho[k], float(inner[k]))
+        assert tuple(got_theta[k]) == _phi_theta(rho[k], *_trig(point[1])), k
+        assert tuple(got_psi[k]) == eval_psi(point), k
+
+    x = np.array([20.0 * rng.random() for _ in range(n)])
+    y = np.array([40.0 * rng.random() - 20.0 for _ in range(n)])
+    got_g = np.stack(_g_terms(x, y, np.sqrt(x)), axis=-1).tolist()
+    for k in range(n):
+        assert tuple(got_g[k]) == eval_g((float(x[k]), float(y[k]))), k

@@ -234,3 +234,55 @@ def test_reports_identical_across_thread_counts(monkeypatch):
     first = check_f2_equals_h_g(small)
     monkeypatch.setenv("QUADRANT_ATLAS_THREADS", "8")
     assert check_f2_equals_h_g(small) == first
+
+
+def _oracle_f2(u, v):
+    from quadrant_atlas.maps import eval_g, eval_h
+    from quadrant_atlas.polynomial import build_f2
+
+    outer = build_f2()
+    r1, r2 = eval_h(eval_g((u, v)))
+    lhs = (evaluate_float(outer.component1, u, v), evaluate_float(outer.component2, u, v))
+    err = max(abs(l - r) / max(1.0, abs(r)) for l, r in zip(lhs, (r1, r2)))
+    return (u, v), r1, r2, err, err <= 1e-10
+
+
+def _oracle_g_psi(rho, theta):
+    from quadrant_atlas.maps import eval_g, eval_psi
+
+    rhs = eval_phi((rho, theta))
+    lhs = eval_g(eval_psi((rho, theta)))
+    err = max(abs(l - r) / max(1.0, abs(r)) for l, r in zip(lhs, rhs))
+    return (rho, theta), rhs[0], rhs[1], err, err <= 1e-10
+
+
+def _oracle_phi_bound(rho, theta):
+    p1, _, p3 = eval_phi((rho, theta))
+    margin = p1 * p1 + p3 * p3 - rho * rho / 4.0
+    scale = max(1.0, rho * rho)
+    return (rho, theta), margin, margin / scale, 0.0, margin >= -1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "check, to_input, oracle",
+    [
+        (check_f2_equals_h_g, lambda u1, u2: (u1 * 50.0, u2 * 50.0), _oracle_f2),
+        (
+            check_g_psi_equals_phi,
+            lambda u1, u2: (u1 * 10.0, 0.01 + u2 * (HALF_PI - 0.02)),
+            _oracle_g_psi,
+        ),
+        (check_phi_bound, lambda u1, u2: (u1 * 100.0, u2 * HALF_PI), _oracle_phi_bound),
+    ],
+)
+def test_vectorized_sweeps_match_scalar_oracle(check, to_input, oracle):
+    count, seed = 257, 42
+    failures, m1, m2, maxerr, first = 0, math.inf, math.inf, 0.0, None
+    for j in range(count):
+        inp, v1, v2, err, ok = oracle(*to_input(*sample_pair(seed, j)))
+        m1, m2, maxerr = min(m1, v1), min(m2, v2), max(maxerr, err)
+        if not ok:
+            failures += 1
+            first = inp if first is None else first
+    report = check(SamplerConfig(count=count, seed=seed))
+    assert report == sampler.SamplerReport(count, failures, m1, m2, maxerr, first)

@@ -182,3 +182,12 @@ def test_surface_root_lands_inside_the_shrunk_tube():
             root = solve_surface(PreimageQuery(*target), cfg)
             p = eval_phi(root)
             assert tube_membership(p, shrunk), (a_r, b_r, variant, root, p)
+
+
+def test_query_and_config_reject_non_finite_values():
+    for a, b in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            PreimageQuery(a, b)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(residual_tol=tol)

@@ -282,3 +282,20 @@ def test_linking_sum_memory_is_bounded_by_the_tile(monkeypatch):
         tracemalloc.stop()
     assert abs(value) <= 0.01
     assert peak <= 16 * 2**20
+
+
+def test_linking_raises_when_the_loop_overflows():
+    # m0 is finite at this scale, but the loop's phi1 ~ rho^2 overflows
+    tube = make_tube(1.0, 1e154, "d1")
+    with np.errstate(all="ignore"):
+        with pytest.raises(DegenerateGeometryError):
+            gauss_linking(BoundaryLoop("alpha1", tube.m), tube.disc, 256, 256)
+
+
+def test_disc_boundary_matches_the_circle_samples():
+    for variant in ("d1", "d2"):
+        spec = WarpedDiscSpec(variant, 0.7, 1.9)
+        pts, _ = _circle_samples(spec, 256)
+        for k in range(256):
+            s = (k + 0.5) * (2.0 * math.pi / 256)
+            assert disc_boundary(spec, s) == tuple(pts[k].tolist())
