@@ -153,6 +153,7 @@ def _report_payload(report: SamplerReport) -> dict[str, Any]:
         "min_component_2": report.min_component_2,
         "max_relative_error": report.max_relative_error,
         "first_failure_input": None if first is None else list(first),
+        "nonfinite": report.nonfinite,
     }
 
 
@@ -416,9 +417,21 @@ _HANDLERS = {
 }
 
 
+def _finite_or_null(value: Any) -> Any:
+    """value with every non-finite float replaced by None: JSON has no NaN
+    or infinities, so they are written as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _emit(doc: dict, fmt: str, lines: list[str]) -> None:
     if fmt == "json":
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(_finite_or_null(doc), indent=2, allow_nan=False))
     else:
         for line in lines:
             print(line)

@@ -1,7 +1,7 @@
 """Closed-form maps behind the quadrant construction.
 
-Each formula has one body, shared by the scalar entry points here and the
-array sweeps in topology and sampler:
+Each formula has one body, shared by the scalar entry points here, the
+array sweeps in topology and sampler and the solver's lockstep lanes:
 
 * ``g`` embeds the closed quadrant into 3-space; ``h`` projects back to the
   plane by summing squares of adjacent coordinates, and the composition
@@ -12,7 +12,8 @@ array sweeps in topology and sampler:
 * ``xi1/xi2/zeta1/zeta2`` build and flatten the warped discs used by the
   topological certificates.
 * ``objective_F = h . phi`` is the function whose roots the preimage
-  solver hunts; its Jacobian is implemented analytically.
+  solver hunts; its Jacobian is the chain rule over the analytic partials
+  of ``phi``.
 
 Angles are radians; ``pi`` is the platform double.
 """
@@ -43,9 +44,10 @@ class Jacobian2(NamedTuple):
 # ---------------------------------------------------------------------------
 # Formula bodies. Each map is written once, with + - * / only, and runs
 # unchanged on floats (the scalar entry points below) and on numpy arrays
-# (topology and sampler). Those four operations round identically in both,
-# so given the same cos, sin and roots the two paths agree bit for bit; a
-# test checks that numpy's cos, sin and sqrt match libm's where it runs.
+# (topology, sampler and solver). Those four operations round identically
+# in both, so given the same cos, sin and roots the two paths agree bit for
+# bit; a test checks that numpy's cos, sin and sqrt match libm's where it
+# runs.
 # Integer powers are explicit products: numpy's c**k and libm's pow round
 # differently. Callers supply cos, sin and the square roots, via _trig or
 # _trig_vec for the strip angle; only the scalar entry points check their
@@ -91,6 +93,21 @@ def _phi_theta(rho, c, s, w):
         cc_ss * (1.0 - 4.0 * cs) + rho * lin + rho * rho * (c4 * c2 - 5.0 * c4 * s2),
         cc_ss / (2.0 * w) * (c + s + rho * cs) + w * ((c - s) + rho * cc_ss),
         rho * c,
+    )
+
+
+def _dF_terms(rho, c, s, w):
+    """Partials of F = h . phi as (d1_drho, d1_dtheta, d2_drho, d2_dtheta),
+    by the chain rule Dh(phi) Dphi with Dh = [[2x, 2y, 0], [0, 2y, 2z]];
+    arguments as for _phi_theta."""
+    f1, f2, f3 = _phi_terms(rho, c, s, w)
+    r1, r2, r3 = _phi_rho(rho, c, s, w)
+    t1, t2, t3 = _phi_theta(rho, c, s, w)
+    return (
+        2.0 * (f1 * r1 + f2 * r2),
+        2.0 * (f1 * t1 + f2 * t2),
+        2.0 * (f2 * r2 + f3 * r3),
+        2.0 * (f2 * t2 + f3 * t3),
     )
 
 
@@ -214,8 +231,7 @@ def objective_F(p: ParamPoint) -> Point2:
 
 
 def jacobian_F(p: ParamPoint) -> Jacobian2:
-    """Analytic Jacobian of objective_F on the open strip, by the chain rule
-    D(h . phi) = Dh(phi) Dphi with Dh = [[2x, 2y, 0], [0, 2y, 2z]].
+    """Analytic Jacobian of objective_F on the open strip (_dF_terms).
 
     The boundary angles are rejected: the theta-partial of phi2 is singular
     there, and the solver has no business evaluating derivatives there.
@@ -225,13 +241,4 @@ def jacobian_F(p: ParamPoint) -> Jacobian2:
         raise ValueError(f"jacobian_F needs rho >= 0, got {rho}")
     if not 0.0 < theta < HALF_PI:
         raise ValueError(f"jacobian_F needs theta strictly inside (0, pi/2), got {theta}")
-    trig = _trig(theta)
-    f1, f2, f3 = _phi_terms(rho, *trig)
-    r1, r2, r3 = _phi_rho(rho, *trig)
-    t1, t2, t3 = _phi_theta(rho, *trig)
-    return Jacobian2(
-        d1_drho=2.0 * (f1 * r1 + f2 * r2),
-        d1_dtheta=2.0 * (f1 * t1 + f2 * t2),
-        d2_drho=2.0 * (f2 * r2 + f3 * r3),
-        d2_dtheta=2.0 * (f2 * t2 + f3 * t3),
-    )
+    return Jacobian2(*_dF_terms(rho, *_trig(theta)))

@@ -100,7 +100,9 @@ class SamplerReport:
     The component minima and the relative-error maximum are populated
     with whatever quantity the particular check tracks (documented on
     each check); first_failure_input is the offending input with the
-    smallest global sample index, or None on a clean run.
+    smallest global sample index, or None on a clean run; nonfinite
+    counts the samples whose tracked values or error are NaN or infinite,
+    each of which is also a failure.
     """
 
     checked: int
@@ -109,13 +111,14 @@ class SamplerReport:
     min_component_2: float
     max_relative_error: float
     first_failure_input: tuple[float, float] | None
+    nonfinite: int = 0
 
 
-# partial stats: (checked, failures, min1, min2, maxerr, first)
+# partial stats: (checked, failures, min1, min2, maxerr, first, nonfinite)
 # with first either None or (global_index, input_pair)
-_Stats = tuple[int, int, float, float, float, tuple | None]
+_Stats = tuple[int, int, float, float, float, tuple | None, int]
 
-_EMPTY_STATS: _Stats = (0, 0, math.inf, math.inf, 0.0, None)
+_EMPTY_STATS: _Stats = (0, 0, math.inf, math.inf, 0.0, None, 0)
 
 
 def _merge(a: _Stats, b: _Stats) -> _Stats:
@@ -129,11 +132,12 @@ def _merge(a: _Stats, b: _Stats) -> _Stats:
         min(a[3], b[3]),
         max(a[4], b[4]),
         first,
+        a[6] + b[6],
     )
 
 
 def _report(stats: _Stats) -> SamplerReport:
-    checked, failures, m1, m2, maxerr, first = stats
+    checked, failures, m1, m2, maxerr, first, nonfinite = stats
     return SamplerReport(
         checked=checked,
         failures=failures,
@@ -141,6 +145,7 @@ def _report(stats: _Stats) -> SamplerReport:
         min_component_2=m2,
         max_relative_error=maxerr,
         first_failure_input=None if first is None else first[1],
+        nonfinite=nonfinite,
     )
 
 
@@ -172,16 +177,29 @@ def _reduce(base: int, inputs: tuple, v1, v2, err, ok: np.ndarray) -> _Stats:
     A sample fails unless ok holds for it and both tracked values are
     finite, so an overflow fails, and a check written as the comparison
     that holds on success fails every NaN too. Minima and the error
-    maximum skip NaN, which the failure count already reports.
+    maximum skip NaN, which the failure count already reports; the
+    non-finite count says how many samples had a NaN or an infinity in a
+    tracked value or the error.
     """
-    bad = ~(ok & np.isfinite(v1) & np.isfinite(v2))
+    finite = np.isfinite(v1) & np.isfinite(v2)
+    if err is not None:
+        finite &= np.isfinite(err)
+    bad = ~(ok & finite)
     failures = int(np.count_nonzero(bad))
     first = None
     if failures:
         i = int(np.argmax(bad))
         first = (base + i, (float(inputs[0][i]), float(inputs[1][i])))
     maxerr = 0.0 if err is None else float(np.fmax.reduce(err))
-    return (ok.size, failures, float(np.fmin.reduce(v1)), float(np.fmin.reduce(v2)), maxerr, first)
+    return (
+        ok.size,
+        failures,
+        float(np.fmin.reduce(v1)),
+        float(np.fmin.reduce(v2)),
+        maxerr,
+        first,
+        ok.size - int(np.count_nonzero(finite)),
+    )
 
 
 def _sweep(cfg: SamplerConfig, probe: Callable[[np.ndarray, np.ndarray], tuple]) -> _Stats:
@@ -296,7 +314,7 @@ def check_positivity(cfg: SamplerConfig) -> SamplerReport:
             gm1 = min(gm1, float(v1))
             gm2 = min(gm2, float(v2))
             index += 1
-    stats = _merge(stats, (index, grid_failures, gm1, gm2, 0.0, grid_first))
+    stats = _merge(stats, (index, grid_failures, gm1, gm2, 0.0, grid_first, 0))
     return _report(stats)
 
 

@@ -4,9 +4,13 @@ Two stages, following the geometry that proves such a point exists:
 
 1. Multistart damped Newton on the surface objective F(rho, theta), the
    composition of the sum-of-squares projection with the surface
-   parameterization, over a fixed rho x theta seed lattice. Seeds are
-   scanned in row-major order and the first converged one wins, which
-   makes the result deterministic.
+   parameterization, over a fixed rho x theta seed lattice. The seeds run
+   as numpy lanes in lockstep, in row-major blocks of 16 that double up
+   to a cap of 2^13 // max_backtracks lanes; each round takes one Newton
+   step in every live lane and tries all its step halvings in one array.
+   Converged lanes are taken in ascending seed index and the first whose
+   polished point passes wins, so the result is the one a seed-by-seed
+   scan gives, bit for bit, and deterministic.
 2. The surface root is carried into the open quadrant (where the outer
    polynomial factor agrees with the surface objective) and polished by
    damped Newton on that factor directly, with iterates clamped to the
@@ -22,7 +26,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .maps import HALF_PI, ParamPoint, Point2, eval_psi, jacobian_F, objective_F
+import numpy as np
+
+from .maps import (
+    HALF_PI,
+    ParamPoint,
+    Point2,
+    _dF_terms,
+    _phi_terms,
+    _trig_vec,
+    eval_h,
+    eval_psi,
+)
 from .polynomial import build_theorem_map, evaluate_float
 
 DELTA_THETA = 1e-6
@@ -122,66 +137,133 @@ def _theta_grid(n: int, refine_edges: bool) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Damped Newton, surface stage.
+# Damped Newton, surface stage, in lockstep lanes.
+
+# lanes x backtracks elements per candidate array; caps a seed block at
+# 204 lanes with the default 40 backtracks, which bounds the kernel's
+# temporaries (a few dozen arrays of this many doubles)
+_LANE_ELEMENTS = 2**13
+_FIRST_BLOCK = 16
 
 
-def _surface_residual(p: ParamPoint, a: float, b: float, scale: float) -> float:
-    fa, fb = objective_F(p)
-    return max(abs(fa - a), abs(fb - b)) / scale
+def _residual_lanes(rho, theta, a: float, b: float, scale: float):
+    """F = h . phi at every (rho, theta) and the scaled sup-norm residual.
+
+    The max is Python's max(da, db), which keeps da unless db > da, so a
+    NaN lands where the scalar expression puts it.
+    """
+    fa, fb = eval_h(_phi_terms(rho, *_trig_vec(theta)))
+    da, db = np.abs(fa - a), np.abs(fb - b)
+    return fa, fb, np.where(db > da, db, da) / scale
 
 
-def _clamp_surface(rho: float, theta: float, m: float) -> ParamPoint:
-    rho = min(max(rho, 0.0), m)
-    theta = min(max(theta, DELTA_THETA), HALF_PI - DELTA_THETA)
-    return (rho, theta)
+def _clamp_lanes(v, lo: float, hi: float):
+    """min(max(v, lo), hi) with Python's semantics, NaN passing through."""
+    v = np.where(v < lo, lo, v)
+    return np.where(v > hi, hi, v)
 
 
-def _newton_surface(
-    seed: ParamPoint, a: float, b: float, m: float, cfg: SolverConfig
-) -> tuple[bool, ParamPoint, float, int]:
-    """(converged, point, residual, iterations) for one seed."""
+def _newton_lanes(rho, theta, a: float, b: float, m: float, cfg: SolverConfig):
+    """Damped Newton on F from every seed (rho[i], theta[i]) at once.
+
+    Returns arrays (converged, rho, theta, residual, iterations). Each lane
+    runs the one-seed iteration: a full Newton step, halved until the
+    residual drops, at most max_backtracks times, with iterates clamped to
+    [0, m] x [DELTA_THETA, pi/2 - DELTA_THETA]. A lane stops when it
+    converges, when its Jacobian is singular or not finite, or when no
+    step length descends. Every step length is tried in one array per
+    round and each lane takes the longest that descends; the halvings are
+    exact, so each lane reproduces the one-seed loop bit for bit.
+    Non-finite candidates never descend, so they end a lane quietly.
+    """
+    n, tol = rho.size, cfg.residual_tol
     scale = max(a, b, 1.0)
-    p = seed
-    r = _surface_residual(p, a, b, scale)
-    for iters in range(1, cfg.max_newton_iters + 1):
-        if r <= cfg.residual_tol:
-            return True, p, r, iters - 1
-        jac = jacobian_F(p)
-        det = jac.d1_drho * jac.d2_dtheta - jac.d1_dtheta * jac.d2_drho
-        if det == 0.0 or not math.isfinite(det):
-            return False, p, r, iters - 1
-        fa, fb = objective_F(p)
-        ra, rb = fa - a, fb - b
-        step_rho = (jac.d2_dtheta * ra - jac.d1_dtheta * rb) / det
-        step_theta = (-jac.d2_drho * ra + jac.d1_drho * rb) / det
-        tau = 1.0
-        for _ in range(cfg.max_backtracks):
-            cand = _clamp_surface(p[0] - tau * step_rho, p[1] - tau * step_theta, m)
-            rc = _surface_residual(cand, a, b, scale)
-            if rc < r:
-                p, r = cand, rc
+    taus = np.ldexp(1.0, -np.arange(cfg.max_backtracks))
+    out_ok = np.zeros(n, dtype=bool)
+    out_rho, out_theta, out_r = np.empty(n), np.empty(n), np.empty(n)
+    out_iters = np.empty(n, dtype=int)
+
+    def settle(stop, ok, iters):
+        # record the lanes in stop as finished; returns the mask of the rest
+        if stop.any():
+            ids = lane[stop]
+            out_ok[ids], out_iters[ids] = ok, iters
+            out_rho[ids], out_theta[ids], out_r[ids] = rho[stop], theta[stop], r[stop]
+        return ~stop
+
+    lane = np.arange(n)
+    with np.errstate(all="ignore"):
+        fa, fb, r = _residual_lanes(rho, theta, a, b, scale)
+        for done in range(cfg.max_newton_iters):
+            go = settle(r <= tol, True, done)
+            lane, rho, theta, r, fa, fb = (v[go] for v in (lane, rho, theta, r, fa, fb))
+            if not lane.size:
                 break
-            tau *= 0.5
-        else:
-            return False, p, r, iters
-    return r <= cfg.residual_tol, p, r, cfg.max_newton_iters
+            d1_drho, d1_dtheta, d2_drho, d2_dtheta = _dF_terms(rho, *_trig_vec(theta))
+            det = d1_drho * d2_dtheta - d1_dtheta * d2_drho
+            ra, rb = fa - a, fb - b
+            step_rho = (d2_dtheta * ra - d1_dtheta * rb) / det
+            step_theta = (-d2_drho * ra + d1_drho * rb) / det
+
+            go = settle((det == 0.0) | ~np.isfinite(det), False, done)
+            lane, rho, theta, r, step_rho, step_theta = (
+                v[go] for v in (lane, rho, theta, r, step_rho, step_theta)
+            )
+            # one row per lane, one column per step length
+            c_rho = _clamp_lanes(rho[:, None] - taus * step_rho[:, None], 0.0, m)
+            c_theta = _clamp_lanes(
+                theta[:, None] - taus * step_theta[:, None], DELTA_THETA, HALF_PI - DELTA_THETA
+            )
+            c_fa, c_fb, c_r = _residual_lanes(c_rho, c_theta, a, b, scale)
+            descends = c_r < r[:, None]
+            go = np.flatnonzero(settle(~descends.any(axis=1), False, done + 1))
+            pick = (go, descends[go].argmax(axis=1))
+            lane = lane[go]
+            rho, theta, fa, fb, r = c_rho[pick], c_theta[pick], c_fa[pick], c_fb[pick], c_r[pick]
+        converged = r <= tol
+        settle(converged, True, cfg.max_newton_iters)
+        settle(~converged, False, cfg.max_newton_iters)
+    return out_ok, out_rho, out_theta, out_r, out_iters
 
 
-def _seed_pairs(q: PreimageQuery, cfg: SolverConfig) -> tuple[list[ParamPoint], float]:
+def _seed_lattice(
+    q: PreimageQuery, cfg: SolverConfig
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The rho x theta seed lattice in row-major order, as a rho array and
+    a theta array, and the rho bound m."""
     m = 4.0 * 2.0 * math.sqrt(q.a + q.b)  # constant rule at A^2 + B^2 = a + b
-    rhos = _rho_grid(m, cfg.grid_rho)
-    thetas = _theta_grid(cfg.grid_theta, min(q.a, q.b) <= 1e-6)
-    return [(r, t) for r in rhos for t in thetas], m
+    rhos = np.array(_rho_grid(m, cfg.grid_rho))
+    thetas = np.array(_theta_grid(cfg.grid_theta, min(q.a, q.b) <= 1e-6))
+    return np.repeat(rhos, thetas.size), np.tile(thetas, rhos.size), m
+
+
+def _surface_runs(q: PreimageQuery, cfg: SolverConfig, rho, theta, m: float):
+    """(converged, point, residual, iterations) of the surface Newton from
+    each seed of the lattice (rho, theta, m), in row-major seed order.
+
+    Seeds run in lockstep blocks of 16 lanes, doubling up to the cap, and
+    a block only runs once the caller has taken every result before it.
+    """
+    cap = max(1, _LANE_ELEMENTS // cfg.max_backtracks)
+    start, size = 0, min(_FIRST_BLOCK, cap)
+    while start < rho.size:
+        block = slice(start, start + size)
+        ok, p_rho, p_theta, r, iters = _newton_lanes(
+            rho[block], theta[block], q.a, q.b, m, cfg
+        )
+        points = zip(p_rho.tolist(), p_theta.tolist())
+        yield from zip(ok.tolist(), points, r.tolist(), iters.tolist())
+        start, size = start + size, min(2 * size, cap)
 
 
 def solve_surface(q: PreimageQuery, cfg: SolverConfig) -> ParamPoint:
     """First surface root (rho, theta) with F within tolerance of (a, b)."""
-    seeds, m = _seed_pairs(q, cfg)
-    best_r, best_p = math.inf, seeds[0]
-    for seed in seeds:
-        ok, p, r, _ = _newton_surface(seed, q.a, q.b, m, cfg)
+    lattice = _seed_lattice(q, cfg)
+    best_r, best_p = math.inf, (float(lattice[0][0]), float(lattice[1][0]))
+    for ok, p, r, _ in _surface_runs(q, cfg, *lattice):
         if ok:
             return p
+        # NaN never compares below, so the first finite minimum wins
         if r < best_r:
             best_r, best_p = r, p
     raise SolverFailure(
@@ -315,10 +397,9 @@ def preimage(q: PreimageQuery, cfg: SolverConfig = SolverConfig()) -> PreimageRe
     The reported residual is computed from the exact expanded map, so a
     result that passes came from the theorem's own polynomial.
     """
-    seeds, m = _seed_pairs(q, cfg)
     best_r, best_xy = math.inf, (0.0, 0.0)
-    for idx, seed in enumerate(seeds):
-        ok, p, _, it1 = _newton_surface(seed, q.a, q.b, m, cfg)
+    runs = _surface_runs(q, cfg, *_seed_lattice(q, cfg))
+    for idx, (ok, p, _, it1) in enumerate(runs):
         if not ok:
             continue
         try:
@@ -360,8 +441,13 @@ def preimage(q: PreimageQuery, cfg: SolverConfig = SolverConfig()) -> PreimageRe
         if res < best_r:
             best_r, best_xy = res, (x, y)
 
+    best = (
+        f"best residual {best_r:.3e}"
+        if math.isfinite(best_r)
+        else "no polished point was found"
+    )
     raise SolverFailure(
-        f"no preimage found for target ({q.a}, {q.b}); best residual {best_r:.3e}",
+        f"no preimage found for target ({q.a}, {q.b}); {best}",
         best_residual=best_r,
         best_point=best_xy,
     )

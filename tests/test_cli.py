@@ -301,3 +301,32 @@ def test_certify_overflowing_loop_geometry_exits_2(capsys):
     assert [line for line in err.splitlines() if line.startswith("error: ")] == [
         err.splitlines()[-1]
     ]
+
+
+def test_failed_preimage_prints_valid_json(capsys):
+    # an edge target every seed fails on: no polished point, so the best
+    # residual is infinite, which JSON cannot hold; it is written as null
+    code, out, err = run_cli(
+        ["preimage", "--target", "1.0,2.225531455441776e-07", "--format", "json"], capsys
+    )
+    assert code == 3 and err == ""
+
+    def reject(token):
+        raise ValueError(f"non-finite constant {token}")
+
+    doc = json.loads(out, parse_constant=reject)
+    assert doc["pass"] is False
+    assert doc["results"]["best_residual"] is None
+    assert doc["results"]["error"].endswith("no polished point was found")
+
+
+def test_sample_reports_nonfinite_samples(capsys):
+    code, out, _ = run_cli(
+        ["sample", "--count", "1000", "--seed", "1", "--range", "1e30", "--format", "json"],
+        capsys,
+    )
+    assert code == 1
+    assert json.loads(out)["results"]["nonfinite"] == 1000
+    code, doc = run_json(["sample", "--count", "1000", "--seed", "1", "--format", "json"], capsys)
+    assert code == 0
+    assert doc["results"]["nonfinite"] == 0

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
+import warnings
 
 import pytest
 
-from quadrant_atlas.maps import HALF_PI, eval_psi, objective_F
+from quadrant_atlas.maps import HALF_PI, eval_psi, jacobian_F, objective_F
 from quadrant_atlas.polynomial import build_f2, build_theorem_map, evaluate_float
 from quadrant_atlas.solver import (
+    DELTA_THETA,
     PreimageQuery,
     PreimageResult,
     SolverConfig,
@@ -23,6 +26,8 @@ from quadrant_atlas.solver import (
     preimage,
     refine_direct,
     solve_surface,
+    _newton_lanes,
+    _seed_lattice,
 )
 from quadrant_atlas.topology import BoundaryLoop, TubeSpec, make_tube, tube_membership
 
@@ -191,3 +196,156 @@ def test_query_and_config_reject_non_finite_values():
     for tol in (math.nan, math.inf):
         with pytest.raises(ValueError):
             SolverConfig(residual_tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# The lockstep surface kernel.
+
+EDGE_TARGETS = [(1.0, 2.225531455441776e-07), (4.308878459422807e-08, 0.01)]
+
+
+def _scalar_newton_surface(seed, a, b, m, cfg):
+    """The one-seed damped Newton loop the lockstep lanes must reproduce."""
+    scale = max(a, b, 1.0)
+
+    def residual(p):
+        fa, fb = objective_F(p)
+        return max(abs(fa - a), abs(fb - b)) / scale
+
+    p = seed
+    r = residual(p)
+    for iters in range(1, cfg.max_newton_iters + 1):
+        if r <= cfg.residual_tol:
+            return True, p, r, iters - 1
+        jac = jacobian_F(p)
+        det = jac.d1_drho * jac.d2_dtheta - jac.d1_dtheta * jac.d2_drho
+        if det == 0.0 or not math.isfinite(det):
+            return False, p, r, iters - 1
+        fa, fb = objective_F(p)
+        ra, rb = fa - a, fb - b
+        step_rho = (jac.d2_dtheta * ra - jac.d1_dtheta * rb) / det
+        step_theta = (-jac.d2_drho * ra + jac.d1_drho * rb) / det
+        tau = 1.0
+        for _ in range(cfg.max_backtracks):
+            cand = (
+                min(max(p[0] - tau * step_rho, 0.0), m),
+                min(max(p[1] - tau * step_theta, DELTA_THETA), HALF_PI - DELTA_THETA),
+            )
+            rc = residual(cand)
+            if rc < r:
+                p, r = cand, rc
+                break
+            tau *= 0.5
+        else:
+            return False, p, r, iters
+    return r <= cfg.residual_tol, p, r, cfg.max_newton_iters
+
+
+def _bits(v):
+    return v.hex() if isinstance(v, float) else v
+
+
+@pytest.mark.parametrize(
+    "target, cfg",
+    [
+        (EDGE_TARGETS[0], SolverConfig()),
+        ((0.001, 1000.0), SolverConfig()),
+        (
+            (float.fromhex("0x1.eac2541e9d32ap+13"), float.fromhex("0x1.9bf08cc8c38aap+17")),
+            SolverConfig(),
+        ),
+        (
+            (0.001, 1000.0),
+            SolverConfig(max_newton_iters=1, grid_rho=2, grid_theta=2, max_backtracks=1),
+        ),
+    ],
+)
+def test_lockstep_lanes_match_the_one_seed_loop_bit_for_bit(target, cfg):
+    q = PreimageQuery(*target)
+    rho, theta, m = _seed_lattice(q, cfg)
+    pick = slice(None, None, max(1, rho.size // 1000))
+    rho, theta = rho[pick][:1000], theta[pick][:1000]
+    ok, rho1, theta1, r, iters = _newton_lanes(rho, theta, q.a, q.b, m, cfg)
+    lanes = list(zip(ok.tolist(), rho1.tolist(), theta1.tolist(), r.tolist(), iters.tolist()))
+    want = []
+    for seed in zip(rho.tolist(), theta.tolist()):
+        ok1, (rho1, theta1), r1, it1 = _scalar_newton_surface(seed, q.a, q.b, m, cfg)
+        want.append((ok1, rho1, theta1, r1, it1))
+    assert [tuple(map(_bits, lane)) for lane in lanes] == [tuple(map(_bits, w)) for w in want]
+
+
+# Frozen from the one-seed-at-a-time solver: target (a, b), witness (x, y),
+# all as float.hex, then stage, seed_index, newton_iters. Four decade
+# targets, six round-trip targets (random.Random(60), x, y in (0, 5)) and
+# two whose winning seed lies in the fifth and sixth lockstep block.
+FROZEN_RESULTS = [
+    ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.000276c8cd9bfp+0", "0x1.fff89bbc4d48dp-1", "surface-seeded", 0, 28),
+    ("0x1.f400000000000p+9", "0x1.47ae147ae147bp-7", "0x1.b27c84b88f1fap-5", "0x1.3a2c4f5e44c41p+4", "surface-seeded", 0, 5),
+    ("0x1.0624dd2f1a9fcp-10", "0x1.f400000000000p+9", "0x1.4763c0c0b9fbap+5", "0x1.3c16ba3703c9dp-11", "surface-seeded", 94, 67),
+    ("0x1.9000000000000p+6", "0x1.999999999999ap-4", "0x1.60fbe8705f0a7p-3", "0x1.a097cc603f1aap+2", "surface-seeded", 0, 6),
+    ("0x1.482d919b482bbp+15", "0x1.0c072e95ba8bdp+14", "0x1.89fe1e0d58eaap+0", "0x1.71e49e5c54b9dp+1", "surface-seeded", 1, 9),
+    ("0x1.f12a900177596p+17", "0x1.cef3e6deead4cp+13", "0x1.53fdb7c4a0cf7p+0", "0x1.0286d8338ca47p+2", "surface-seeded", 71, 6),
+    ("0x1.eac2541e9d32ap+13", "0x1.9bf08cc8c38aap+17", "0x1.2b04de96d18edp+1", "0x1.a9a0171c0eab9p+0", "surface-seeded", 79, 10),
+    ("0x1.ed33acdb9fa6ap+26", "0x1.e731c1f031036p+33", "0x1.1ef5f8efbaf61p+2", "0x1.fb24c8286ee14p+1", "surface-seeded", 65, 10),
+    ("0x1.1c27e9016bfb1p+25", "0x1.24902c6024bedp+32", "0x1.13138dc0b6201p+2", "0x1.aa1eec578161fp+1", "surface-seeded", 65, 12),
+    ("0x1.d82ab1cc709cep+6", "0x1.7d1d44302099cp+4", "0x1.dac6f1f1210e1p-1", "0x1.f31bc707ab9afp+0", "surface-seeded", 0, 76),
+    ("0x1.999999999999ap-4", "0x1.999999999999ap-4", "0x1.c171144305674p+1", "0x1.5940dfa51c70bp-4", "surface-seeded", 318, 6),
+    ("0x1.999999999999ap-5", "0x1.999999999999ap-5", "0x1.3045cc6b3cd73p+2", "0x1.725416119f966p-5", "surface-seeded", 510, 6),
+]
+
+
+@pytest.mark.parametrize("row", FROZEN_RESULTS, ids=lambda row: f"{row[0]},{row[1]}")
+def test_preimage_frozen_results(row):
+    a, b, x, y, stage, seed_index, iters = row
+    r = preimage(PreimageQuery(float.fromhex(a), float.fromhex(b)), SolverConfig())
+    assert (r.x.hex(), r.y.hex(), r.stage, r.seed_index, r.newton_iters) == (
+        float.fromhex(x).hex(),
+        float.fromhex(y).hex(),
+        stage,
+        seed_index,
+        iters,
+    )
+
+
+def test_edge_target_failures_are_frozen():
+    a, b = EDGE_TARGETS[0]
+    with pytest.raises(SolverFailure) as info:
+        preimage(PreimageQuery(a, b), SolverConfig())
+    assert str(info.value) == (
+        "no preimage found for target (1.0, 2.225531455441776e-07); "
+        "no polished point was found"
+    )
+    assert info.value.best_residual == math.inf
+    assert info.value.best_point == (0.0, 0.0)
+    with pytest.raises(SolverFailure) as info:
+        solve_surface(PreimageQuery(a, b), SolverConfig())
+    assert str(info.value) == (
+        "no surface seed converged for target (1.0, 2.225531455441776e-07); "
+        "best residual 7.775e-07"
+    )
+    assert info.value.best_residual == 7.774518544386032e-07
+    assert info.value.best_point == (0.999995111897917, 1e-06)
+
+
+def test_preimage_raises_no_runtime_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in EDGE_TARGETS:
+            with pytest.raises(SolverFailure):
+                preimage(PreimageQuery(a, b), SolverConfig())
+        for a, b in [(1.0, 1.0), (241.0, 52.0), (1000.0, 0.01)]:
+            assert preimage(PreimageQuery(a, b), SolverConfig()).residual <= 1e-9
+
+
+def test_edge_target_preimage_memory_is_bounded():
+    # the seed blocks are capped at 2^13 lanes x backtracks elements, which
+    # keeps the peak near 1.3 MB; blocks left to double through the
+    # 7168-seed edge lattice peak near 13 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(SolverFailure):
+            preimage(PreimageQuery(*EDGE_TARGETS[1]), SolverConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak
