@@ -173,6 +173,8 @@ def _linking_payload(result: LinkingResult, expected: int) -> dict[str, Any]:
         "expected": expected,
         "loop_segments": result.loop_segments,
         "circle_segments": result.circle_segments,
+        "arc_segments": result.arc_segments,
+        "closest_approach": result.closest_approach,
     }
 
 
@@ -282,13 +284,16 @@ def _run_certify(args) -> tuple[dict, dict, bool, list[str]]:
     loop1 = BoundaryLoop("alpha1", tube1.m)
     loop2 = BoundaryLoop("alpha2", tube2.m)
 
-    trans1 = transversality_scan(loop1, tube1, args.grid)
-    trans2 = transversality_scan(loop2, tube2, args.grid)
-    try:
-        link1 = gauss_linking(loop1, tube1.disc, args.segments, args.segments)
-        link2 = gauss_linking(loop2, tube2.disc, args.segments, args.segments)
-    except DegenerateGeometryError as exc:
-        raise _UsageError(f"no linking certificate at A={args.a!r}, B={args.b!r}: {exc}")
+    # coordinates that overflow make numpy warn on the way; the linking sum
+    # then raises DegenerateGeometryError, which is reported once as exit 2
+    with np.errstate(all="ignore"):
+        trans1 = transversality_scan(loop1, tube1, args.grid)
+        trans2 = transversality_scan(loop2, tube2, args.grid)
+        try:
+            link1 = gauss_linking(loop1, tube1.disc, args.segments, args.segments)
+            link2 = gauss_linking(loop2, tube2.disc, args.segments, args.segments)
+        except DegenerateGeometryError as exc:
+            raise _UsageError(f"no linking certificate at A={args.a!r}, B={args.b!r}: {exc}")
 
     link1_ok = abs(link1.value - ALPHA1_D1_SIGN) <= _LINKING_TOL
     link2_ok = abs(link2.value - ALPHA2_D2_SIGN) <= _LINKING_TOL

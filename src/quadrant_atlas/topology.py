@@ -6,27 +6,29 @@ disc once, straight through" into an interval statement about cylinder
 coordinates, which transversality_scan checks on a uniform grid.
 
 gauss_linking computes the classical double-integral linking number of a
-boundary loop with a disc boundary circle by the midpoint rule. Its value
-for a matched pair certifies, up to sign, that the loop generates the
-fundamental group of the circle's complement. The double sum evaluates the
-integrand numerator det(p1 - p2, t1, t2) by the triple-product identity
-(p1 x t1) . t2 - t1 . (t2 x p2), as matrix products over tiles sized by a
-fixed element count rather than a row count, so memory stays bounded for
-any segment count; squared distances are kept as explicit coordinate
-differences, which stay exact enough for the near-contact guard.
+boundary loop with a disc boundary circle. Its value for a matched pair
+certifies, up to sign, that the loop generates the fundamental group of the
+circle's complement. Most of each loop is two straight legs along
+coordinate axes (phi is rho times an axis on both strip edges); against a
+fixed circle sample the integrand along a straight segment has the
+closed-form finite-wire antiderivative, so the legs are integrated exactly,
+once per circle sample. Only the curved arc at rho = m goes through the
+midpoint double sum, which evaluates the numerator det(p1 - p2, t1, t2) by
+the triple-product identity (p1 x t1) . t2 - t1 . (t2 x p2), as matrix
+products over tiles sized by a fixed element count rather than a row
+count, so memory stays bounded for any segment count; squared distances
+are kept as explicit coordinate differences, which stay exact enough for
+the near-contact guard.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .maps import HALF_PI, Point3, _phi_rho, _phi_terms, _phi_theta, _trig_vec
-from .parallel import thread_count
 
 # Orientation regression constants: the loop and circle orientations below
 # are fixed by their parameterizations, and these are the observed signs of
@@ -100,10 +102,17 @@ class BoundaryLoop:
 
 @dataclass(frozen=True)
 class LinkingResult:
+    """loop_segments is the requested loop resolution; arc_segments is the
+    number of arc midpoints that went through the double sum (the legs are
+    exact), and closest_approach the least distance between the circle
+    samples and the loop (legs exactly, arc at its midpoints)."""
+
     value: float
     rounded: int
     loop_segments: int
     circle_segments: int
+    arc_segments: int
+    closest_approach: float
 
 
 @dataclass(frozen=True)
@@ -276,6 +285,69 @@ def _circle_samples(spec: WarpedDiscSpec, n: int) -> tuple[np.ndarray, np.ndarra
     return _circle(spec, (np.arange(n) + 0.5) * (2.0 * math.pi / n))
 
 
+def _pair_sum(
+    pts1: np.ndarray, tan1: np.ndarray, pts2: np.ndarray, tan2: np.ndarray
+) -> tuple[float, float]:
+    """Unscaled sum of det(p1 - p2, t1, t2) / |p1 - p2|^3 over all sample
+    pairs, and the least distance between the two sample sets.
+
+    With a = pts1 x tan1 and b = tan2 x pts2 formed once per call, a tile's
+    numerators are two (rows x 3) @ (3 x cols) matrix products. The pair
+    grid is cut into tiles of at most _TILE_ELEMENTS pairs, so the
+    temporaries of one tile fit in cache and memory does not grow with the
+    sample counts; tile sums are combined with fsum in index order. The sum
+    is NaN when a tile sum is not finite.
+    """
+    n1, n2 = pts1.shape[0], pts2.shape[0]
+    a = np.cross(pts1, tan1)
+    # unit-stride copies: the tile loop below runs about 20% faster on them
+    b_t = np.cross(tan2, pts2).T.copy()
+    tan2_t = tan2.T.copy()
+    x1, y1, z1 = pts1.T.copy()
+    x2, y2, z2 = pts2.T.copy()
+    cols = min(n2, _TILE_ELEMENTS)
+    rows = max(1, _TILE_ELEMENTS // cols)
+    # three tile buffers reused by every tile: allocating fresh ones per
+    # tile goes through mmap and page faults and costs more than the
+    # arithmetic
+    buffers = np.empty((3, rows, cols))
+    sums = []
+    closest2 = math.inf
+    for i0 in range(0, n1, rows):
+        i = slice(i0, min(i0 + rows, n1))
+        for j0 in range(0, n2, cols):
+            j = slice(j0, min(j0 + cols, n2))
+            numer, dist2, tmp = buffers[:, : i.stop - i.start, : j.stop - j.start]
+            np.matmul(a[i], tan2_t[:, j], out=numer)
+            numer -= np.matmul(tan1[i], b_t[:, j], out=tmp)
+            np.square(np.subtract(x1[i, None], x2[j], out=dist2), out=dist2)
+            dist2 += np.square(np.subtract(y1[i, None], y2[j], out=tmp), out=tmp)
+            dist2 += np.square(np.subtract(z1[i, None], z2[j], out=tmp), out=tmp)
+            closest2 = min(closest2, float(np.min(dist2)))
+            dist2 *= np.sqrt(dist2, out=tmp)
+            # a degenerate pair divides by ~0 here; the caller raises before
+            # the polluted sum can be used, so silence the transient warning
+            with np.errstate(divide="ignore", invalid="ignore"):
+                numer /= dist2
+            sums.append(float(np.sum(numer)))
+    total = math.fsum(sums) if all(math.isfinite(v) for v in sums) else math.nan
+    # sqrt is monotone, so the root of the least square is the least distance
+    return total, math.sqrt(closest2)
+
+
+def _check_linking_geometry(closest: float, total: float) -> None:
+    """Raise DegenerateGeometryError if the curves nearly touch or the
+    linking sum is not finite."""
+    if closest < _PROXIMITY_LIMIT:
+        raise DegenerateGeometryError(
+            f"curves pass within {closest:.3e} of each other; linking integrand is unreliable"
+        )
+    if not math.isfinite(total):
+        raise DegenerateGeometryError(
+            "linking sum is not finite; the curve coordinates overflow doubles"
+        )
+
+
 def _linking_double_sum(
     pts1: np.ndarray,
     tan1: np.ndarray,
@@ -291,69 +363,51 @@ def _linking_double_sum(
 
         det(p1 - p2, t1, t2) = (p1 x t1) . t2 - t1 . (t2 x p2),
 
-    so with a = pts1 x tan1 and b = tan2 x pts2 formed once per call, a
-    tile's numerators are two (rows x 3) @ (3 x cols) matrix products.
-    Squared distances stay explicit coordinate differences summed over x, y
-    and z: the expansion |p1|^2 + |p2|^2 - 2 p1.p2 cancels to ~1e-8 on
-    coincident curves, which would hide them from the proximity guard.
-
-    The pair grid is cut into tiles of at most _TILE_ELEMENTS pairs, so the
-    temporaries of one tile fit in cache and memory per thread does not grow
-    with the segment counts. The partition depends only on the two sample
-    counts and tile sums are combined with fsum in index order, so the value
-    is independent of thread count.
+    as tiled matrix products (see _pair_sum). Squared distances stay
+    explicit coordinate differences summed over x, y and z: the expansion
+    |p1|^2 + |p2|^2 - 2 p1.p2 cancels to ~1e-8 on coincident curves, which
+    would hide them from the proximity guard.
     """
-    n1, n2 = pts1.shape[0], pts2.shape[0]
-    a = np.cross(pts1, tan1)
-    # unit-stride copies: the tile loops below run about 20% faster on them
-    b_t = np.cross(tan2, pts2).T.copy()
-    tan2_t = tan2.T.copy()
-    x1, y1, z1 = pts1.T.copy()
-    x2, y2, z2 = pts2.T.copy()
-    cols = min(n2, _TILE_ELEMENTS)
-    rows = max(1, _TILE_ELEMENTS // cols)
-    tiles = [(i0, j0) for i0 in range(0, n1, rows) for j0 in range(0, n2, cols)]
-    # each thread reuses three tile buffers: allocating fresh ones per tile
-    # goes through mmap and page faults and costs more than the arithmetic
-    scratch = threading.local()
+    total, closest = _pair_sum(pts1, tan1, pts2, tan2)
+    _check_linking_geometry(closest, total)
+    return total * h1 * h2 / (4.0 * math.pi)
 
-    def one_tile(tile: tuple[int, int]) -> tuple[float, float]:
-        i = slice(tile[0], min(tile[0] + rows, n1))
-        j = slice(tile[1], min(tile[1] + cols, n2))
-        if not hasattr(scratch, "buffers"):
-            scratch.buffers = np.empty((3, rows, cols))
-        numer, dist2, tmp = scratch.buffers[:, : i.stop - i.start, : j.stop - j.start]
-        np.matmul(a[i], tan2_t[:, j], out=numer)
-        numer -= np.matmul(tan1[i], b_t[:, j], out=tmp)
-        np.square(np.subtract(x1[i, None], x2[j], out=dist2), out=dist2)
-        dist2 += np.square(np.subtract(y1[i, None], y2[j], out=tmp), out=tmp)
-        dist2 += np.square(np.subtract(z1[i, None], z2[j], out=tmp), out=tmp)
-        closest2 = float(np.min(dist2))
-        dist2 *= np.sqrt(dist2, out=tmp)
-        # a degenerate pair divides by ~0 here; the caller raises before the
-        # polluted sum can be used, so silence the transient warning
-        with np.errstate(divide="ignore", invalid="ignore"):
-            numer /= dist2
-        return float(np.sum(numer)), closest2
 
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_tile, tiles))
-    else:
-        results = [one_tile(tile) for tile in tiles]
+def _leg_integrals(
+    p0: np.ndarray, p1: np.ndarray, pts2: np.ndarray, tan2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact integral of det(p - q, dp, t) / |p - q|^3 along the straight
+    segment p0 -> p1 for each circle sample (q, t), and the distance from
+    each sample to the segment.
 
-    # sqrt is monotone, so the root of the least square is the least distance
-    closest = math.sqrt(min(d for _, d in results))
-    if closest < _PROXIMITY_LIMIT:
-        raise DegenerateGeometryError(
-            f"curves pass within {closest:.3e} of each other; linking integrand is unreliable"
-        )
-    if not all(math.isfinite(v) for v, _ in results):
-        raise DegenerateGeometryError(
-            "linking sum is not finite; the curve coordinates overflow doubles"
-        )
-    return math.fsum(v for v, _ in results) * h1 * h2 / (4.0 * math.pi)
+    With e the unit direction and L the length, the numerator det(p0 - q,
+    e, t) is constant along the segment. With tau = e . (q - p0), delta the
+    distance from q to the segment's line, u0 = -tau, u1 = L - tau and
+    r_i = sqrt(u_i^2 + delta^2), the integral of |p - q|^-3 is the
+    finite-wire (Biot-Savart) form (u1/r1 - u0/r0) / delta^2. When u0 and
+    u1 have the same sign, the sample lies beyond an end of the segment and
+    that difference cancels, so the equal form
+    (u1 - u0)(u1 + u0) / ((u1 r0 + u0 r1) r0 r1) is used instead.
+    """
+    span = p1 - p0
+    length = math.hypot(*span.tolist())
+    e = span / length
+    w = p0 - pts2
+    tau = -(w @ e)
+    # on a coordinate axis the component along e cancels exactly here
+    perp = w + tau[:, None] * e
+    delta2 = perp[:, 0] * perp[:, 0] + perp[:, 1] * perp[:, 1] + perp[:, 2] * perp[:, 2]
+    u0, u1 = -tau, length - tau
+    r0, r1 = np.sqrt(u0 * u0 + delta2), np.sqrt(u1 * u1 + delta2)
+    numer = np.sum(np.cross(w, e) * tan2, axis=1)
+    beyond = u0 * u1 > 0.0
+    # both forms are evaluated everywhere; the one not selected may divide
+    # by zero, and an overflow shows up as a non-finite total
+    with np.errstate(all="ignore"):
+        across = (u1 / r1 - u0 / r0) / delta2
+        outside = (u1 - u0) * (u1 + u0) / ((u1 * r0 + u0 * r1) * r0 * r1)
+        gap = np.clip(tau, 0.0, length) - tau
+        return numer * np.where(beyond, outside, across), np.sqrt(delta2 + gap * gap)
 
 
 def gauss_linking(
@@ -364,22 +418,39 @@ def gauss_linking(
 ) -> LinkingResult:
     """Linking number of the loop with the disc boundary circle.
 
-    Both curves are sampled at segment midpoints; for the matched pairs
-    (alpha1, d1) and (alpha2, d2) the rounded value is +/-1, with signs
-    pinned by ALPHA1_D1_SIGN and ALPHA2_D2_SIGN.
+    The circle is sampled at circle_segments midpoints. The loop's two
+    straight legs, p(0) -> p(m) and p(m + pi/2) -> p(t_max), are integrated
+    exactly against each circle sample (_leg_integrals); the arc
+    [m, m + pi/2] is sampled at ceil(loop_segments * (pi/2) / t_max)
+    midpoints, so its cells are no wider than those of loop_segments cells
+    over the whole loop, and goes through the midpoint double sum. For the
+    matched pairs (alpha1, d1) and (alpha2, d2) the rounded value is +/-1,
+    with signs pinned by ALPHA1_D1_SIGN and ALPHA2_D2_SIGN.
     """
     if loop_segments < 256 or circle_segments < 256:
         raise ValueError("segment counts must be at least 256")
-    h1 = loop.t_max / loop_segments
-    t = (np.arange(loop_segments) + 0.5) * h1
-    pts1 = _loop_points(loop, t)
-    tan1 = _loop_tangents(loop, t)
+    m = loop.m
     h2 = 2.0 * math.pi / circle_segments
     pts2, tan2 = _circle_samples(spec, circle_segments)
-    value = _linking_double_sum(pts1, tan1, h1, pts2, tan2, h2)
+
+    arc_segments = math.ceil(loop_segments * HALF_PI / loop.t_max)
+    h_arc = HALF_PI / arc_segments
+    t = m + (np.arange(arc_segments) + 0.5) * h_arc
+    arc_sum, closest = _pair_sum(_loop_points(loop, t), _loop_tangents(loop, t), pts2, tan2)
+    total = arc_sum * h_arc
+
+    corners = _loop_points(loop, np.array([0.0, m, m + HALF_PI, loop.t_max]))
+    for p0, p1 in (corners[:2], corners[2:]):
+        values, dist = _leg_integrals(p0, p1, pts2, tan2)
+        total += float(np.sum(values))
+        closest = min(closest, float(np.min(dist)))
+    _check_linking_geometry(closest, total)
+    value = total * h2 / (4.0 * math.pi)
     return LinkingResult(
         value=value,
         rounded=int(round(value)),
         loop_segments=loop_segments,
         circle_segments=circle_segments,
+        arc_segments=arc_segments,
+        closest_approach=closest,
     )

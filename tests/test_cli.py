@@ -6,6 +6,7 @@ final verdict line and nothing else, so the human summary can evolve.
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -330,3 +331,43 @@ def test_sample_reports_nonfinite_samples(capsys):
     code, doc = run_json(["sample", "--count", "1000", "--seed", "1", "--format", "json"], capsys)
     assert code == 0
     assert doc["results"]["nonfinite"] == 0
+
+
+def test_certify_resolves_the_crossing_of_a_thin_tall_disc(capsys):
+    # at B = 1000 a loop cell of the whole-loop midpoint rule (about 3.9) is
+    # wider than the disc radius 1; the legs are integrated exactly instead
+    code, doc = run_json(["certify", "--A", "1", "--B", "1000", "--format", "json"], capsys)
+    assert code == 0
+    for pair, sign in zip(doc["results"]["pairs"], (1, -1)):
+        assert abs(pair["linking"]["value"] - sign) <= 1e-6
+
+
+def test_certify_json_reports_what_the_linking_sum_covered(capsys):
+    _, doc = run_json(
+        ["certify", "--A", "1", "--B", "2", "--segments", "512", "--grid", "2000",
+         "--format", "json"],
+        capsys,
+    )
+    for pair in doc["results"]["pairs"]:
+        link = pair["linking"]
+        assert list(link)[-3:] == ["circle_segments", "arc_segments", "closest_approach"]
+        assert link["loop_segments"] == 512
+        # the arc [m, m + pi/2] of a loop of length 2m + pi/2, m = 8 sqrt(5)
+        assert link["arc_segments"] == math.ceil(512 * (math.pi / 2) / (16 * math.sqrt(5) + math.pi / 2))
+        # the disc boundary circle stays at its radius A = 1 from both axes
+        assert abs(link["closest_approach"] - 1.0) <= 1e-12
+
+
+def test_certify_overflow_prints_only_the_error_line():
+    src_dir = os.path.dirname(os.path.dirname(quadrant_atlas.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadrant_atlas.cli", "certify", "--A", "1", "--B", "1e154",
+         "--segments", "512", "--grid", "2000"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

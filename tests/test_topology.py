@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import quadrant_atlas.topology as topology
 from quadrant_atlas.maps import eval_h
 from quadrant_atlas.topology import (
     ALPHA1_D1_SIGN,
@@ -23,6 +24,7 @@ from quadrant_atlas.topology import (
     LinkingResult,
     WarpedDiscSpec,
     _circle_samples,
+    _leg_integrals,
     _linking_double_sum,
     _loop_points,
     _loop_tangents,
@@ -299,3 +301,68 @@ def test_disc_boundary_matches_the_circle_samples():
         for k in range(256):
             s = (k + 0.5) * (2.0 * math.pi / 256)
             assert disc_boundary(spec, s) == tuple(pts[k].tolist())
+
+
+def test_leg_integral_matches_quadrature():
+    mpmath = pytest.importorskip("mpmath")
+    p0, p1 = np.array([0.3, -0.2, 1.0]), np.array([0.3, -0.2, 11.0])
+    b = 2.0
+    samples = [
+        # near the middle of the leg, 0.5 from its line
+        ((0.6, 0.2, 6.1), (0.6, -0.8, 0.1)),
+        # beyond its far end, 1e-6 from its line: u0 and u1 share a sign
+        ((0.3 + 1e-6, -0.2, 13.0), (-0.3, 0.9, 0.2)),
+        # at distance b from its line, level with its start
+        ((0.3, -0.2 + b, 1.0), (0.0, 0.4, -1.0)),
+    ]
+    values, dist = _leg_integrals(
+        p0, p1, np.array([q for q, _ in samples]), np.array([t for _, t in samples])
+    )
+    assert dist.tolist() == pytest.approx([0.5, 2.0, b], rel=1e-12)
+    with mpmath.workdps(30):
+        for value, (q, t) in zip(values.tolist(), samples):
+            w = [mpmath.mpf(u) - mpmath.mpf(v) for u, v in zip(p0.tolist(), q)]
+            # det(w, e, t) with e = (0, 0, 1)
+            numer = w[1] * t[0] - w[0] * t[1]
+            tau = -w[2]
+            cuts = [0, tau, 10] if 0 < tau < 10 else [0, 10]
+            exact = mpmath.quad(
+                lambda s: numer / (w[0] ** 2 + w[1] ** 2 + (w[2] + s) ** 2) ** 1.5, cuts
+            )
+            assert abs(value - exact) <= 1e-12 * abs(exact), q
+
+
+def test_linking_matches_the_whole_loop_midpoint_sum():
+    n = 4096
+    for a, b in [(1.0, 2.0), (0.5, 3.0)]:
+        for loop_variant, disc_variant in (("alpha1", "d1"), ("alpha2", "d2")):
+            tube = make_tube(a, b, disc_variant)
+            loop = BoundaryLoop(loop_variant, tube.m)
+            h1 = loop.t_max / n
+            t = (np.arange(n) + 0.5) * h1
+            midpoint = _linking_double_sum(
+                _loop_points(loop, t),
+                _loop_tangents(loop, t),
+                h1,
+                *_circle_samples(tube.disc, n),
+                2.0 * math.pi / n,
+            )
+            result = gauss_linking(loop, tube.disc, n, n)
+            assert abs(result.value - midpoint) <= 1e-4
+            assert result.loop_segments == n
+            assert result.arc_segments == math.ceil(n * (math.pi / 2) / loop.t_max)
+
+
+def test_circle_through_a_leg_raises_degenerate_error(monkeypatch):
+    # a unit circle in the plane z = 5 whose middle sample lies on the z-axis,
+    # which is the first leg of alpha1; no loop midpoint lies near it
+    def circle_through_axis(spec, n):
+        s = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+        c, sn = np.cos(s), np.sin(s)
+        pts = np.stack([c - c[n // 2], sn - sn[n // 2], np.full(n, 5.0)], axis=-1)
+        return pts, np.stack([-sn, c, np.zeros(n)], axis=-1)
+
+    monkeypatch.setattr(topology, "_circle_samples", circle_through_axis)
+    tube = make_tube(1.0, 2.0, "d1")
+    with pytest.raises(DegenerateGeometryError):
+        gauss_linking(BoundaryLoop("alpha1", tube.m), tube.disc, 512, 512)
