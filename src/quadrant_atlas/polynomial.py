@@ -192,13 +192,20 @@ def compose(
 
 
 def evaluate_exact(p: SparsePolynomial, u: Rational, v: Rational) -> Fraction:
-    """Exact rational value of p(u, v); no rounding anywhere."""
+    """Exact rational value of p(u, v); no rounding anywhere.
+
+    With u = un/ud, v = vn/vd and A, B the top exponents of x and y, the
+    value is the integer sum of c * un^a ud^(A-a) * vn^b vd^(B-b) over the
+    terms, divided once by ud^A vd^B, so the only gcd is taken at the end.
+    """
     u, v = Fraction(u), Fraction(v)
-    total = Fraction(0)
-    for m in p._terms:
-        a, b = m.exponents
-        total += m.coefficient * u**a * v**b
-    return total
+    un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
+    top_a = max((a for a, _ in p._coeffs), default=0)
+    top_b = max((b for _, b in p._coeffs), default=0)
+    pu = [un**k * ud ** (top_a - k) for k in range(top_a + 1)]
+    pv = [vn**k * vd ** (top_b - k) for k in range(top_b + 1)]
+    total = sum(c * pu[a] * pv[b] for (a, b), c in p._coeffs.items())
+    return Fraction(total, ud**top_a * vd**top_b)
 
 
 def _fpow(base: float, n: int) -> float:

@@ -10,6 +10,12 @@ The sample stream is split into fixed-size chunks and chunk k runs its
 own stream seeded seed + k. Chunks are independent, reports aggregate by
 count, min, max and first failure by global index; all of these are
 associative and commutative, so parallel and serial runs agree exactly.
+
+Chunks fix the stream; blocks fix only how much of a chunk is evaluated
+at once. Each worker evaluates its chunk in blocks of _BLOCK_ROWS rows,
+sized so one block's temporaries stay in a core's cache, and merges the
+blocks' stats like the chunks'. Every check is elementwise, so neither
+the block size nor the thread count changes a bit of any report.
 """
 
 from __future__ import annotations
@@ -42,6 +48,11 @@ _MIX_MULT_2 = 0x94D049BB133111EB
 # samples per reseeded chunk; fixed so the stream layout never depends on
 # worker count
 CHUNK_SAMPLES = 65536
+# rows per evaluation block within a chunk: the positivity probe's 22 power
+# arrays of one block (2.9 MB) stay within a core's L2 cache; on a 2-vCPU
+# Xeon with 4 MiB L2 per core, 16384 rows ran fastest at two threads and
+# within noise of 8192 at one, well ahead of 65536 and 4096 at both
+_BLOCK_ROWS = 16384
 
 _IDENTITY_TOL = 1e-10
 _BOUND_SLACK = 1e-12
@@ -203,16 +214,26 @@ def _reduce(base: int, inputs: tuple, v1, v2, err, ok: np.ndarray) -> _Stats:
 
 
 def _sweep(cfg: SamplerConfig, probe: Callable[[np.ndarray, np.ndarray], tuple]) -> _Stats:
-    """Run probe over the config's stream, chunk by chunk, and reduce.
+    """Run probe over the config's stream, chunk by chunk and, within a
+    chunk, block by block, and reduce.
 
-    probe maps one chunk's unit doubles (u1, u2) to the arguments of
+    probe maps one block's unit doubles (u1, u2) to the arguments of
     _reduce after base.
     """
 
     def run(spec: tuple[int, int]) -> _Stats:
         chunk, n = spec
         unit = _unit_matrix(cfg.seed, chunk, n)
-        return _reduce(chunk * CHUNK_SAMPLES, *probe(unit[:, 0], unit[:, 1]))
+        stats = _EMPTY_STATS
+        # numpy's error state is per thread, so it is set here and not
+        # around the pool; overflowed and NaN samples already count as
+        # failures and in nonfinite
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, n, _BLOCK_ROWS):
+                block = unit[lo : lo + _BLOCK_ROWS]
+                part = _reduce(chunk * CHUNK_SAMPLES + lo, *probe(block[:, 0], block[:, 1]))
+                stats = _merge(stats, part)
+        return stats
 
     plan = [
         (k, min(CHUNK_SAMPLES, cfg.count - start))

@@ -200,6 +200,15 @@ def _loop_tangents(loop: BoundaryLoop, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _loop_corners(loop: BoundaryLoop) -> np.ndarray:
+    """p(0), p(m), p(m + pi/2) and p(t_max), from the formula: phi(rho, 0)
+    = (rho, 0, 0) and phi(rho, pi/2) = (0, 0, rho), so the legs end exactly
+    on the axes, where evaluating p at the rounded m + pi/2 would not."""
+    zero, x_end, z_end = [0.0, 0.0, 0.0], [loop.m, 0.0, 0.0], [0.0, 0.0, loop.m]
+    first, second = (z_end, x_end) if loop.variant == "alpha1" else (x_end, z_end)
+    return np.array([zero, first, second, zero])
+
+
 def eval_loop(loop: BoundaryLoop, t: float) -> Point3:
     """Scalar loop point; domain is [0, 2m + pi/2]."""
     if not 0.0 <= t <= loop.t_max:
@@ -419,13 +428,14 @@ def gauss_linking(
     """Linking number of the loop with the disc boundary circle.
 
     The circle is sampled at circle_segments midpoints. The loop's two
-    straight legs, p(0) -> p(m) and p(m + pi/2) -> p(t_max), are integrated
-    exactly against each circle sample (_leg_integrals); the arc
-    [m, m + pi/2] is sampled at ceil(loop_segments * (pi/2) / t_max)
-    midpoints, so its cells are no wider than those of loop_segments cells
-    over the whole loop, and goes through the midpoint double sum. For the
-    matched pairs (alpha1, d1) and (alpha2, d2) the rounded value is +/-1,
-    with signs pinned by ALPHA1_D1_SIGN and ALPHA2_D2_SIGN.
+    straight legs, p(0) -> p(m) and p(m + pi/2) -> p(t_max), with corners
+    from _loop_corners, are integrated exactly against each circle sample
+    (_leg_integrals); the arc [m, m + pi/2] is sampled at
+    ceil(loop_segments * (pi/2) / t_max) midpoints, so its cells are no
+    wider than those of loop_segments cells over the whole loop, and goes
+    through the midpoint double sum. For the matched pairs (alpha1, d1) and
+    (alpha2, d2) the rounded value is +/-1, with signs pinned by
+    ALPHA1_D1_SIGN and ALPHA2_D2_SIGN.
     """
     if loop_segments < 256 or circle_segments < 256:
         raise ValueError("segment counts must be at least 256")
@@ -439,7 +449,7 @@ def gauss_linking(
     arc_sum, closest = _pair_sum(_loop_points(loop, t), _loop_tangents(loop, t), pts2, tan2)
     total = arc_sum * h_arc
 
-    corners = _loop_points(loop, np.array([0.0, m, m + HALF_PI, loop.t_max]))
+    corners = _loop_corners(loop)
     for p0, p1 in (corners[:2], corners[2:]):
         values, dist = _leg_integrals(p0, p1, pts2, tan2)
         total += float(np.sum(values))

@@ -371,3 +371,21 @@ def test_certify_overflow_prints_only_the_error_line():
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_sample_overflow_is_counted_not_warned():
+    # the overflowed samples are reported as failures and nonfinite; numpy's
+    # own warnings must not reach stderr, in the pool's threads either
+    src_dir = os.path.dirname(os.path.dirname(quadrant_atlas.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        env["QUADRANT_ATLAS_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadrant_atlas.cli", "sample", "--count", "100000",
+             "--seed", "1", "--range", "1e30", "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["results"]["nonfinite"] == 100000

@@ -283,6 +283,37 @@ def test_evaluate_exact_rational_inputs():
     assert isinstance(evaluate_exact(f.component1, u, v), Fraction)
 
 
+def fraction_eval(p: SparsePolynomial, u, v) -> Fraction:
+    # term-by-term Fraction arithmetic, the direct reading of the sum
+    u, v = Fraction(u), Fraction(v)
+    total = Fraction(0)
+    for m in p.terms:
+        a, b = m.exponents
+        total += m.coefficient * u**a * v**b
+    return total
+
+
+def test_evaluate_exact_matches_fraction_oracle():
+    f, outer = build_theorem_map(), build_f2()
+    polys = [f.component1, f.component2, outer.component1, outer.component2, SparsePolynomial({})]
+    rng = random.Random(271828)
+    points = [(Fraction(i, 2), Fraction(k, 2)) for i in range(-10, 11) for k in range(-10, 11)]
+    for _ in range(300):
+        # denominators up to 97, most of them not powers of two
+        points.append(
+            (
+                Fraction(rng.randrange(-500, 501), rng.randrange(1, 98)),
+                Fraction(rng.randrange(-500, 501), rng.randrange(1, 98)),
+            )
+        )
+    points += [(Fraction(1, 3), Fraction(-2, 7)), (3, -2), (-1, 5), (0, 0), (0, Fraction(5, 3))]
+    for p in polys:
+        for u, v in points:
+            got = evaluate_exact(p, u, v)
+            assert isinstance(got, Fraction)
+            assert got == fraction_eval(p, u, v), (to_text(p), u, v)
+
+
 def test_evaluate_float_basics():
     f = build_theorem_map()
     assert evaluate_float(f.component1, 0.0, 0.0) == 1.0

@@ -8,8 +8,10 @@ the vectorized paths cannot drift from the scalar contract.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import quadrant_atlas.sampler as sampler
@@ -286,3 +288,61 @@ def test_vectorized_sweeps_match_scalar_oracle(check, to_input, oracle):
             first = inp if first is None else first
     report = check(SamplerConfig(count=count, seed=seed))
     assert report == sampler.SamplerReport(count, failures, m1, m2, maxerr, first)
+
+
+def test_block_boundaries_keep_global_indices(monkeypatch):
+    # failures planted in the second block of the second chunk, one of them
+    # NaN, and at the first row of the next block, which must sort after them
+    start = CHUNK_SAMPLES + sampler._BLOCK_ROWS
+    planted = {start + 7: math.nan, start + sampler._BLOCK_ROWS - 1: -2.0}
+    planted[start + sampler._BLOCK_ROWS] = -1.0
+    bad_x = {(2.0 * sample_pair(42, j)[0] - 1.0) * 50.0: v for j, v in planted.items()}
+    real = sampler._map_on_arrays
+
+    def planting(fmap):
+        evaluate = real(fmap)
+
+        def planted_evaluate(x, y):
+            c1, c2 = evaluate(x, y)
+            for xv, value in bad_x.items():
+                c1 = np.where(x == xv, value, c1)
+            return c1, c2
+
+        return planted_evaluate
+
+    monkeypatch.setattr(sampler, "_map_on_arrays", planting)
+    report = check_positivity(SamplerConfig(count=2 * CHUNK_SAMPLES + 3, seed=42))
+    assert report.checked == 2 * CHUNK_SAMPLES + 3 + 441
+    assert report.failures == 3
+    assert report.nonfinite == 1
+    u1, u2 = sample_pair(42, start + 7)
+    assert report.first_failure_input == ((2.0 * u1 - 1.0) * 50.0, (2.0 * u2 - 1.0) * 50.0)
+    assert report.min_component_1 == -2.0
+
+
+@pytest.mark.parametrize(
+    "check",
+    [check_positivity, check_f2_equals_h_g, check_g_psi_equals_phi, check_phi_bound],
+)
+def test_block_size_and_threads_change_no_bit(check, monkeypatch):
+    cfg = SamplerConfig(count=2 * CHUNK_SAMPLES + 3, seed=42)
+    reports = []
+    for block_rows in (sampler._BLOCK_ROWS, CHUNK_SAMPLES, 1000):
+        monkeypatch.setattr(sampler, "_BLOCK_ROWS", block_rows)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
+            reports.append(check(cfg))
+    assert all(r == reports[0] for r in reports)
+
+
+def test_positivity_sweep_memory_is_bounded(monkeypatch):
+    # one block's power tables, not one chunk's, are live at a time
+    monkeypatch.setenv("QUADRANT_ATLAS_THREADS", "1")
+    cfg = SamplerConfig(count=1_000_000, seed=42)
+    tracemalloc.start()
+    try:
+        check_positivity(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

@@ -26,6 +26,7 @@ from quadrant_atlas.topology import (
     _circle_samples,
     _leg_integrals,
     _linking_double_sum,
+    _loop_corners,
     _loop_points,
     _loop_tangents,
     disc_boundary,
@@ -366,3 +367,25 @@ def test_circle_through_a_leg_raises_degenerate_error(monkeypatch):
     tube = make_tube(1.0, 2.0, "d1")
     with pytest.raises(DegenerateGeometryError):
         gauss_linking(BoundaryLoop("alpha1", tube.m), tube.disc, 512, 512)
+
+
+def test_leg_corners_lie_exactly_on_the_axes(monkeypatch):
+    # p(m + pi/2) evaluated at the rounded parameter lands a few ulps of the
+    # angle off the axis (x = -1.3e-9 for alpha2 at (1, 1000)); the legs
+    # take their corners from the formula instead
+    def rounded_corners(loop):
+        return _loop_points(loop, np.array([0.0, loop.m, loop.m + math.pi / 2, loop.t_max]))
+
+    cases = []
+    for a, b in [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (2.0, 2.5), (1.0, 1000.0)]:
+        for loop_variant, disc_variant in (("alpha1", "d1"), ("alpha2", "d2")):
+            tube = make_tube(a, b, disc_variant)
+            loop = BoundaryLoop(loop_variant, tube.m)
+            x_end, z_end = [tube.m, 0.0, 0.0], [0.0, 0.0, tube.m]
+            legs = (z_end, x_end) if loop_variant == "alpha1" else (x_end, z_end)
+            assert _loop_corners(loop).tolist() == [[0.0, 0.0, 0.0], *legs, [0.0, 0.0, 0.0]]
+            assert np.max(np.abs(rounded_corners(loop) - _loop_corners(loop))) <= 1e-7
+            cases.append((loop, tube.disc, gauss_linking(loop, tube.disc, 4096, 4096).value))
+    monkeypatch.setattr(topology, "_loop_corners", rounded_corners)
+    for loop, disc, value in cases:
+        assert abs(gauss_linking(loop, disc, 4096, 4096).value - value) <= 1e-8
