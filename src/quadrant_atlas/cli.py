@@ -179,10 +179,10 @@ def _linking_payload(result: LinkingResult, expected: int) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (params, results, passed, text lines).
+# Subcommand handlers: each returns (params, results, exit code, text lines).
 
 
-def _run_expand(args) -> tuple[dict, dict, bool, list[str]]:
+def _run_expand(args) -> tuple[dict, dict, int, list[str]]:
     f1 = build_f1()
     f2 = build_f2()
     fmap = build_theorem_map()
@@ -218,10 +218,10 @@ def _run_expand(args) -> tuple[dict, dict, bool, list[str]]:
         f"total degree {int(d1 + d2)}, total monomials {n1 + n2}",
         f"composition equals the glued map: {'yes' if equal else 'NO'}",
     ]
-    return {"format": args.format}, results, equal, lines
+    return {"format": args.format}, results, 0 if equal else 1, lines
 
 
-def _run_preimage(args) -> tuple[dict, dict, bool, list[str]]:
+def _run_preimage(args) -> tuple[dict, dict, int, list[str]]:
     parts = args.target.split(",")
     if len(parts) != 2:
         raise _UsageError(f"--target expects A,B with two decimals, got {args.target!r}")
@@ -236,8 +236,11 @@ def _run_preimage(args) -> tuple[dict, dict, bool, list[str]]:
         raise _UsageError(str(exc))
 
     params = {"target": [a, b], "tol": args.tol, "format": args.format}
-    result = preimage(query, cfg)
-    passed = result.residual <= args.tol
+    try:
+        result = preimage(query, cfg)
+    except SolverFailure as exc:
+        results = {"version": __version__, "error": str(exc), "best_residual": exc.best_residual}
+        return params, results, 3, [f"solver did not converge: {exc}"]
     results = {
         "version": __version__,
         "x": result.x,
@@ -253,7 +256,7 @@ def _run_preimage(args) -> tuple[dict, dict, bool, list[str]]:
         f"residual {result.residual:.3e} via {result.stage} "
         f"({result.newton_iters} iterations, seed {result.seed_index})",
     ]
-    return params, results, passed, lines
+    return params, results, 0 if result.residual <= args.tol else 1, lines
 
 
 def _dump_certify_points(path: str, loops, discs, segments: int) -> None:
@@ -271,7 +274,7 @@ def _dump_certify_points(path: str, loops, discs, segments: int) -> None:
                 handle.write(f"{name},{p!r},{x!r},{y!r},{z!r}\n")
 
 
-def _run_certify(args) -> tuple[dict, dict, bool, list[str]]:
+def _run_certify(args) -> tuple[dict, dict, int, list[str]]:
     if args.segments < 256:
         raise _UsageError(f"--segments must be at least 256, got {args.segments}")
     if args.grid < 1000:
@@ -355,10 +358,10 @@ def _run_certify(args) -> tuple[dict, dict, bool, list[str]]:
     ]
     if args.dump_points is not None:
         lines.append(f"curve samples written to {args.dump_points}")
-    return params, results, passed, lines
+    return params, results, 0 if passed else 1, lines
 
 
-def _run_sample(args) -> tuple[dict, dict, bool, list[str]]:
+def _run_sample(args) -> tuple[dict, dict, int, list[str]]:
     try:
         cfg = SamplerConfig(count=args.count, seed=args.seed, range=args.range)
     except ValueError as exc:
@@ -382,10 +385,10 @@ def _run_sample(args) -> tuple[dict, dict, bool, list[str]]:
     ]
     if report.first_failure_input is not None:
         lines.append(f"first failure at input {report.first_failure_input}")
-    return params, results, passed, lines
+    return params, results, 0 if passed else 1, lines
 
 
-def _run_identities(args) -> tuple[dict, dict, bool, list[str]]:
+def _run_identities(args) -> tuple[dict, dict, int, list[str]]:
     try:
         cfg = SamplerConfig(count=args.count, seed=args.seed)
     except ValueError as exc:
@@ -410,7 +413,7 @@ def _run_identities(args) -> tuple[dict, dict, bool, list[str]]:
             f"{name}: checked {report.checked}, failures {report.failures}, "
             f"max error {report.max_relative_error:.3e} [{verdict}]"
         )
-    return params, results, passed, lines
+    return params, results, 0 if passed else 1, lines
 
 
 _HANDLERS = {
@@ -451,36 +454,21 @@ def run(argv: list[str]) -> int:
 
     start = time.perf_counter()
     try:
-        params, results, passed, lines = _HANDLERS[args.subcommand](args)
+        params, results, code, lines = _HANDLERS[args.subcommand](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SolverFailure as exc:
-        elapsed = int(round((time.perf_counter() - start) * 1000.0))
-        doc = {
-            "subcommand": args.subcommand,
-            "params": {"target": args.target, "tol": args.tol, "format": args.format},
-            "results": {
-                "version": __version__,
-                "error": str(exc),
-                "best_residual": exc.best_residual,
-            },
-            "pass": False,
-            "wall_time_ms": elapsed,
-        }
-        _emit(doc, args.format, [f"solver did not converge: {exc}"])
-        return 3
     elapsed = int(round((time.perf_counter() - start) * 1000.0))
 
     doc = {
         "subcommand": args.subcommand,
         "params": params,
         "results": results,
-        "pass": passed,
+        "pass": code == 0,
         "wall_time_ms": elapsed,
     }
     _emit(doc, args.format, lines)
-    return 0 if passed else 1
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

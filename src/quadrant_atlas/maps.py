@@ -10,10 +10,11 @@ array sweeps in topology and sampler and the solver's lockstep lanes:
   ``rho >= 0, 0 <= theta <= pi/2``; ``psi`` carries strip points back into
   the closed quadrant so that ``g(psi(p)) = phi(p)`` away from the edges.
 * ``xi1/xi2/zeta1/zeta2`` build and flatten the warped discs used by the
-  topological certificates.
+  topological certificates; one numpy body serves them and topology.
 * ``objective_F = h . phi`` is the function whose roots the preimage
-  solver hunts; its Jacobian is the chain rule over the analytic partials
-  of ``phi``.
+  solver hunts; its Jacobian is the chain rule through ``h`` over the
+  analytic partials of ``phi``. The same chain rule over the partials of
+  ``g`` gives the Jacobian of the outer factor ``h . g``.
 
 Angles are radians; ``pi`` is the platform double.
 """
@@ -59,6 +60,14 @@ def _g_terms(x, y, root_x):
     return (x * y * y + x * x * y - y - 1.0, root_x * x * y, x * x * x * y + x * y - x - 1.0)
 
 
+def _dg_terms(x, y, root_x):
+    """(dg/dx, dg/dy), arguments as for _g_terms."""
+    return (
+        (y * y + 2.0 * x * y, 1.5 * root_x * y, 3.0 * x * x * y + y - 1.0),
+        (2.0 * x * y + x * x - 1.0, root_x * x, x * x * x + x),
+    )
+
+
 def _psi_terms(rho, c, s):
     """psi(rho, theta) given c = cos theta, s = sin theta."""
     return (s / c, (c + s + rho * c * s) * c * c / s)
@@ -96,25 +105,44 @@ def _phi_theta(rho, c, s, w):
     )
 
 
-def _dF_terms(rho, c, s, w):
-    """Partials of F = h . phi as (d1_drho, d1_dtheta, d2_drho, d2_dtheta),
-    by the chain rule Dh(phi) Dphi with Dh = [[2x, 2y, 0], [0, 2y, 2z]];
-    arguments as for _phi_theta."""
-    f1, f2, f3 = _phi_terms(rho, c, s, w)
-    r1, r2, r3 = _phi_rho(rho, c, s, w)
-    t1, t2, t3 = _phi_theta(rho, c, s, w)
+def _h_chain(f, f_a, f_b):
+    """Partials of h . f as (d1_da, d1_db, d2_da, d2_db), by the chain rule
+    Dh(f) Df with Dh = [[2x, 2y, 0], [0, 2y, 2z]], given the value f of
+    the inner map and its partials f_a, f_b."""
+    f1, f2, f3 = f
+    a1, a2, a3 = f_a
+    b1, b2, b3 = f_b
     return (
-        2.0 * (f1 * r1 + f2 * r2),
-        2.0 * (f1 * t1 + f2 * t2),
-        2.0 * (f2 * r2 + f3 * r3),
-        2.0 * (f2 * t2 + f3 * t3),
+        2.0 * (f1 * a1 + f2 * a2),
+        2.0 * (f1 * b1 + f2 * b2),
+        2.0 * (f2 * a2 + f3 * a3),
+        2.0 * (f2 * b2 + f3 * b3),
     )
+
+
+def _dF_terms(rho, c, s, w):
+    """Partials of F = h . phi as (d1_drho, d1_dtheta, d2_drho, d2_dtheta);
+    arguments as for _phi_theta."""
+    args = (rho, c, s, w)
+    return _h_chain(_phi_terms(*args), _phi_rho(*args), _phi_theta(*args))
 
 
 def _mu_terms(theta):
     """The gluing profile mu(theta)."""
     t = 4.0 * theta / math.pi - 1.0
     return t * t
+
+
+def _xi_terms(y, b):
+    """Warped-disc height over the coordinate y, in numpy: floats come back
+    as numpy scalars."""
+    return np.sqrt(b * b - np.minimum(y * y, b * b))
+
+
+def _zeta_terms(x, y, z, b, variant):
+    """Flattening of disc "d1", or of "d2" with x and z swapped."""
+    xi = _xi_terms(y, b)
+    return (x, y, z - xi) if variant == "d1" else (z, y, x - xi)
 
 
 def _trig(theta: float) -> tuple[float, float, float]:
@@ -193,18 +221,17 @@ def eval_phi(p: ParamPoint) -> Point3:
 
 def eval_xi1(x: float, y: float, b: float) -> float:
     """Height of the first warped disc: sqrt(b^2 - min(y^2, b^2))."""
-    return math.sqrt(b * b - min(y * y, b * b))
+    return float(_xi_terms(y, b))
 
 
 def eval_xi2(y: float, z: float, b: float) -> float:
     """Height of the second warped disc; depends on its first argument y."""
-    return math.sqrt(b * b - min(y * y, b * b))
+    return float(_xi_terms(y, b))
 
 
 def eval_zeta1(p: Point3, b: float) -> Point3:
     """Flattening homeomorphism for the first disc: subtract the graph height."""
-    x, y, z = p
-    return (x, y, z - eval_xi1(x, y, b))
+    return tuple(map(float, _zeta_terms(*p, b, "d1")))
 
 
 def eval_zeta2(p: Point3, b: float) -> Point3:
@@ -214,8 +241,7 @@ def eval_zeta2(p: Point3, b: float) -> Point3:
     function of the point's y-coordinate; points with x = xi2(y, z) land
     on the flat disc { third coordinate 0 }.
     """
-    x, y, z = p
-    return (z, y, x - eval_xi2(y, z, b))
+    return tuple(map(float, _zeta_terms(*p, b, "d2")))
 
 
 def eval_mu(theta: float) -> float:

@@ -1,24 +1,27 @@
 """Constructive preimages: find (x, y) with f(x, y) close to a target.
 
-Two stages, following the geometry that proves such a point exists:
+Every candidate is polished by one damped least-squares iteration on the
+outer factor h . g over the closed quadrant (u, v) = (x^2, y^2), its value
+and Jacobian taken from the maps bodies of g, its partials and h. The
+candidates form one stream, tried in order:
 
-1. Multistart damped Newton on the surface objective F(rho, theta), the
-   composition of the sum-of-squares projection with the surface
-   parameterization, over a fixed rho x theta seed lattice. The seeds run
-   as numpy lanes in lockstep, in row-major blocks of 16 that double up
-   to a cap of 2^13 // max_backtracks lanes; each round takes one Newton
-   step in every live lane and tries all its step halvings in one array.
-   Converged lanes are taken in ascending seed index and the first whose
-   polished point passes wins, so the result is the one a seed-by-seed
-   scan gives, bit for bit, and deterministic.
-2. The surface root is carried into the open quadrant (where the outer
-   polynomial factor agrees with the surface objective) and polished by
-   damped Newton on that factor directly, with iterates clamped to the
-   closed quadrant.
+1. Surface roots. Multistart damped Newton on the surface objective
+   F(rho, theta), the composition of the sum-of-squares projection with
+   the surface parameterization, over a fixed rho x theta seed lattice.
+   The seeds run as numpy lanes in lockstep, in row-major blocks of 16
+   that double up to a cap of 2^13 // max_backtracks lanes; each round
+   takes one Newton step in every live lane and tries all its step
+   halvings in one array. Each converged root, in ascending seed index,
+   is carried into the open quadrant, where the outer factor agrees with
+   the surface objective. Blocks run only as the stream is consumed, so
+   the result is the one a seed-by-seed scan gives, bit for bit.
+2. Direct seeds: a 17 x 17 lattice of magnitudes 10^(k/2), k = -8..8.
 
-The returned point is (sqrt(u), sqrt(v)) of the stage-2 root, and its
-residual is always measured by evaluating the exact expanded map, so the
-solver cannot grade its own homework.
+The first polished point whose residual passes wins; the returned point
+is (sqrt(u), sqrt(v)), and its residual is always measured by evaluating
+the exact expanded map, so the solver cannot grade its own homework. A
+value that overflows is inf or NaN, which never descends, so such a
+seed fails quietly.
 """
 
 from __future__ import annotations
@@ -33,8 +36,11 @@ from .maps import (
     ParamPoint,
     Point2,
     _dF_terms,
+    _dg_terms,
+    _h_chain,
     _phi_terms,
     _trig_vec,
+    eval_g,
     eval_h,
     eval_psi,
 )
@@ -288,29 +294,10 @@ def lift_to_quadrant(p: ParamPoint) -> Point2:
     return eval_psi((rho, theta))
 
 
-def _f2_and_jac(u: float, v: float):
-    """Outer factor and its Jacobian, in unexpanded closed form."""
-    p1 = u * v * v + u * u * v - v - 1.0
-    q1 = u**3 * v + u * v - u - 1.0
-    tail = u**3 * v * v
-    f1 = p1 * p1 + tail
-    f2 = q1 * q1 + tail
-    d11 = 2.0 * p1 * (v * v + 2.0 * u * v) + 3.0 * u * u * v * v
-    d12 = 2.0 * p1 * (2.0 * u * v + u * u - 1.0) + 2.0 * u**3 * v
-    d21 = 2.0 * q1 * (3.0 * u * u * v + v - 1.0) + 3.0 * u * u * v * v
-    d22 = 2.0 * q1 * (u**3 + u) + 2.0 * u**3 * v
-    return f1, f2, d11, d12, d21, d22
-
-
-def _direct_residual(u: float, v: float, a: float, b: float, scale: float) -> float:
-    f1, f2, *_ = _f2_and_jac(u, v)
-    return max(abs(f1 - a), abs(f2 - b)) / scale
-
-
 def _direct_norms(
     u: float, v: float, a: float, b: float, scale: float
 ) -> tuple[float, float]:
-    f1, f2, *_ = _f2_and_jac(u, v)
+    f1, f2 = eval_h(eval_g((u, v)))
     ra, rb = (f1 - a) / scale, (f2 - b) / scale
     return max(abs(ra), abs(rb)), ra * ra + rb * rb
 
@@ -333,7 +320,9 @@ def _newton_direct(
     for iters in range(1, cfg.max_newton_iters + 1):
         if r <= cfg.residual_tol:
             return True, (u, v), r, iters - 1
-        f1, f2, d11, d12, d21, d22 = _f2_and_jac(u, v)
+        g = eval_g((u, v))
+        f1, f2 = eval_h(g)
+        d11, d12, d21, d22 = _h_chain(g, *_dg_terms(u, v, math.sqrt(u)))
         ra, rb = f1 - q.a, f2 - q.b
         g1 = d11 * ra + d21 * rb
         g2 = d12 * ra + d22 * rb
@@ -348,6 +337,11 @@ def _newton_direct(
         accepted = False
         for _ in range(cfg.max_backtracks):
             det = (a11 + lam) * (a22 + lam) - a12 * a12
+            if det == 0.0:
+                # a ridge set from an earlier, much smaller trace is lost in
+                # a11 a22 - a12^2 rounding; reject the step like a rise
+                lam *= 4.0
+                continue
             cu = max(u - ((a22 + lam) * g1 - a12 * g2) / det, 0.0)
             cv = max(v - ((a11 + lam) * g2 - a12 * g1) / det, 0.0)
             rc, mc = _direct_norms(cu, cv, q.a, q.b, scale)
@@ -385,10 +379,22 @@ def _official_residual(x: float, y: float, q: PreimageQuery) -> float:
     return max(abs(fa - q.a), abs(fb - q.b)) / max(q.a, q.b, 1.0)
 
 
-def _fallback_seeds(q: PreimageQuery) -> list[Point2]:
-    # direct multistart lattice: log-spaced magnitudes in both coordinates
+def _candidates(q: PreimageQuery, cfg: SolverConfig):
+    """Quadrant seeds for the direct polish, in the order they are tried:
+    (stage, seed_index, seed, surface_iters) for each converged surface
+    root carried into the quadrant, then for each point of the direct
+    lattice, log-spaced magnitudes in both coordinates."""
+    runs = _surface_runs(q, cfg, *_seed_lattice(q, cfg))
+    for idx, (ok, p, _, iters) in enumerate(runs):
+        if ok:
+            try:
+                seed = lift_to_quadrant(p)
+            except ValueError:  # the root lies too close to a strip edge
+                continue
+            yield "surface-seeded", idx, seed, iters
     mags = [10.0 ** (k / 2.0) for k in range(-8, 9)]
-    return [(u, v) for u in mags for v in mags]
+    for idx, seed in enumerate((u, v) for u in mags for v in mags):
+        yield "direct-fallback", idx, seed, 0
 
 
 def preimage(q: PreimageQuery, cfg: SolverConfig = SolverConfig()) -> PreimageResult:
@@ -398,32 +404,7 @@ def preimage(q: PreimageQuery, cfg: SolverConfig = SolverConfig()) -> PreimageRe
     result that passes came from the theorem's own polynomial.
     """
     best_r, best_xy = math.inf, (0.0, 0.0)
-    runs = _surface_runs(q, cfg, *_seed_lattice(q, cfg))
-    for idx, (ok, p, _, it1) in enumerate(runs):
-        if not ok:
-            continue
-        try:
-            lifted = lift_to_quadrant(p)
-            ok2, (u, v), _, it2 = _newton_direct(lifted, q, cfg)
-        except (ValueError, OverflowError):
-            continue
-        if not ok2:
-            continue
-        x, y = math.sqrt(u), math.sqrt(v)
-        res = _official_residual(x, y, q)
-        if res <= cfg.residual_tol:
-            return PreimageResult(
-                x=x,
-                y=y,
-                residual=res,
-                stage="surface-seeded",
-                newton_iters=it1 + it2,
-                seed_index=idx,
-            )
-        if res < best_r:
-            best_r, best_xy = res, (x, y)
-
-    for idx, seed in enumerate(_fallback_seeds(q)):
+    for stage, idx, seed, surface_iters in _candidates(q, cfg):
         ok, (u, v), _, iters = _newton_direct(seed, q, cfg)
         if not ok:
             continue
@@ -434,8 +415,8 @@ def preimage(q: PreimageQuery, cfg: SolverConfig = SolverConfig()) -> PreimageRe
                 x=x,
                 y=y,
                 residual=res,
-                stage="direct-fallback",
-                newton_iters=iters,
+                stage=stage,
+                newton_iters=surface_iters + iters,
                 seed_index=idx,
             )
         if res < best_r:

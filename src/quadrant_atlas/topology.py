@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import HALF_PI, Point3, _phi_rho, _phi_terms, _phi_theta, _trig_vec
+from .maps import HALF_PI, Point3, _phi_rho, _phi_terms, _phi_theta, _trig_vec, _zeta_terms
 
 # Orientation regression constants: the loop and circle orientations below
 # are fixed by their parameterizations, and these are the observed signs of
@@ -221,22 +221,12 @@ def eval_loop(loop: BoundaryLoop, t: float) -> Point3:
 # Tube membership and the transversality certificate.
 
 
-def _zeta_coords(points: np.ndarray, tube: TubeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cylinder coordinates (q1, q2, q3) of the variant's flattening map."""
-    b = tube.disc.b
-    x, y, z = points[..., 0], points[..., 1], points[..., 2]
-    xi = np.sqrt(b * b - np.minimum(y * y, b * b))
-    if tube.disc.variant == "d1":
-        return x, y, z - xi
-    return z, y, x - xi
-
-
 def tube_membership(p: Point3, tube: TubeSpec) -> bool:
     """True iff the flattened point lies in the open cylinder
     {q1^2 + q2^2 < (a + epsilon)^2, |q3| < epsilon}."""
-    q1, q2, q3 = _zeta_coords(np.asarray([p], dtype=float), tube)
+    q1, q2, q3 = _zeta_terms(*np.asarray(p, dtype=float), tube.disc.b, tube.disc.variant)
     a, eps = tube.disc.a, tube.epsilon
-    return bool(q1[0] ** 2 + q2[0] ** 2 < (a + eps) ** 2 and abs(q3[0]) < eps)
+    return bool(q1**2 + q2**2 < (a + eps) ** 2 and abs(q3) < eps)
 
 
 def transversality_scan(loop: BoundaryLoop, tube: TubeSpec, grid: int) -> TransversalityReport:
@@ -251,7 +241,7 @@ def transversality_scan(loop: BoundaryLoop, tube: TubeSpec, grid: int) -> Transv
     b, eps = tube.disc.b, tube.epsilon
     t = np.linspace(0.0, loop.t_max, grid)
     step = loop.t_max / (grid - 1)
-    q1, q2, q3 = _zeta_coords(_loop_points(loop, t), tube)
+    q1, q2, q3 = _zeta_terms(*_loop_points(loop, t).T, b, tube.disc.variant)
     member = (q1 * q1 + q2 * q2 < (tube.disc.a + eps) ** 2) & (np.abs(q3) < eps)
 
     flags = member.astype(np.int8)

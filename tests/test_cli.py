@@ -389,3 +389,32 @@ def test_sample_overflow_is_counted_not_warned():
         assert proc.returncode == 1
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["results"]["nonfinite"] == 100000
+
+
+def test_preimage_overflowing_target_fails_cleanly():
+    # the outer factor of a huge target overflows to inf in the direct
+    # stage; every seed then fails and the run ends in exit 3 with JSON
+    src_dir = os.path.dirname(os.path.dirname(quadrant_atlas.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadrant_atlas.cli", "preimage", "--target", "1e150,1e150",
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["pass"] is False
+    assert doc["results"]["best_residual"] is None
+
+
+def test_preimage_params_match_on_success_and_failure(capsys):
+    code, solved = run_json(["preimage", "--target", "241,52", "--format", "json"], capsys)
+    assert code == 0
+    code, failed = run_json(["preimage", "--target", "1e150,1e150", "--format", "json"], capsys)
+    assert code == 3
+    assert list(failed["params"]) == list(solved["params"])
+    for doc, target in ((solved, [241.0, 52.0]), (failed, [1e150, 1e150])):
+        assert doc["params"]["target"] == target
+        assert all(isinstance(c, float) for c in doc["params"]["target"])

@@ -248,3 +248,38 @@ def test_scalar_and_array_kernels_agree_bit_for_bit():
     got_g = np.stack(_g_terms(x, y, np.sqrt(x)), axis=-1).tolist()
     for k in range(n):
         assert tuple(got_g[k]) == eval_g((float(x[k]), float(y[k]))), k
+
+
+def test_outer_factor_jacobian_matches_exact_partials():
+    # the direct stage's Jacobian, the chain rule over the partials of g,
+    # against the partials of the expanded outer factor in exact rationals;
+    # the error is bounded relative to the same partial with every
+    # coefficient made positive, the size of the terms that cancel
+    from fractions import Fraction
+
+    from quadrant_atlas.maps import _dg_terms, _h_chain
+    from quadrant_atlas.polynomial import SparsePolynomial, evaluate_exact
+
+    def partials(p, absolute):
+        out = []
+        for axis in (0, 1):
+            terms = {}
+            for t in p.terms:
+                e, c = t.exponents, t.coefficient
+                if e[axis]:
+                    d = (e[0] - 1, e[1]) if axis == 0 else (e[0], e[1] - 1)
+                    terms[d] = e[axis] * (abs(c) if absolute else c)
+            out.append(SparsePolynomial(terms))
+        return out
+
+    f2 = build_f2()
+    exact = partials(f2.component1, False) + partials(f2.component2, False)
+    sizes = partials(f2.component1, True) + partials(f2.component2, True)
+    rng = random.Random(33)
+    for _ in range(2000):
+        u, v = 20.0 * rng.random(), 20.0 * rng.random()
+        got = _h_chain(eval_g((u, v)), *_dg_terms(u, v, math.sqrt(u)))
+        fu, fv = Fraction(u), Fraction(v)
+        for k in range(4):
+            err = abs(Fraction(got[k]) - evaluate_exact(exact[k], fu, fv))
+            assert err <= Fraction(1e-13) * evaluate_exact(sizes[k], fu, fv), (u, v, k)

@@ -276,8 +276,10 @@ def test_lockstep_lanes_match_the_one_seed_loop_bit_for_bit(target, cfg):
 
 # Frozen from the one-seed-at-a-time solver: target (a, b), witness (x, y),
 # all as float.hex, then stage, seed_index, newton_iters. Four decade
-# targets, six round-trip targets (random.Random(60), x, y in (0, 5)) and
-# two whose winning seed lies in the fifth and sixth lockstep block.
+# targets, six round-trip targets (random.Random(60), x, y in (0, 5)), two
+# whose winning seed lies in the fifth and sixth lockstep block, and one
+# target of the log-uniform set (random.Random(7)) that only the direct
+# lattice solves.
 FROZEN_RESULTS = [
     ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.000276c8cd9bfp+0", "0x1.fff89bbc4d48dp-1", "surface-seeded", 0, 28),
     ("0x1.f400000000000p+9", "0x1.47ae147ae147bp-7", "0x1.b27c84b88f1fap-5", "0x1.3a2c4f5e44c41p+4", "surface-seeded", 0, 5),
@@ -291,6 +293,7 @@ FROZEN_RESULTS = [
     ("0x1.d82ab1cc709cep+6", "0x1.7d1d44302099cp+4", "0x1.dac6f1f1210e1p-1", "0x1.f31bc707ab9afp+0", "surface-seeded", 0, 76),
     ("0x1.999999999999ap-4", "0x1.999999999999ap-4", "0x1.c171144305674p+1", "0x1.5940dfa51c70bp-4", "surface-seeded", 318, 6),
     ("0x1.999999999999ap-5", "0x1.999999999999ap-5", "0x1.3045cc6b3cd73p+2", "0x1.725416119f966p-5", "surface-seeded", 510, 6),
+    ("0x1.fa6f54f3b6b9ap+28", "0x1.0726e4c8a3259p-21", "0x1.802ef1addd01ep-9", "0x1.63cccbff4c040p+7", "direct-fallback", 0, 5),
 ]
 
 
@@ -305,6 +308,17 @@ def test_preimage_frozen_results(row):
         seed_index,
         iters,
     )
+
+
+def test_direct_stage_survives_a_vanishing_damped_determinant():
+    # from seed (1e-4, 100) at target (1e60, 1e60) the first step clamps u
+    # to 0, the Gram matrix grows by about 1e145 and its damped determinant,
+    # with the ridge of the first step, cancels to exactly 0; dividing by
+    # it raised ZeroDivisionError out of preimage
+    with pytest.raises(SolverFailure):
+        preimage(PreimageQuery(1e60, 1e60), SolverConfig())
+    r = preimage(PreimageQuery(1e30, 1.0), SolverConfig())
+    assert r.residual <= 1e-9
 
 
 def test_edge_target_failures_are_frozen():
