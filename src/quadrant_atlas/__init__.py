@@ -6,152 +6,24 @@ arithmetic (polynomial), the factor maps and charts as floating-point
 evaluators (maps), warped discs, boundary loops and their certificates
 (topology), the two-stage preimage solver (solver), and seeded random
 verification sweeps (sampler). The command line in cli ties them
-together.
+together. The package itself exports the preimage solver and the
+theorem map with its evaluators; everything else is imported from its
+module.
 """
 
-from .maps import (
-    HALF_PI,
-    Jacobian2,
-    eval_g,
-    eval_h,
-    eval_mu,
-    eval_phi,
-    eval_psi,
-    eval_xi1,
-    eval_xi2,
-    eval_zeta1,
-    eval_zeta2,
-    jacobian_F,
-    objective_F,
-)
-from .parallel import thread_count
-from .polynomial import (
-    Monomial,
-    PolyMap2,
-    SparsePolynomial,
-    add,
-    build_f1,
-    build_f2,
-    build_theorem_map,
-    compose,
-    evaluate_exact,
-    evaluate_float,
-    from_text,
-    from_triples,
-    mul,
-    neg,
-    stats,
-    to_text,
-    to_triples,
-)
-from .sampler import (
-    CHUNK_SAMPLES,
-    SPLITMIX_GAMMA,
-    SamplerConfig,
-    SamplerReport,
-    check_f2_equals_h_g,
-    check_g_psi_equals_phi,
-    check_mu_gluing,
-    check_phi_bound,
-    check_positivity,
-    sample_pair,
-    unit_double,
-)
-from .solver import (
-    PreimageQuery,
-    PreimageResult,
-    RefineFailure,
-    SolverConfig,
-    SolverFailure,
-    lift_to_quadrant,
-    preimage,
-    refine_direct,
-    solve_surface,
-)
-from .topology import (
-    ALPHA1_D1_SIGN,
-    ALPHA2_D2_SIGN,
-    BoundaryLoop,
-    DegenerateGeometryError,
-    LinkingResult,
-    TransversalityReport,
-    TubeSpec,
-    WarpedDiscSpec,
-    disc_boundary,
-    eval_loop,
-    gauss_linking,
-    make_tube,
-    transversality_scan,
-    tube_membership,
-)
+from .polynomial import build_theorem_map, evaluate_exact, evaluate_float
+from .solver import PreimageQuery, PreimageResult, SolverConfig, SolverFailure, preimage
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "HALF_PI",
-    "Jacobian2",
-    "eval_g",
-    "eval_h",
-    "eval_mu",
-    "eval_phi",
-    "eval_psi",
-    "eval_xi1",
-    "eval_xi2",
-    "eval_zeta1",
-    "eval_zeta2",
-    "jacobian_F",
-    "objective_F",
-    "thread_count",
-    "Monomial",
-    "PolyMap2",
-    "SparsePolynomial",
-    "add",
-    "build_f1",
-    "build_f2",
-    "build_theorem_map",
-    "compose",
-    "evaluate_exact",
-    "evaluate_float",
-    "from_text",
-    "from_triples",
-    "mul",
-    "neg",
-    "stats",
-    "to_text",
-    "to_triples",
-    "CHUNK_SAMPLES",
-    "SPLITMIX_GAMMA",
-    "SamplerConfig",
-    "SamplerReport",
-    "check_f2_equals_h_g",
-    "check_g_psi_equals_phi",
-    "check_mu_gluing",
-    "check_phi_bound",
-    "check_positivity",
-    "sample_pair",
-    "unit_double",
     "PreimageQuery",
     "PreimageResult",
-    "RefineFailure",
     "SolverConfig",
     "SolverFailure",
-    "lift_to_quadrant",
+    "build_theorem_map",
+    "evaluate_exact",
+    "evaluate_float",
     "preimage",
-    "refine_direct",
-    "solve_surface",
-    "ALPHA1_D1_SIGN",
-    "ALPHA2_D2_SIGN",
-    "BoundaryLoop",
-    "DegenerateGeometryError",
-    "LinkingResult",
-    "TransversalityReport",
-    "TubeSpec",
-    "WarpedDiscSpec",
-    "disc_boundary",
-    "eval_loop",
-    "gauss_linking",
-    "make_tube",
-    "transversality_scan",
-    "tube_membership",
     "__version__",
 ]

@@ -15,7 +15,6 @@ it factors through, and the outer factor of that composition.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -191,6 +190,14 @@ def compose(
 # Evaluation.
 
 
+def _top_exponents(p: SparsePolynomial) -> tuple[int, int]:
+    """Highest exponent of x and of y in p; (0, 0) for the zero polynomial."""
+    return (
+        max((a for a, _ in p._coeffs), default=0),
+        max((b for _, b in p._coeffs), default=0),
+    )
+
+
 def evaluate_exact(p: SparsePolynomial, u: Rational, v: Rational) -> Fraction:
     """Exact rational value of p(u, v); no rounding anywhere.
 
@@ -200,34 +207,42 @@ def evaluate_exact(p: SparsePolynomial, u: Rational, v: Rational) -> Fraction:
     """
     u, v = Fraction(u), Fraction(v)
     un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
-    top_a = max((a for a, _ in p._coeffs), default=0)
-    top_b = max((b for _, b in p._coeffs), default=0)
+    top_a, top_b = _top_exponents(p)
     pu = [un**k * ud ** (top_a - k) for k in range(top_a + 1)]
     pv = [vn**k * vd ** (top_b - k) for k in range(top_b + 1)]
     total = sum(c * pu[a] * pv[b] for (a, b), c in p._coeffs.items())
     return Fraction(total, ud**top_a * vd**top_b)
 
 
-def _fpow(base: float, n: int) -> float:
-    # repeated multiplication so overflow yields inf instead of raising
-    out = 1.0
-    for _ in range(n):
-        out *= base
+def _powers(base, top: int) -> list:
+    """[1.0, base, base^2, ..., base^top] by repeated multiplication, so
+    overflow yields inf instead of raising; base is a float or an array."""
+    out = [1.0]
+    for _ in range(top):
+        out.append(out[-1] * base)
     return out
 
 
-def evaluate_float(p: SparsePolynomial, u: float, v: float) -> float:
-    """Floating value of p(u, v).
+def _sum_terms(p: SparsePolynomial, px: list, py: list):
+    """p at the point whose power lists are px and py, as _powers builds
+    them; floats or arrays alike.
 
     Terms are accumulated left to right in the canonical graded-lex order,
-    so the rounding behaviour is reproducible. Overflow is reported as a
-    non-finite result, never as an exception.
+    each as (c * x^a) * y^b, so the rounding behaviour is reproducible and
+    an array result matches the scalar one element for element.
     """
     total = 0.0
     for m in p._terms:
         a, b = m.exponents
-        total += m.coefficient * _fpow(u, a) * _fpow(v, b)
+        total += (m.coefficient * px[a]) * py[b]
     return total
+
+
+def evaluate_float(p: SparsePolynomial, u: float, v: float) -> float:
+    """Floating value of p(u, v) through _sum_terms. Overflow is reported as
+    a non-finite result, never as an exception."""
+    top_a, top_b = _top_exponents(p)
+    return _sum_terms(p, _powers(u, top_a), _powers(v, top_b))
 
 
 def stats(p: SparsePolynomial) -> tuple[float, int]:
@@ -286,10 +301,6 @@ def build_theorem_map() -> PolyMap2:
 # ---------------------------------------------------------------------------
 # Serialization: canonical text and structured triples.
 
-_TERM_RE = re.compile(
-    r"^([+-]?)(\d+)?(?:\*?x(?:\^(\d+))?)?(?:\*?y(?:\^(\d+))?)?$"
-)
-
 
 def to_text(p: SparsePolynomial) -> str:
     """Canonical human form, e.g. ``x^2*y - 2*y^2 + 1``; ``0`` when empty."""
@@ -314,37 +325,6 @@ def to_text(p: SparsePolynomial) -> str:
     return " ".join(pieces)
 
 
-def from_text(text: str) -> SparsePolynomial:
-    """Parse the text form produced by to_text (spacing is forgiven)."""
-    compact = text.replace(" ", "")
-    if not compact:
-        raise ValueError("empty polynomial text")
-    if compact == "0":
-        return SparsePolynomial({})
-    chunks = re.findall(r"[+-]?[^+-]+", compact)
-    if "".join(chunks) != compact:
-        raise ValueError(f"cannot parse polynomial text {text!r}")
-    coeffs: dict[Exponents, int] = {}
-    for chunk in chunks:
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group(2) is None and "x" not in chunk and "y" not in chunk):
-            raise ValueError(f"cannot parse term {chunk!r} in {text!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        c = sign * int(m.group(2) or 1)
-        a = int(m.group(3) or (1 if "x" in chunk else 0))
-        b = int(m.group(4) or (1 if "y" in chunk else 0))
-        coeffs[(a, b)] = coeffs.get((a, b), 0) + c
-    return SparsePolynomial(coeffs)
-
-
 def to_triples(p: SparsePolynomial) -> list[tuple[int, int, int]]:
     """Canonical [(x-exp, y-exp, coefficient), ...] for structured output."""
     return [(m.exponents[0], m.exponents[1], m.coefficient) for m in p._terms]
-
-
-def from_triples(triples: Iterable[tuple[int, int, int]]) -> SparsePolynomial:
-    """Rebuild a polynomial from to_triples output."""
-    coeffs: dict[Exponents, int] = {}
-    for a, b, c in triples:
-        coeffs[(a, b)] = coeffs.get((a, b), 0) + int(c)
-    return SparsePolynomial(coeffs)

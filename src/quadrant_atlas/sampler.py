@@ -38,7 +38,15 @@ from .maps import (
     eval_h,
 )
 from .parallel import thread_count
-from .polynomial import PolyMap2, build_f2, build_theorem_map, evaluate_exact, to_triples
+from .polynomial import (
+    PolyMap2,
+    _powers,
+    _sum_terms,
+    _top_exponents,
+    build_f2,
+    build_theorem_map,
+    evaluate_exact,
+)
 
 _MASK64 = (1 << 64) - 1
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -251,35 +259,15 @@ def _sweep(cfg: SamplerConfig, probe: Callable[[np.ndarray, np.ndarray], tuple])
     return total
 
 
-def _pow_table(base: np.ndarray, top: int) -> list[np.ndarray]:
-    table = [np.ones_like(base)]
-    for _ in range(top):
-        table.append(table[-1] * base)
-    return table
-
-
-def _eval_terms(
-    triples: list[tuple[int, int, int]],
-    px: list[np.ndarray],
-    py: list[np.ndarray],
-) -> np.ndarray:
-    # term order and association mirror the scalar evaluator exactly, so
-    # the vectorized values are bit-identical to evaluate_float
-    total = np.zeros_like(px[0])
-    for a, b, c in triples:
-        total += (c * px[a]) * py[b]
-    return total
-
-
 def _map_on_arrays(fmap: PolyMap2) -> Callable[[np.ndarray, np.ndarray], tuple]:
-    """Both components of fmap as one evaluator on arrays."""
-    t1, t2 = to_triples(fmap.component1), to_triples(fmap.component2)
-    top_x = max(a for a, _, _ in t1 + t2)
-    top_y = max(b for _, b, _ in t1 + t2)
+    """Both components of fmap as one evaluator on arrays, sharing one set
+    of power arrays; the values are bit-identical to evaluate_float."""
+    c1, c2 = fmap.component1, fmap.component2
+    (a1, b1), (a2, b2) = _top_exponents(c1), _top_exponents(c2)
 
     def evaluate(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        px, py = _pow_table(x, top_x), _pow_table(y, top_y)
-        return _eval_terms(t1, px, py), _eval_terms(t2, px, py)
+        px, py = _powers(x, max(a1, a2)), _powers(y, max(b1, b2))
+        return _sum_terms(c1, px, py), _sum_terms(c2, px, py)
 
     return evaluate
 

@@ -9,7 +9,7 @@ candidates form one stream, tried in order:
    F(rho, theta), the composition of the sum-of-squares projection with
    the surface parameterization, over a fixed rho x theta seed lattice.
    The seeds run as numpy lanes in lockstep, in row-major blocks of 16
-   that double up to a cap of 2^13 // max_backtracks lanes; each round
+   that double up to a cap of 2^13 // MAX_BACKTRACKS lanes; each round
    takes one Newton step in every live lane and tries all its step
    halvings in one array. Each converged root, in ascending seed index,
    is carried into the open quadrant, where the outer factor agrees with
@@ -33,7 +33,6 @@ import numpy as np
 
 from .maps import (
     HALF_PI,
-    ParamPoint,
     Point2,
     _dF_terms,
     _dg_terms,
@@ -47,6 +46,12 @@ from .maps import (
 from .polynomial import build_theorem_map, evaluate_float
 
 DELTA_THETA = 1e-6
+# Newton budget per seed, step halvings per Newton step, and the surface
+# seed lattice's rho x theta size
+MAX_NEWTON_ITERS = 100
+MAX_BACKTRACKS = 40
+GRID_RHO = 64
+GRID_THETA = 64
 
 
 class SolverFailure(RuntimeError):
@@ -58,30 +63,15 @@ class SolverFailure(RuntimeError):
         self.best_point = best_point
 
 
-class RefineFailure(RuntimeError):
-    """Direct polish diverged; carries the best iterate."""
-
-    def __init__(self, message: str, best_iterate: Point2):
-        super().__init__(message)
-        self.best_iterate = best_iterate
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     residual_tol: float = 1e-9
-    max_newton_iters: int = 100
-    grid_rho: int = 64
-    grid_theta: int = 64
-    max_backtracks: int = 40
 
     def __post_init__(self):
         if not (math.isfinite(self.residual_tol) and self.residual_tol > 0.0):
             raise ValueError(
                 f"residual_tol must be positive and finite, got {self.residual_tol}"
             )
-        for name in ("max_newton_iters", "grid_rho", "grid_theta", "max_backtracks"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +136,7 @@ def _theta_grid(n: int, refine_edges: bool) -> list[float]:
 # Damped Newton, surface stage, in lockstep lanes.
 
 # lanes x backtracks elements per candidate array; caps a seed block at
-# 204 lanes with the default 40 backtracks, which bounds the kernel's
+# 204 lanes at MAX_BACKTRACKS = 40, which bounds the kernel's
 # temporaries (a few dozen arrays of this many doubles)
 _LANE_ELEMENTS = 2**13
 _FIRST_BLOCK = 16
@@ -174,7 +164,7 @@ def _newton_lanes(rho, theta, a: float, b: float, m: float, cfg: SolverConfig):
 
     Returns arrays (converged, rho, theta, residual, iterations). Each lane
     runs the one-seed iteration: a full Newton step, halved until the
-    residual drops, at most max_backtracks times, with iterates clamped to
+    residual drops, at most MAX_BACKTRACKS times, with iterates clamped to
     [0, m] x [DELTA_THETA, pi/2 - DELTA_THETA]. A lane stops when it
     converges, when its Jacobian is singular or not finite, or when no
     step length descends. Every step length is tried in one array per
@@ -184,7 +174,7 @@ def _newton_lanes(rho, theta, a: float, b: float, m: float, cfg: SolverConfig):
     """
     n, tol = rho.size, cfg.residual_tol
     scale = max(a, b, 1.0)
-    taus = np.ldexp(1.0, -np.arange(cfg.max_backtracks))
+    taus = np.ldexp(1.0, -np.arange(MAX_BACKTRACKS))
     out_ok = np.zeros(n, dtype=bool)
     out_rho, out_theta, out_r = np.empty(n), np.empty(n), np.empty(n)
     out_iters = np.empty(n, dtype=int)
@@ -200,7 +190,7 @@ def _newton_lanes(rho, theta, a: float, b: float, m: float, cfg: SolverConfig):
     lane = np.arange(n)
     with np.errstate(all="ignore"):
         fa, fb, r = _residual_lanes(rho, theta, a, b, scale)
-        for done in range(cfg.max_newton_iters):
+        for done in range(MAX_NEWTON_ITERS):
             go = settle(r <= tol, True, done)
             lane, rho, theta, r, fa, fb = (v[go] for v in (lane, rho, theta, r, fa, fb))
             if not lane.size:
@@ -227,19 +217,17 @@ def _newton_lanes(rho, theta, a: float, b: float, m: float, cfg: SolverConfig):
             lane = lane[go]
             rho, theta, fa, fb, r = c_rho[pick], c_theta[pick], c_fa[pick], c_fb[pick], c_r[pick]
         converged = r <= tol
-        settle(converged, True, cfg.max_newton_iters)
-        settle(~converged, False, cfg.max_newton_iters)
+        settle(converged, True, MAX_NEWTON_ITERS)
+        settle(~converged, False, MAX_NEWTON_ITERS)
     return out_ok, out_rho, out_theta, out_r, out_iters
 
 
-def _seed_lattice(
-    q: PreimageQuery, cfg: SolverConfig
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _seed_lattice(q: PreimageQuery) -> tuple[np.ndarray, np.ndarray, float]:
     """The rho x theta seed lattice in row-major order, as a rho array and
     a theta array, and the rho bound m."""
     m = 4.0 * 2.0 * math.sqrt(q.a + q.b)  # constant rule at A^2 + B^2 = a + b
-    rhos = np.array(_rho_grid(m, cfg.grid_rho))
-    thetas = np.array(_theta_grid(cfg.grid_theta, min(q.a, q.b) <= 1e-6))
+    rhos = np.array(_rho_grid(m, GRID_RHO))
+    thetas = np.array(_theta_grid(GRID_THETA, min(q.a, q.b) <= 1e-6))
     return np.repeat(rhos, thetas.size), np.tile(thetas, rhos.size), m
 
 
@@ -250,7 +238,7 @@ def _surface_runs(q: PreimageQuery, cfg: SolverConfig, rho, theta, m: float):
     Seeds run in lockstep blocks of 16 lanes, doubling up to the cap, and
     a block only runs once the caller has taken every result before it.
     """
-    cap = max(1, _LANE_ELEMENTS // cfg.max_backtracks)
+    cap = max(1, _LANE_ELEMENTS // MAX_BACKTRACKS)
     start, size = 0, min(_FIRST_BLOCK, cap)
     while start < rho.size:
         block = slice(start, start + size)
@@ -262,36 +250,8 @@ def _surface_runs(q: PreimageQuery, cfg: SolverConfig, rho, theta, m: float):
         start, size = start + size, min(2 * size, cap)
 
 
-def solve_surface(q: PreimageQuery, cfg: SolverConfig) -> ParamPoint:
-    """First surface root (rho, theta) with F within tolerance of (a, b)."""
-    lattice = _seed_lattice(q, cfg)
-    best_r, best_p = math.inf, (float(lattice[0][0]), float(lattice[1][0]))
-    for ok, p, r, _ in _surface_runs(q, cfg, *lattice):
-        if ok:
-            return p
-        # NaN never compares below, so the first finite minimum wins
-        if r < best_r:
-            best_r, best_p = r, p
-    raise SolverFailure(
-        f"no surface seed converged for target ({q.a}, {q.b}); best residual {best_r:.3e}",
-        best_residual=best_r,
-        best_point=best_p,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Lift and direct stage.
-
-
-def lift_to_quadrant(p: ParamPoint) -> Point2:
-    """Carry a surface root into the open quadrant; needs the angle to sit
-    at least DELTA_THETA inside the strip."""
-    rho, theta = p
-    if not DELTA_THETA <= theta <= HALF_PI - DELTA_THETA:
-        raise ValueError(
-            f"angle {theta} too close to the strip edge for the quadrant lift"
-        )
-    return eval_psi((rho, theta))
+# Direct stage.
 
 
 def _direct_norms(
@@ -317,7 +277,7 @@ def _newton_direct(
     u, v = max(seed[0], 0.0), max(seed[1], 0.0)
     r, m = _direct_norms(u, v, q.a, q.b, scale)
     lam = -1.0
-    for iters in range(1, cfg.max_newton_iters + 1):
+    for iters in range(1, MAX_NEWTON_ITERS + 1):
         if r <= cfg.residual_tol:
             return True, (u, v), r, iters - 1
         g = eval_g((u, v))
@@ -335,7 +295,7 @@ def _newton_direct(
         if lam < 0.0:
             lam = 1e-3 * trace
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             det = (a11 + lam) * (a22 + lam) - a12 * a12
             if det == 0.0:
                 # a ridge set from an earlier, much smaller trace is lost in
@@ -354,18 +314,7 @@ def _newton_direct(
             lam *= 4.0
         if not accepted:
             return False, (u, v), r, iters
-    return r <= cfg.residual_tol, (u, v), r, cfg.max_newton_iters
-
-
-def refine_direct(seed: Point2, q: PreimageQuery, cfg: SolverConfig) -> Point2:
-    """Polish a quadrant seed against the outer factor; iterates stay in
-    the closed quadrant. Divergence raises RefineFailure."""
-    ok, point, r, _ = _newton_direct(seed, q, cfg)
-    if not ok:
-        raise RefineFailure(
-            f"direct refinement stalled at residual {r:.3e}", best_iterate=point
-        )
-    return point
+    return r <= cfg.residual_tol, (u, v), r, MAX_NEWTON_ITERS
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +332,13 @@ def _candidates(q: PreimageQuery, cfg: SolverConfig):
     """Quadrant seeds for the direct polish, in the order they are tried:
     (stage, seed_index, seed, surface_iters) for each converged surface
     root carried into the quadrant, then for each point of the direct
-    lattice, log-spaced magnitudes in both coordinates."""
-    runs = _surface_runs(q, cfg, *_seed_lattice(q, cfg))
+    lattice, log-spaced magnitudes in both coordinates. The lattice and
+    the clamp keep every surface angle in [DELTA_THETA, pi/2 - DELTA_THETA],
+    inside the open strip where psi is defined."""
+    runs = _surface_runs(q, cfg, *_seed_lattice(q))
     for idx, (ok, p, _, iters) in enumerate(runs):
         if ok:
-            try:
-                seed = lift_to_quadrant(p)
-            except ValueError:  # the root lies too close to a strip edge
-                continue
-            yield "surface-seeded", idx, seed, iters
+            yield "surface-seeded", idx, eval_psi(p), iters
     mags = [10.0 ** (k / 2.0) for k in range(-8, 9)]
     for idx, seed in enumerate((u, v) for u in mags for v in mags):
         yield "direct-fallback", idx, seed, 0

@@ -169,11 +169,10 @@ def _loop_params(loop: BoundaryLoop, t: np.ndarray) -> tuple[np.ndarray, np.ndar
     """(rho, theta, segment index 0/1/2) for each parameter value."""
     m = loop.m
     seg = np.where(t <= m, 0, np.where(t <= m + HALF_PI, 1, 2))
+    rho = np.where(seg == 0, t, np.where(seg == 1, m, 2.0 * m + HALF_PI - t))
     if loop.variant == "alpha1":
-        rho = np.where(seg == 0, t, np.where(seg == 1, m, 2.0 * m + HALF_PI - t))
         theta = np.where(seg == 0, HALF_PI, np.where(seg == 1, m + HALF_PI - t, 0.0))
     else:
-        rho = np.where(seg == 0, t, np.where(seg == 1, m, 2.0 * m + HALF_PI - t))
         theta = np.where(seg == 0, 0.0, np.where(seg == 1, t - m, HALF_PI))
     return rho, theta, seg
 

@@ -7,6 +7,7 @@ target within the relative tolerance.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -16,23 +17,43 @@ import pytest
 
 from quadrant_atlas.maps import HALF_PI, eval_psi, jacobian_F, objective_F
 from quadrant_atlas.polynomial import build_f2, build_theorem_map, evaluate_float
+import quadrant_atlas.solver as solver
 from quadrant_atlas.solver import (
     DELTA_THETA,
     PreimageQuery,
     PreimageResult,
     SolverConfig,
     SolverFailure,
-    lift_to_quadrant,
     preimage,
-    refine_direct,
-    solve_surface,
+    _newton_direct,
     _newton_lanes,
     _seed_lattice,
+    _surface_runs,
+    _theta_grid,
 )
 from quadrant_atlas.topology import BoundaryLoop, TubeSpec, make_tube, tube_membership
 
 F_MAP = build_theorem_map()
 F2_MAP = build_f2()
+
+# the smallest solver budget: one Newton step of one halving from a 2 x 2
+# seed lattice
+CRIPPLED = {"MAX_NEWTON_ITERS": 1, "GRID_RHO": 2, "GRID_THETA": 2, "MAX_BACKTRACKS": 1}
+
+
+def cripple(monkeypatch):
+    for name, value in CRIPPLED.items():
+        monkeypatch.setattr(solver, name, value)
+
+
+def surface_runs(q: PreimageQuery) -> list:
+    """(converged, point, residual, iterations) of every surface seed."""
+    return list(_surface_runs(q, SolverConfig(), *_seed_lattice(q)))
+
+
+def first_surface_root(q: PreimageQuery):
+    """The root the surface stage hands on first: its first converged lane."""
+    return next(p for ok, p, _, _ in _surface_runs(q, SolverConfig(), *_seed_lattice(q)) if ok)
 
 
 def forward_residual(x: float, y: float, a: float, b: float) -> float:
@@ -52,43 +73,57 @@ def test_config_rejects_nonsense():
     with pytest.raises(ValueError):
         SolverConfig(residual_tol=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(grid_rho=0)
+        SolverConfig(residual_tol=-1e-9)
+    # the tolerance is the one setting; the budgets are module constants
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["residual_tol"]
+
+
+# The surface stage hands on its first converged lane, in seed order.
 
 
 def test_solve_surface_unit_target():
-    cfg = SolverConfig()
-    rho, theta = solve_surface(PreimageQuery(1.0, 1.0), cfg)
+    rho, theta = first_surface_root(PreimageQuery(1.0, 1.0))
     fa, fb = objective_F((rho, theta))
     assert max(abs(fa - 1.0), abs(fb - 1.0)) <= 1e-9
 
 
 def test_solve_surface_assorted_targets():
-    cfg = SolverConfig()
     for a, b in [(241.0, 52.0), (0.001, 1000.0), (7.0, 0.3)]:
-        rho, theta = solve_surface(PreimageQuery(a, b), cfg)
+        rho, theta = first_surface_root(PreimageQuery(a, b))
         assert rho >= 0.0 and 0.0 < theta < HALF_PI
         fa, fb = objective_F((rho, theta))
         assert max(abs(fa - a), abs(fb - b)) <= 1e-9 * max(a, b, 1.0)
 
 
-def test_solve_surface_reports_failure_with_crippled_budget():
-    cfg = SolverConfig(max_newton_iters=1, grid_rho=2, grid_theta=2, max_backtracks=1)
-    with pytest.raises(SolverFailure) as info:
-        solve_surface(PreimageQuery(0.001, 1000.0), cfg)
-    assert info.value.best_residual > 0.0
+def test_solve_surface_reports_failure_with_crippled_budget(monkeypatch):
+    cripple(monkeypatch)
+    runs = surface_runs(PreimageQuery(0.001, 1000.0))
+    assert len(runs) == 4
+    assert not any(ok for ok, _, _, _ in runs)
+    assert min(r for _, _, r, _ in runs) > 0.0
+
+
+# The lift into the quadrant is psi.
 
 
 def test_lift_frozen_points():
-    u, v = lift_to_quadrant((0.0, math.pi / 4))
+    u, v = eval_psi((0.0, math.pi / 4))
     assert abs(u - 1.0) <= 1e-12 and abs(v - 1.0) <= 1e-12
-    u, v = lift_to_quadrant((1.0, math.pi / 4))
+    u, v = eval_psi((1.0, math.pi / 4))
     assert abs(v - (1.0 + math.sqrt(2.0) / 4.0)) <= 1e-12
 
 
-def test_lift_rejects_edge_angles():
-    for theta in (0.0, 1e-9, HALF_PI - 1e-9, HALF_PI):
-        with pytest.raises(ValueError):
-            lift_to_quadrant((1.0, theta))
+def test_lift_never_sees_an_edge_angle():
+    # psi needs theta strictly inside (0, pi/2); the seed angles and the
+    # clamp on every Newton iterate keep surface roots DELTA_THETA inside
+    lo, hi = DELTA_THETA, HALF_PI - DELTA_THETA
+    for n in (2, 3, 64, 65, 128):
+        for refine_edges in (False, True):
+            assert all(lo <= t <= hi for t in _theta_grid(n, refine_edges)), n
+    q = PreimageQuery(*EDGE_TARGETS[0])
+    rho, theta, m = _seed_lattice(q)
+    _, _, theta1, _, _ = _newton_lanes(rho[::8], theta[::8], q.a, q.b, m, SolverConfig())
+    assert theta1.min() == lo and theta1.max() <= hi
 
 
 def test_lift_intertwines_the_two_objectives():
@@ -97,7 +132,7 @@ def test_lift_intertwines_the_two_objectives():
     rng = random.Random(8)
     for _ in range(500):
         p = (5.0 * rng.random(), 0.01 + (HALF_PI - 0.02) * rng.random())
-        u, v = lift_to_quadrant(p)
+        u, v = eval_psi(p)
         fa = evaluate_float(F2_MAP.component1, u, v)
         fb = evaluate_float(F2_MAP.component2, u, v)
         ga, gb = objective_F(p)
@@ -105,15 +140,17 @@ def test_lift_intertwines_the_two_objectives():
         assert abs(fb - gb) <= 1e-9 * max(1.0, abs(gb))
 
 
+# The direct polish on the outer factor.
+
+
 def test_refine_direct_fixed_point():
-    cfg = SolverConfig()
-    got = refine_direct((1.0, 1.0), PreimageQuery(1.0, 1.0), cfg)
-    assert got == (1.0, 1.0)
+    ok, got, r, iters = _newton_direct((1.0, 1.0), PreimageQuery(1.0, 1.0), SolverConfig())
+    assert ok and got == (1.0, 1.0) and r == 0.0 and iters == 0
 
 
 def test_refine_direct_polishes_a_nearby_seed():
-    cfg = SolverConfig()
-    u, v = refine_direct((1.05, 1.02), PreimageQuery(1.0, 1.0), cfg)
+    ok, (u, v), _, _ = _newton_direct((1.05, 1.02), PreimageQuery(1.0, 1.0), SolverConfig())
+    assert ok
     fa = evaluate_float(F2_MAP.component1, u, v)
     fb = evaluate_float(F2_MAP.component2, u, v)
     assert max(abs(fa - 1.0), abs(fb - 1.0)) <= 1e-9
@@ -165,10 +202,10 @@ def test_preimage_is_deterministic():
     assert preimage(q, cfg) == preimage(q, cfg)
 
 
-def test_preimage_failure_propagates():
-    cfg = SolverConfig(max_newton_iters=1, grid_rho=2, grid_theta=2, max_backtracks=1)
+def test_preimage_failure_propagates(monkeypatch):
+    cripple(monkeypatch)
     with pytest.raises(SolverFailure):
-        preimage(PreimageQuery(0.001, 1000.0), cfg)
+        preimage(PreimageQuery(0.001, 1000.0), SolverConfig())
 
 
 def test_surface_root_lands_inside_the_shrunk_tube():
@@ -177,14 +214,13 @@ def test_surface_root_lands_inside_the_shrunk_tube():
     # after shrinking the cylinder margin tenfold
     from quadrant_atlas.maps import eval_phi
 
-    cfg = SolverConfig()
     for a_r, b_r in [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (2.0, 2.5)]:
         for variant, target in (("d1", (a_r**2, b_r**2)), ("d2", (b_r**2, a_r**2))):
             tube = make_tube(a_r, b_r, variant)
             shrunk = TubeSpec(
                 disc=tube.disc, epsilon=tube.epsilon / 10.0, m0=tube.m0, m=tube.m
             )
-            root = solve_surface(PreimageQuery(*target), cfg)
+            root = first_surface_root(PreimageQuery(*target))
             p = eval_phi(root)
             assert tube_membership(p, shrunk), (a_r, b_r, variant, root, p)
 
@@ -204,9 +240,9 @@ def test_query_and_config_reject_non_finite_values():
 EDGE_TARGETS = [(1.0, 2.225531455441776e-07), (4.308878459422807e-08, 0.01)]
 
 
-def _scalar_newton_surface(seed, a, b, m, cfg):
+def _scalar_newton_surface(seed, a, b, m):
     """The one-seed damped Newton loop the lockstep lanes must reproduce."""
-    scale = max(a, b, 1.0)
+    scale, tol = max(a, b, 1.0), SolverConfig().residual_tol
 
     def residual(p):
         fa, fb = objective_F(p)
@@ -214,8 +250,8 @@ def _scalar_newton_surface(seed, a, b, m, cfg):
 
     p = seed
     r = residual(p)
-    for iters in range(1, cfg.max_newton_iters + 1):
-        if r <= cfg.residual_tol:
+    for iters in range(1, solver.MAX_NEWTON_ITERS + 1):
+        if r <= tol:
             return True, p, r, iters - 1
         jac = jacobian_F(p)
         det = jac.d1_drho * jac.d2_dtheta - jac.d1_dtheta * jac.d2_drho
@@ -226,7 +262,7 @@ def _scalar_newton_surface(seed, a, b, m, cfg):
         step_rho = (jac.d2_dtheta * ra - jac.d1_dtheta * rb) / det
         step_theta = (-jac.d2_drho * ra + jac.d1_drho * rb) / det
         tau = 1.0
-        for _ in range(cfg.max_backtracks):
+        for _ in range(solver.MAX_BACKTRACKS):
             cand = (
                 min(max(p[0] - tau * step_rho, 0.0), m),
                 min(max(p[1] - tau * step_theta, DELTA_THETA), HALF_PI - DELTA_THETA),
@@ -238,7 +274,7 @@ def _scalar_newton_surface(seed, a, b, m, cfg):
             tau *= 0.5
         else:
             return False, p, r, iters
-    return r <= cfg.residual_tol, p, r, cfg.max_newton_iters
+    return r <= tol, p, r, solver.MAX_NEWTON_ITERS
 
 
 def _bits(v):
@@ -248,28 +284,28 @@ def _bits(v):
 @pytest.mark.parametrize(
     "target, cfg",
     [
-        (EDGE_TARGETS[0], SolverConfig()),
-        ((0.001, 1000.0), SolverConfig()),
+        (EDGE_TARGETS[0], {}),
+        ((0.001, 1000.0), {}),
         (
             (float.fromhex("0x1.eac2541e9d32ap+13"), float.fromhex("0x1.9bf08cc8c38aap+17")),
-            SolverConfig(),
+            {},
         ),
-        (
-            (0.001, 1000.0),
-            SolverConfig(max_newton_iters=1, grid_rho=2, grid_theta=2, max_backtracks=1),
-        ),
+        ((0.001, 1000.0), CRIPPLED),
     ],
 )
-def test_lockstep_lanes_match_the_one_seed_loop_bit_for_bit(target, cfg):
+def test_lockstep_lanes_match_the_one_seed_loop_bit_for_bit(target, cfg, monkeypatch):
+    # cfg: the solver constants to set for this case
+    for name, value in cfg.items():
+        monkeypatch.setattr(solver, name, value)
     q = PreimageQuery(*target)
-    rho, theta, m = _seed_lattice(q, cfg)
+    rho, theta, m = _seed_lattice(q)
     pick = slice(None, None, max(1, rho.size // 1000))
     rho, theta = rho[pick][:1000], theta[pick][:1000]
-    ok, rho1, theta1, r, iters = _newton_lanes(rho, theta, q.a, q.b, m, cfg)
+    ok, rho1, theta1, r, iters = _newton_lanes(rho, theta, q.a, q.b, m, SolverConfig())
     lanes = list(zip(ok.tolist(), rho1.tolist(), theta1.tolist(), r.tolist(), iters.tolist()))
     want = []
     for seed in zip(rho.tolist(), theta.tolist()):
-        ok1, (rho1, theta1), r1, it1 = _scalar_newton_surface(seed, q.a, q.b, m, cfg)
+        ok1, (rho1, theta1), r1, it1 = _scalar_newton_surface(seed, q.a, q.b, m)
         want.append((ok1, rho1, theta1, r1, it1))
     assert [tuple(map(_bits, lane)) for lane in lanes] == [tuple(map(_bits, w)) for w in want]
 
@@ -331,14 +367,13 @@ def test_edge_target_failures_are_frozen():
     )
     assert info.value.best_residual == math.inf
     assert info.value.best_point == (0.0, 0.0)
-    with pytest.raises(SolverFailure) as info:
-        solve_surface(PreimageQuery(a, b), SolverConfig())
-    assert str(info.value) == (
-        "no surface seed converged for target (1.0, 2.225531455441776e-07); "
-        "best residual 7.775e-07"
-    )
-    assert info.value.best_residual == 7.774518544386032e-07
-    assert info.value.best_point == (0.999995111897917, 1e-06)
+    # no surface seed converges; the least residual, first in seed order,
+    # sits on the angle clamp
+    runs = surface_runs(PreimageQuery(a, b))
+    assert not any(ok for ok, _, _, _ in runs)
+    _, point, r, _ = min(runs, key=lambda run: run[2] if math.isfinite(run[2]) else math.inf)
+    assert r == 7.774518544386032e-07
+    assert point == (0.999995111897917, 1e-06)
 
 
 def test_preimage_raises_no_runtime_warning():
