@@ -210,8 +210,10 @@ def eval_phi(p: ParamPoint) -> Point3:
     phi2 = sqrt(cs) * (c + s + rho c s)
     phi3 = rho s
 
-    with c = cos theta, s = sin theta. The edge values collapse exactly:
-    phi(t, 0) = (t, 0, 0) and phi(t, pi/2) = (0, 0, t).
+    with c = cos theta, s = sin theta. The edge values collapse exactly,
+    phi(t, 0) = (t, 0, 0) and phi(t, pi/2) = (0, 0, t), while t * t is
+    finite (t up to about 1.34e154); beyond, the rho^2 term is inf * 0 and
+    phi1 is NaN.
     """
     rho, theta = p
     if rho < 0.0 or not 0.0 <= theta <= HALF_PI:

@@ -5,20 +5,24 @@ by the xi profile; flattening them with zeta turns "the loop crosses the
 disc once, straight through" into an interval statement about cylinder
 coordinates, which transversality_scan checks on a uniform grid.
 
+Each boundary loop is two straight legs along coordinate axes (phi is rho
+times an axis on both strip edges) joined by an arc at rho = m. The loop
+arrays are built one segment at a time: an ascending parameter array is
+split at m and m + pi/2 by binary search, the legs are written in closed
+form, and only the arc goes through phi.
+
 gauss_linking computes the classical double-integral linking number of a
 boundary loop with a disc boundary circle. Its value for a matched pair
 certifies, up to sign, that the loop generates the fundamental group of the
-circle's complement. Most of each loop is two straight legs along
-coordinate axes (phi is rho times an axis on both strip edges); against a
-fixed circle sample the integrand along a straight segment has the
-closed-form finite-wire antiderivative, so the legs are integrated exactly,
-once per circle sample. Only the curved arc at rho = m goes through the
-midpoint double sum, which evaluates the numerator det(p1 - p2, t1, t2) by
-the triple-product identity (p1 x t1) . t2 - t1 . (t2 x p2), as matrix
-products over tiles sized by a fixed element count rather than a row
-count, so memory stays bounded for any segment count; squared distances
-are kept as explicit coordinate differences, which stay exact enough for
-the near-contact guard.
+circle's complement. Against a fixed circle sample the integrand along a
+straight leg has the closed-form finite-wire antiderivative, so the legs
+are integrated exactly, once per circle sample. Only the arc goes through
+the midpoint double sum, which evaluates the numerator det(p1 - p2, t1,
+t2) by the triple-product identity (p1 x t1) . t2 - t1 . (t2 x p2), as
+matrix products over tiles sized by a fixed element count rather than a
+row count, so memory stays bounded for any segment count; squared
+distances are kept as explicit coordinate differences, which stay exact
+enough for the near-contact guard.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import HALF_PI, Point3, _phi_rho, _phi_terms, _phi_theta, _trig_vec, _zeta_terms
+from .maps import HALF_PI, Point3, _phi_terms, _phi_theta, _trig_vec, _zeta_terms
 
 # Orientation regression constants: the loop and circle orientations below
 # are fixed by their parameterizations, and these are the observed signs of
@@ -165,37 +169,45 @@ def disc_boundary(spec: WarpedDiscSpec, s: float) -> Point3:
     return (x, y, z)
 
 
-def _loop_params(loop: BoundaryLoop, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rho, theta, segment index 0/1/2) for each parameter value."""
+def _loop_split(loop: BoundaryLoop, t: np.ndarray) -> tuple[int, int, tuple[int, int], np.ndarray]:
+    """Split an ascending t where t <= m and t <= m + pi/2 stop holding:
+    t[:i] is the first leg, t[i:j] the arc, t[j:] the second leg. Returns
+    i, j, the axes of the two legs and the strip angle on the arc, which
+    runs down from pi/2 for alpha1 and up from 0 for alpha2."""
     m = loop.m
-    seg = np.where(t <= m, 0, np.where(t <= m + HALF_PI, 1, 2))
-    rho = np.where(seg == 0, t, np.where(seg == 1, m, 2.0 * m + HALF_PI - t))
+    i, j = np.searchsorted(t, [m, m + HALF_PI], side="right")
     if loop.variant == "alpha1":
-        theta = np.where(seg == 0, HALF_PI, np.where(seg == 1, m + HALF_PI - t, 0.0))
-    else:
-        theta = np.where(seg == 0, 0.0, np.where(seg == 1, t - m, HALF_PI))
-    return rho, theta, seg
+        return i, j, (2, 0), m + HALF_PI - t[i:j]
+    return i, j, (0, 2), t[i:j] - m
 
 
 def _loop_points(loop: BoundaryLoop, t: np.ndarray) -> np.ndarray:
-    rho, theta, _ = _loop_params(loop, t)
-    return np.stack(_phi_terms(rho, *_trig_vec(theta)), axis=-1)
+    """Loop points at an ascending 1-D t, one segment at a time. On the
+    legs theta is 0 or pi/2, where phi is exactly rho times an axis, so
+    their points are t and t_max - t on that axis; only the arc goes
+    through phi."""
+    i, j, (first, second), theta = _loop_split(loop, t)
+    out = np.zeros((len(t), 3))
+    out[:i, first] = t[:i]
+    out[j:, second] = loop.t_max - t[j:]
+    out[i:j] = np.stack(_phi_terms(loop.m, *_trig_vec(theta)), axis=-1)
+    return out
 
 
 def _loop_tangents(loop: BoundaryLoop, t: np.ndarray) -> np.ndarray:
-    """dt-derivative of the loop; segment 2 is the only theta-moving piece."""
-    rho, theta, seg = _loop_params(loop, t)
-    d_rho = np.stack(_phi_rho(rho, *_trig_vec(theta)), axis=-1)
-    # clamp theta into the open strip for the theta-derivative formula; the
-    # result is only used where seg == 1, where theta is already interior
-    safe_theta = np.clip(theta, 1e-300, HALF_PI * (1.0 - 1e-16))
-    d_theta = np.stack(_phi_theta(rho, *_trig_vec(safe_theta)), axis=-1)
+    """dt-derivative of the loop at an ascending 1-D t, split as in
+    _loop_points: +1 along the first leg's axis, -1 along the second's (its
+    zeros are -0.0, the negated rho-derivative of phi), and on the arc the
+    theta-derivative of phi, signed by the direction theta runs."""
+    i, j, (first, second), theta = _loop_split(loop, t)
+    out = np.empty((len(t), 3))
+    out[:i] = np.eye(3)[first]
+    out[j:] = -np.eye(3)[second]
+    # clamp theta into the open strip, where the theta-derivative of phi2
+    # exists; only the arc's ends can reach the strip edges
+    theta = np.clip(theta, 1e-300, HALF_PI * (1.0 - 1e-16))
     theta_sign = -1.0 if loop.variant == "alpha1" else 1.0
-    out = np.where(
-        (seg == 0)[..., None],
-        d_rho,
-        np.where((seg == 1)[..., None], theta_sign * d_theta, -d_rho),
-    )
+    out[i:j] = theta_sign * np.stack(_phi_theta(loop.m, *_trig_vec(theta)), axis=-1)
     return out
 
 
@@ -436,7 +448,9 @@ def gauss_linking(
     h_arc = HALF_PI / arc_segments
     t = m + (np.arange(arc_segments) + 0.5) * h_arc
     arc_sum, closest = _pair_sum(_loop_points(loop, t), _loop_tangents(loop, t), pts2, tan2)
-    total = arc_sum * h_arc
+    # phi1 on the arc has the term m^2 cos^5 sin, so once m^2 overflows the
+    # arc has no finite points, even where its parameters round onto t = m
+    total = arc_sum * h_arc if math.isfinite(m * m) else math.nan
 
     corners = _loop_corners(loop)
     for p0, p1 in (corners[:2], corners[2:]):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import quadrant_atlas.topology as topology
-from quadrant_atlas.maps import eval_h
+from quadrant_atlas.maps import HALF_PI, _phi_rho, _phi_terms, _phi_theta, _trig_vec, eval_h
 from quadrant_atlas.topology import (
     ALPHA1_D1_SIGN,
     ALPHA2_D2_SIGN,
@@ -389,3 +389,106 @@ def test_leg_corners_lie_exactly_on_the_axes(monkeypatch):
     monkeypatch.setattr(topology, "_loop_corners", rounded_corners)
     for loop, disc, value in cases:
         assert abs(gauss_linking(loop, disc, 4096, 4096).value - value) <= 1e-8
+
+
+# Reference: the whole-grid loop geometry that _loop_points and
+# _loop_tangents replaced. It evaluates phi and both partials at every
+# parameter and selects the segment with np.where; the segment-by-segment
+# versions must reproduce it byte for byte, signed zeros included.
+
+
+def reference_loop_params(loop, t):
+    m = loop.m
+    seg = np.where(t <= m, 0, np.where(t <= m + HALF_PI, 1, 2))
+    rho = np.where(seg == 0, t, np.where(seg == 1, m, 2.0 * m + HALF_PI - t))
+    if loop.variant == "alpha1":
+        theta = np.where(seg == 0, HALF_PI, np.where(seg == 1, m + HALF_PI - t, 0.0))
+    else:
+        theta = np.where(seg == 0, 0.0, np.where(seg == 1, t - m, HALF_PI))
+    return rho, theta, seg
+
+
+def reference_loop_points(loop, t):
+    rho, theta, _ = reference_loop_params(loop, t)
+    return np.stack(_phi_terms(rho, *_trig_vec(theta)), axis=-1)
+
+
+def reference_loop_tangents(loop, t):
+    rho, theta, seg = reference_loop_params(loop, t)
+    d_rho = np.stack(_phi_rho(rho, *_trig_vec(theta)), axis=-1)
+    safe_theta = np.clip(theta, 1e-300, HALF_PI * (1.0 - 1e-16))
+    d_theta = np.stack(_phi_theta(rho, *_trig_vec(safe_theta)), axis=-1)
+    theta_sign = -1.0 if loop.variant == "alpha1" else 1.0
+    return np.where(
+        (seg == 0)[..., None],
+        d_rho,
+        np.where((seg == 1)[..., None], theta_sign * d_theta, -d_rho),
+    )
+
+
+REFERENCE_SCALES = [
+    (1.0, 1.0),
+    (1.0, 2.0),
+    (0.5, 3.0),
+    (2.0, 2.5),
+    (1.0, 1000.0),
+    (1e-3, 1e3),
+    (1.0, 1e6),
+]
+
+
+def reference_cases():
+    for a, b in REFERENCE_SCALES:
+        for loop_variant, disc_variant in (("alpha1", "d1"), ("alpha2", "d2")):
+            tube = make_tube(a, b, disc_variant)
+            yield tube, BoundaryLoop(loop_variant, tube.m)
+
+
+def test_loop_segments_match_the_whole_grid_reference():
+    for _, loop in reference_cases():
+        grids = [np.linspace(0.0, loop.t_max, n) for n in (1000, 4096, 100_000)]
+        grids += [(np.arange(n) + 0.5) * (loop.t_max / n) for n in (1000, 4096, 100_000)]
+        # both junctions exactly: t = m closes the first leg, t = m + pi/2 the arc
+        m = loop.m
+        grids.append(np.array([0.0, m, m + math.pi / 2, loop.t_max]))
+        grids.append(np.array([np.nextafter(m, 0.0), m, np.nextafter(m, np.inf)]))
+        end = m + math.pi / 2
+        grids.append(np.array([np.nextafter(end, 0.0), end, np.nextafter(end, np.inf)]))
+        for t in grids:
+            got, want = _loop_points(loop, t), reference_loop_points(loop, t)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (loop, t.size)
+            got, want = _loop_tangents(loop, t), reference_loop_tangents(loop, t)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (loop, t.size)
+
+
+def test_transversality_reports_match_the_whole_grid_reference(monkeypatch):
+    cases = list(reference_cases())
+    reports = [transversality_scan(loop, tube, 100_000) for tube, loop in cases]
+    monkeypatch.setattr(topology, "_loop_points", reference_loop_points)
+    for (tube, loop), report in zip(cases, reports):
+        assert report == transversality_scan(loop, tube, 100_000), loop
+
+
+def test_loop_legs_stay_exact_beyond_the_squared_range():
+    # t * t overflows beyond about 1.34e154, and phi's rho^2 term at an
+    # edge angle is then inf * 0 = nan; the legs do not go through phi
+    assert eval_loop(BoundaryLoop("alpha2", 1e200), 1e200) == (1e200, 0.0, 0.0)
+    assert eval_loop(BoundaryLoop("alpha1", 1e200), 1e200) == (0.0, 0.0, 1e200)
+    loop = BoundaryLoop("alpha1", 1e200)
+    t = loop.t_max - 1e199
+    assert eval_loop(loop, t) == (loop.t_max - t, 0.0, 0.0)
+
+
+def test_linking_raises_once_the_arc_overflows():
+    # at B = 1.7e153 the tube and the legs are finite, but m^2 is not, so
+    # the arc at rho = m has no finite points; at B = 1e153 it still has.
+    # At both scales the arc's parameters round onto t = m, and the cubed
+    # distances of far pairs overflow to inf (their terms are ~1e-300).
+    with np.errstate(all="ignore"):
+        for variant, disc in (("alpha1", "d1"), ("alpha2", "d2")):
+            tube = make_tube(1.0, 1.7e153, disc)
+            with pytest.raises(DegenerateGeometryError, match="not finite"):
+                gauss_linking(BoundaryLoop(variant, tube.m), tube.disc, 256, 256)
+            tube = make_tube(1.0, 1e153, disc)
+            result = gauss_linking(BoundaryLoop(variant, tube.m), tube.disc, 256, 256)
+            assert abs(result.value - result.rounded) <= 0.01
