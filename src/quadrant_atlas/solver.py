@@ -7,7 +7,8 @@ candidates form one stream, tried in order:
 
 1. Surface roots. Multistart damped Newton on the surface objective
    F(rho, theta), the composition of the sum-of-squares projection with
-   the surface parameterization, over a fixed rho x theta seed lattice.
+   the surface parameterization, over one rho x theta seed lattice for
+   every target (theta evenly spaced on [DELTA_THETA, pi/2 - DELTA_THETA]).
    The seeds run as numpy lanes in lockstep, in row-major blocks of 16
    that double up to a cap of 2^13 // MAX_BACKTRACKS lanes; each round
    takes one Newton step in every live lane and tries all its step
@@ -107,8 +108,6 @@ class PreimageResult:
 
 def _rho_grid(m: float, n: int) -> list[float]:
     # 0 first, then log-spaced over four decades up to m
-    if n == 1:
-        return [0.0]
     out = [0.0]
     for i in range(1, n):
         frac = (i - 1) / (n - 2) if n > 2 else 1.0
@@ -116,20 +115,9 @@ def _rho_grid(m: float, n: int) -> list[float]:
     return out
 
 
-def _theta_grid(n: int, refine_edges: bool) -> list[float]:
+def _theta_grid(n: int) -> list[float]:
     lo, hi = DELTA_THETA, HALF_PI - DELTA_THETA
-    if n == 1:
-        return [(lo + hi) / 2.0]
-    base = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    if not refine_edges:
-        return base
-    # quadruple the density over the first and last eighth of the strip
-    edge = max(1, n // 8)
-    extra: list[float] = []
-    for i in list(range(edge)) + list(range(n - 1 - edge, n - 1)):
-        a, b = base[i], base[i + 1]
-        extra.extend(a + (b - a) * k / 4.0 for k in (1, 2, 3))
-    return sorted(set(base + extra))
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +215,7 @@ def _seed_lattice(q: PreimageQuery) -> tuple[np.ndarray, np.ndarray, float]:
     a theta array, and the rho bound m."""
     m = 4.0 * 2.0 * math.sqrt(q.a + q.b)  # constant rule at A^2 + B^2 = a + b
     rhos = np.array(_rho_grid(m, GRID_RHO))
-    thetas = np.array(_theta_grid(GRID_THETA, min(q.a, q.b) <= 1e-6))
+    thetas = np.array(_theta_grid(GRID_THETA))
     return np.repeat(rhos, thetas.size), np.tile(thetas, rhos.size), m
 
 

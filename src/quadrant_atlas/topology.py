@@ -17,12 +17,15 @@ certifies, up to sign, that the loop generates the fundamental group of the
 circle's complement. Against a fixed circle sample the integrand along a
 straight leg has the closed-form finite-wire antiderivative, so the legs
 are integrated exactly, once per circle sample. Only the arc goes through
-the midpoint double sum, which evaluates the numerator det(p1 - p2, t1,
-t2) by the triple-product identity (p1 x t1) . t2 - t1 . (t2 x p2), as
-matrix products over tiles sized by a fixed element count rather than a
-row count, so memory stays bounded for any segment count; squared
-distances are kept as explicit coordinate differences, which stay exact
-enough for the near-contact guard.
+the midpoint double sum. It is sampled in its own strip angle theta at
+rho = m, so its samples stay strictly inside the strip at any scale. The
+sum runs on both sample sets scaled by a power of two to unit size, and
+evaluates the numerator det(p1 - p2, t1, t2) by the triple-product
+identity (p1 x t1) . t2 - t1 . (t2 x p2), as matrix products over tiles
+sized by a fixed element count rather than a row count, so memory stays
+bounded for any segment count; squared distances are kept as explicit
+coordinate differences, which stay exact enough for the near-contact
+guard.
 """
 
 from __future__ import annotations
@@ -83,6 +86,12 @@ class TubeSpec:
                 f"tube constants overflow at a={self.disc.a}, b={self.disc.b}: "
                 f"m0={self.m0}, m={self.m}, epsilon={self.epsilon}"
             )
+
+
+# Each loop's orientation: the axis its first leg leaves the origin along
+# (x = 0, z = 2; the second leg returns along the other), and the sign of
+# d theta / dt on the arc (alpha1 runs down from pi/2, alpha2 up from 0).
+_ORIENTATION = {"alpha1": (2, -1.0), "alpha2": (0, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -172,13 +181,13 @@ def disc_boundary(spec: WarpedDiscSpec, s: float) -> Point3:
 def _loop_split(loop: BoundaryLoop, t: np.ndarray) -> tuple[int, int, tuple[int, int], np.ndarray]:
     """Split an ascending t where t <= m and t <= m + pi/2 stop holding:
     t[:i] is the first leg, t[i:j] the arc, t[j:] the second leg. Returns
-    i, j, the axes of the two legs and the strip angle on the arc, which
-    runs down from pi/2 for alpha1 and up from 0 for alpha2."""
+    i, j, the axes of the two legs and the strip angle on the arc."""
     m = loop.m
     i, j = np.searchsorted(t, [m, m + HALF_PI], side="right")
-    if loop.variant == "alpha1":
-        return i, j, (2, 0), m + HALF_PI - t[i:j]
-    return i, j, (0, 2), t[i:j] - m
+    first, theta_sign = _ORIENTATION[loop.variant]
+    arc = t[i:j]
+    theta = arc - m if theta_sign > 0.0 else m + HALF_PI - arc
+    return i, j, (first, 2 - first), theta
 
 
 def _loop_points(loop: BoundaryLoop, t: np.ndarray) -> np.ndarray:
@@ -194,30 +203,14 @@ def _loop_points(loop: BoundaryLoop, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _loop_tangents(loop: BoundaryLoop, t: np.ndarray) -> np.ndarray:
-    """dt-derivative of the loop at an ascending 1-D t, split as in
-    _loop_points: +1 along the first leg's axis, -1 along the second's (its
-    zeros are -0.0, the negated rho-derivative of phi), and on the arc the
-    theta-derivative of phi, signed by the direction theta runs."""
-    i, j, (first, second), theta = _loop_split(loop, t)
-    out = np.empty((len(t), 3))
-    out[:i] = np.eye(3)[first]
-    out[j:] = -np.eye(3)[second]
-    # clamp theta into the open strip, where the theta-derivative of phi2
-    # exists; only the arc's ends can reach the strip edges
-    theta = np.clip(theta, 1e-300, HALF_PI * (1.0 - 1e-16))
-    theta_sign = -1.0 if loop.variant == "alpha1" else 1.0
-    out[i:j] = theta_sign * np.stack(_phi_theta(loop.m, *_trig_vec(theta)), axis=-1)
-    return out
-
-
 def _loop_corners(loop: BoundaryLoop) -> np.ndarray:
     """p(0), p(m), p(m + pi/2) and p(t_max), from the formula: phi(rho, 0)
     = (rho, 0, 0) and phi(rho, pi/2) = (0, 0, rho), so the legs end exactly
     on the axes, where evaluating p at the rounded m + pi/2 would not."""
-    zero, x_end, z_end = [0.0, 0.0, 0.0], [loop.m, 0.0, 0.0], [0.0, 0.0, loop.m]
-    first, second = (z_end, x_end) if loop.variant == "alpha1" else (x_end, z_end)
-    return np.array([zero, first, second, zero])
+    first, _ = _ORIENTATION[loop.variant]
+    out = np.zeros((4, 3))
+    out[1, first] = out[2, 2 - first] = loop.m
+    return out
 
 
 def eval_loop(loop: BoundaryLoop, t: float) -> Point3:
@@ -301,6 +294,12 @@ def _pair_sum(
     """Unscaled sum of det(p1 - p2, t1, t2) / |p1 - p2|^3 over all sample
     pairs, and the least distance between the two sample sets.
 
+    Scaling points and tangents together leaves the integrand unchanged,
+    so the sum runs on both sets times 2^-e, e the binary exponent of their
+    largest |coordinate|: far pairs' cubed distances stay finite, and the
+    power of two changes no rounding that stays in the normal range. The
+    least distance is scaled back.
+
     With a = pts1 x tan1 and b = tan2 x pts2 formed once per call, a tile's
     numerators are two (rows x 3) @ (3 x cols) matrix products. The pair
     grid is cut into tiles of at most _TILE_ELEMENTS pairs, so the
@@ -309,6 +308,8 @@ def _pair_sum(
     is NaN when a tile sum is not finite.
     """
     n1, n2 = pts1.shape[0], pts2.shape[0]
+    e = math.frexp(max(float(np.max(np.abs(v))) for v in (pts1, tan1, pts2, tan2)))[1]
+    pts1, tan1, pts2, tan2 = (np.ldexp(v, -e) for v in (pts1, tan1, pts2, tan2))
     a = np.cross(pts1, tan1)
     # unit-stride copies: the tile loop below runs about 20% faster on them
     b_t = np.cross(tan2, pts2).T.copy()
@@ -342,7 +343,7 @@ def _pair_sum(
             sums.append(float(np.sum(numer)))
     total = math.fsum(sums) if all(math.isfinite(v) for v in sums) else math.nan
     # sqrt is monotone, so the root of the least square is the least distance
-    return total, math.sqrt(closest2)
+    return total, math.ldexp(math.sqrt(closest2), e)
 
 
 def _check_linking_geometry(closest: float, total: float) -> None:
@@ -431,10 +432,13 @@ def gauss_linking(
     The circle is sampled at circle_segments midpoints. The loop's two
     straight legs, p(0) -> p(m) and p(m + pi/2) -> p(t_max), with corners
     from _loop_corners, are integrated exactly against each circle sample
-    (_leg_integrals); the arc [m, m + pi/2] is sampled at
-    ceil(loop_segments * (pi/2) / t_max) midpoints, so its cells are no
-    wider than those of loop_segments cells over the whole loop, and goes
-    through the midpoint double sum. For the matched pairs (alpha1, d1) and
+    (_leg_integrals). The arc at rho = m is sampled in its own angle, at
+    the ceil(loop_segments * (pi/2) / t_max) midpoints theta_k = (k + 1/2)
+    h_arc of [0, pi/2], so its cells are no wider than those of
+    loop_segments cells over the whole loop; alpha1 runs them down, as
+    pi/2 - theta_k. Its points are phi(m, theta) and its tangents
+    +/-dphi/dtheta, signed by the way theta runs, and they go through the
+    midpoint double sum. For the matched pairs (alpha1, d1) and
     (alpha2, d2) the rounded value is +/-1, with signs pinned by
     ALPHA1_D1_SIGN and ALPHA2_D2_SIGN.
     """
@@ -446,11 +450,13 @@ def gauss_linking(
 
     arc_segments = math.ceil(loop_segments * HALF_PI / loop.t_max)
     h_arc = HALF_PI / arc_segments
-    t = m + (np.arange(arc_segments) + 0.5) * h_arc
-    arc_sum, closest = _pair_sum(_loop_points(loop, t), _loop_tangents(loop, t), pts2, tan2)
-    # phi1 on the arc has the term m^2 cos^5 sin, so once m^2 overflows the
-    # arc has no finite points, even where its parameters round onto t = m
-    total = arc_sum * h_arc if math.isfinite(m * m) else math.nan
+    _, theta_sign = _ORIENTATION[loop.variant]
+    theta = (np.arange(arc_segments) + 0.5) * h_arc
+    trig = _trig_vec(theta if theta_sign > 0.0 else HALF_PI - theta)
+    arc_pts = np.stack(_phi_terms(m, *trig), axis=-1)
+    arc_tan = theta_sign * np.stack(_phi_theta(m, *trig), axis=-1)
+    arc_sum, closest = _pair_sum(arc_pts, arc_tan, pts2, tan2)
+    total = arc_sum * h_arc
 
     corners = _loop_corners(loop)
     for p0, p1 in (corners[:2], corners[2:]):

@@ -118,8 +118,7 @@ def test_lift_never_sees_an_edge_angle():
     # clamp on every Newton iterate keep surface roots DELTA_THETA inside
     lo, hi = DELTA_THETA, HALF_PI - DELTA_THETA
     for n in (2, 3, 64, 65, 128):
-        for refine_edges in (False, True):
-            assert all(lo <= t <= hi for t in _theta_grid(n, refine_edges)), n
+        assert all(lo <= t <= hi for t in _theta_grid(n)), n
     q = PreimageQuery(*EDGE_TARGETS[0])
     rho, theta, m = _seed_lattice(q)
     _, _, theta1, _, _ = _newton_lanes(rho[::8], theta[::8], q.a, q.b, m, SolverConfig())

@@ -10,12 +10,21 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import quadrant_atlas.topology as topology
-from quadrant_atlas.maps import HALF_PI, _phi_rho, _phi_terms, _phi_theta, _trig_vec, eval_h
+from quadrant_atlas.maps import (
+    HALF_PI,
+    _phi_rho,
+    _phi_terms,
+    _phi_theta,
+    _trig_vec,
+    eval_h,
+    eval_phi,
+)
 from quadrant_atlas.topology import (
     ALPHA1_D1_SIGN,
     ALPHA2_D2_SIGN,
@@ -28,7 +37,7 @@ from quadrant_atlas.topology import (
     _linking_double_sum,
     _loop_corners,
     _loop_points,
-    _loop_tangents,
+    _pair_sum,
     disc_boundary,
     eval_loop,
     gauss_linking,
@@ -267,7 +276,7 @@ def test_linking_sum_matches_broadcast_reference():
             loop = BoundaryLoop(loop_variant, tube.m)
             h1 = loop.t_max / n
             t = (np.arange(n) + 0.5) * h1
-            args = (_loop_points(loop, t), _loop_tangents(loop, t), h1)
+            args = (_loop_points(loop, t), reference_loop_tangents(loop, t), h1)
             args += (*_circle_samples(tube.disc, n), 2.0 * math.pi / n)
             assert abs(_linking_double_sum(*args) - broadcast_double_sum(*args)) <= 1e-12
 
@@ -343,7 +352,7 @@ def test_linking_matches_the_whole_loop_midpoint_sum():
             t = (np.arange(n) + 0.5) * h1
             midpoint = _linking_double_sum(
                 _loop_points(loop, t),
-                _loop_tangents(loop, t),
+                reference_loop_tangents(loop, t),
                 h1,
                 *_circle_samples(tube.disc, n),
                 2.0 * math.pi / n,
@@ -391,10 +400,11 @@ def test_leg_corners_lie_exactly_on_the_axes(monkeypatch):
         assert abs(gauss_linking(loop, disc, 4096, 4096).value - value) <= 1e-8
 
 
-# Reference: the whole-grid loop geometry that _loop_points and
-# _loop_tangents replaced. It evaluates phi and both partials at every
-# parameter and selects the segment with np.where; the segment-by-segment
-# versions must reproduce it byte for byte, signed zeros included.
+# Reference: the whole-grid loop geometry that _loop_points replaced. It
+# evaluates phi and both partials at every parameter and selects the
+# segment with np.where; _loop_points must reproduce its points byte for
+# byte, signed zeros included, and the whole-loop midpoint sums take their
+# tangents from it.
 
 
 def reference_loop_params(loop, t):
@@ -457,8 +467,6 @@ def test_loop_segments_match_the_whole_grid_reference():
         for t in grids:
             got, want = _loop_points(loop, t), reference_loop_points(loop, t)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (loop, t.size)
-            got, want = _loop_tangents(loop, t), reference_loop_tangents(loop, t)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (loop, t.size)
 
 
 def test_transversality_reports_match_the_whole_grid_reference(monkeypatch):
@@ -482,8 +490,8 @@ def test_loop_legs_stay_exact_beyond_the_squared_range():
 def test_linking_raises_once_the_arc_overflows():
     # at B = 1.7e153 the tube and the legs are finite, but m^2 is not, so
     # the arc at rho = m has no finite points; at B = 1e153 it still has.
-    # At both scales the arc's parameters round onto t = m, and the cubed
-    # distances of far pairs overflow to inf (their terms are ~1e-300).
+    # At both scales the arc is one sample, at theta = pi/4, and the pair
+    # sum runs at unit scale, so only a non-finite arc point ends the sum.
     with np.errstate(all="ignore"):
         for variant, disc in (("alpha1", "d1"), ("alpha2", "d2")):
             tube = make_tube(1.0, 1.7e153, disc)
@@ -491,4 +499,64 @@ def test_linking_raises_once_the_arc_overflows():
                 gauss_linking(BoundaryLoop(variant, tube.m), tube.disc, 256, 256)
             tube = make_tube(1.0, 1e153, disc)
             result = gauss_linking(BoundaryLoop(variant, tube.m), tube.disc, 256, 256)
+            assert abs(result.value - result.rounded) <= 0.01
+
+
+MATCHED = (("alpha1", "d1", ALPHA1_D1_SIGN), ("alpha2", "d2", ALPHA2_D2_SIGN))
+
+
+def arc_inputs(monkeypatch, a, b, n):
+    """The arguments gauss_linking passes _pair_sum for the arc of each
+    matched pair at (a, b), n segments each way."""
+    seen = []
+
+    def recording_pair_sum(*args):
+        seen.append(tuple(v.copy() for v in args))
+        return _pair_sum(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(topology, "_pair_sum", recording_pair_sum)
+        for loop_variant, disc_variant, _ in MATCHED:
+            tube = make_tube(a, b, disc_variant)
+            gauss_linking(BoundaryLoop(loop_variant, tube.m), tube.disc, n, n)
+    return seen
+
+
+@pytest.mark.parametrize("b", [1e15, 1.2e15])
+def test_linking_arc_midpoint_stays_on_the_arc_at_large_scales(b, monkeypatch):
+    # the loop parameter m + pi/4 rounds to m + 1 (theta = 1) at B = 1e15,
+    # where ulp(m) = 1, and onto t = m, the leg corner, from m = 2^53 (B =
+    # 1.2e15). Sampled in its own angle, the one arc sample is phi(m, pi/4).
+    tube = make_tube(1.0, b, "d1")
+    assert math.ulp(tube.m) >= 1.0
+    arcs = arc_inputs(monkeypatch, 1.0, b, 4096)
+    for (pts, tan, _, _), (loop_variant, _, _) in zip(arcs, MATCHED):
+        assert pts.shape == tan.shape == (1, 3)
+        assert pts[0].tolist() == pytest.approx(eval_phi((tube.m, math.pi / 4)), rel=1e-15)
+        sign = -1.0 if loop_variant == "alpha1" else 1.0
+        d_theta = np.stack(_phi_theta(tube.m, *_trig_vec(np.array([math.pi / 4]))), axis=-1)
+        assert tan[0].tolist() == pytest.approx((sign * d_theta[0]).tolist(), rel=1e-15)
+
+
+def test_pair_sum_runs_at_unit_scale(monkeypatch):
+    # det(p1 - p2, t1, t2) / |p1 - p2|^3 does not change when points and
+    # tangents scale together; summed at unit scale, scaled inputs give the
+    # same total bit for bit, where at 2^400 the cubed distances overflow
+    for a, b in [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (2.0, 2.5)]:
+        for args in arc_inputs(monkeypatch, a, b, 4096):
+            total, closest = _pair_sum(*args)
+            for k in (-300, 300, 400):
+                scaled = _pair_sum(*(np.ldexp(v, k) for v in args))
+                assert scaled == (total, math.ldexp(closest, k)), (a, b, k)
+
+
+def test_linking_at_b_1e153_raises_no_warning():
+    # the arc point phi(m, pi/4) is near 1e307 here, and far pairs' cubed
+    # distances overflowed with a RuntimeWarning before the sum was scaled
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for loop_variant, disc_variant, sign in MATCHED:
+            tube = make_tube(1.0, 1e153, disc_variant)
+            result = gauss_linking(BoundaryLoop(loop_variant, tube.m), tube.disc, 256, 256)
+            assert result.rounded == sign
             assert abs(result.value - result.rounded) <= 0.01
