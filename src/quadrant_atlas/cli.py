@@ -303,12 +303,15 @@ def _run_certify(args) -> tuple[dict, dict, int, list[str]]:
     passed = trans1.ok and trans2.ok and link1_ok and link2_ok
 
     if args.dump_points is not None:
-        _dump_certify_points(
-            args.dump_points,
-            [("alpha1", loop1), ("alpha2", loop2)],
-            [("d1_boundary", tube1.disc), ("d2_boundary", tube2.disc)],
-            args.segments,
-        )
+        try:
+            _dump_certify_points(
+                args.dump_points,
+                [("alpha1", loop1), ("alpha2", loop2)],
+                [("d1_boundary", tube1.disc), ("d2_boundary", tube2.disc)],
+                args.segments,
+            )
+        except OSError as exc:
+            raise _UsageError(f"cannot write --dump-points file: {exc}")
 
     params = {
         "A": args.a,

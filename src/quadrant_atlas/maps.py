@@ -1,7 +1,7 @@
 """Closed-form maps behind the quadrant construction.
 
-Each formula has one body, shared by the scalar entry points here, the
-array sweeps in topology and sampler and the solver's lockstep lanes:
+Each formula has one body, shared by the array sweeps in topology and
+sampler, the solver's lockstep lanes and its scalar direct stage:
 
 * ``g`` embeds the closed quadrant into 3-space; ``h`` projects back to the
   plane by summing squares of adjacent coordinates, and the composition
@@ -9,50 +9,39 @@ array sweeps in topology and sampler and the solver's lockstep lanes:
 * ``phi`` parameterizes the image surface over the strip
   ``rho >= 0, 0 <= theta <= pi/2``; ``psi`` carries strip points back into
   the closed quadrant so that ``g(psi(p)) = phi(p)`` away from the edges.
-* ``xi1/xi2/zeta1/zeta2`` build and flatten the warped discs used by the
-  topological certificates; one numpy body serves them and topology.
-* ``objective_F = h . phi`` is the function whose roots the preimage
-  solver hunts; its Jacobian is the chain rule through ``h`` over the
-  analytic partials of ``phi``. The same chain rule over the partials of
-  ``g`` gives the Jacobian of the outer factor ``h . g``.
+* ``xi`` and ``zeta`` build and flatten the warped discs used by the
+  topological certificates.
+* ``F = h . phi`` is the function whose roots the preimage solver hunts;
+  its Jacobian is the chain rule through ``h`` over the analytic partials
+  of ``phi``. The same chain rule over the partials of ``g`` gives the
+  Jacobian of the outer factor ``h . g``.
 
-Angles are radians; ``pi`` is the platform double.
+Only g, h and psi have scalar entry points, the ones the solver calls on
+floats. Angles are radians; ``pi`` is the platform double.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 Point2 = tuple[float, float]
 Point3 = tuple[float, float, float]
-ParamPoint = tuple[float, float]
 
 HALF_PI = math.pi / 2.0
 
 
-class Jacobian2(NamedTuple):
-    """Partials of objective_F: rows are components, columns (rho, theta)."""
-
-    d1_drho: float
-    d1_dtheta: float
-    d2_drho: float
-    d2_dtheta: float
-
-
 # ---------------------------------------------------------------------------
 # Formula bodies. Each map is written once, with + - * / only, and runs
-# unchanged on floats (the scalar entry points below) and on numpy arrays
-# (topology, sampler and solver). Those four operations round identically
-# in both, so given the same cos, sin and roots the two paths agree bit for
-# bit; a test checks that numpy's cos, sin and sqrt match libm's where it
-# runs.
+# unchanged on floats (the scalar entry points below and the solver's
+# direct stage) and on numpy arrays (topology, sampler and solver). Those
+# four operations round identically in both, so given the same cos, sin
+# and roots the two paths agree bit for bit; a test checks that numpy's
+# cos, sin and sqrt match libm's where it runs.
 # Integer powers are explicit products: numpy's c**k and libm's pow round
-# differently. Callers supply cos, sin and the square roots, via _trig or
-# _trig_vec for the strip angle; only the scalar entry points check their
-# domain.
+# differently. Callers supply cos, sin and the square roots, via _trig_vec
+# for the strip angle; only the scalar entry points check their domain.
 
 
 def _g_terms(x, y, root_x):
@@ -145,21 +134,10 @@ def _zeta_terms(x, y, z, b, variant):
     return (x, y, z - xi) if variant == "d1" else (z, y, x - xi)
 
 
-def _trig(theta: float) -> tuple[float, float, float]:
-    """(cos, sin, sqrt(cos sin)) of a strip angle, collapsing exactly at the
-    edges, where cos(pi/2) is only ~6e-17 in doubles."""
-    if theta == 0.0:
-        return 1.0, 0.0, 0.0
-    if theta == HALF_PI:
-        return 0.0, 1.0, 0.0
-    c, s = math.cos(theta), math.sin(theta)
-    cs = c * s
-    # the clamp mirrors _trig_vec, whose angles may overshoot pi/2 by an ulp
-    return c, s, math.sqrt(cs) if cs > 0.0 else 0.0
-
-
 def _trig_vec(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_trig on an array of angles."""
+    """(cos, sin, sqrt(cos sin)) of an array of strip angles, collapsing
+    exactly at the edges, where cos(pi/2) is only ~6e-17 in doubles; the
+    clamp covers angles that overshoot pi/2 by an ulp."""
     at_zero = theta == 0.0
     at_half = theta == HALF_PI
     c = np.where(at_zero, 1.0, np.where(at_half, 0.0, np.cos(theta)))
@@ -188,7 +166,7 @@ def eval_h(p: Point3) -> Point2:
     return (x * x + y * y, y * y + z * z)
 
 
-def eval_psi(p: ParamPoint) -> Point2:
+def eval_psi(p: Point2) -> Point2:
     """psi(rho, theta) = (tan theta, (cos t + sin t + rho cos t sin t) cos^2 t / sin t).
 
     Defined for theta strictly between 0 and pi/2; both components are
@@ -199,74 +177,4 @@ def eval_psi(p: ParamPoint) -> Point2:
         raise ValueError(f"eval_psi needs rho >= 0, got {rho}")
     if not 0.0 < theta < HALF_PI:
         raise ValueError(f"eval_psi needs theta strictly inside (0, pi/2), got {theta}")
-    c, s, _ = _trig(theta)
-    return _psi_terms(rho, c, s)
-
-
-def eval_phi(p: ParamPoint) -> Point3:
-    """The surface parameterization on the closed strip:
-
-    phi1 = cs(c - s)^2 + rho(2c^4 s + c s^4 + c^5) + rho^2 c^5 s
-    phi2 = sqrt(cs) * (c + s + rho c s)
-    phi3 = rho s
-
-    with c = cos theta, s = sin theta. The edge values collapse exactly,
-    phi(t, 0) = (t, 0, 0) and phi(t, pi/2) = (0, 0, t), while t * t is
-    finite (t up to about 1.34e154); beyond, the rho^2 term is inf * 0 and
-    phi1 is NaN.
-    """
-    rho, theta = p
-    if rho < 0.0 or not 0.0 <= theta <= HALF_PI:
-        raise ValueError(f"parameter point out of the closed strip: {p}")
-    return _phi_terms(rho, *_trig(theta))
-
-
-def eval_xi1(x: float, y: float, b: float) -> float:
-    """Height of the first warped disc: sqrt(b^2 - min(y^2, b^2))."""
-    return float(_xi_terms(y, b))
-
-
-def eval_xi2(y: float, z: float, b: float) -> float:
-    """Height of the second warped disc; depends on its first argument y."""
-    return float(_xi_terms(y, b))
-
-
-def eval_zeta1(p: Point3, b: float) -> Point3:
-    """Flattening homeomorphism for the first disc: subtract the graph height."""
-    return tuple(map(float, _zeta_terms(*p, b, "d1")))
-
-
-def eval_zeta2(p: Point3, b: float) -> Point3:
-    """Flattening homeomorphism for the second disc.
-
-    Swaps x and z, then subtracts the height of the x-graph, which is a
-    function of the point's y-coordinate; points with x = xi2(y, z) land
-    on the flat disc { third coordinate 0 }.
-    """
-    return tuple(map(float, _zeta_terms(*p, b, "d2")))
-
-
-def eval_mu(theta: float) -> float:
-    """Edge gluing profile (4 theta / pi - 1)^2 on [0, pi/2]."""
-    if not 0.0 <= theta <= HALF_PI:
-        raise ValueError(f"eval_mu needs theta in [0, pi/2], got {theta}")
-    return _mu_terms(theta)
-
-
-def objective_F(p: ParamPoint) -> Point2:
-    """h(phi(p)) = (phi1^2 + phi2^2, phi2^2 + phi3^2), the solver target."""
-    return eval_h(eval_phi(p))
-
-
-def jacobian_F(p: ParamPoint) -> Jacobian2:
-    """Analytic Jacobian of objective_F on the open strip (_dF_terms).
-
-    The boundary angles are rejected: the theta-partial of phi2 is singular
-    there, and the solver has no business evaluating derivatives there.
-    """
-    rho, theta = p
-    if rho < 0.0:
-        raise ValueError(f"jacobian_F needs rho >= 0, got {rho}")
-    if not 0.0 < theta < HALF_PI:
-        raise ValueError(f"jacobian_F needs theta strictly inside (0, pi/2), got {theta}")
-    return Jacobian2(*_dF_terms(rho, *_trig(theta)))
+    return _psi_terms(rho, math.cos(theta), math.sin(theta))

@@ -242,12 +242,13 @@ def _surface_runs(q: PreimageQuery, cfg: SolverConfig, rho, theta, m: float):
 # Direct stage.
 
 
-def _direct_norms(
-    u: float, v: float, a: float, b: float, scale: float
-) -> tuple[float, float]:
-    f1, f2 = eval_h(eval_g((u, v)))
-    ra, rb = (f1 - a) / scale, (f2 - b) / scale
-    return max(abs(ra), abs(rb)), ra * ra + rb * rb
+def _direct_norms(u: float, v: float, a: float, b: float, scale: float):
+    """Scaled sup and squared 2-norms of the residual at (u, v), and the
+    values g(u, v) and h(g) they came from, which the next step reuses."""
+    g = eval_g((u, v))
+    f = eval_h(g)
+    ra, rb = (f[0] - a) / scale, (f[1] - b) / scale
+    return max(abs(ra), abs(rb)), ra * ra + rb * rb, g, f
 
 
 def _newton_direct(
@@ -263,15 +264,13 @@ def _newton_direct(
     # normal equations descend; convergence is judged on the sup norm.
     scale = max(q.a, q.b, 1.0)
     u, v = max(seed[0], 0.0), max(seed[1], 0.0)
-    r, m = _direct_norms(u, v, q.a, q.b, scale)
+    r, m, g, f = _direct_norms(u, v, q.a, q.b, scale)
     lam = -1.0
     for iters in range(1, MAX_NEWTON_ITERS + 1):
         if r <= cfg.residual_tol:
             return True, (u, v), r, iters - 1
-        g = eval_g((u, v))
-        f1, f2 = eval_h(g)
         d11, d12, d21, d22 = _h_chain(g, *_dg_terms(u, v, math.sqrt(u)))
-        ra, rb = f1 - q.a, f2 - q.b
+        ra, rb = f[0] - q.a, f[1] - q.b
         g1 = d11 * ra + d21 * rb
         g2 = d12 * ra + d22 * rb
         a11 = d11 * d11 + d21 * d21
@@ -292,9 +291,9 @@ def _newton_direct(
                 continue
             cu = max(u - ((a22 + lam) * g1 - a12 * g2) / det, 0.0)
             cv = max(v - ((a11 + lam) * g2 - a12 * g1) / det, 0.0)
-            rc, mc = _direct_norms(cu, cv, q.a, q.b, scale)
+            rc, mc, gc, fc = _direct_norms(cu, cv, q.a, q.b, scale)
             if mc < m:
-                u, v, r, m = cu, cv, rc, mc
+                u, v, r, m, g, f = cu, cv, rc, mc, gc, fc
                 # floor keeps det safely positive in floating point
                 lam = max(lam * 0.25, 1e-14 * trace)
                 accepted = True

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import HALF_PI, Point3, _phi_terms, _phi_theta, _trig_vec, _zeta_terms
+from .maps import HALF_PI, _phi_terms, _phi_theta, _trig_vec, _zeta_terms
 
 # Orientation regression constants: the loop and circle orientations below
 # are fixed by their parameterizations, and these are the observed signs of
@@ -85,6 +85,11 @@ class TubeSpec:
             raise ValueError(
                 f"tube constants overflow at a={self.disc.a}, b={self.disc.b}: "
                 f"m0={self.m0}, m={self.m}, epsilon={self.epsilon}"
+            )
+        if not (self.epsilon > 0.0 and self.m0 > 0.0):
+            raise ValueError(
+                f"tube constants underflow at a={self.disc.a}, b={self.disc.b}: "
+                f"m0={self.m0}, epsilon={self.epsilon}"
             )
 
 
@@ -150,11 +155,15 @@ def make_tube(a: float, b: float, variant: str) -> TubeSpec:
 
 
 # ---------------------------------------------------------------------------
-# Curves on arrays of parameters; the scalar entry points wrap one element.
+# Curves on arrays of parameters.
 
 
 def _circle(spec: WarpedDiscSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Disc boundary points at angles s and their s-derivatives."""
+    """Disc boundary points at angles s and their s-derivatives.
+
+    d1: (a cos s, a sin s, sqrt(b^2 - a^2 sin^2 s)), which lies on both
+    quadrics x^2+y^2 = a^2 and y^2+z^2 = b^2; d2 swaps x and z.
+    """
     a, b = spec.a, spec.b
     c, sn = np.cos(s), np.sin(s)
     w = np.sqrt(np.maximum(b * b - a * a * sn * sn, 0.0))
@@ -166,16 +175,6 @@ def _circle(spec: WarpedDiscSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray
         pts = np.stack([w, a * sn, a * c], axis=-1)
         tan = np.stack([dw, a * c, -a * sn], axis=-1)
     return pts, tan
-
-
-def disc_boundary(spec: WarpedDiscSpec, s: float) -> Point3:
-    """Point of the disc boundary at angle s.
-
-    d1: (a cos s, a sin s, sqrt(b^2 - a^2 sin^2 s)), which lies on both
-    quadrics x^2+y^2 = a^2 and y^2+z^2 = b^2; d2 swaps x and z.
-    """
-    x, y, z = _circle(spec, np.asarray([s], dtype=float))[0][0].tolist()
-    return (x, y, z)
 
 
 def _loop_split(loop: BoundaryLoop, t: np.ndarray) -> tuple[int, int, tuple[int, int], np.ndarray]:
@@ -213,24 +212,16 @@ def _loop_corners(loop: BoundaryLoop) -> np.ndarray:
     return out
 
 
-def eval_loop(loop: BoundaryLoop, t: float) -> Point3:
-    """Scalar loop point; domain is [0, 2m + pi/2]."""
-    if not 0.0 <= t <= loop.t_max:
-        raise ValueError(f"loop parameter {t} outside [0, {loop.t_max}]")
-    p = _loop_points(loop, np.asarray([t], dtype=float))[0]
-    return (float(p[0]), float(p[1]), float(p[2]))
-
-
 # ---------------------------------------------------------------------------
 # Tube membership and the transversality certificate.
 
 
-def tube_membership(p: Point3, tube: TubeSpec) -> bool:
-    """True iff the flattened point lies in the open cylinder
-    {q1^2 + q2^2 < (a + epsilon)^2, |q3| < epsilon}."""
-    q1, q2, q3 = _zeta_terms(*np.asarray(p, dtype=float), tube.disc.b, tube.disc.variant)
-    a, eps = tube.disc.a, tube.epsilon
-    return bool(q1**2 + q2**2 < (a + eps) ** 2 and abs(q3) < eps)
+def _in_tube(points: np.ndarray, tube: TubeSpec) -> tuple[tuple, np.ndarray]:
+    """Flattened coordinates (q1, q2, q3) of n x 3 points and the mask of
+    those in the open cylinder {q1^2 + q2^2 < (a + epsilon)^2, |q3| < epsilon}."""
+    q1, q2, q3 = _zeta_terms(*points.T, tube.disc.b, tube.disc.variant)
+    eps = tube.epsilon
+    return (q1, q2, q3), (q1 * q1 + q2 * q2 < (tube.disc.a + eps) ** 2) & (np.abs(q3) < eps)
 
 
 def transversality_scan(loop: BoundaryLoop, tube: TubeSpec, grid: int) -> TransversalityReport:
@@ -245,8 +236,7 @@ def transversality_scan(loop: BoundaryLoop, tube: TubeSpec, grid: int) -> Transv
     b, eps = tube.disc.b, tube.epsilon
     t = np.linspace(0.0, loop.t_max, grid)
     step = loop.t_max / (grid - 1)
-    q1, q2, q3 = _zeta_terms(*_loop_points(loop, t).T, b, tube.disc.variant)
-    member = (q1 * q1 + q2 * q2 < (tube.disc.a + eps) ** 2) & (np.abs(q3) < eps)
+    (q1, q2, q3), member = _in_tube(_loop_points(loop, t), tube)
 
     flags = member.astype(np.int8)
     starts = list(np.flatnonzero(np.diff(flags) == 1) + 1)

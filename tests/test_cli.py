@@ -169,6 +169,31 @@ def test_certify_dump_points_writes_all_four_curves(tmp_path, capsys):
             assert abs(x * x + y * y - 4.0) < 1e-12
 
 
+def test_certify_unwritable_dump_points_exits_2(tmp_path, capsys):
+    # the run has done all its work by the time it writes the file; a path
+    # it cannot open is a usage error, not a failed check
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run_cli(
+            ["certify", "--A", "1", "--B", "2", "--segments", "256", "--grid", "1000",
+             "--dump-points", str(target), "--format", "json"],
+            capsys,
+        )
+        assert code == 2, target
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def test_certify_rejects_underflowing_scales(capsys):
+    # a*a + b*b underflows to 0 here, so m0 = 0 and epsilon < 0
+    for scale in ("1e-200", "1e-170"):
+        code, out, err = run_cli(["certify", "--A", scale, "--B", scale], capsys)
+        assert code == 2, scale
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
 def test_sample_json_shape_and_exact_grid_contribution(capsys):
     code, doc = run_json(
         ["sample", "--count", "2000", "--seed", "42", "--format", "json"], capsys

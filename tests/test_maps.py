@@ -1,7 +1,10 @@
 """Tests for the closed-form surface and parameter maps.
 
-Frozen values come from direct hand substitution; the Jacobian is checked
-against a central finite-difference oracle computed here in the test.
+The formula bodies are checked as the program runs them: phi and its
+partials on numpy arrays with angles through _trig_vec, g, h and psi
+through their scalar entry points. Frozen values come from direct hand
+substitution; the Jacobian is checked against a central finite-difference
+oracle computed here in the test.
 """
 
 from __future__ import annotations
@@ -9,23 +12,32 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from quadrant_atlas.maps import (
     HALF_PI,
+    _dF_terms,
+    _mu_terms,
+    _phi_terms,
+    _trig_vec,
+    _xi_terms,
+    _zeta_terms,
     eval_g,
     eval_h,
-    eval_mu,
-    eval_phi,
     eval_psi,
-    eval_xi1,
-    eval_xi2,
-    eval_zeta1,
-    eval_zeta2,
-    jacobian_F,
-    objective_F,
 )
 from quadrant_atlas.polynomial import build_f2, build_theorem_map, evaluate_float
+
+
+def phi(rho, theta):
+    """phi at strip points, rho and theta floats or arrays."""
+    return _phi_terms(rho, *_trig_vec(np.asarray(theta, dtype=float)))
+
+
+def objective(rho, theta):
+    """The surface objective F = h . phi."""
+    return eval_h(phi(rho, theta))
 
 
 def test_g_frozen_points():
@@ -76,44 +88,40 @@ def test_psi_rejects_boundary_angles():
 
 
 def test_phi_edge_collapse_is_exact():
-    for i in range(101):
-        t = i
-        assert eval_phi((t, HALF_PI)) == (0.0, 0.0, float(t))
-        assert eval_phi((t, 0.0)) == (float(t), 0.0, 0.0)
+    t = np.arange(101.0)
+    for theta, axis in ((HALF_PI, 2), (0.0, 0)):
+        want = np.zeros((t.size, 3))
+        want[:, axis] = t
+        assert np.array_equal(np.stack(phi(t, np.full(t.size, theta)), axis=-1), want)
 
 
 def test_phi_center_of_glued_edge():
-    p = eval_phi((0.0, math.pi / 4))
+    p = phi(0.0, math.pi / 4)
     assert abs(p[0]) <= 1e-12
     assert abs(p[1] - 1.0) <= 1e-12
     assert abs(p[2]) <= 1e-12
 
 
 def test_phi_zero_rho_symmetry():
-    for i in range(1001):
-        theta = HALF_PI if i == 1000 else HALF_PI * i / 1000
-        a = eval_phi((0.0, theta))
-        b = eval_phi((0.0, HALF_PI - theta))
-        assert max(abs(a[k] - b[k]) for k in range(3)) <= 1e-12
+    theta = np.array([HALF_PI if i == 1000 else HALF_PI * i / 1000 for i in range(1001)])
+    a = np.stack(phi(0.0, theta), axis=-1)
+    b = np.stack(phi(0.0, HALF_PI - theta), axis=-1)
+    assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_phi_lower_bound_on_first_and_third():
     rng = random.Random(3)
-    for _ in range(10_000):
-        rho = 100.0 * rng.random()
-        theta = HALF_PI * rng.random()
-        p1, _, p3 = eval_phi((rho, theta))
-        assert p1 * p1 + p3 * p3 >= rho * rho / 4.0 - 1e-12 * max(1.0, rho * rho)
+    rho, theta = np.array([(100.0 * rng.random(), HALF_PI * rng.random()) for _ in range(10_000)]).T
+    p1, _, p3 = phi(rho, theta)
+    assert np.all(p1 * p1 + p3 * p3 >= rho * rho / 4.0 - 1e-12 * np.maximum(1.0, rho * rho))
 
 
 def test_g_after_psi_equals_phi():
     rng = random.Random(17)
-    for _ in range(10_000):
-        rho = 10.0 * rng.random()
-        theta = 0.01 + (HALF_PI - 0.02) * rng.random()
-        lhs = eval_g(eval_psi((rho, theta)))
-        rhs = eval_phi((rho, theta))
-        for a, b in zip(lhs, rhs):
+    points = [(10.0 * rng.random(), 0.01 + (HALF_PI - 0.02) * rng.random()) for _ in range(10_000)]
+    rhs = np.stack(phi(*np.array(points).T), axis=-1).tolist()
+    for p, want in zip(points, rhs):
+        for a, b in zip(eval_g(eval_psi(p)), want):
             assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
 
 
@@ -133,115 +141,78 @@ def test_f2_equals_h_after_g():
 
 
 def test_xi_frozen_values():
-    assert eval_xi1(123.0, 0.0, 2.0) == 2.0
-    assert eval_xi1(0.0, 2.5, 2.0) == 0.0
-    assert eval_xi1(0.0, -2.0, 2.0) == 0.0
-    assert abs(eval_xi1(0.7, 1.0, 2.0) - math.sqrt(3.0)) <= 1e-15
-    assert abs(eval_xi2(1.0, 0.7, 2.0) - math.sqrt(3.0)) <= 1e-15
+    # the height is a function of y alone
+    assert _xi_terms(0.0, 2.0) == 2.0
+    assert _xi_terms(2.5, 2.0) == 0.0
+    assert _xi_terms(-2.0, 2.0) == 0.0
+    assert abs(_xi_terms(1.0, 2.0) - math.sqrt(3.0)) <= 1e-15
 
 
 def test_zeta_frozen_and_flattening():
     b = 2.0
-    assert eval_zeta1((0.0, 0.0, 5.0), b) == (0.0, 0.0, 3.0)
-    assert eval_zeta2((5.0, 0.0, 0.0), b) == (0.0, 0.0, 3.0)
+    assert _zeta_terms(0.0, 0.0, 5.0, b, "d1") == (0.0, 0.0, 3.0)
+    assert _zeta_terms(5.0, 0.0, 0.0, b, "d2") == (0.0, 0.0, 3.0)
     rng = random.Random(23)
-    for _ in range(1000):
-        # a random point of each warped graph must land on the flat disc
-        x = 2.0 * rng.random() - 1.0
-        y = 2.0 * rng.random() - 1.0
-        q = eval_zeta1((x, y, eval_xi1(x, y, b)), b)
-        assert q[2] == 0.0 and q[0] == x and q[1] == y
-        z = 2.0 * rng.random() - 1.0
-        q = eval_zeta2((eval_xi2(y, z, b), y, z), b)
-        assert q[2] == 0.0 and q[0] == z and q[1] == y
+    # a random point of each warped graph must land on the flat disc
+    x, y, z = np.array([[2.0 * rng.random() - 1.0 for _ in range(3)] for _ in range(1000)]).T
+    q = _zeta_terms(x, y, _xi_terms(y, b), b, "d1")
+    assert np.all(q[2] == 0.0) and np.array_equal(q[0], x) and np.array_equal(q[1], y)
+    q = _zeta_terms(_xi_terms(y, b), y, z, b, "d2")
+    assert np.all(q[2] == 0.0) and np.array_equal(q[0], z) and np.array_equal(q[1], y)
 
 
 def test_mu_values_and_symmetry():
-    assert eval_mu(math.pi / 4) == 0.0
-    assert eval_mu(0.0) == 1.0
-    assert eval_mu(HALF_PI) == 1.0
-    for i in range(100):
-        theta = HALF_PI if i == 99 else HALF_PI * i / 99
-        assert abs(eval_mu(theta) - eval_mu(HALF_PI - theta)) <= 1e-15
-
-
-def test_mu_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        eval_mu(-0.1)
-    with pytest.raises(ValueError):
-        eval_mu(HALF_PI + 0.1)
+    assert _mu_terms(math.pi / 4) == 0.0
+    assert _mu_terms(0.0) == 1.0
+    assert _mu_terms(HALF_PI) == 1.0
+    theta = np.array([HALF_PI if i == 99 else HALF_PI * i / 99 for i in range(100)])
+    assert np.max(np.abs(_mu_terms(theta) - _mu_terms(HALF_PI - theta))) <= 1e-15
 
 
 def test_objective_frozen_points():
-    fa, fb = objective_F((0.0, math.pi / 4))
+    fa, fb = objective(0.0, math.pi / 4)
     assert abs(fa - 1.0) <= 1e-12 and abs(fb - 1.0) <= 1e-12
     for t in (0.0, 1.5, 7.0):
-        assert objective_F((t, HALF_PI)) == (0.0, t * t)
+        assert objective(t, HALF_PI) == (0.0, t * t)
 
 
 def test_jacobian_matches_central_differences():
     rng = random.Random(71)
     h = 1e-6
-    worst = 0.0
-    for _ in range(1000):
-        rho = 0.1 + 2.9 * rng.random()
-        theta = 0.05 + (HALF_PI - 0.1) * rng.random()
-        jac = jacobian_F((rho, theta))
-        fpr = objective_F((rho + h, theta))
-        fmr = objective_F((rho - h, theta))
-        fpt = objective_F((rho, theta + h))
-        fmt = objective_F((rho, theta - h))
-        num = (
-            (fpr[0] - fmr[0]) / (2 * h),
-            (fpt[0] - fmt[0]) / (2 * h),
-            (fpr[1] - fmr[1]) / (2 * h),
-            (fpt[1] - fmt[1]) / (2 * h),
-        )
-        worst = max(worst, max(abs(a - b) for a, b in zip(jac, num)))
+    samples = [(0.1 + 2.9 * rng.random(), 0.05 + (HALF_PI - 0.1) * rng.random()) for _ in range(1000)]
+    rho, theta = np.array(samples).T
+    jac = _dF_terms(rho, *_trig_vec(theta))
+    fpr = objective(rho + h, theta)
+    fmr = objective(rho - h, theta)
+    fpt = objective(rho, theta + h)
+    fmt = objective(rho, theta - h)
+    num = (
+        (fpr[0] - fmr[0]) / (2 * h),
+        (fpt[0] - fmt[0]) / (2 * h),
+        (fpr[1] - fmr[1]) / (2 * h),
+        (fpt[1] - fmt[1]) / (2 * h),
+    )
+    worst = max(float(np.max(np.abs(a - b))) for a, b in zip(jac, num))
     assert worst <= 1e-5
 
 
-def test_jacobian_rejects_boundary_angles():
-    for theta in (0.0, HALF_PI):
-        with pytest.raises(ValueError):
-            jacobian_F((1.0, theta))
-
-
 def test_scalar_and_array_kernels_agree_bit_for_bit():
-    # one body per formula: the float path and the array path must round
-    # identically, edges included
-    import numpy as np
-
-    from quadrant_atlas.maps import (
-        _g_terms,
-        _phi_rho,
-        _phi_terms,
-        _phi_theta,
-        _psi_terms,
-        _trig,
-        _trig_vec,
-    )
+    # one body per formula: the scalar entry points the solver calls on
+    # floats and the array sweeps must round identically
+    from quadrant_atlas.maps import _g_terms, _psi_terms
 
     rng = random.Random(91)
     n = 10_000
     rho = [100.0 * rng.random() for _ in range(n)]
-    theta = [HALF_PI * rng.random() for _ in range(n - 200)] + [0.0, HALF_PI] * 100
-    arrays = (np.array(rho), np.array(theta))
-    trig = _trig_vec(arrays[1])
-    got_phi = np.stack(_phi_terms(arrays[0], *trig), axis=-1).tolist()
-    got_rho = np.stack(_phi_rho(arrays[0], *trig), axis=-1).tolist()
-    for k in range(n):
-        assert tuple(got_phi[k]) == eval_phi((rho[k], theta[k])), k
-        assert tuple(got_rho[k]) == _phi_rho(rho[k], *_trig(theta[k])), k
+    # the next n - 200 draws of this stream are not used here
+    for _ in range(n - 200):
+        rng.random()
 
     inner = np.array([0.01 + (HALF_PI - 0.02) * rng.random() for _ in range(n)])
     trig = _trig_vec(inner)
-    got_theta = np.stack(_phi_theta(arrays[0], *trig), axis=-1).tolist()
-    got_psi = np.stack(_psi_terms(arrays[0], trig[0], trig[1]), axis=-1).tolist()
+    got_psi = np.stack(_psi_terms(np.array(rho), trig[0], trig[1]), axis=-1).tolist()
     for k in range(n):
-        point = (rho[k], float(inner[k]))
-        assert tuple(got_theta[k]) == _phi_theta(rho[k], *_trig(point[1])), k
-        assert tuple(got_psi[k]) == eval_psi(point), k
+        assert tuple(got_psi[k]) == eval_psi((rho[k], float(inner[k]))), k
 
     x = np.array([20.0 * rng.random() for _ in range(n)])
     y = np.array([40.0 * rng.random() - 20.0 for _ in range(n)])

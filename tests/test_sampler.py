@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import quadrant_atlas.sampler as sampler
-from quadrant_atlas.maps import HALF_PI, eval_mu, eval_phi
+from quadrant_atlas.maps import HALF_PI, _mu_terms, _phi_terms, _trig_vec
 from quadrant_atlas.polynomial import build_theorem_map, evaluate_exact, evaluate_float
 from quadrant_atlas.sampler import (
     CHUNK_SAMPLES,
@@ -33,6 +33,11 @@ _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _C1 = 0xBF58476D1CE4E5B9
 _C2 = 0x94D049BB133111EB
+
+
+def phi(rho: float, theta: float) -> tuple[float, float, float]:
+    """phi at one strip point, through the array body the sweeps run."""
+    return tuple(float(v) for v in _phi_terms(rho, *_trig_vec(np.array(theta))))
 
 
 def ref_mix(z: int) -> int:
@@ -197,7 +202,7 @@ def test_phi_bound_margin_definition_spot_check():
     # reference margin at one reproducible sample
     rho = ref_pair(3, 0)[0] * 100.0
     theta = ref_pair(3, 0)[1] * HALF_PI
-    p1, _, p3 = eval_phi((rho, theta))
+    p1, _, p3 = phi(rho, theta)
     margin = p1 * p1 + p3 * p3 - rho * rho / 4.0
     report = check_phi_bound(SamplerConfig(count=1, seed=3))
     assert report.min_component_1 == margin
@@ -213,9 +218,9 @@ def test_mu_gluing_grid_1001():
 
 
 def test_mu_gluing_symmetry_is_exact_at_quarter_pi():
-    assert eval_mu(HALF_PI / 2.0) == 0.0
-    left = eval_phi((0.0, HALF_PI / 2.0))
-    assert left == eval_phi((0.0, HALF_PI - HALF_PI / 2.0))
+    assert _mu_terms(HALF_PI / 2.0) == 0.0
+    left = phi(0.0, HALF_PI / 2.0)
+    assert left == phi(0.0, HALF_PI - HALF_PI / 2.0)
 
 
 def test_mu_gluing_rejects_degenerate_grid():
@@ -252,14 +257,14 @@ def _oracle_f2(u, v):
 def _oracle_g_psi(rho, theta):
     from quadrant_atlas.maps import eval_g, eval_psi
 
-    rhs = eval_phi((rho, theta))
+    rhs = phi(rho, theta)
     lhs = eval_g(eval_psi((rho, theta)))
     err = max(abs(l - r) / max(1.0, abs(r)) for l, r in zip(lhs, rhs))
     return (rho, theta), rhs[0], rhs[1], err, err <= 1e-10
 
 
 def _oracle_phi_bound(rho, theta):
-    p1, _, p3 = eval_phi((rho, theta))
+    p1, _, p3 = phi(rho, theta)
     margin = p1 * p1 + p3 * p3 - rho * rho / 4.0
     scale = max(1.0, rho * rho)
     return (rho, theta), margin, margin / scale, 0.0, margin >= -1e-12 * scale

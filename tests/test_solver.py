@@ -13,9 +13,10 @@ import random
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
-from quadrant_atlas.maps import HALF_PI, eval_psi, jacobian_F, objective_F
+from quadrant_atlas.maps import HALF_PI, _dF_terms, _phi_terms, eval_h, eval_psi
 from quadrant_atlas.polynomial import build_f2, build_theorem_map, evaluate_float
 import quadrant_atlas.solver as solver
 from quadrant_atlas.solver import (
@@ -31,7 +32,7 @@ from quadrant_atlas.solver import (
     _surface_runs,
     _theta_grid,
 )
-from quadrant_atlas.topology import BoundaryLoop, TubeSpec, make_tube, tube_membership
+from quadrant_atlas.topology import TubeSpec, _in_tube, make_tube
 
 F_MAP = build_theorem_map()
 F2_MAP = build_f2()
@@ -54,6 +55,17 @@ def surface_runs(q: PreimageQuery) -> list:
 def first_surface_root(q: PreimageQuery):
     """The root the surface stage hands on first: its first converged lane."""
     return next(p for ok, p, _, _ in _surface_runs(q, SolverConfig(), *_seed_lattice(q)) if ok)
+
+
+def trig(theta: float) -> tuple[float, float, float]:
+    """(cos, sin, sqrt(cos sin)) of an angle inside the open strip, in math."""
+    c, s = math.cos(theta), math.sin(theta)
+    return c, s, math.sqrt(c * s)
+
+
+def objective(p) -> tuple[float, float]:
+    """The surface objective F = h . phi at one strip point, on floats."""
+    return eval_h(_phi_terms(p[0], *trig(p[1])))
 
 
 def forward_residual(x: float, y: float, a: float, b: float) -> float:
@@ -83,7 +95,7 @@ def test_config_rejects_nonsense():
 
 def test_solve_surface_unit_target():
     rho, theta = first_surface_root(PreimageQuery(1.0, 1.0))
-    fa, fb = objective_F((rho, theta))
+    fa, fb = objective((rho, theta))
     assert max(abs(fa - 1.0), abs(fb - 1.0)) <= 1e-9
 
 
@@ -91,7 +103,7 @@ def test_solve_surface_assorted_targets():
     for a, b in [(241.0, 52.0), (0.001, 1000.0), (7.0, 0.3)]:
         rho, theta = first_surface_root(PreimageQuery(a, b))
         assert rho >= 0.0 and 0.0 < theta < HALF_PI
-        fa, fb = objective_F((rho, theta))
+        fa, fb = objective((rho, theta))
         assert max(abs(fa - a), abs(fb - b)) <= 1e-9 * max(a, b, 1.0)
 
 
@@ -134,7 +146,7 @@ def test_lift_intertwines_the_two_objectives():
         u, v = eval_psi(p)
         fa = evaluate_float(F2_MAP.component1, u, v)
         fb = evaluate_float(F2_MAP.component2, u, v)
-        ga, gb = objective_F(p)
+        ga, gb = objective(p)
         assert abs(fa - ga) <= 1e-9 * max(1.0, abs(ga))
         assert abs(fb - gb) <= 1e-9 * max(1.0, abs(gb))
 
@@ -211,8 +223,6 @@ def test_surface_root_lands_inside_the_shrunk_tube():
     # the crossing the transversality certificate promises is realized by
     # the solver root: its surface point sits well inside the tube even
     # after shrinking the cylinder margin tenfold
-    from quadrant_atlas.maps import eval_phi
-
     for a_r, b_r in [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (2.0, 2.5)]:
         for variant, target in (("d1", (a_r**2, b_r**2)), ("d2", (b_r**2, a_r**2))):
             tube = make_tube(a_r, b_r, variant)
@@ -220,8 +230,8 @@ def test_surface_root_lands_inside_the_shrunk_tube():
                 disc=tube.disc, epsilon=tube.epsilon / 10.0, m0=tube.m0, m=tube.m
             )
             root = first_surface_root(PreimageQuery(*target))
-            p = eval_phi(root)
-            assert tube_membership(p, shrunk), (a_r, b_r, variant, root, p)
+            p = _phi_terms(root[0], *trig(root[1]))
+            assert _in_tube(np.array([p]), shrunk)[1][0], (a_r, b_r, variant, root, p)
 
 
 def test_query_and_config_reject_non_finite_values():
@@ -240,11 +250,12 @@ EDGE_TARGETS = [(1.0, 2.225531455441776e-07), (4.308878459422807e-08, 0.01)]
 
 
 def _scalar_newton_surface(seed, a, b, m):
-    """The one-seed damped Newton loop the lockstep lanes must reproduce."""
+    """The one-seed damped Newton loop the lockstep lanes must reproduce,
+    on floats with math's cos, sin and sqrt."""
     scale, tol = max(a, b, 1.0), SolverConfig().residual_tol
 
     def residual(p):
-        fa, fb = objective_F(p)
+        fa, fb = objective(p)
         return max(abs(fa - a), abs(fb - b)) / scale
 
     p = seed
@@ -252,14 +263,14 @@ def _scalar_newton_surface(seed, a, b, m):
     for iters in range(1, solver.MAX_NEWTON_ITERS + 1):
         if r <= tol:
             return True, p, r, iters - 1
-        jac = jacobian_F(p)
-        det = jac.d1_drho * jac.d2_dtheta - jac.d1_dtheta * jac.d2_drho
+        d1_drho, d1_dtheta, d2_drho, d2_dtheta = _dF_terms(p[0], *trig(p[1]))
+        det = d1_drho * d2_dtheta - d1_dtheta * d2_drho
         if det == 0.0 or not math.isfinite(det):
             return False, p, r, iters - 1
-        fa, fb = objective_F(p)
+        fa, fb = objective(p)
         ra, rb = fa - a, fb - b
-        step_rho = (jac.d2_dtheta * ra - jac.d1_dtheta * rb) / det
-        step_theta = (-jac.d2_drho * ra + jac.d1_drho * rb) / det
+        step_rho = (d2_dtheta * ra - d1_dtheta * rb) / det
+        step_theta = (-d2_drho * ra + d1_drho * rb) / det
         tau = 1.0
         for _ in range(solver.MAX_BACKTRACKS):
             cand = (
@@ -387,8 +398,8 @@ def test_preimage_raises_no_runtime_warning():
 
 def test_edge_target_preimage_memory_is_bounded():
     # the seed blocks are capped at 2^13 lanes x backtracks elements, which
-    # keeps the peak near 1.3 MB; blocks left to double through the
-    # 7168-seed edge lattice peak near 13 MB
+    # keeps the peak near 1.2 MB; blocks left to double through the
+    # 4096-seed lattice peak near 10 MB
     tracemalloc.start()
     try:
         with pytest.raises(SolverFailure):

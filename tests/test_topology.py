@@ -23,7 +23,6 @@ from quadrant_atlas.maps import (
     _phi_theta,
     _trig_vec,
     eval_h,
-    eval_phi,
 )
 from quadrant_atlas.topology import (
     ALPHA1_D1_SIGN,
@@ -32,19 +31,28 @@ from quadrant_atlas.topology import (
     DegenerateGeometryError,
     LinkingResult,
     WarpedDiscSpec,
+    _circle,
     _circle_samples,
+    _in_tube,
     _leg_integrals,
     _linking_double_sum,
     _loop_corners,
     _loop_points,
     _pair_sum,
-    disc_boundary,
-    eval_loop,
     gauss_linking,
     make_tube,
     transversality_scan,
-    tube_membership,
 )
+
+
+def loop_at(loop, t):
+    """Loop points at an ascending list of parameters, as triples."""
+    return [tuple(p) for p in _loop_points(loop, np.asarray(t, dtype=float)).tolist()]
+
+
+def inside(points, tube):
+    """Which of the n x 3 points lie in the tube's open cylinder."""
+    return _in_tube(np.asarray(points, dtype=float), tube)[1]
 
 
 def test_make_tube_frozen_constants():
@@ -76,8 +84,9 @@ def test_make_tube_rejects_bad_radii():
 
 def test_disc_boundary_frozen_points():
     d1 = WarpedDiscSpec("d1", 1.0, 2.0)
-    assert disc_boundary(d1, 0.0) == (1.0, 0.0, 2.0)
-    p = disc_boundary(d1, math.pi / 2)
+    pts = _circle(d1, np.array([0.0, math.pi / 2]))[0].tolist()
+    assert tuple(pts[0]) == (1.0, 0.0, 2.0)
+    p = pts[1]
     assert abs(p[0]) <= 1e-15 and abs(p[1] - 1.0) <= 1e-15
     assert abs(p[2] - math.sqrt(3.0)) <= 1e-15
 
@@ -86,25 +95,24 @@ def test_disc_boundary_lies_on_both_quadrics():
     for variant in ("d1", "d2"):
         spec = WarpedDiscSpec(variant, 1.3, 2.7)
         a2, b2 = spec.a**2, spec.b**2
-        for k in range(257):
-            x, y, z = disc_boundary(spec, 2.0 * math.pi * k / 257)
-            if variant == "d1":
-                assert abs(x * x + y * y - a2) <= 1e-12
-                assert abs(y * y + z * z - b2) <= 1e-12
-                assert max(abs(u - v) for u, v in zip(eval_h((x, y, z)), (a2, b2))) <= 1e-12
-            else:
-                assert abs(y * y + z * z - a2) <= 1e-12
-                assert abs(x * x + y * y - b2) <= 1e-12
+        s = np.array([2.0 * math.pi * k / 257 for k in range(257)])
+        x, y, z = _circle(spec, s)[0].T
+        if variant == "d1":
+            assert np.max(np.abs(x * x + y * y - a2)) <= 1e-12
+            assert np.max(np.abs(y * y + z * z - b2)) <= 1e-12
+            assert max(np.max(np.abs(u - v)) for u, v in zip(eval_h((x, y, z)), (a2, b2))) <= 1e-12
+        else:
+            assert np.max(np.abs(y * y + z * z - a2)) <= 1e-12
+            assert np.max(np.abs(x * x + y * y - b2)) <= 1e-12
 
 
 def test_loop_runs_along_the_axes_first():
     m = make_tube(1.0, 2.0, "d1").m
     a1 = BoundaryLoop("alpha1", m)
     a2 = BoundaryLoop("alpha2", m)
-    for k in range(11):
-        t = m * k / 10
-        assert eval_loop(a1, t) == (0.0, 0.0, t)
-        assert eval_loop(a2, t) == (t, 0.0, 0.0)
+    t = [m * k / 10 for k in range(11)]
+    assert loop_at(a1, t) == [(0.0, 0.0, v) for v in t]
+    assert loop_at(a2, t) == [(v, 0.0, 0.0) for v in t]
 
 
 def test_loop_closes_and_is_continuous_at_junctions():
@@ -113,31 +121,20 @@ def test_loop_closes_and_is_continuous_at_junctions():
     m = make_tube(1.0, 2.0, "d1").m
     for variant in ("alpha1", "alpha2"):
         loop = BoundaryLoop(variant, m)
-        start = eval_loop(loop, 0.0)
-        end = eval_loop(loop, loop.t_max)
+        start, end = loop_at(loop, [0.0, loop.t_max])
         assert max(abs(u - v) for u, v in zip(start, end)) <= 1e-9
         for junction in (m, m + math.pi / 2):
-            at = eval_loop(loop, junction)
             for delta in (1e-4, 1e-6, 1e-8):
                 bound = 1.5 * math.sqrt(delta) + 2.0 * (1.0 + m) ** 2 * delta
-                for probe in (junction - delta, junction + delta):
-                    q = eval_loop(loop, probe)
+                before, at, after = loop_at(loop, [junction - delta, junction, junction + delta])
+                for q in (before, after):
                     assert max(abs(u - v) for u, v in zip(at, q)) <= bound
-
-
-def test_loop_rejects_out_of_range_parameter():
-    loop = BoundaryLoop("alpha1", 10.0)
-    with pytest.raises(ValueError):
-        eval_loop(loop, -0.1)
-    with pytest.raises(ValueError):
-        eval_loop(loop, loop.t_max + 0.1)
 
 
 def test_tube_membership_frozen_points():
     tube = make_tube(1.0, 2.0, "d1")
     b, eps = 2.0, tube.epsilon
-    assert tube_membership((0.0, 0.0, b), tube)
-    assert not tube_membership((0.0, 0.0, b + 2 * eps), tube)
+    assert inside([(0.0, 0.0, b), (0.0, 0.0, b + 2 * eps)], tube).tolist() == [True, False]
 
 
 def test_far_points_are_outside_the_tube():
@@ -145,21 +142,21 @@ def test_far_points_are_outside_the_tube():
     for variant in ("d1", "d2"):
         tube = make_tube(1.0, 2.0, variant)
         floor = math.sqrt(2.0) * tube.m0
+        points = []
         for _ in range(100):
             v = np.array([rng.gauss(0, 1) for _ in range(3)])
-            v *= (floor + 0.01 + 10 * rng.random()) / np.linalg.norm(v)
-            assert not tube_membership((v[0], v[1], v[2]), tube)
+            points.append(v * ((floor + 0.01 + 10 * rng.random()) / np.linalg.norm(v)))
+        assert not inside(points, tube).any()
 
 
 def test_middle_segment_stays_far_from_origin():
     # points with rho = m obey the norm >= rho/2 = 2*m0 lower bound
     tube = make_tube(1.0, 2.0, "d1")
     loop = BoundaryLoop("alpha1", tube.m)
-    for k in range(200):
-        t = tube.m + (math.pi / 2) * (k + 1) / 200
-        p = eval_loop(loop, t)
-        assert math.sqrt(sum(c * c for c in p)) >= 2.0 * tube.m0 * (1 - 1e-12)
-        assert not tube_membership(p, tube)
+    t = np.array([tube.m + (math.pi / 2) * (k + 1) / 200 for k in range(200)])
+    p = _loop_points(loop, t)
+    assert np.all(np.sqrt(np.sum(p * p, axis=1)) >= 2.0 * tube.m0 * (1 - 1e-12))
+    assert not inside(p, tube).any()
 
 
 def test_transversality_certificates_for_matched_pairs():
@@ -302,15 +299,6 @@ def test_linking_raises_when_the_loop_overflows():
     with np.errstate(all="ignore"):
         with pytest.raises(DegenerateGeometryError):
             gauss_linking(BoundaryLoop("alpha1", tube.m), tube.disc, 256, 256)
-
-
-def test_disc_boundary_matches_the_circle_samples():
-    for variant in ("d1", "d2"):
-        spec = WarpedDiscSpec(variant, 0.7, 1.9)
-        pts, _ = _circle_samples(spec, 256)
-        for k in range(256):
-            s = (k + 0.5) * (2.0 * math.pi / 256)
-            assert disc_boundary(spec, s) == tuple(pts[k].tolist())
 
 
 def test_leg_integral_matches_quadrature():
@@ -480,11 +468,11 @@ def test_transversality_reports_match_the_whole_grid_reference(monkeypatch):
 def test_loop_legs_stay_exact_beyond_the_squared_range():
     # t * t overflows beyond about 1.34e154, and phi's rho^2 term at an
     # edge angle is then inf * 0 = nan; the legs do not go through phi
-    assert eval_loop(BoundaryLoop("alpha2", 1e200), 1e200) == (1e200, 0.0, 0.0)
-    assert eval_loop(BoundaryLoop("alpha1", 1e200), 1e200) == (0.0, 0.0, 1e200)
+    assert loop_at(BoundaryLoop("alpha2", 1e200), [1e200]) == [(1e200, 0.0, 0.0)]
+    assert loop_at(BoundaryLoop("alpha1", 1e200), [1e200]) == [(0.0, 0.0, 1e200)]
     loop = BoundaryLoop("alpha1", 1e200)
     t = loop.t_max - 1e199
-    assert eval_loop(loop, t) == (loop.t_max - t, 0.0, 0.0)
+    assert loop_at(loop, [t]) == [(loop.t_max - t, 0.0, 0.0)]
 
 
 def test_linking_raises_once_the_arc_overflows():
@@ -532,9 +520,11 @@ def test_linking_arc_midpoint_stays_on_the_arc_at_large_scales(b, monkeypatch):
     arcs = arc_inputs(monkeypatch, 1.0, b, 4096)
     for (pts, tan, _, _), (loop_variant, _, _) in zip(arcs, MATCHED):
         assert pts.shape == tan.shape == (1, 3)
-        assert pts[0].tolist() == pytest.approx(eval_phi((tube.m, math.pi / 4)), rel=1e-15)
+        trig = _trig_vec(np.array([math.pi / 4]))
+        on_arc = np.stack(_phi_terms(tube.m, *trig), axis=-1)
+        assert pts[0].tolist() == pytest.approx(on_arc[0].tolist(), rel=1e-15)
         sign = -1.0 if loop_variant == "alpha1" else 1.0
-        d_theta = np.stack(_phi_theta(tube.m, *_trig_vec(np.array([math.pi / 4]))), axis=-1)
+        d_theta = np.stack(_phi_theta(tube.m, *trig), axis=-1)
         assert tan[0].tolist() == pytest.approx((sign * d_theta[0]).tolist(), rel=1e-15)
 
 
