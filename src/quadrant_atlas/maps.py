@@ -1,7 +1,8 @@
 """Closed-form maps behind the quadrant construction.
 
 Each formula has one body, shared by the array sweeps in topology and
-sampler, the solver's lockstep lanes and its scalar direct stage:
+sampler and by the solver, on arrays for its level-curve scan and on
+floats for its bisections and its direct stage:
 
 * ``g`` embeds the closed quadrant into 3-space; ``h`` projects back to the
   plane by summing squares of adjacent coordinates, and the composition
@@ -11,12 +12,11 @@ sampler, the solver's lockstep lanes and its scalar direct stage:
   the closed quadrant so that ``g(psi(p)) = phi(p)`` away from the edges.
 * ``xi`` and ``zeta`` build and flatten the warped discs used by the
   topological certificates.
-* ``F = h . phi`` is the function whose roots the preimage solver hunts;
-  its Jacobian is the chain rule through ``h`` over the analytic partials
-  of ``phi``. The same chain rule over the partials of ``g`` gives the
-  Jacobian of the outer factor ``h . g``.
+* The solver finds preimages of the outer factor ``h . g``; its Jacobian
+  is the chain rule through ``h`` over the partials of ``g``.
+  ``d phi / d theta`` gives the tangents of the boundary loops in topology.
 
-Only g, h and psi have scalar entry points, the ones the solver calls on
+Only g and h have scalar entry points, the ones the solver calls on
 floats. Angles are radians; ``pi`` is the platform double.
 """
 
@@ -34,11 +34,11 @@ HALF_PI = math.pi / 2.0
 
 # ---------------------------------------------------------------------------
 # Formula bodies. Each map is written once, with + - * / only, and runs
-# unchanged on floats (the scalar entry points below and the solver's
-# direct stage) and on numpy arrays (topology, sampler and solver). Those
-# four operations round identically in both, so given the same cos, sin
-# and roots the two paths agree bit for bit; a test checks that numpy's
-# cos, sin and sqrt match libm's where it runs.
+# unchanged on floats (the scalar entry points below and the solver) and
+# on numpy arrays (topology, sampler and solver). Those four operations
+# round identically in both, so given the same cos, sin and roots the two
+# paths agree bit for bit; a test checks that numpy's cos, sin and sqrt
+# match libm's where it runs.
 # Integer powers are explicit products: numpy's c**k and libm's pow round
 # differently. Callers supply cos, sin and the square roots, via _trig_vec
 # for the strip angle; only the scalar entry points check their domain.
@@ -74,13 +74,6 @@ def _phi_terms(rho, c, s, w):
     )
 
 
-def _phi_rho(rho, c, s, w):
-    """d phi / d rho, arguments as for _phi_terms."""
-    c4 = (c * c) * (c * c)
-    s4 = (s * s) * (s * s)
-    return (2.0 * c4 * s + c * s4 + c4 * c + 2.0 * rho * (c4 * c) * s, (c * s) * w, s)
-
-
 def _phi_theta(rho, c, s, w):
     """d phi / d theta, arguments as for _phi_terms; needs w > 0, that is
     theta strictly inside the strip, where phi2 is differentiable."""
@@ -107,13 +100,6 @@ def _h_chain(f, f_a, f_b):
         2.0 * (f2 * a2 + f3 * a3),
         2.0 * (f2 * b2 + f3 * b3),
     )
-
-
-def _dF_terms(rho, c, s, w):
-    """Partials of F = h . phi as (d1_drho, d1_dtheta, d2_drho, d2_dtheta);
-    arguments as for _phi_theta."""
-    args = (rho, c, s, w)
-    return _h_chain(_phi_terms(*args), _phi_rho(*args), _phi_theta(*args))
 
 
 def _mu_terms(theta):
@@ -165,16 +151,3 @@ def eval_h(p: Point3) -> Point2:
     x, y, z = p
     return (x * x + y * y, y * y + z * z)
 
-
-def eval_psi(p: Point2) -> Point2:
-    """psi(rho, theta) = (tan theta, (cos t + sin t + rho cos t sin t) cos^2 t / sin t).
-
-    Defined for theta strictly between 0 and pi/2; both components are
-    then strictly positive, so psi lands inside the open quadrant.
-    """
-    rho, theta = p
-    if rho < 0.0:
-        raise ValueError(f"eval_psi needs rho >= 0, got {rho}")
-    if not 0.0 < theta < HALF_PI:
-        raise ValueError(f"eval_psi needs theta strictly inside (0, pi/2), got {theta}")
-    return _psi_terms(rho, math.cos(theta), math.sin(theta))

@@ -1,62 +1,58 @@
 """Constructive preimages: find (x, y) with f(x, y) close to a target.
 
-Every candidate is polished by one damped least-squares iteration on the
-outer factor h . g over the closed quadrant (u, v) = (x^2, y^2), its value
-and Jacobian taken from the maps bodies of g, its partials and h. The
-candidates form one stream, tried in order:
+The map factors as f = f2 . f1 with f1(x, y) = (x^2, y^2), so a preimage
+of (a, b) is a point (u, v) = (x^2, y^2) of the closed quadrant where the
+outer factor f2 = h . g takes the value (a, b). For fixed u its second
+component c2 = (p v - q)^2 + u^3 v^2, with p = u^3 + u and q = u + 1, is
+a quadratic in v: the level curve c2 = b is the two branches
+v+-(u) = (pq +- sqrt(D)) / A, with A = p^2 + u^3 and D = b A - u^3 q^2,
+which meet at the folds where D = 0. D / u^2 is a quartic with at most
+two positive roots, so there are at most two folds. A preimage is a root
+in u of c1(u, v+-(u)) - a, and the candidates form one stream, tried in
+order:
 
-1. Surface roots. Multistart damped Newton on the surface objective
-   F(rho, theta), the composition of the sum-of-squares projection with
-   the surface parameterization, over one rho x theta seed lattice for
-   every target (theta evenly spaced on [DELTA_THETA, pi/2 - DELTA_THETA]).
-   The seeds run as numpy lanes in lockstep, in row-major blocks of 16
-   that double up to a cap of 2^13 // MAX_BACKTRACKS lanes; each round
-   takes one Newton step in every live lane and tries all its step
-   halvings in one array. Each converged root, in ascending seed index,
-   is carried into the open quadrant, where the outer factor agrees with
-   the surface objective. Blocks run only as the stream is consumed, so
-   the result is the one a seed-by-seed scan gives, bit for bit.
+1. Level-curve seeds. Both branches are scanned on SCAN_POINTS
+   log-spaced u in [1e-40, 1e40], and each sign change is bisected in
+   log u. Then each fold is located by bisection on D, both branches are
+   sampled at FOLD_POINTS points graded toward it, and the sign changes
+   there are bisected. Last, the local minima of |c1 - a| on both samplings
+   that show no sign change, near-tangencies of the level curves c1 = a
+   and c2 = b, are refined by golden-section search in log u.
 2. Direct seeds: a 17 x 17 lattice of magnitudes 10^(k/2), k = -8..8.
 
-The first polished point whose residual passes wins; the returned point
-is (sqrt(u), sqrt(v)), and its residual is always measured by evaluating
-the exact expanded map, so the solver cannot grade its own homework. A
-value that overflows is inf or NaN, which never descends, so such a
-seed fails quietly.
+Each candidate is polished by one damped least-squares iteration on the
+outer factor over the closed quadrant, its value and Jacobian taken from
+the maps bodies of g, its partials and h. A polished point is graded if
+the polish converged, or if it stalled from a level-curve seed: near the
+axes the float residual rounds above the tolerance at points the exact
+map accepts. Grading evaluates the exact expanded map in rationals at
+the witness (x, y) = (sqrt(u), sqrt(v)), and at the doubles one ulp
+around it when that misses, so the solver cannot grade its own homework.
+The first point that passes wins. A value that overflows is inf or NaN,
+which never descends, so such a seed fails quietly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .maps import (
-    HALF_PI,
-    Point2,
-    _dF_terms,
-    _dg_terms,
-    _h_chain,
-    _phi_terms,
-    _trig_vec,
-    eval_g,
-    eval_h,
-    eval_psi,
-)
-from .polynomial import build_theorem_map, evaluate_float
+from .maps import Point2, _dg_terms, _g_terms, _h_chain, eval_g, eval_h
+from .polynomial import build_theorem_map, evaluate_exact
 
-DELTA_THETA = 1e-6
-# Newton budget per seed, step halvings per Newton step, and the surface
-# seed lattice's rho x theta size
+# Newton budget per seed, step halvings per Newton step, and the sizes of
+# the level-curve scan and of the graded sampling toward each fold
 MAX_NEWTON_ITERS = 100
 MAX_BACKTRACKS = 40
-GRID_RHO = 64
-GRID_THETA = 64
+SCAN_POINTS = 4000
+FOLD_POINTS = 400
 
 
 class SolverFailure(RuntimeError):
-    """No seed converged; carries the best residual and point seen."""
+    """No graded point passed; carries the best residual and point graded."""
 
     def __init__(self, message: str, best_residual: float, best_point: Point2):
         super().__init__(message)
@@ -89,10 +85,11 @@ class PreimageQuery:
 
 @dataclass(frozen=True)
 class PreimageResult:
-    """x, y: the witness point; residual: relative sup-norm error of the
-    exact map at it; stage: which strategy produced it; newton_iters:
-    iterations spent on the winning seed across both stages; seed_index:
-    row-major index of the winning seed in its stage's lattice."""
+    """x, y: the witness point; residual: exact relative sup-norm error of
+    the expanded map at it; stage: "level-curve" or "direct-fallback", the
+    source of the winning seed; newton_iters: iterations of the polish
+    from that seed; seed_index: the seed's position in its stage's
+    stream."""
 
     x: float
     y: float
@@ -103,143 +100,7 @@ class PreimageResult:
 
 
 # ---------------------------------------------------------------------------
-# Seed lattices.
-
-
-def _rho_grid(m: float, n: int) -> list[float]:
-    # 0 first, then log-spaced over four decades up to m
-    out = [0.0]
-    for i in range(1, n):
-        frac = (i - 1) / (n - 2) if n > 2 else 1.0
-        out.append(m * 10.0 ** (-4.0 * (1.0 - frac)))
-    return out
-
-
-def _theta_grid(n: int) -> list[float]:
-    lo, hi = DELTA_THETA, HALF_PI - DELTA_THETA
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# Damped Newton, surface stage, in lockstep lanes.
-
-# lanes x backtracks elements per candidate array; caps a seed block at
-# 204 lanes at MAX_BACKTRACKS = 40, which bounds the kernel's
-# temporaries (a few dozen arrays of this many doubles)
-_LANE_ELEMENTS = 2**13
-_FIRST_BLOCK = 16
-
-
-def _residual_lanes(rho, theta, a: float, b: float, scale: float):
-    """F = h . phi at every (rho, theta) and the scaled sup-norm residual.
-
-    The max is Python's max(da, db), which keeps da unless db > da, so a
-    NaN lands where the scalar expression puts it.
-    """
-    fa, fb = eval_h(_phi_terms(rho, *_trig_vec(theta)))
-    da, db = np.abs(fa - a), np.abs(fb - b)
-    return fa, fb, np.where(db > da, db, da) / scale
-
-
-def _clamp_lanes(v, lo: float, hi: float):
-    """min(max(v, lo), hi) with Python's semantics, NaN passing through."""
-    v = np.where(v < lo, lo, v)
-    return np.where(v > hi, hi, v)
-
-
-def _newton_lanes(rho, theta, a: float, b: float, m: float, cfg: SolverConfig):
-    """Damped Newton on F from every seed (rho[i], theta[i]) at once.
-
-    Returns arrays (converged, rho, theta, residual, iterations). Each lane
-    runs the one-seed iteration: a full Newton step, halved until the
-    residual drops, at most MAX_BACKTRACKS times, with iterates clamped to
-    [0, m] x [DELTA_THETA, pi/2 - DELTA_THETA]. A lane stops when it
-    converges, when its Jacobian is singular or not finite, or when no
-    step length descends. Every step length is tried in one array per
-    round and each lane takes the longest that descends; the halvings are
-    exact, so each lane reproduces the one-seed loop bit for bit.
-    Non-finite candidates never descend, so they end a lane quietly.
-    """
-    n, tol = rho.size, cfg.residual_tol
-    scale = max(a, b, 1.0)
-    taus = np.ldexp(1.0, -np.arange(MAX_BACKTRACKS))
-    out_ok = np.zeros(n, dtype=bool)
-    out_rho, out_theta, out_r = np.empty(n), np.empty(n), np.empty(n)
-    out_iters = np.empty(n, dtype=int)
-
-    def settle(stop, ok, iters):
-        # record the lanes in stop as finished; returns the mask of the rest
-        if stop.any():
-            ids = lane[stop]
-            out_ok[ids], out_iters[ids] = ok, iters
-            out_rho[ids], out_theta[ids], out_r[ids] = rho[stop], theta[stop], r[stop]
-        return ~stop
-
-    lane = np.arange(n)
-    with np.errstate(all="ignore"):
-        fa, fb, r = _residual_lanes(rho, theta, a, b, scale)
-        for done in range(MAX_NEWTON_ITERS):
-            go = settle(r <= tol, True, done)
-            lane, rho, theta, r, fa, fb = (v[go] for v in (lane, rho, theta, r, fa, fb))
-            if not lane.size:
-                break
-            d1_drho, d1_dtheta, d2_drho, d2_dtheta = _dF_terms(rho, *_trig_vec(theta))
-            det = d1_drho * d2_dtheta - d1_dtheta * d2_drho
-            ra, rb = fa - a, fb - b
-            step_rho = (d2_dtheta * ra - d1_dtheta * rb) / det
-            step_theta = (-d2_drho * ra + d1_drho * rb) / det
-
-            go = settle((det == 0.0) | ~np.isfinite(det), False, done)
-            lane, rho, theta, r, step_rho, step_theta = (
-                v[go] for v in (lane, rho, theta, r, step_rho, step_theta)
-            )
-            # one row per lane, one column per step length
-            c_rho = _clamp_lanes(rho[:, None] - taus * step_rho[:, None], 0.0, m)
-            c_theta = _clamp_lanes(
-                theta[:, None] - taus * step_theta[:, None], DELTA_THETA, HALF_PI - DELTA_THETA
-            )
-            c_fa, c_fb, c_r = _residual_lanes(c_rho, c_theta, a, b, scale)
-            descends = c_r < r[:, None]
-            go = np.flatnonzero(settle(~descends.any(axis=1), False, done + 1))
-            pick = (go, descends[go].argmax(axis=1))
-            lane = lane[go]
-            rho, theta, fa, fb, r = c_rho[pick], c_theta[pick], c_fa[pick], c_fb[pick], c_r[pick]
-        converged = r <= tol
-        settle(converged, True, MAX_NEWTON_ITERS)
-        settle(~converged, False, MAX_NEWTON_ITERS)
-    return out_ok, out_rho, out_theta, out_r, out_iters
-
-
-def _seed_lattice(q: PreimageQuery) -> tuple[np.ndarray, np.ndarray, float]:
-    """The rho x theta seed lattice in row-major order, as a rho array and
-    a theta array, and the rho bound m."""
-    m = 4.0 * 2.0 * math.sqrt(q.a + q.b)  # constant rule at A^2 + B^2 = a + b
-    rhos = np.array(_rho_grid(m, GRID_RHO))
-    thetas = np.array(_theta_grid(GRID_THETA))
-    return np.repeat(rhos, thetas.size), np.tile(thetas, rhos.size), m
-
-
-def _surface_runs(q: PreimageQuery, cfg: SolverConfig, rho, theta, m: float):
-    """(converged, point, residual, iterations) of the surface Newton from
-    each seed of the lattice (rho, theta, m), in row-major seed order.
-
-    Seeds run in lockstep blocks of 16 lanes, doubling up to the cap, and
-    a block only runs once the caller has taken every result before it.
-    """
-    cap = max(1, _LANE_ELEMENTS // MAX_BACKTRACKS)
-    start, size = 0, min(_FIRST_BLOCK, cap)
-    while start < rho.size:
-        block = slice(start, start + size)
-        ok, p_rho, p_theta, r, iters = _newton_lanes(
-            rho[block], theta[block], q.a, q.b, m, cfg
-        )
-        points = zip(p_rho.tolist(), p_theta.tolist())
-        yield from zip(ok.tolist(), points, r.tolist(), iters.tolist())
-        start, size = start + size, min(2 * size, cap)
-
-
-# ---------------------------------------------------------------------------
-# Direct stage.
+# Polish.
 
 
 def _direct_norms(u: float, v: float, a: float, b: float, scale: float):
@@ -305,56 +166,202 @@ def _newton_direct(
 
 
 # ---------------------------------------------------------------------------
+# Level-curve stage.
+
+
+def _level_curve(u, b, sqrt):
+    """(D, v+, v-) over u: the roots of A v^2 - 2 pq v + (q^2 - b) = 0, the
+    level curve c2 = b, with the small root as (q^2 - b) / (A v+), free of
+    the cancellation in pq - sqrt(D); floats or arrays, sqrt to match, NaN
+    where D < 0."""
+    u3 = u * u * u
+    p, q = u3 + u, u + 1.0
+    big_a = p * p + u3
+    d = b * big_a - u3 * (q * q)
+    v_plus = (p * q + sqrt(d)) / big_a
+    return d, v_plus, (q * q - b) / (big_a * v_plus)
+
+
+def _sqrt(d: float) -> float:
+    """sqrt on floats, NaN below 0 as np.sqrt gives on arrays."""
+    return math.sqrt(d) if d >= 0.0 else math.nan
+
+
+def _curve_point(u: float, branch: int, q: PreimageQuery) -> tuple[float, float]:
+    """(c1 - a, v) at u on branch 0 (v+) or 1 (v-) of the level curve, on
+    floats; NaN where the branch is absent or v < 0."""
+    v = _level_curve(u, q.b, _sqrt)[1 + branch]
+    if not v >= 0.0:
+        return math.nan, math.nan
+    return eval_h(_g_terms(u, v, math.sqrt(u)))[0] - q.a, v
+
+
+def _curve_samples(u, q: PreimageQuery):
+    """([c1 - a on v+, c1 - a on v-], D) at an array of u; _curve_point's
+    + - * / and sqrt on arrays, so the values agree bit for bit."""
+    with np.errstate(all="ignore"):
+        d, *branches = _level_curve(u, q.b, np.sqrt)
+        root_u = np.sqrt(u)
+        f = [eval_h(_g_terms(u, np.where(v >= 0.0, v, np.nan), root_u))[0] - q.a for v in branches]
+    return f, d
+
+
+def _bisect(fn, x0: float, f0: float, x1: float, f1: float):
+    """Narrows the bracket (x0, x1), across which fn changes sign from f0
+    to f1 (0 counts as positive), halving it in log u until the midpoint
+    rounds onto an end or fn is NaN there; returns (x0, f0, x1, f1)."""
+    while True:
+        mid = math.sqrt(x0) * math.sqrt(x1)
+        if not min(x0, x1) < mid < max(x0, x1):
+            return x0, f0, x1, f1
+        f_mid = fn(mid)
+        if math.isnan(f_mid):
+            return x0, f0, x1, f1
+        if (f_mid < 0.0) == (f0 < 0.0):
+            x0, f0 = mid, f_mid
+        else:
+            x1, f1 = mid, f_mid
+
+
+def _golden_min(fn, lo: float, hi: float) -> float:
+    """The u in [lo, hi] that minimizes fn, by golden-section search in
+    log u down to rounding."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = math.log(lo), math.log(hi)
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = fn(math.exp(c)), fn(math.exp(d))
+    while a < c < d < b:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = fn(math.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = fn(math.exp(d))
+    return math.exp(c if fc < fd else d)
+
+
+def _branch_roots(branch: int, u, f, q: PreimageQuery):
+    """Seeds (u, v) at the sign changes of c1 - a between neighbouring
+    samples of one branch, each bisected. Brackets in the rounding noise
+    near a fold often end on one point; it is given once."""
+    neg, finite = f < 0.0, ~np.isnan(f)
+    changes = np.flatnonzero((neg[:-1] != neg[1:]) & finite[:-1] & finite[1:]).tolist()
+    u, f, last = u.tolist(), f.tolist(), None
+    for i in changes:
+        x0, f0, x1, f1 = _bisect(
+            lambda x: _curve_point(x, branch, q)[0], u[i], f[i], u[i + 1], f[i + 1]
+        )
+        x = x0 if abs(f0) <= abs(f1) else x1
+        seed = x, _curve_point(x, branch, q)[1]
+        if seed != last:
+            yield seed
+        last = seed
+
+
+def _branch_minima(branch: int, u, f, q: PreimageQuery) -> list:
+    """(|c1 - a|, u, v) at each local minimum of |c1 - a| between
+    neighbouring samples of one branch that show no sign change, refined by
+    golden-section search between the neighbours."""
+    size, neg, mid = np.abs(f), f < 0.0, slice(1, -1)
+    at = np.flatnonzero(
+        (size[:-2] > size[mid]) & (size[mid] <= size[2:])
+        & (neg[:-2] == neg[mid]) & (neg[mid] == neg[2:])
+    )
+    out = []
+    for lo, hi in zip(u[at].tolist(), u[at + 2].tolist()):
+        x = _golden_min(lambda t: abs(_curve_point(t, branch, q)[0]), min(lo, hi), max(lo, hi))
+        fx, v = _curve_point(x, branch, q)
+        out.append((abs(fx), x, v))
+    return out
+
+
+def _level_seeds(q: PreimageQuery):
+    """Quadrant seeds (u, v) on the level curve c2 = b, in the order they
+    are tried: the roots bracketed on the scan, then those near the folds,
+    then the near-tangencies, least |c1 - a| first. Each group is only
+    computed once the caller has taken every seed before it."""
+    u = np.logspace(-40.0, 40.0, SCAN_POINTS)
+    f, d = _curve_samples(u, q)
+    samples = [(branch, u, fb) for branch, fb in enumerate(f)]
+    for branch, _, fb in samples:
+        yield from _branch_roots(branch, u, fb, q)
+    has_curve = d >= 0.0
+    for i in np.flatnonzero(has_curve[:-1] != has_curve[1:]).tolist():
+        inside, outside = (i, i + 1) if has_curve[i] else (i + 1, i)
+        # the fold, then FOLD_POINTS samples of both branches graded from
+        # the inside scan point toward it, down to 1e-14 of the distance
+        fold = _bisect(
+            lambda x: _level_curve(x, q.b, _sqrt)[0],
+            float(u[inside]), float(d[inside]), float(u[outside]), float(d[outside]),
+        )[0]
+        graded = fold + (u[inside] - fold) * np.logspace(0.0, -14.0, FOLD_POINTS)
+        for branch, fb in enumerate(_curve_samples(graded, q)[0]):
+            samples.append((branch, graded, fb))
+            yield from _branch_roots(branch, graded, fb, q)
+    for _, x, v in sorted(m for s in samples for m in _branch_minima(*s, q)):
+        yield x, v
+
+
+# ---------------------------------------------------------------------------
 # Full pipeline.
 
 
-def _official_residual(x: float, y: float, q: PreimageQuery) -> float:
+def _official_residual(x: float, y: float, q: PreimageQuery) -> Fraction:
+    """The exact relative sup-norm residual of the expanded map at (x, y);
+    its float expansion cancels near the axes."""
     f = build_theorem_map()
-    fa = evaluate_float(f.component1, x, y)
-    fb = evaluate_float(f.component2, x, y)
-    return max(abs(fa - q.a), abs(fb - q.b)) / max(q.a, q.b, 1.0)
+    fx, fy, a, b = Fraction(x), Fraction(y), Fraction(q.a), Fraction(q.b)
+    fa = evaluate_exact(f.component1, fx, fy)
+    fb = evaluate_exact(f.component2, fx, fy)
+    return max(abs(fa - a), abs(fb - b)) / max(a, b, Fraction(1))
 
 
-def _candidates(q: PreimageQuery, cfg: SolverConfig):
+def _graded(u: float, v: float, q: PreimageQuery, tol: float) -> tuple[Fraction, float, float]:
+    """(exact residual, x, y) at the witness (sqrt(u), sqrt(v)), or, if it
+    misses tol, the least over the doubles one ulp around it: rounding to
+    doubles alone can miss the gate near the axes."""
+    x, y = math.sqrt(u), math.sqrt(v)
+    res = _official_residual(x, y, q)
+    if res <= tol:
+        return res, x, y
+    near_x, near_y = ((t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)) for t in (x, y))
+    return min((_official_residual(nx, ny, q), nx, ny) for nx in near_x for ny in near_y)
+
+
+def _candidates(q: PreimageQuery):
     """Quadrant seeds for the direct polish, in the order they are tried:
-    (stage, seed_index, seed, surface_iters) for each converged surface
-    root carried into the quadrant, then for each point of the direct
-    lattice, log-spaced magnitudes in both coordinates. The lattice and
-    the clamp keep every surface angle in [DELTA_THETA, pi/2 - DELTA_THETA],
-    inside the open strip where psi is defined."""
-    runs = _surface_runs(q, cfg, *_seed_lattice(q))
-    for idx, (ok, p, _, iters) in enumerate(runs):
-        if ok:
-            yield "surface-seeded", idx, eval_psi(p), iters
+    (stage, seed_index, seed) for each level-curve seed, then for each
+    point of the direct lattice, log-spaced magnitudes in both
+    coordinates."""
+    for idx, seed in enumerate(_level_seeds(q)):
+        yield "level-curve", idx, seed
     mags = [10.0 ** (k / 2.0) for k in range(-8, 9)]
     for idx, seed in enumerate((u, v) for u in mags for v in mags):
-        yield "direct-fallback", idx, seed, 0
+        yield "direct-fallback", idx, seed
 
 
 def preimage(q: PreimageQuery, cfg: SolverConfig = SolverConfig()) -> PreimageResult:
-    """Witness point for the target, or SolverFailure if every seed fails.
+    """Witness point for the target, or SolverFailure if no graded point
+    passes.
 
     The reported residual is computed from the exact expanded map, so a
     result that passes came from the theorem's own polynomial.
     """
     best_r, best_xy = math.inf, (0.0, 0.0)
-    for stage, idx, seed, surface_iters in _candidates(q, cfg):
-        ok, (u, v), _, iters = _newton_direct(seed, q, cfg)
-        if not ok:
+    for stage, idx, seed in _candidates(q):
+        ok, (u, v), r, iters = _newton_direct(seed, q, cfg)
+        # a level-curve seed brackets a root, so a stalled polish is graded
+        if not (ok or stage == "level-curve" and math.isfinite(r)):
             continue
-        x, y = math.sqrt(u), math.sqrt(v)
-        res = _official_residual(x, y, q)
+        res, x, y = _graded(u, v, q, cfg.residual_tol)
         if res <= cfg.residual_tol:
             return PreimageResult(
-                x=x,
-                y=y,
-                residual=res,
-                stage=stage,
-                newton_iters=surface_iters + iters,
-                seed_index=idx,
+                x=x, y=y, residual=float(res), stage=stage, newton_iters=iters, seed_index=idx
             )
         if res < best_r:
-            best_r, best_xy = res, (x, y)
+            best_r, best_xy = float(res), (x, y)
 
     best = (
         f"best residual {best_r:.3e}"

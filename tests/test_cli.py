@@ -75,7 +75,7 @@ def test_preimage_json_solves_the_known_pair(capsys):
     assert res["residual"] <= 1e-9
     assert abs(res["x"] - 1.0) < 1e-6
     assert abs(res["y"] - 2.0) < 1e-6
-    assert res["stage"] in ("surface-seeded", "direct-fallback")
+    assert res["stage"] in ("level-curve", "direct-fallback")
 
 
 def test_preimage_json_flag_matches_format_flag(capsys):
@@ -330,11 +330,10 @@ def test_certify_overflowing_loop_geometry_exits_2(capsys):
 
 
 def test_failed_preimage_prints_valid_json(capsys):
-    # an edge target every seed fails on: no polished point, so the best
-    # residual is infinite, which JSON cannot hold; it is written as null
-    code, out, err = run_cli(
-        ["preimage", "--target", "1.0,2.225531455441776e-07", "--format", "json"], capsys
-    )
+    # a target whose outer factor overflows at every seed: no polished
+    # point, so the best residual is infinite, which JSON cannot hold; it
+    # is written as null
+    code, out, err = run_cli(["preimage", "--target", "1e300,1e300", "--format", "json"], capsys)
     assert code == 3 and err == ""
 
     def reject(token):
@@ -417,13 +416,13 @@ def test_sample_overflow_is_counted_not_warned():
 
 
 def test_preimage_overflowing_target_fails_cleanly():
-    # the outer factor of a huge target overflows to inf in the direct
-    # stage; every seed then fails and the run ends in exit 3 with JSON
+    # the outer factor of a huge target overflows to inf; every seed then
+    # fails and the run ends in exit 3 with JSON
     src_dir = os.path.dirname(os.path.dirname(quadrant_atlas.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "quadrant_atlas.cli", "preimage", "--target", "1e150,1e150",
+        [sys.executable, "-m", "quadrant_atlas.cli", "preimage", "--target", "1e300,1e300",
          "--format", "json"],
         capture_output=True, text=True, env=env, timeout=120,
     )
@@ -437,9 +436,9 @@ def test_preimage_overflowing_target_fails_cleanly():
 def test_preimage_params_match_on_success_and_failure(capsys):
     code, solved = run_json(["preimage", "--target", "241,52", "--format", "json"], capsys)
     assert code == 0
-    code, failed = run_json(["preimage", "--target", "1e150,1e150", "--format", "json"], capsys)
+    code, failed = run_json(["preimage", "--target", "1e300,1e300", "--format", "json"], capsys)
     assert code == 3
     assert list(failed["params"]) == list(solved["params"])
-    for doc, target in ((solved, [241.0, 52.0]), (failed, [1e150, 1e150])):
+    for doc, target in ((solved, [241.0, 52.0]), (failed, [1e300, 1e300])):
         assert doc["params"]["target"] == target
         assert all(isinstance(c, float) for c in doc["params"]["target"])

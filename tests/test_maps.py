@@ -1,10 +1,10 @@
 """Tests for the closed-form surface and parameter maps.
 
 The formula bodies are checked as the program runs them: phi and its
-partials on numpy arrays with angles through _trig_vec, g, h and psi
-through their scalar entry points. Frozen values come from direct hand
-substitution; the Jacobian is checked against a central finite-difference
-oracle computed here in the test.
+theta-partial on numpy arrays with angles through _trig_vec, g and h
+through their scalar entry points, psi on floats with math's cos and sin.
+Frozen values come from direct hand substitution; the partial is checked
+against a central finite-difference oracle computed here in the test.
 """
 
 from __future__ import annotations
@@ -17,22 +17,27 @@ import pytest
 
 from quadrant_atlas.maps import (
     HALF_PI,
-    _dF_terms,
     _mu_terms,
     _phi_terms,
+    _phi_theta,
+    _psi_terms,
     _trig_vec,
     _xi_terms,
     _zeta_terms,
     eval_g,
     eval_h,
-    eval_psi,
 )
-from quadrant_atlas.polynomial import build_f2, build_theorem_map, evaluate_float
+from quadrant_atlas.polynomial import build_f2, evaluate_float
 
 
 def phi(rho, theta):
     """phi at strip points, rho and theta floats or arrays."""
     return _phi_terms(rho, *_trig_vec(np.asarray(theta, dtype=float)))
+
+
+def psi(p):
+    """psi at one point of the open strip, on floats."""
+    return _psi_terms(p[0], math.cos(p[1]), math.sin(p[1]))
 
 
 def objective(rho, theta):
@@ -65,9 +70,9 @@ def test_h_after_g_matches_outer_factor_at_unit_point():
 
 
 def test_psi_frozen_points():
-    u, v = eval_psi((0.0, math.pi / 4))
+    u, v = psi((0.0, math.pi / 4))
     assert abs(u - 1.0) <= 1e-12 and abs(v - 1.0) <= 1e-12
-    u, v = eval_psi((1.0, math.pi / 4))
+    u, v = psi((1.0, math.pi / 4))
     assert abs(u - 1.0) <= 1e-12
     assert abs(v - (1.0 + math.sqrt(2.0) / 4.0)) <= 1e-12
 
@@ -77,14 +82,8 @@ def test_psi_stays_in_closed_quadrant():
     for _ in range(10_000):
         rho = 10.0 * rng.random()
         theta = 0.01 + (HALF_PI - 0.02) * rng.random()
-        u, v = eval_psi((rho, theta))
+        u, v = psi((rho, theta))
         assert u > 0.0 and v > 0.0
-
-
-def test_psi_rejects_boundary_angles():
-    for theta in (0.0, HALF_PI):
-        with pytest.raises(ValueError):
-            eval_psi((1.0, theta))
 
 
 def test_phi_edge_collapse_is_exact():
@@ -121,7 +120,7 @@ def test_g_after_psi_equals_phi():
     points = [(10.0 * rng.random(), 0.01 + (HALF_PI - 0.02) * rng.random()) for _ in range(10_000)]
     rhs = np.stack(phi(*np.array(points).T), axis=-1).tolist()
     for p, want in zip(points, rhs):
-        for a, b in zip(eval_g(eval_psi(p)), want):
+        for a, b in zip(eval_g(psi(p)), want):
             assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
 
 
@@ -177,29 +176,23 @@ def test_objective_frozen_points():
 
 
 def test_jacobian_matches_central_differences():
+    # d phi / d theta, which topology uses for the loop tangents
     rng = random.Random(71)
     h = 1e-6
     samples = [(0.1 + 2.9 * rng.random(), 0.05 + (HALF_PI - 0.1) * rng.random()) for _ in range(1000)]
     rho, theta = np.array(samples).T
-    jac = _dF_terms(rho, *_trig_vec(theta))
-    fpr = objective(rho + h, theta)
-    fmr = objective(rho - h, theta)
-    fpt = objective(rho, theta + h)
-    fmt = objective(rho, theta - h)
-    num = (
-        (fpr[0] - fmr[0]) / (2 * h),
-        (fpt[0] - fmt[0]) / (2 * h),
-        (fpr[1] - fmr[1]) / (2 * h),
-        (fpt[1] - fmt[1]) / (2 * h),
-    )
+    jac = _phi_theta(rho, *_trig_vec(theta))
+    fpt = phi(rho, theta + h)
+    fmt = phi(rho, theta - h)
+    num = [(p - m) / (2 * h) for p, m in zip(fpt, fmt)]
     worst = max(float(np.max(np.abs(a - b))) for a, b in zip(jac, num))
     assert worst <= 1e-5
 
 
 def test_scalar_and_array_kernels_agree_bit_for_bit():
-    # one body per formula: the scalar entry points the solver calls on
-    # floats and the array sweeps must round identically
-    from quadrant_atlas.maps import _g_terms, _psi_terms
+    # one body per formula: the bodies on floats, as the solver calls them,
+    # and on the arrays of the sweeps must round identically
+    from quadrant_atlas.maps import _g_terms
 
     rng = random.Random(91)
     n = 10_000
@@ -212,7 +205,7 @@ def test_scalar_and_array_kernels_agree_bit_for_bit():
     trig = _trig_vec(inner)
     got_psi = np.stack(_psi_terms(np.array(rho), trig[0], trig[1]), axis=-1).tolist()
     for k in range(n):
-        assert tuple(got_psi[k]) == eval_psi((rho[k], float(inner[k]))), k
+        assert tuple(got_psi[k]) == psi((rho[k], float(inner[k]))), k
 
     x = np.array([20.0 * rng.random() for _ in range(n)])
     y = np.array([40.0 * rng.random() - 20.0 for _ in range(n)])

@@ -255,10 +255,10 @@ def _oracle_f2(u, v):
 
 
 def _oracle_g_psi(rho, theta):
-    from quadrant_atlas.maps import eval_g, eval_psi
+    from quadrant_atlas.maps import _psi_terms, eval_g
 
     rhs = phi(rho, theta)
-    lhs = eval_g(eval_psi((rho, theta)))
+    lhs = eval_g(_psi_terms(rho, math.cos(theta), math.sin(theta)))
     err = max(abs(l - r) / max(1.0, abs(r)) for l, r in zip(lhs, rhs))
     return (rho, theta), rhs[0], rhs[1], err, err <= 1e-10
 

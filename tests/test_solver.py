@@ -12,50 +12,31 @@ import math
 import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quadrant_atlas.maps import HALF_PI, _dF_terms, _phi_terms, eval_h, eval_psi
-from quadrant_atlas.polynomial import build_f2, build_theorem_map, evaluate_float
+from quadrant_atlas.maps import HALF_PI, _phi_terms, _psi_terms, eval_g, eval_h
+from quadrant_atlas.polynomial import build_f2, build_theorem_map, evaluate_exact, evaluate_float
 import quadrant_atlas.solver as solver
 from quadrant_atlas.solver import (
-    DELTA_THETA,
     PreimageQuery,
     PreimageResult,
     SolverConfig,
     SolverFailure,
     preimage,
+    _curve_point,
+    _curve_samples,
+    _level_curve,
+    _level_seeds,
     _newton_direct,
-    _newton_lanes,
-    _seed_lattice,
-    _surface_runs,
-    _theta_grid,
+    _sqrt,
 )
 from quadrant_atlas.topology import TubeSpec, _in_tube, make_tube
 
 F_MAP = build_theorem_map()
 F2_MAP = build_f2()
-
-# the smallest solver budget: one Newton step of one halving from a 2 x 2
-# seed lattice
-CRIPPLED = {"MAX_NEWTON_ITERS": 1, "GRID_RHO": 2, "GRID_THETA": 2, "MAX_BACKTRACKS": 1}
-
-
-def cripple(monkeypatch):
-    for name, value in CRIPPLED.items():
-        monkeypatch.setattr(solver, name, value)
-
-
-def surface_runs(q: PreimageQuery) -> list:
-    """(converged, point, residual, iterations) of every surface seed."""
-    return list(_surface_runs(q, SolverConfig(), *_seed_lattice(q)))
-
-
-def first_surface_root(q: PreimageQuery):
-    """The root the surface stage hands on first: its first converged lane."""
-    return next(p for ok, p, _, _ in _surface_runs(q, SolverConfig(), *_seed_lattice(q)) if ok)
-
 
 def trig(theta: float) -> tuple[float, float, float]:
     """(cos, sin, sqrt(cos sin)) of an angle inside the open strip, in math."""
@@ -66,6 +47,20 @@ def trig(theta: float) -> tuple[float, float, float]:
 def objective(p) -> tuple[float, float]:
     """The surface objective F = h . phi at one strip point, on floats."""
     return eval_h(_phi_terms(p[0], *trig(p[1])))
+
+
+def psi(p) -> tuple[float, float]:
+    """psi at one point of the open strip, on floats."""
+    return _psi_terms(p[0], math.cos(p[1]), math.sin(p[1]))
+
+
+def exact_residual(x: float, y: float, a: float, b: float) -> float:
+    """The relative sup-norm residual of the expanded map at (x, y), in
+    exact rationals."""
+    fx, fy, fa, fb = Fraction(x), Fraction(y), Fraction(a), Fraction(b)
+    da = abs(evaluate_exact(F_MAP.component1, fx, fy) - fa)
+    db = abs(evaluate_exact(F_MAP.component2, fx, fy) - fb)
+    return float(max(da, db) / max(fa, fb, Fraction(1)))
 
 
 def forward_residual(x: float, y: float, a: float, b: float) -> float:
@@ -90,60 +85,91 @@ def test_config_rejects_nonsense():
     assert [f.name for f in dataclasses.fields(SolverConfig)] == ["residual_tol"]
 
 
-# The surface stage hands on its first converged lane, in seed order.
+# The level curve c2 = b over u, and the seeds on it.
+
+EPS = 2.0**-52
 
 
-def test_solve_surface_unit_target():
-    rho, theta = first_surface_root(PreimageQuery(1.0, 1.0))
-    fa, fb = objective((rho, theta))
-    assert max(abs(fa - 1.0), abs(fb - 1.0)) <= 1e-9
+def c2_exact(u: float, v: float) -> Fraction:
+    return evaluate_exact(F2_MAP.component2, Fraction(u), Fraction(v))
 
 
-def test_solve_surface_assorted_targets():
-    for a, b in [(241.0, 52.0), (0.001, 1000.0), (7.0, 0.3)]:
-        rho, theta = first_surface_root(PreimageQuery(a, b))
-        assert rho >= 0.0 and 0.0 < theta < HALF_PI
-        fa, fb = objective((rho, theta))
-        assert max(abs(fa - a), abs(fb - b)) <= 1e-9 * max(a, b, 1.0)
+def test_level_curve_branches_satisfy_c2_equals_b_exactly():
+    # c2 - b = A v^2 - 2 pq v + (q^2 - b), in exact rationals, stays within
+    # a few ulps of the size of its terms: each branch value is an exact
+    # root of a quadratic whose coefficients moved by a few ulps
+    rng = random.Random(12)
+    checked = 0
+    while checked < 2000:
+        u, b = 10.0 ** rng.uniform(-6, 6), 10.0 ** rng.uniform(-6, 6)
+        d, *branches = _level_curve(u, b, _sqrt)
+        if d < 0.0:
+            continue
+        for v in branches:
+            if v < 0.0:
+                continue
+            fu, fv, fb = Fraction(u), Fraction(v), Fraction(b)
+            p, q = fu**3 + fu, fu + 1
+            size = (p * p + fu**3) * fv * fv + 2 * p * q * fv + q * q + fb
+            assert abs(c2_exact(u, v) - fb) <= 16 * Fraction(EPS) * size, (u, b, v)
+            checked += 1
 
 
-def test_solve_surface_reports_failure_with_crippled_budget(monkeypatch):
-    cripple(monkeypatch)
-    runs = surface_runs(PreimageQuery(0.001, 1000.0))
-    assert len(runs) == 4
-    assert not any(ok for ok, _, _, _ in runs)
-    assert min(r for _, _, r, _ in runs) > 0.0
+def test_level_curve_has_at_most_two_folds():
+    # D / u^2 = b u^4 - u^3 + 2 (b - 1) u^2 + (b - 1) u + b: its coefficient
+    # signs change twice for every b > 0, so by Descartes' rule D has at
+    # most two positive roots, and the scan sees D change sign at most twice
+    rng = random.Random(13)
+    for _ in range(200):
+        u, b = Fraction(10.0 ** rng.uniform(-6, 6)), Fraction(10.0 ** rng.uniform(-6, 6))
+        p, q = u**3 + u, u + 1
+        d = b * (p * p + u**3) - u**3 * q * q
+        assert d == u * u * (b * u**4 - u**3 + 2 * (b - 1) * u**2 + (b - 1) * u + b)
+    for b in [10.0**k for k in range(-9, 10)] + [1.0 - 1e-9, 1.0 + 1e-9]:
+        coeffs = [b, -1.0, 2.0 * (b - 1.0), b - 1.0, b]
+        signs = [c > 0.0 for c in coeffs if c != 0.0]
+        assert sum(s != t for s, t in zip(signs, signs[1:])) <= 2, b
+        u = np.logspace(-40.0, 40.0, solver.SCAN_POINTS)
+        has_curve = _curve_samples(u, PreimageQuery(1.0, b))[1] >= 0.0
+        assert np.count_nonzero(has_curve[:-1] != has_curve[1:]) <= 2, b
 
 
-# The lift into the quadrant is psi.
+def test_curve_scan_matches_the_float_path_bit_for_bit():
+    # the scan runs the bisections' + - * / and sqrt on arrays
+    for a, b in [(241.0, 52.0), (1.0, 2.225531455441776e-07), (1e60, 1e60)]:
+        q = PreimageQuery(a, b)
+        u = np.logspace(-40.0, 40.0, solver.SCAN_POINTS)[::7]
+        for branch, f in enumerate(_curve_samples(u, q)[0]):
+            got = [x.hex() for x in f.tolist()]
+            want = [_curve_point(x, branch, q)[0].hex() for x in u.tolist()]
+            assert got == want, (a, b, branch)
+
+
+def test_level_seeds_lie_on_the_level_curve_and_solve():
+    # the first seed is a bracketed root: c2 = b to rounding, c1 = a
+    for a, b in [(1.0, 1.0), (241.0, 52.0), (0.001, 1000.0), (7.0, 0.3)]:
+        u, v = next(_level_seeds(PreimageQuery(a, b)))
+        fa, fb = eval_h(eval_g((u, v)))
+        assert max(abs(fa - a), abs(fb - b)) <= 1e-9 * max(a, b, 1.0), (a, b)
+
+
+# psi lifts strip points into the quadrant.
 
 
 def test_lift_frozen_points():
-    u, v = eval_psi((0.0, math.pi / 4))
+    u, v = psi((0.0, math.pi / 4))
     assert abs(u - 1.0) <= 1e-12 and abs(v - 1.0) <= 1e-12
-    u, v = eval_psi((1.0, math.pi / 4))
+    u, v = psi((1.0, math.pi / 4))
     assert abs(v - (1.0 + math.sqrt(2.0) / 4.0)) <= 1e-12
 
 
-def test_lift_never_sees_an_edge_angle():
-    # psi needs theta strictly inside (0, pi/2); the seed angles and the
-    # clamp on every Newton iterate keep surface roots DELTA_THETA inside
-    lo, hi = DELTA_THETA, HALF_PI - DELTA_THETA
-    for n in (2, 3, 64, 65, 128):
-        assert all(lo <= t <= hi for t in _theta_grid(n)), n
-    q = PreimageQuery(*EDGE_TARGETS[0])
-    rho, theta, m = _seed_lattice(q)
-    _, _, theta1, _, _ = _newton_lanes(rho[::8], theta[::8], q.a, q.b, m, SolverConfig())
-    assert theta1.min() == lo and theta1.max() <= hi
-
-
 def test_lift_intertwines_the_two_objectives():
-    # f2 after psi equals h after phi, so the lift carries surface roots
-    # to direct-stage seeds with matching values
+    # f2 after psi equals h after phi: the roots of the outer factor are
+    # the surface points over the target
     rng = random.Random(8)
     for _ in range(500):
         p = (5.0 * rng.random(), 0.01 + (HALF_PI - 0.02) * rng.random())
-        u, v = eval_psi(p)
+        u, v = psi(p)
         fa = evaluate_float(F2_MAP.component1, u, v)
         fb = evaluate_float(F2_MAP.component2, u, v)
         ga, gb = objective(p)
@@ -175,7 +201,7 @@ def test_preimage_frozen_targets():
         assert isinstance(r, PreimageResult)
         assert r.residual <= 1e-9
         assert forward_residual(r.x, r.y, a, b) <= 1e-9
-        assert r.stage in ("surface-seeded", "direct-fallback")
+        assert r.stage in ("level-curve", "direct-fallback")
 
 
 def test_preimage_decade_targets():
@@ -213,25 +239,31 @@ def test_preimage_is_deterministic():
     assert preimage(q, cfg) == preimage(q, cfg)
 
 
-def test_preimage_failure_propagates(monkeypatch):
-    cripple(monkeypatch)
-    with pytest.raises(SolverFailure):
-        preimage(PreimageQuery(0.001, 1000.0), SolverConfig())
+def test_preimage_failure_propagates():
+    # the outer factor overflows at every seed for this target, so no
+    # polish converges and no point is graded
+    with pytest.raises(SolverFailure) as info:
+        preimage(PreimageQuery(1e300, 1e300), SolverConfig())
+    assert str(info.value) == (
+        "no preimage found for target (1e+300, 1e+300); no polished point was found"
+    )
+    assert info.value.best_residual == math.inf
+    assert info.value.best_point == (0.0, 0.0)
 
 
 def test_surface_root_lands_inside_the_shrunk_tube():
     # the crossing the transversality certificate promises is realized by
-    # the solver root: its surface point sits well inside the tube even
-    # after shrinking the cylinder margin tenfold
+    # the solver's witness: its surface point g(x^2, y^2) sits well inside
+    # the tube even after shrinking the cylinder margin tenfold
     for a_r, b_r in [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (2.0, 2.5)]:
         for variant, target in (("d1", (a_r**2, b_r**2)), ("d2", (b_r**2, a_r**2))):
             tube = make_tube(a_r, b_r, variant)
             shrunk = TubeSpec(
                 disc=tube.disc, epsilon=tube.epsilon / 10.0, m0=tube.m0, m=tube.m
             )
-            root = first_surface_root(PreimageQuery(*target))
-            p = _phi_terms(root[0], *trig(root[1]))
-            assert _in_tube(np.array([p]), shrunk)[1][0], (a_r, b_r, variant, root, p)
+            r = preimage(PreimageQuery(*target))
+            p = eval_g((r.x * r.x, r.y * r.y))
+            assert _in_tube(np.array([p]), shrunk)[1][0], (a_r, b_r, variant, r, p)
 
 
 def test_query_and_config_reject_non_finite_values():
@@ -243,103 +275,31 @@ def test_query_and_config_reject_non_finite_values():
             SolverConfig(residual_tol=tol)
 
 
-# ---------------------------------------------------------------------------
-# The lockstep surface kernel.
-
 EDGE_TARGETS = [(1.0, 2.225531455441776e-07), (4.308878459422807e-08, 0.01)]
 
 
-def _scalar_newton_surface(seed, a, b, m):
-    """The one-seed damped Newton loop the lockstep lanes must reproduce,
-    on floats with math's cos, sin and sqrt."""
-    scale, tol = max(a, b, 1.0), SolverConfig().residual_tol
-
-    def residual(p):
-        fa, fb = objective(p)
-        return max(abs(fa - a), abs(fb - b)) / scale
-
-    p = seed
-    r = residual(p)
-    for iters in range(1, solver.MAX_NEWTON_ITERS + 1):
-        if r <= tol:
-            return True, p, r, iters - 1
-        d1_drho, d1_dtheta, d2_drho, d2_dtheta = _dF_terms(p[0], *trig(p[1]))
-        det = d1_drho * d2_dtheta - d1_dtheta * d2_drho
-        if det == 0.0 or not math.isfinite(det):
-            return False, p, r, iters - 1
-        fa, fb = objective(p)
-        ra, rb = fa - a, fb - b
-        step_rho = (d2_dtheta * ra - d1_dtheta * rb) / det
-        step_theta = (-d2_drho * ra + d1_drho * rb) / det
-        tau = 1.0
-        for _ in range(solver.MAX_BACKTRACKS):
-            cand = (
-                min(max(p[0] - tau * step_rho, 0.0), m),
-                min(max(p[1] - tau * step_theta, DELTA_THETA), HALF_PI - DELTA_THETA),
-            )
-            rc = residual(cand)
-            if rc < r:
-                p, r = cand, rc
-                break
-            tau *= 0.5
-        else:
-            return False, p, r, iters
-    return r <= tol, p, r, solver.MAX_NEWTON_ITERS
-
-
-def _bits(v):
-    return v.hex() if isinstance(v, float) else v
-
-
-@pytest.mark.parametrize(
-    "target, cfg",
-    [
-        (EDGE_TARGETS[0], {}),
-        ((0.001, 1000.0), {}),
-        (
-            (float.fromhex("0x1.eac2541e9d32ap+13"), float.fromhex("0x1.9bf08cc8c38aap+17")),
-            {},
-        ),
-        ((0.001, 1000.0), CRIPPLED),
-    ],
-)
-def test_lockstep_lanes_match_the_one_seed_loop_bit_for_bit(target, cfg, monkeypatch):
-    # cfg: the solver constants to set for this case
-    for name, value in cfg.items():
-        monkeypatch.setattr(solver, name, value)
-    q = PreimageQuery(*target)
-    rho, theta, m = _seed_lattice(q)
-    pick = slice(None, None, max(1, rho.size // 1000))
-    rho, theta = rho[pick][:1000], theta[pick][:1000]
-    ok, rho1, theta1, r, iters = _newton_lanes(rho, theta, q.a, q.b, m, SolverConfig())
-    lanes = list(zip(ok.tolist(), rho1.tolist(), theta1.tolist(), r.tolist(), iters.tolist()))
-    want = []
-    for seed in zip(rho.tolist(), theta.tolist()):
-        ok1, (rho1, theta1), r1, it1 = _scalar_newton_surface(seed, q.a, q.b, m)
-        want.append((ok1, rho1, theta1, r1, it1))
-    assert [tuple(map(_bits, lane)) for lane in lanes] == [tuple(map(_bits, w)) for w in want]
-
-
-# Frozen from the one-seed-at-a-time solver: target (a, b), witness (x, y),
-# all as float.hex, then stage, seed_index, newton_iters. Four decade
-# targets, six round-trip targets (random.Random(60), x, y in (0, 5)), two
-# whose winning seed lies in the fifth and sixth lockstep block, and one
-# target of the log-uniform set (random.Random(7)) that only the direct
-# lattice solves.
+# Frozen from the level-curve solver: target (a, b), witness (x, y), all
+# as float.hex, then stage, seed_index, newton_iters. Decade and round-trip
+# targets (random.Random(60), x, y in (0, 5)), targets of assorted scale,
+# one of the wide set (random.Random(7)) far out along the a-axis, the two
+# edge targets and (1e60, 1e60).
 FROZEN_RESULTS = [
-    ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.000276c8cd9bfp+0", "0x1.fff89bbc4d48dp-1", "surface-seeded", 0, 28),
-    ("0x1.f400000000000p+9", "0x1.47ae147ae147bp-7", "0x1.b27c84b88f1fap-5", "0x1.3a2c4f5e44c41p+4", "surface-seeded", 0, 5),
-    ("0x1.0624dd2f1a9fcp-10", "0x1.f400000000000p+9", "0x1.4763c0c0b9fbap+5", "0x1.3c16ba3703c9dp-11", "surface-seeded", 94, 67),
-    ("0x1.9000000000000p+6", "0x1.999999999999ap-4", "0x1.60fbe8705f0a7p-3", "0x1.a097cc603f1aap+2", "surface-seeded", 0, 6),
-    ("0x1.482d919b482bbp+15", "0x1.0c072e95ba8bdp+14", "0x1.89fe1e0d58eaap+0", "0x1.71e49e5c54b9dp+1", "surface-seeded", 1, 9),
-    ("0x1.f12a900177596p+17", "0x1.cef3e6deead4cp+13", "0x1.53fdb7c4a0cf7p+0", "0x1.0286d8338ca47p+2", "surface-seeded", 71, 6),
-    ("0x1.eac2541e9d32ap+13", "0x1.9bf08cc8c38aap+17", "0x1.2b04de96d18edp+1", "0x1.a9a0171c0eab9p+0", "surface-seeded", 79, 10),
-    ("0x1.ed33acdb9fa6ap+26", "0x1.e731c1f031036p+33", "0x1.1ef5f8efbaf61p+2", "0x1.fb24c8286ee14p+1", "surface-seeded", 65, 10),
-    ("0x1.1c27e9016bfb1p+25", "0x1.24902c6024bedp+32", "0x1.13138dc0b6201p+2", "0x1.aa1eec578161fp+1", "surface-seeded", 65, 12),
-    ("0x1.d82ab1cc709cep+6", "0x1.7d1d44302099cp+4", "0x1.dac6f1f1210e1p-1", "0x1.f31bc707ab9afp+0", "surface-seeded", 0, 76),
-    ("0x1.999999999999ap-4", "0x1.999999999999ap-4", "0x1.c171144305674p+1", "0x1.5940dfa51c70bp-4", "surface-seeded", 318, 6),
-    ("0x1.999999999999ap-5", "0x1.999999999999ap-5", "0x1.3045cc6b3cd73p+2", "0x1.725416119f966p-5", "surface-seeded", 510, 6),
-    ("0x1.fa6f54f3b6b9ap+28", "0x1.0726e4c8a3259p-21", "0x1.802ef1addd01ep-9", "0x1.63cccbff4c040p+7", "direct-fallback", 0, 5),
+    ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.2187fa147285ep+0", "0x1.a96db54e3696fp-1", "level-curve", 0, 0),
+    ("0x1.f400000000000p+9", "0x1.47ae147ae147bp-7", "0x1.b27c84a896edap-5", "0x1.3a2c4f68fcab9p+4", "level-curve", 0, 0),
+    ("0x1.0624dd2f1a9fcp-10", "0x1.f400000000000p+9", "0x1.4763d6cc7daecp+5", "0x1.3c168f3d04b48p-11", "level-curve", 0, 0),
+    ("0x1.9000000000000p+6", "0x1.999999999999ap-4", "0x1.60fbe8705f0a0p-3", "0x1.a097cc603f1afp+2", "level-curve", 0, 0),
+    ("0x1.482d919b482bbp+15", "0x1.0c072e95ba8bdp+14", "0x1.89fe1e0d58eb0p+0", "0x1.71e49e5c54b8ep+1", "level-curve", 0, 0),
+    ("0x1.f12a900177596p+17", "0x1.cef3e6deead4cp+13", "0x1.53fdb7c4be822p+0", "0x1.0286d833571c8p+2", "level-curve", 0, 0),
+    ("0x1.eac2541e9d32ap+13", "0x1.9bf08cc8c38aap+17", "0x1.2b04de96d2300p+1", "0x1.a9a0171c0c0fap+0", "level-curve", 0, 0),
+    ("0x1.ed33acdb9fa6ap+26", "0x1.e731c1f031036p+33", "0x1.1ef5f901a59e4p+2", "0x1.fb24c7c99ea8bp+1", "level-curve", 0, 0),
+    ("0x1.1c27e9016bfb1p+25", "0x1.24902c6024bedp+32", "0x1.13138dcbb0068p+2", "0x1.aa1eec249c828p+1", "level-curve", 0, 0),
+    ("0x1.d82ab1cc709cep+6", "0x1.7d1d44302099cp+4", "0x1.dac6f1f14b408p-1", "0x1.f31bc7076e2e1p+0", "level-curve", 0, 0),
+    ("0x1.999999999999ap-4", "0x1.999999999999ap-4", "0x1.c1711442efc8fp+1", "0x1.5940dfa53951cp-4", "level-curve", 0, 0),
+    ("0x1.999999999999ap-5", "0x1.999999999999ap-5", "0x1.3045cc6a67383p+2", "0x1.7254161364005p-5", "level-curve", 0, 0),
+    ("0x1.fa6f54f3b6b9ap+28", "0x1.0726e4c8a3259p-21", "0x1.6807953edbd3bp-13", "0x1.6c2eb5eaddca4p+12", "level-curve", 0, 0),
+    ("0x1.0000000000000p+0", "0x1.ddede2babe3d2p-23", "0x1.eeabcd5521c26p-12", "0x1.08f7d10dbd10ap+11", "level-curve", 0, 0),
+    ("0x1.72213d47c1d92p-25", "0x1.47ae147ae147bp-7", "0x1.2d1752bb90d9fp+12", "0x1.72213a4a818d0p-25", "level-curve", 0, 0),
+    ("0x1.3e9e4e4c2f344p+199", "0x1.3e9e4e4c2f344p+199", "0x1.f4000346dc02bp+9", "0x1.e847f66666840p+19", "level-curve", 0, 0),
 ]
 
 
@@ -360,51 +320,87 @@ def test_direct_stage_survives_a_vanishing_damped_determinant():
     # from seed (1e-4, 100) at target (1e60, 1e60) the first step clamps u
     # to 0, the Gram matrix grows by about 1e145 and its damped determinant,
     # with the ridge of the first step, cancels to exactly 0; dividing by
-    # it raised ZeroDivisionError out of preimage
-    with pytest.raises(SolverFailure):
-        preimage(PreimageQuery(1e60, 1e60), SolverConfig())
+    # it raised ZeroDivisionError; the step is rejected instead
+    ok, _, _, _ = _newton_direct((1e-4, 100.0), PreimageQuery(1e60, 1e60), SolverConfig())
+    assert not ok
     r = preimage(PreimageQuery(1e30, 1.0), SolverConfig())
     assert r.residual <= 1e-9
 
 
-def test_edge_target_failures_are_frozen():
+def test_edge_targets_are_solved():
+    # each root lies next to a fold of the level curve, where the float
+    # residual of the outer factor rounds near the tolerance; the exact
+    # gate accepts the witness
+    for a, b in EDGE_TARGETS:
+        r = preimage(PreimageQuery(a, b), SolverConfig())
+        assert r.stage == "level-curve"
+        assert r.residual <= 1e-9
+        assert exact_residual(r.x, r.y, a, b) == r.residual
+
+
+def test_stalled_polish_from_the_level_curve_is_graded():
+    # at these roots the float residual of the outer factor rounds above
+    # the tolerance, so the polish from the winning seed stalls; graded in
+    # exact rationals, its witness passes
+    for a, b in [(1.0, 8.328591873190005e-08), (7.234364434620563, 1.3495890612116638e-08)]:
+        q = PreimageQuery(a, b)
+        r = preimage(q, SolverConfig())
+        assert r.stage == "level-curve"
+        assert r.residual == exact_residual(r.x, r.y, a, b) <= 1e-9
+        seed = list(_level_seeds(q))[r.seed_index]
+        ok, _, stalled_at, _ = _newton_direct(seed, q, SolverConfig())
+        assert not ok and stalled_at > 1e-9
+
+
+def test_residual_is_exact_where_the_float_expansion_cancels():
+    # at the first edge target's witness the expanded map in floats is off
+    # by about 1e-3; the reported residual is the exact one
     a, b = EDGE_TARGETS[0]
-    with pytest.raises(SolverFailure) as info:
-        preimage(PreimageQuery(a, b), SolverConfig())
-    assert str(info.value) == (
-        "no preimage found for target (1.0, 2.225531455441776e-07); "
-        "no polished point was found"
-    )
-    assert info.value.best_residual == math.inf
-    assert info.value.best_point == (0.0, 0.0)
-    # no surface seed converges; the least residual, first in seed order,
-    # sits on the angle clamp
-    runs = surface_runs(PreimageQuery(a, b))
-    assert not any(ok for ok, _, _, _ in runs)
-    _, point, r, _ = min(runs, key=lambda run: run[2] if math.isfinite(run[2]) else math.inf)
-    assert r == 7.774518544386032e-07
-    assert point == (0.999995111897917, 1e-06)
+    r = preimage(PreimageQuery(a, b), SolverConfig())
+    assert forward_residual(r.x, r.y, a, b) > 1e-6
+    assert r.residual == exact_residual(r.x, r.y, a, b) <= 1e-9
 
 
 def test_preimage_raises_no_runtime_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for a, b in EDGE_TARGETS:
-            with pytest.raises(SolverFailure):
-                preimage(PreimageQuery(a, b), SolverConfig())
-        for a, b in [(1.0, 1.0), (241.0, 52.0), (1000.0, 0.01)]:
+        for a, b in EDGE_TARGETS + [(1.0, 1.0), (241.0, 52.0), (1000.0, 0.01), (1e150, 1e150)]:
             assert preimage(PreimageQuery(a, b), SolverConfig()).residual <= 1e-9
+        with pytest.raises(SolverFailure):
+            preimage(PreimageQuery(1e300, 1e300), SolverConfig())
 
 
 def test_edge_target_preimage_memory_is_bounded():
-    # the seed blocks are capped at 2^13 lanes x backtracks elements, which
-    # keeps the peak near 1.2 MB; blocks left to double through the
-    # 4096-seed lattice peak near 10 MB
+    # the level-curve scan holds a few arrays of SCAN_POINTS doubles; the
+    # traced peak is near 0.5 MB
     tracemalloc.start()
     try:
-        with pytest.raises(SolverFailure):
-            preimage(PreimageQuery(*EDGE_TARGETS[1]), SolverConfig())
+        preimage(PreimageQuery(*EDGE_TARGETS[1]), SolverConfig())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20, peak
+
+
+# The 300 wide targets: log-uniform on [1e-9, 1e9]^2 from random.Random(7).
+_WIDE_RNG = random.Random(7)
+WIDE_TARGETS = [(10 ** _WIDE_RNG.uniform(-9, 9), 10 ** _WIDE_RNG.uniform(-9, 9)) for _ in range(300)]
+# near-tangencies: the level curves c1 = a and c2 = b nearly touch, and
+# c1 - a grazes zero along c2 = b without a sign change
+TANGENCY_TARGETS = [
+    (4.129174849420961e-4, 3.090986881173021e-4),
+    (1.1879525155621027e-4, 2.2899859188419337e-5),
+]
+
+
+def test_wide_targets_are_solved():
+    solved = {}
+    for a, b in WIDE_TARGETS:
+        try:
+            r = preimage(PreimageQuery(a, b), SolverConfig())
+        except SolverFailure:
+            continue
+        assert exact_residual(r.x, r.y, a, b) <= 1e-9, (a, b)
+        solved[a, b] = r
+    assert len(solved) >= 280, len(solved)
+    assert all(t in solved for t in TANGENCY_TARGETS)

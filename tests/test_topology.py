@@ -18,7 +18,6 @@ import pytest
 import quadrant_atlas.topology as topology
 from quadrant_atlas.maps import (
     HALF_PI,
-    _phi_rho,
     _phi_terms,
     _phi_theta,
     _trig_vec,
@@ -411,9 +410,17 @@ def reference_loop_points(loop, t):
     return np.stack(_phi_terms(rho, *_trig_vec(theta)), axis=-1)
 
 
+def phi_rho(rho, c, s, w):
+    """d phi / d rho, arguments as for _phi_terms; the straight legs'
+    direction, which the program writes in closed form."""
+    c4 = (c * c) * (c * c)
+    s4 = (s * s) * (s * s)
+    return (2.0 * c4 * s + c * s4 + c4 * c + 2.0 * rho * (c4 * c) * s, (c * s) * w, s)
+
+
 def reference_loop_tangents(loop, t):
     rho, theta, seg = reference_loop_params(loop, t)
-    d_rho = np.stack(_phi_rho(rho, *_trig_vec(theta)), axis=-1)
+    d_rho = np.stack(phi_rho(rho, *_trig_vec(theta)), axis=-1)
     safe_theta = np.clip(theta, 1e-300, HALF_PI * (1.0 - 1e-16))
     d_theta = np.stack(_phi_theta(rho, *_trig_vec(safe_theta)), axis=-1)
     theta_sign = -1.0 if loop.variant == "alpha1" else 1.0
