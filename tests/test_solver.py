@@ -38,6 +38,9 @@ from quadrant_atlas.topology import TubeSpec, _in_tube, make_tube
 F_MAP = build_theorem_map()
 F2_MAP = build_f2()
 
+# the two preimage-edge targets: one coordinate near 1e-7
+EDGE_TARGETS = [(1.0, 2.225531455441776e-07), (4.308878459422807e-08, 0.01)]
+
 def trig(theta: float) -> tuple[float, float, float]:
     """(cos, sin, sqrt(cos sin)) of an angle inside the open strip, in math."""
     c, s = math.cos(theta), math.sin(theta)
@@ -134,22 +137,48 @@ def test_level_curve_has_at_most_two_folds():
         assert np.count_nonzero(has_curve[:-1] != has_curve[1:]) <= 2, b
 
 
-def test_curve_scan_matches_the_float_path_bit_for_bit():
-    # the scan runs the bisections' + - * / and sqrt on arrays
-    for a, b in [(241.0, 52.0), (1.0, 2.225531455441776e-07), (1e60, 1e60)]:
-        q = PreimageQuery(a, b)
-        u = np.logspace(-40.0, 40.0, solver.SCAN_POINTS)[::7]
-        for branch, f in enumerate(_curve_samples(u, q)[0]):
-            got = [x.hex() for x in f.tolist()]
-            want = [_curve_point(x, branch, q)[0].hex() for x in u.tolist()]
-            assert got == want, (a, b, branch)
+@pytest.mark.parametrize(
+    "target, cfg",
+    [
+        (EDGE_TARGETS[0], {}),
+        ((241.0, 52.0), {}),
+        ((1e60, 1e60), {}),
+        ((0.001, 1000.0), {"SCAN_POINTS": 64}),
+    ],
+)
+def test_lockstep_lanes_match_the_one_seed_loop_bit_for_bit(target, cfg, monkeypatch):
+    # the scan runs the bisections' + - * / and sqrt on arrays, one lane
+    # per u in lockstep; each lane must equal the one-point float path.
+    # cfg: the solver constants to set for this case
+    for name, value in cfg.items():
+        monkeypatch.setattr(solver, name, value)
+    q = PreimageQuery(*target)
+    u = np.logspace(-40.0, 40.0, solver.SCAN_POINTS)[::7]
+    for branch, f in enumerate(_curve_samples(u, q)[0]):
+        got = [x.hex() for x in f.tolist()]
+        want = [_curve_point(x, branch, q)[0].hex() for x in u.tolist()]
+        assert got == want, (target, branch)
 
 
-def test_level_seeds_lie_on_the_level_curve_and_solve():
-    # the first seed is a bracketed root: c2 = b to rounding, c1 = a
-    for a, b in [(1.0, 1.0), (241.0, 52.0), (0.001, 1000.0), (7.0, 0.3)]:
-        u, v = next(_level_seeds(PreimageQuery(a, b)))
-        fa, fb = eval_h(eval_g((u, v)))
+# The first seed is a bracketed root on the level curve, c2 = b to rounding
+# and c1 = a: its surface point g(u, v) lies over the target.
+
+
+def first_surface_root(q: PreimageQuery) -> tuple[float, float, float]:
+    """The surface point g(u, v) of the first level-curve seed."""
+    u, v = next(_level_seeds(q))
+    assert u > 0.0 and v > 0.0, (q, u, v)
+    return eval_g((u, v))
+
+
+def test_solve_surface_unit_target():
+    fa, fb = eval_h(first_surface_root(PreimageQuery(1.0, 1.0)))
+    assert max(abs(fa - 1.0), abs(fb - 1.0)) <= 1e-9
+
+
+def test_solve_surface_assorted_targets():
+    for a, b in [(241.0, 52.0), (0.001, 1000.0), (7.0, 0.3)]:
+        fa, fb = eval_h(first_surface_root(PreimageQuery(a, b)))
         assert max(abs(fa - a), abs(fb - b)) <= 1e-9 * max(a, b, 1.0), (a, b)
 
 
@@ -273,9 +302,6 @@ def test_query_and_config_reject_non_finite_values():
     for tol in (math.nan, math.inf):
         with pytest.raises(ValueError):
             SolverConfig(residual_tol=tol)
-
-
-EDGE_TARGETS = [(1.0, 2.225531455441776e-07), (4.308878459422807e-08, 0.01)]
 
 
 # Frozen from the level-curve solver: target (a, b), witness (x, y), all
