@@ -16,6 +16,7 @@ wall_time_ms. Exit codes: 0 all checks passed, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -68,7 +69,10 @@ class _UsageError(Exception):
     """Bad argument values discovered after argparse; maps to exit 2."""
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once: parse_args leaves the parser as it was and returns a
+    # fresh namespace, and the build costs about a millisecond
     parser = argparse.ArgumentParser(
         prog="quadrant-atlas",
         description="expand, solve and certify the open-quadrant polynomial map",

@@ -39,7 +39,7 @@ def _grlex_key(e: Exponents) -> tuple[int, int]:
 class SparsePolynomial:
     """Immutable two-variable polynomial with exact integer coefficients."""
 
-    __slots__ = ("_coeffs", "_terms")
+    __slots__ = ("_coeffs", "_terms", "_top")
 
     def __init__(self, terms: Union[Mapping[Exponents, int], Iterable[Monomial]]):
         coeffs: dict[Exponents, int] = {}
@@ -60,6 +60,10 @@ class SparsePolynomial:
             Monomial(e, coeffs[e]) for e in sorted(coeffs, key=_grlex_key)
         )
         object.__setattr__(self, "_terms", ordered)
+        # highest exponent of x and of y; (0, 0) for the zero polynomial
+        object.__setattr__(
+            self, "_top", tuple(max((e[k] for e in coeffs), default=0) for k in (0, 1))
+        )
 
     @property
     def terms(self) -> tuple[Monomial, ...]:
@@ -128,6 +132,12 @@ class PolyMap2:
         if not self.component1.terms or not self.component2.terms:
             raise ValueError("map components must be nonzero")
 
+    @property
+    def top(self) -> Exponents:
+        """Highest exponent of x and of y over both components."""
+        (a1, b1), (a2, b2) = self.component1._top, self.component2._top
+        return max(a1, a2), max(b1, b2)
+
 
 # ---------------------------------------------------------------------------
 # Arithmetic.
@@ -190,28 +200,28 @@ def compose(
 # Evaluation.
 
 
-def _top_exponents(p: SparsePolynomial) -> tuple[int, int]:
-    """Highest exponent of x and of y in p; (0, 0) for the zero polynomial."""
-    return (
-        max((a for a, _ in p._coeffs), default=0),
-        max((b for _, b in p._coeffs), default=0),
-    )
+def _exact_powers(n: int, d: int, top: int) -> list[int]:
+    """[n^k d^(top-k) for k = 0..top]: the powers of n/d up to top over the
+    one denominator d^top, which is the list's first entry."""
+    return [n**k * d ** (top - k) for k in range(top + 1)]
+
+
+def _exact_sum(p: SparsePolynomial, pu: list[int], pv: list[int]) -> int:
+    """Numerator of p at the point whose power lists are pu and pv, as
+    _exact_powers builds them, over the denominator pu[0] * pv[0]; the
+    lists may run past p's top exponents. With float coordinates the
+    denominator is a power of two, so the value's sign is the numerator's
+    and numerator / denominator rounds to the double nearest the value."""
+    return sum(c * pu[a] * pv[b] for (a, b), c in p._coeffs.items())
 
 
 def evaluate_exact(p: SparsePolynomial, u: Rational, v: Rational) -> Fraction:
-    """Exact rational value of p(u, v); no rounding anywhere.
-
-    With u = un/ud, v = vn/vd and A, B the top exponents of x and y, the
-    value is the integer sum of c * un^a ud^(A-a) * vn^b vd^(B-b) over the
-    terms, divided once by ud^A vd^B, so the only gcd is taken at the end.
-    """
+    """Exact rational value of p(u, v); no rounding anywhere. The integer
+    sum of _exact_sum is divided once, so the only gcd is taken at the end."""
     u, v = Fraction(u), Fraction(v)
-    un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
-    top_a, top_b = _top_exponents(p)
-    pu = [un**k * ud ** (top_a - k) for k in range(top_a + 1)]
-    pv = [vn**k * vd ** (top_b - k) for k in range(top_b + 1)]
-    total = sum(c * pu[a] * pv[b] for (a, b), c in p._coeffs.items())
-    return Fraction(total, ud**top_a * vd**top_b)
+    pu = _exact_powers(u.numerator, u.denominator, p._top[0])
+    pv = _exact_powers(v.numerator, v.denominator, p._top[1])
+    return Fraction(_exact_sum(p, pu, pv), pu[0] * pv[0])
 
 
 def _powers(base, top: int) -> list:
@@ -241,8 +251,7 @@ def _sum_terms(p: SparsePolynomial, px: list, py: list):
 def evaluate_float(p: SparsePolynomial, u: float, v: float) -> float:
     """Floating value of p(u, v) through _sum_terms. Overflow is reported as
     a non-finite result, never as an exception."""
-    top_a, top_b = _top_exponents(p)
-    return _sum_terms(p, _powers(u, top_a), _powers(v, top_b))
+    return _sum_terms(p, _powers(u, p._top[0]), _powers(v, p._top[1]))
 
 
 def stats(p: SparsePolynomial) -> tuple[float, int]:

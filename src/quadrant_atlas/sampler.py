@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -40,12 +39,12 @@ from .maps import (
 from .parallel import thread_count
 from .polynomial import (
     PolyMap2,
+    _exact_powers,
+    _exact_sum,
     _powers,
     _sum_terms,
-    _top_exponents,
     build_f2,
     build_theorem_map,
-    evaluate_exact,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -263,10 +262,10 @@ def _map_on_arrays(fmap: PolyMap2) -> Callable[[np.ndarray, np.ndarray], tuple]:
     """Both components of fmap as one evaluator on arrays, sharing one set
     of power arrays; the values are bit-identical to evaluate_float."""
     c1, c2 = fmap.component1, fmap.component2
-    (a1, b1), (a2, b2) = _top_exponents(c1), _top_exponents(c2)
+    top_a, top_b = fmap.top
 
     def evaluate(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        px, py = _powers(x, max(a1, a2)), _powers(y, max(b1, b2))
+        px, py = _powers(x, top_a), _powers(y, top_b)
         return _sum_terms(c1, px, py), _sum_terms(c2, px, py)
 
     return evaluate
@@ -306,22 +305,27 @@ def check_positivity(cfg: SamplerConfig) -> SamplerReport:
 
     stats = _sweep(cfg, probe)
 
+    # the grid in integers: every value is over the one power of two den,
+    # so its sign is its numerator's and n / den its correctly rounded double
     grid_failures = 0
     grid_first = None
     gm1 = gm2 = math.inf
     index = 0
-    for i in range(-10, 11):
-        for k in range(-10, 11):
-            xq, yq = Fraction(i, 2), Fraction(k, 2)
-            v1 = evaluate_exact(fmap.component1, xq, yq)
-            v2 = evaluate_exact(fmap.component2, xq, yq)
-            if v1 <= 0 or v2 <= 0:
+    halves = range(-10, 11)
+    top_a, top_b = fmap.top
+    pys = [_exact_powers(k, 2, top_b) for k in halves]
+    den = 2 ** (top_a + top_b)
+    for i in halves:
+        px = _exact_powers(i, 2, top_a)
+        for k, py in zip(halves, pys):
+            n1, n2 = _exact_sum(fmap.component1, px, py), _exact_sum(fmap.component2, px, py)
+            if n1 <= 0 or n2 <= 0:
                 grid_failures += 1
                 if grid_first is None:
                     # grid points sort after every stream sample
-                    grid_first = (cfg.count + index, (float(xq), float(yq)))
-            gm1 = min(gm1, float(v1))
-            gm2 = min(gm2, float(v2))
+                    grid_first = (cfg.count + index, (i / 2, k / 2))
+            gm1 = min(gm1, n1 / den)
+            gm2 = min(gm2, n2 / den)
             index += 1
     stats = _merge(stats, (index, grid_failures, gm1, gm2, 0.0, grid_first, 0))
     return _report(stats)

@@ -34,6 +34,7 @@ which never descends, so such a seed fails quietly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .maps import Point2, _dg_terms, _g_terms, _h_chain, eval_g, eval_h
-from .polynomial import build_theorem_map, evaluate_exact
+from .polynomial import _exact_powers, _exact_sum, build_theorem_map
 
 # Newton budget per seed, step halvings per Newton step, and the sizes of
 # the level-curve scan and of the graded sampling toward each fold
@@ -247,12 +248,10 @@ def _branch_roots(branch: int, u, f, q: PreimageQuery):
     samples of one branch, each bisected. Brackets in the rounding noise
     near a fold often end on one point; it is given once."""
     neg, finite = f < 0.0, ~np.isnan(f)
-    changes = np.flatnonzero((neg[:-1] != neg[1:]) & finite[:-1] & finite[1:]).tolist()
-    u, f, last = u.tolist(), f.tolist(), None
-    for i in changes:
-        x0, f0, x1, f1 = _bisect(
-            lambda x: _curve_point(x, branch, q)[0], u[i], f[i], u[i + 1], f[i + 1]
-        )
+    lo = np.flatnonzero((neg[:-1] != neg[1:]) & finite[:-1] & finite[1:])
+    hi, last = lo + 1, None
+    for bracket in zip(u[lo].tolist(), f[lo].tolist(), u[hi].tolist(), f[hi].tolist()):
+        x0, f0, x1, f1 = _bisect(lambda x: _curve_point(x, branch, q)[0], *bracket)
         x = x0 if abs(f0) <= abs(f1) else x1
         seed = x, _curve_point(x, branch, q)[1]
         if seed != last:
@@ -277,12 +276,20 @@ def _branch_minima(branch: int, u, f, q: PreimageQuery) -> list:
     return out
 
 
+@functools.cache
+def _scan_grid(points: int) -> np.ndarray:
+    """The read-only scan of log-spaced u in [1e-40, 1e40], built once."""
+    u = np.logspace(-40.0, 40.0, points)
+    u.flags.writeable = False
+    return u
+
+
 def _level_seeds(q: PreimageQuery):
     """Quadrant seeds (u, v) on the level curve c2 = b, in the order they
     are tried: the roots bracketed on the scan, then those near the folds,
     then the near-tangencies, least |c1 - a| first. Each group is only
     computed once the caller has taken every seed before it."""
-    u = np.logspace(-40.0, 40.0, SCAN_POINTS)
+    u = _scan_grid(SCAN_POINTS)
     f, d = _curve_samples(u, q)
     samples = [(branch, u, fb) for branch, fb in enumerate(f)]
     for branch, _, fb in samples:
@@ -310,12 +317,15 @@ def _level_seeds(q: PreimageQuery):
 
 def _official_residual(x: float, y: float, q: PreimageQuery) -> Fraction:
     """The exact relative sup-norm residual of the expanded map at (x, y);
-    its float expansion cancels near the axes."""
+    its float expansion cancels near the axes. Worked in integers over the
+    common denominator den * ad * bd, one Fraction at the end."""
     f = build_theorem_map()
-    fx, fy, a, b = Fraction(x), Fraction(y), Fraction(q.a), Fraction(q.b)
-    fa = evaluate_exact(f.component1, fx, fy)
-    fb = evaluate_exact(f.component2, fx, fy)
-    return max(abs(fa - a), abs(fb - b)) / max(a, b, Fraction(1))
+    (an, ad), (bn, bd) = q.a.as_integer_ratio(), q.b.as_integer_ratio()
+    px, py = (_exact_powers(*t.as_integer_ratio(), top) for t, top in zip((x, y), f.top))
+    den = px[0] * py[0]
+    err_a = abs(_exact_sum(f.component1, px, py) * ad - an * den) * bd
+    err_b = abs(_exact_sum(f.component2, px, py) * bd - bn * den) * ad
+    return Fraction(max(err_a, err_b), den * max(an * bd, bn * ad, ad * bd))
 
 
 def _graded(u: float, v: float, q: PreimageQuery, tol: float) -> tuple[Fraction, float, float]:

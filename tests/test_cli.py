@@ -442,3 +442,39 @@ def test_preimage_params_match_on_success_and_failure(capsys):
     for doc, target in ((solved, [241.0, 52.0]), (failed, [1e300, 1e300])):
         assert doc["params"]["target"] == target
         assert all(isinstance(c, float) for c in doc["params"]["target"])
+
+
+# The parser is built once per process and reused by every run() call;
+# these check that one call leaves nothing behind for the next.
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_json_flag_does_not_carry_over_to_the_next_call(capsys):
+    code, doc = run_json(["preimage", "--target", "2,3", "--json"], capsys)
+    assert code == 0
+    code, out, err = run_cli(["preimage", "--target", "2,3"], capsys)
+    assert code == 0 and err == ""
+    assert out.startswith("target (2.0, 3.0)")
+    assert out.rstrip().endswith("PASS")
+
+
+def test_segments_default_returns_after_an_explicit_value(capsys):
+    argv = ["certify", "--A", "1", "--B", "2", "--grid", "1000", "--format", "json"]
+    _, doc = run_json(argv[:5] + ["--segments", "512"] + argv[5:], capsys)
+    assert doc["params"]["segments"] == 512
+    _, doc = run_json(argv, capsys)
+    assert doc["params"]["segments"] == 4096
+
+
+def test_rejected_call_leaves_the_next_output_unchanged(capsys):
+    argv = ["preimage", "--target", "2,3"]
+    _, before, _ = run_cli(argv, capsys)
+    for rejected in (argv + ["--json", "--bogus"], ["certify", "--A", "1", "--segments", "x"]):
+        code, out, err = run_cli(rejected, capsys)
+        assert code == 2 and out == "" and err != "", rejected
+    _, after, _ = run_cli(argv, capsys)
+    assert strip_wall_time(after) == strip_wall_time(before)
+    assert not after.startswith("{")

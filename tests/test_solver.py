@@ -342,6 +342,37 @@ def test_preimage_frozen_results(row):
     )
 
 
+def reference_official_residual(x: float, y: float, q: PreimageQuery) -> Fraction:
+    """The exact gate as it was written on Fractions: the reference for
+    solver._official_residual, which works in integers."""
+    f = build_theorem_map()
+    fx, fy, a, b = Fraction(x), Fraction(y), Fraction(q.a), Fraction(q.b)
+    fa = evaluate_exact(f.component1, fx, fy)
+    fb = evaluate_exact(f.component2, fx, fy)
+    return max(abs(fa - a), abs(fb - b)) / max(a, b, Fraction(1))
+
+
+def test_integer_gate_equals_the_fraction_gate():
+    rng = random.Random(14)
+
+    def draw() -> float:
+        return 10 ** rng.uniform(-9, 9)
+
+    cases = [(draw(), draw(), draw(), draw()) for _ in range(300)]
+    cases += [(0.0, 0.0, 1.0, 1.0), (0.0, draw(), draw(), draw()), (draw(), 0.0, draw(), draw())]
+    # witnesses of (1e30, 1e-30) and (1e150, 1e150), with the targets as points too
+    cases += [
+        (5.850151888936027e-09, 32199203.910492368, 1e30, 1e-30),
+        (1e30, 1e-30, 1e30, 1e-30),
+        (31622776.601683795, 999999999999999.6, 1e150, 1e150),
+        (1e150, 1e150, 1e150, 1e150),
+    ]
+    cases += [tuple(float.fromhex(t) for t in (x, y, a, b)) for a, b, x, y, *_ in FROZEN_RESULTS]
+    for x, y, a, b in cases:
+        q = PreimageQuery(a, b)
+        assert solver._official_residual(x, y, q) == reference_official_residual(x, y, q), (x, y, a, b)
+
+
 def test_direct_stage_survives_a_vanishing_damped_determinant():
     # from seed (1e-4, 100) at target (1e60, 1e60) the first step clamps u
     # to 0, the Gram matrix grows by about 1e145 and its damped determinant,
