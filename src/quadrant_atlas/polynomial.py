@@ -41,13 +41,12 @@ class SparsePolynomial:
 
     __slots__ = ("_coeffs", "_terms", "_top")
 
-    def __init__(self, terms: Union[Mapping[Exponents, int], Iterable[Monomial]]):
+    def __init__(self, terms: Union[Mapping[Exponents, int], Iterable[tuple[Exponents, int]]]):
+        """Sum of the given terms, a mapping of exponents to coefficients or
+        (exponents, coefficient) pairs; repeated exponents add up, and terms
+        that cancel are dropped. The one place coefficients are summed."""
         coeffs: dict[Exponents, int] = {}
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = ((m.exponents, m.coefficient) for m in terms)
-        for (a, b), c in items:
+        for (a, b), c in terms.items() if isinstance(terms, Mapping) else terms:
             if a < 0 or b < 0:
                 raise ValueError(f"negative exponent in {(a, b)}")
             c = coeffs.get((a, b), 0) + c
@@ -145,14 +144,7 @@ class PolyMap2:
 
 def add(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
     """Sum in canonical form."""
-    out = dict(p._coeffs)
-    for e, c in q._coeffs.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            del out[e]
-    return SparsePolynomial(out)
+    return SparsePolynomial([*p._coeffs.items(), *q._coeffs.items()])
 
 
 def neg(p: SparsePolynomial) -> SparsePolynomial:
@@ -162,12 +154,11 @@ def neg(p: SparsePolynomial) -> SparsePolynomial:
 
 def mul(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
     """Product by support convolution with exact coefficients."""
-    out: dict[Exponents, int] = {}
-    for (a1, b1), c1 in p._coeffs.items():
-        for (a2, b2), c2 in q._coeffs.items():
-            e = (a1 + a2, b1 + b2)
-            out[e] = out.get(e, 0) + c1 * c2
-    return SparsePolynomial(out)
+    return SparsePolynomial(
+        ((a1 + a2, b1 + b2), c1 * c2)
+        for (a1, b1), c1 in p._coeffs.items()
+        for (a2, b2), c2 in q._coeffs.items()
+    )
 
 
 def compose(
@@ -175,25 +166,12 @@ def compose(
     sub1: SparsePolynomial,
     sub2: SparsePolynomial,
 ) -> SparsePolynomial:
-    """Substitute sub1 for x and sub2 for y in outer.
-
-    Powers of the substituted polynomials are memoized; the inputs here are
-    tiny, so repeated multiplication is plenty.
-    """
-    pow1: dict[int, SparsePolynomial] = {0: ONE}
-    pow2: dict[int, SparsePolynomial] = {0: ONE}
-
-    def power(cache, base, n):
-        while n not in cache:
-            k = max(cache)
-            cache[k + 1] = mul(cache[k], base)
-        return cache[n]
-
-    acc = SparsePolynomial({})
-    for (a, b), c in outer._coeffs.items():
-        term = mul(power(pow1, sub1, a), power(pow2, sub2, b))
-        acc = add(acc, mul(SparsePolynomial({(0, 0): c}), term))
-    return acc
+    """Substitute sub1 for x and sub2 for y in outer."""
+    return SparsePolynomial(
+        (e, c * t)
+        for (a, b), c in outer._coeffs.items()
+        for e, t in mul(sub1**a, sub2**b)._coeffs.items()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Seeded random verification sweeps over the map identities and bounds.
 
-Every check draws from one fixed pseudorandom stream: a 64-bit Weyl
-sequence pushed through a finalizing mixer, mapped to doubles in [0, 1)
-by the usual 53-bit construction. The stream is defined in closed form
-by (seed, index), so any sample can be reproduced in isolation and runs
-are identical across platforms and thread counts.
+Every check draws from one fixed pseudorandom stream, SplitMix64: a
+64-bit Weyl sequence pushed through a finalizing mixer, mapped to doubles
+in [0, 1) by the usual 53-bit construction. The stream is defined in
+closed form by (seed, index), so any sample can be reproduced in
+isolation and runs are identical across platforms and thread counts.
+_unit_matrix is its one implementation, on numpy's wrapping uint64.
 
 The sample stream is split into fixed-size chunks and chunk k runs its
 own stream seeded seed + k. Chunks are independent, reports aggregate by
@@ -61,37 +62,13 @@ CHUNK_SAMPLES = 65536
 # within noise of 8192 at one, well ahead of 65536 and 4096 at both
 _BLOCK_ROWS = 16384
 
+# theta points of the gluing check
+GLUING_GRID = 1001
+
 _IDENTITY_TOL = 1e-10
 _BOUND_SLACK = 1e-12
 _GLUE_PHI_TOL = 1e-12
 _GLUE_MU_TOL = 1e-15
-
-
-def _mix64(z: int) -> int:
-    z ^= z >> 30
-    z = (z * _MIX_MULT_1) & _MASK64
-    z ^= z >> 27
-    z = (z * _MIX_MULT_2) & _MASK64
-    z ^= z >> 31
-    return z
-
-
-def unit_double(seed: int, index: int) -> float:
-    """Output number index of the stream for seed, as a double in [0, 1)."""
-    z = _mix64((seed + (index + 1) * SPLITMIX_GAMMA) & _MASK64)
-    return (z >> 11) * 2.0**-53
-
-
-def sample_pair(seed: int, sample_index: int) -> tuple[float, float]:
-    """The two unit doubles spent on one sample.
-
-    Sample j belongs to chunk j // CHUNK_SAMPLES, whose stream is seeded
-    seed + chunk modulo 2^64; in-chunk sample t reads outputs 2t and
-    2t + 1, first coordinate first.
-    """
-    chunk, offset = divmod(sample_index, CHUNK_SAMPLES)
-    chunk_seed = (seed + chunk) & _MASK64
-    return unit_double(chunk_seed, 2 * offset), unit_double(chunk_seed, 2 * offset + 1)
 
 
 @dataclass(frozen=True)
@@ -168,11 +145,17 @@ def _report(stats: _Stats) -> SamplerReport:
 
 
 # ---------------------------------------------------------------------------
-# The vectorized sweep: every check evaluates whole chunks of the stream.
+# The sweep: every check evaluates whole chunks of the stream.
 
 
 def _unit_matrix(seed: int, chunk: int, n: int) -> np.ndarray:
-    """n rows of unit-double pairs, bit-identical to sample_pair."""
+    """The first n samples of a chunk, one row of two unit doubles each.
+
+    Output i of the stream seeded s is mix(s + (i + 1) * SPLITMIX_GAMMA
+    mod 2^64) >> 11, times 2^-53. The chunk's stream is seeded seed + chunk
+    mod 2^64, and in-chunk sample t reads its outputs 2t and 2t + 1, first
+    coordinate first.
+    """
     chunk_seed = np.uint64((seed + chunk) & _MASK64)
     z = chunk_seed + np.arange(1, 2 * n + 1, dtype=np.uint64) * np.uint64(
         SPLITMIX_GAMMA
@@ -307,28 +290,26 @@ def check_positivity(cfg: SamplerConfig) -> SamplerReport:
 
     # the grid in integers: every value is over the one power of two den,
     # so its sign is its numerator's and n / den its correctly rounded double
-    grid_failures = 0
-    grid_first = None
-    gm1 = gm2 = math.inf
-    index = 0
     halves = range(-10, 11)
     top_a, top_b = fmap.top
     pys = [_exact_powers(k, 2, top_b) for k in halves]
     den = 2 ** (top_a + top_b)
-    for i in halves:
-        px = _exact_powers(i, 2, top_a)
-        for k, py in zip(halves, pys):
-            n1, n2 = _exact_sum(fmap.component1, px, py), _exact_sum(fmap.component2, px, py)
-            if n1 <= 0 or n2 <= 0:
-                grid_failures += 1
-                if grid_first is None:
-                    # grid points sort after every stream sample
-                    grid_first = (cfg.count + index, (i / 2, k / 2))
-            gm1 = min(gm1, n1 / den)
-            gm2 = min(gm2, n2 / den)
-            index += 1
-    stats = _merge(stats, (index, grid_failures, gm1, gm2, 0.0, grid_first, 0))
-    return _report(stats)
+    nums = [
+        (_exact_sum(fmap.component1, px, py), _exact_sum(fmap.component2, px, py))
+        for px in (_exact_powers(i, 2, top_a) for i in halves)
+        for py in pys
+    ]
+    coords = np.array(halves) / 2.0
+    # grid points sort after every stream sample
+    grid = _reduce(
+        cfg.count,
+        (np.repeat(coords, coords.size), np.tile(coords, coords.size)),
+        np.array([n1 / den for n1, _ in nums]),
+        np.array([n2 / den for _, n2 in nums]),
+        None,
+        np.array([n1 > 0 and n2 > 0 for n1, n2 in nums]),
+    )
+    return _report(_merge(stats, grid))
 
 
 def check_f2_equals_h_g(cfg: SamplerConfig) -> SamplerReport:
@@ -393,20 +374,19 @@ def check_phi_bound(cfg: SamplerConfig) -> SamplerReport:
     return _report(_sweep(cfg, probe))
 
 
-def check_mu_gluing(grid: int) -> SamplerReport:
+def check_mu_gluing() -> SamplerReport:
     """The rho = 0 edge folds onto itself and the quotient map respects it.
 
-    On a uniform theta grid of [0, pi/2], the surface map at rho = 0 must
-    agree with its reflection across pi/4 within 1e-12 componentwise, and
-    the quotient coordinate must match its reflection within 1e-15. The
-    error field holds the largest raw discrepancy of either family;
-    min_component_1 tracks the quotient coordinate, min_component_2 the
-    second surface component, both informational. Failing grid points
-    report the pair (theta, reflected theta).
+    On a uniform grid of GLUING_GRID theta values on [0, pi/2], the
+    surface map at rho = 0 must agree with its reflection across pi/4
+    within 1e-12 componentwise, and the quotient coordinate must match its
+    reflection within 1e-15. The error field holds the largest raw
+    discrepancy of either family; min_component_1 tracks the quotient
+    coordinate, min_component_2 the second surface component, both
+    informational. Failing grid points report the pair (theta, reflected
+    theta).
     """
-    if not isinstance(grid, int) or grid < 2:
-        raise ValueError("grid must be an integer with at least 2 points")
-    theta = HALF_PI * (np.arange(grid) / (grid - 1))
+    theta = HALF_PI * (np.arange(GLUING_GRID) / (GLUING_GRID - 1))
     mirror = HALF_PI - theta
     left = _phi_terms(0.0, *_trig_vec(theta))
     right = _phi_terms(0.0, *_trig_vec(mirror))

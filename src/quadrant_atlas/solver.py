@@ -337,7 +337,8 @@ def _graded(u: float, v: float, q: PreimageQuery, tol: float) -> tuple[Fraction,
     if res <= tol:
         return res, x, y
     near_x, near_y = ((t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)) for t in (x, y))
-    return min((_official_residual(nx, ny, q), nx, ny) for nx in near_x for ny in near_y)
+    around = [(nx, ny) for nx in near_x for ny in near_y if (nx, ny) != (x, y)]
+    return min((res, x, y), *((_official_residual(nx, ny, q), nx, ny) for nx, ny in around))
 
 
 def _candidates(q: PreimageQuery):

@@ -433,6 +433,29 @@ def test_preimage_overflowing_target_fails_cleanly():
     assert doc["results"]["best_residual"] is None
 
 
+@pytest.mark.parametrize(
+    "args, expected",
+    [(["expand"], 0), (["preimage", "--target", "1e300,1e300"], 3)],
+)
+def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(args, expected):
+    # a reader that stops early, as `| head -1` does: the pipe's read end is
+    # closed before the report is written
+    src_dir = os.path.dirname(os.path.dirname(quadrant_atlas.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadrant_atlas.cli", *args, "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == expected
+
+
 def test_preimage_params_match_on_success_and_failure(capsys):
     code, solved = run_json(["preimage", "--target", "241,52", "--format", "json"], capsys)
     assert code == 0

@@ -1,10 +1,11 @@
 """Seeded verification sweeps: stream contract, check reports, determinism.
 
-The random stream is pinned twice over: against an independent integer
-implementation of the generator written here, and against the published
-first outputs of the seed-zero stream. Check reports for small runs are
-compared field by field with values computed by the reference stream, so
-the vectorized paths cannot drift from the scalar contract.
+The stream the sweeps run, sampler._unit_matrix, is pinned twice over:
+against an independent integer implementation of the generator written
+here (ref_unit, ref_pair), and against the published first outputs of the
+seed-zero stream. Check reports for small runs are compared field by field
+with scalar oracles fed by the reference stream, so the sweeps cannot
+drift from the stream contract.
 """
 
 import math
@@ -25,8 +26,6 @@ from quadrant_atlas.sampler import (
     check_mu_gluing,
     check_phi_bound,
     check_positivity,
-    sample_pair,
-    unit_double,
 )
 
 _M64 = (1 << 64) - 1
@@ -75,28 +74,30 @@ POS_EXACT_MIN_2 = Fraction(73, 256)
 
 def test_unit_double_matches_reference_stream():
     for seed in (0, 42, 7, 2**64 - 1):
-        for i in range(64):
-            assert unit_double(seed, i) == ref_unit(seed, i)
+        got = sampler._unit_matrix(seed, 0, 32).ravel().tolist()
+        assert got == [ref_unit(seed, i) for i in range(64)]
 
 
 def test_seed_zero_words_are_the_published_sequence():
-    for i, word in enumerate(SEED0_WORDS):
-        assert unit_double(0, i) == (word >> 11) * 2.0**-53
+    got = sampler._unit_matrix(0, 0, 2).ravel().tolist()
+    assert got[:3] == [(word >> 11) * 2.0**-53 for word in SEED0_WORDS]
 
 
 def test_sample_pair_consumes_two_outputs_in_order():
+    rows = sampler._unit_matrix(42, 0, 501)
     for j in (0, 1, 2, 500):
-        x, y = sample_pair(42, j)
+        x, y = rows[j].tolist()
         assert x == ref_unit(42, 2 * j)
         assert y == ref_unit(42, 2 * j + 1)
 
 
 def test_chunk_boundary_reseeds_with_incremented_seed():
-    # sample CHUNK_SAMPLES is the first sample of the seed+1 stream
-    assert sample_pair(42, CHUNK_SAMPLES) == ref_pair(43, 0)
-    assert sample_pair(42, 3 * CHUNK_SAMPLES + 5) == ref_pair(45, 5)
+    # sample CHUNK_SAMPLES is the first sample of chunk 1, the seed+1 stream
+    assert tuple(sampler._unit_matrix(42, 1, 1)[0].tolist()) == ref_pair(43, 0)
+    assert ref_pair(42, CHUNK_SAMPLES) == ref_pair(43, 0)
+    assert tuple(sampler._unit_matrix(42, 3, 6)[5].tolist()) == ref_pair(45, 5)
     # seed arithmetic wraps at 64 bits
-    assert sample_pair(2**64 - 1, CHUNK_SAMPLES) == ref_pair(0, 0)
+    assert tuple(sampler._unit_matrix(2**64 - 1, 1, 1)[0].tolist()) == ref_pair(0, 0)
 
 
 def test_config_validation():
@@ -155,6 +156,51 @@ def test_positivity_exact_grid_minima_are_these_rationals():
     assert best2 == POS_EXACT_MIN_2
 
 
+def test_exact_grid_failures_sort_after_the_stream(monkeypatch):
+    # planted on the exact grid, which runs x-major after the stream: a zero
+    # first component at (-1.5, 2) and a second component of -1 at (4.5, -0.5)
+    fmap = build_theorem_map()
+    real = sampler._exact_sum
+
+    def planted(p, px, py):
+        at = (Fraction(px[1], px[0]), Fraction(py[1], py[0]))
+        if at == (Fraction(-3, 2), 2) and p is fmap.component1:
+            return 0
+        if at == (Fraction(9, 2), Fraction(-1, 2)) and p is fmap.component2:
+            return -px[0] * py[0]
+        return real(p, px, py)
+
+    monkeypatch.setattr(sampler, "_exact_sum", planted)
+    report = check_positivity(SamplerConfig(count=1000, seed=42))
+    assert report.checked == 1000 + 441
+    assert report.failures == 2
+    assert report.nonfinite == 0
+    assert report.first_failure_input == (-1.5, 2.0)
+    assert report.min_component_1 == 0.0
+    assert report.min_component_2 == -1.0
+
+    # a failure at the last stream sample still sorts ahead of the grid's,
+    # whose first sits at grid index 161
+    u1, u2 = ref_pair(42, 999)
+    x_bad = (2.0 * u1 - 1.0) * 50.0
+    real_map = sampler._map_on_arrays
+
+    def planting(fmap):
+        evaluate = real_map(fmap)
+
+        def planted_evaluate(x, y):
+            c1, c2 = evaluate(x, y)
+            return np.where(x == x_bad, -3.0, c1), c2
+
+        return planted_evaluate
+
+    monkeypatch.setattr(sampler, "_map_on_arrays", planting)
+    report = check_positivity(SamplerConfig(count=1000, seed=42))
+    assert report.failures == 3
+    assert report.first_failure_input == (x_bad, (2.0 * u2 - 1.0) * 50.0)
+    assert report.min_component_1 == -3.0
+
+
 def test_first_component_is_exactly_one_on_the_x_axis():
     fmap = build_theorem_map()
     for t in (-17.0, -1.5, 0.0, 0.25, 3.0, 49.5):
@@ -210,7 +256,8 @@ def test_phi_bound_margin_definition_spot_check():
 
 
 def test_mu_gluing_grid_1001():
-    report = check_mu_gluing(1001)
+    assert sampler.GLUING_GRID == 1001
+    report = check_mu_gluing()
     assert report.checked == 1001
     assert report.failures == 0
     assert report.max_relative_error <= 1e-12
@@ -221,11 +268,6 @@ def test_mu_gluing_symmetry_is_exact_at_quarter_pi():
     assert _mu_terms(HALF_PI / 2.0) == 0.0
     left = phi(0.0, HALF_PI / 2.0)
     assert left == phi(0.0, HALF_PI - HALF_PI / 2.0)
-
-
-def test_mu_gluing_rejects_degenerate_grid():
-    with pytest.raises(ValueError):
-        check_mu_gluing(1)
 
 
 def test_reports_identical_across_thread_counts(monkeypatch):
@@ -286,7 +328,7 @@ def test_vectorized_sweeps_match_scalar_oracle(check, to_input, oracle):
     count, seed = 257, 42
     failures, m1, m2, maxerr, first = 0, math.inf, math.inf, 0.0, None
     for j in range(count):
-        inp, v1, v2, err, ok = oracle(*to_input(*sample_pair(seed, j)))
+        inp, v1, v2, err, ok = oracle(*to_input(*ref_pair(seed, j)))
         m1, m2, maxerr = min(m1, v1), min(m2, v2), max(maxerr, err)
         if not ok:
             failures += 1
@@ -301,7 +343,7 @@ def test_block_boundaries_keep_global_indices(monkeypatch):
     start = CHUNK_SAMPLES + sampler._BLOCK_ROWS
     planted = {start + 7: math.nan, start + sampler._BLOCK_ROWS - 1: -2.0}
     planted[start + sampler._BLOCK_ROWS] = -1.0
-    bad_x = {(2.0 * sample_pair(42, j)[0] - 1.0) * 50.0: v for j, v in planted.items()}
+    bad_x = {(2.0 * ref_pair(42, j)[0] - 1.0) * 50.0: v for j, v in planted.items()}
     real = sampler._map_on_arrays
 
     def planting(fmap):
@@ -320,7 +362,7 @@ def test_block_boundaries_keep_global_indices(monkeypatch):
     assert report.checked == 2 * CHUNK_SAMPLES + 3 + 441
     assert report.failures == 3
     assert report.nonfinite == 1
-    u1, u2 = sample_pair(42, start + 7)
+    u1, u2 = ref_pair(42, start + 7)
     assert report.first_failure_input == ((2.0 * u1 - 1.0) * 50.0, (2.0 * u2 - 1.0) * 50.0)
     assert report.min_component_1 == -2.0
 
