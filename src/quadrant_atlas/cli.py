@@ -16,6 +16,7 @@ wall_time_ms. Exit codes: 0 all checks passed, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -41,7 +42,6 @@ from .polynomial import (
 from .sampler import (
     GLUING_GRID,
     SamplerConfig,
-    SamplerReport,
     check_f2_equals_h_g,
     check_g_psi_equals_phi,
     check_mu_gluing,
@@ -146,19 +146,6 @@ def _map_payload(fmap: PolyMap2) -> dict[str, Any]:
         "component_2": _poly_payload(fmap.component2),
         "degrees": [int(d1), int(d2)],
         "monomials": [n1, n2],
-    }
-
-
-def _report_payload(report: SamplerReport) -> dict[str, Any]:
-    first = report.first_failure_input
-    return {
-        "checked": report.checked,
-        "failures": report.failures,
-        "min_component_1": report.min_component_1,
-        "min_component_2": report.min_component_2,
-        "max_relative_error": report.max_relative_error,
-        "first_failure_input": None if first is None else list(first),
-        "nonfinite": report.nonfinite,
     }
 
 
@@ -385,7 +372,7 @@ def _run_sample(args) -> tuple[dict, dict, int, list[str]]:
     results = {
         "version": __version__,
         "check": "positivity",
-        **_report_payload(report),
+        **dataclasses.asdict(report),
     }
     lines = [
         f"positivity: checked {report.checked}, failures {report.failures}",
@@ -412,7 +399,7 @@ def _run_identities(args) -> tuple[dict, dict, int, list[str]]:
     results = {
         "version": __version__,
         "gluing_grid": GLUING_GRID,
-        "checks": {name: _report_payload(r) for name, r in reports.items()},
+        "checks": {name: dataclasses.asdict(r) for name, r in reports.items()},
     }
     lines = []
     for name, report in reports.items():

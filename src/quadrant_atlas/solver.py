@@ -15,9 +15,9 @@ order:
    log-spaced u in [1e-40, 1e40], and each sign change is bisected in
    log u. Then each fold is located by bisection on D, both branches are
    sampled at FOLD_POINTS points graded toward it, and the sign changes
-   there are bisected. Last, the local minima of |c1 - a| on both samplings
-   that show no sign change, near-tangencies of the level curves c1 = a
-   and c2 = b, are refined by golden-section search in log u.
+   there are bisected. Last, the samples where |c1 - a| has a local
+   minimum with no sign change around it, near-tangencies of the level
+   curves c1 = a and c2 = b, are taken as they are, least |c1 - a| first.
 2. Direct seeds: a 17 x 17 lattice of magnitudes 10^(k/2), k = -8..8.
 
 Each candidate is polished by one damped least-squares iteration on the
@@ -198,13 +198,15 @@ def _curve_point(u: float, branch: int, q: PreimageQuery) -> tuple[float, float]
 
 
 def _curve_samples(u, q: PreimageQuery):
-    """([c1 - a on v+, c1 - a on v-], D) at an array of u; _curve_point's
-    + - * / and sqrt on arrays, so the values agree bit for bit."""
+    """([c1 - a on v+, c1 - a on v-], D, [v+, v-]) at an array of u;
+    _curve_point's + - * / and sqrt on arrays, so the values agree bit for
+    bit."""
     with np.errstate(all="ignore"):
         d, *branches = _level_curve(u, q.b, np.sqrt)
         root_u = np.sqrt(u)
-        f = [eval_h(_g_terms(u, np.where(v >= 0.0, v, np.nan), root_u))[0] - q.a for v in branches]
-    return f, d
+        v = [np.where(vb >= 0.0, vb, np.nan) for vb in branches]
+        f = [eval_h(_g_terms(u, vb, root_u))[0] - q.a for vb in v]
+    return f, d, v
 
 
 def _bisect(fn, x0: float, f0: float, x1: float, f1: float):
@@ -224,25 +226,6 @@ def _bisect(fn, x0: float, f0: float, x1: float, f1: float):
             x1, f1 = mid, f_mid
 
 
-def _golden_min(fn, lo: float, hi: float) -> float:
-    """The u in [lo, hi] that minimizes fn, by golden-section search in
-    log u down to rounding."""
-    r = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
-    c, d = b - r * (b - a), a + r * (b - a)
-    fc, fd = fn(math.exp(c)), fn(math.exp(d))
-    while a < c < d < b:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - r * (b - a)
-            fc = fn(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + r * (b - a)
-            fd = fn(math.exp(d))
-    return math.exp(c if fc < fd else d)
-
-
 def _branch_roots(branch: int, u, f, q: PreimageQuery):
     """Seeds (u, v) at the sign changes of c1 - a between neighbouring
     samples of one branch, each bisected. Brackets in the rounding noise
@@ -259,21 +242,16 @@ def _branch_roots(branch: int, u, f, q: PreimageQuery):
         last = seed
 
 
-def _branch_minima(branch: int, u, f, q: PreimageQuery) -> list:
-    """(|c1 - a|, u, v) at each local minimum of |c1 - a| between
-    neighbouring samples of one branch that show no sign change, refined by
-    golden-section search between the neighbours."""
+def _branch_minima(u, f, v) -> list:
+    """(|c1 - a|, u, v) at each sample of one branch where |c1 - a| has a
+    local minimum and its neighbours show no sign change: the
+    near-tangencies of the level curves c1 = a and c2 = b."""
     size, neg, mid = np.abs(f), f < 0.0, slice(1, -1)
-    at = np.flatnonzero(
+    at = 1 + np.flatnonzero(
         (size[:-2] > size[mid]) & (size[mid] <= size[2:])
         & (neg[:-2] == neg[mid]) & (neg[mid] == neg[2:])
     )
-    out = []
-    for lo, hi in zip(u[at].tolist(), u[at + 2].tolist()):
-        x = _golden_min(lambda t: abs(_curve_point(t, branch, q)[0]), min(lo, hi), max(lo, hi))
-        fx, v = _curve_point(x, branch, q)
-        out.append((abs(fx), x, v))
-    return out
+    return list(zip(size[at].tolist(), u[at].tolist(), v[at].tolist()))
 
 
 @functools.cache
@@ -287,12 +265,13 @@ def _scan_grid(points: int) -> np.ndarray:
 def _level_seeds(q: PreimageQuery):
     """Quadrant seeds (u, v) on the level curve c2 = b, in the order they
     are tried: the roots bracketed on the scan, then those near the folds,
-    then the near-tangencies, least |c1 - a| first. Each group is only
+    then the near-tangencies, the sampled minima of |c1 - a| on the scan
+    and toward the folds, least |c1 - a| first. Each group is only
     computed once the caller has taken every seed before it."""
     u = _scan_grid(SCAN_POINTS)
-    f, d = _curve_samples(u, q)
-    samples = [(branch, u, fb) for branch, fb in enumerate(f)]
-    for branch, _, fb in samples:
+    f, d, v = _curve_samples(u, q)
+    samples = [(u, fb, vb) for fb, vb in zip(f, v)]
+    for branch, fb in enumerate(f):
         yield from _branch_roots(branch, u, fb, q)
     has_curve = d >= 0.0
     for i in np.flatnonzero(has_curve[:-1] != has_curve[1:]).tolist():
@@ -304,11 +283,12 @@ def _level_seeds(q: PreimageQuery):
             float(u[inside]), float(d[inside]), float(u[outside]), float(d[outside]),
         )[0]
         graded = fold + (u[inside] - fold) * np.logspace(0.0, -14.0, FOLD_POINTS)
-        for branch, fb in enumerate(_curve_samples(graded, q)[0]):
-            samples.append((branch, graded, fb))
+        f, _, v = _curve_samples(graded, q)
+        for branch, (fb, vb) in enumerate(zip(f, v)):
+            samples.append((graded, fb, vb))
             yield from _branch_roots(branch, graded, fb, q)
-    for _, x, v in sorted(m for s in samples for m in _branch_minima(*s, q)):
-        yield x, v
+    for _, x, y in sorted(m for s in samples for m in _branch_minima(*s)):
+        yield x, y
 
 
 # ---------------------------------------------------------------------------

@@ -110,8 +110,8 @@ class BoundaryLoop:
     def __post_init__(self):
         if self.variant not in ("alpha1", "alpha2"):
             raise ValueError(f"unknown loop variant {self.variant!r}")
-        if self.m <= 0.0:
-            raise ValueError(f"loop length scale must be positive, got {self.m}")
+        if not 0.0 < self.m < math.inf:
+            raise ValueError(f"loop length scale must be positive and finite, got {self.m}")
 
     @property
     def t_max(self) -> float:

@@ -148,16 +148,20 @@ def test_level_curve_has_at_most_two_folds():
 )
 def test_lockstep_lanes_match_the_one_seed_loop_bit_for_bit(target, cfg, monkeypatch):
     # the scan runs the bisections' + - * / and sqrt on arrays, one lane
-    # per u in lockstep; each lane must equal the one-point float path.
+    # per u in lockstep; each lane, c1 - a and v, must equal the one-point
+    # float path: the near-tangency seeds read v from the arrays.
     # cfg: the solver constants to set for this case
     for name, value in cfg.items():
         monkeypatch.setattr(solver, name, value)
     q = PreimageQuery(*target)
     u = np.logspace(-40.0, 40.0, solver.SCAN_POINTS)[::7]
-    for branch, f in enumerate(_curve_samples(u, q)[0]):
-        got = [x.hex() for x in f.tolist()]
-        want = [_curve_point(x, branch, q)[0].hex() for x in u.tolist()]
-        assert got == want, (target, branch)
+    f, _, v = _curve_samples(u, q)
+    for branch in (0, 1):
+        points = [_curve_point(x, branch, q) for x in u.tolist()]
+        for k, lane in enumerate((f[branch], v[branch])):
+            got = [x.hex() for x in lane.tolist()]
+            want = [p[k].hex() for p in points]
+            assert got == want, (target, branch, k)
 
 
 # The first seed is a bracketed root on the level curve, c2 = b to rounding
@@ -459,5 +463,20 @@ def test_wide_targets_are_solved():
             continue
         assert exact_residual(r.x, r.y, a, b) <= 1e-9, (a, b)
         solved[a, b] = r
-    assert len(solved) >= 280, len(solved)
+    assert len(solved) >= 289, len(solved)
     assert all(t in solved for t in TANGENCY_TARGETS)
+
+
+def test_edge_draws_are_solved():
+    # the preimage-edge distribution: 150 rounds of (10^U(-7.5, -6.5), 1e-2)
+    # then (1.0, 10^U(-7.5, -6.5)) from random.Random(0); at some (1.0, b)
+    # every fold root misses the gate and a near-tangency seed, taken at
+    # its sample, wins
+    rng = random.Random(0)
+    targets = []
+    for _ in range(150):
+        targets.append((10.0 ** rng.uniform(-7.5, -6.5), 1e-2))
+        targets.append((1.0, 10.0 ** rng.uniform(-7.5, -6.5)))
+    for a, b in targets:
+        r = preimage(PreimageQuery(a, b), SolverConfig())
+        assert exact_residual(r.x, r.y, a, b) <= 1e-9, (a, b)

@@ -114,6 +114,14 @@ def test_loop_runs_along_the_axes_first():
     assert loop_at(a2, t) == [(v, 0.0, 0.0) for v in t]
 
 
+def test_loop_rejects_a_length_scale_that_is_not_positive_and_finite():
+    # m sets the parameter range that the linking sum and the
+    # transversality scan cut into segments, so it must be a finite length
+    for m in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            BoundaryLoop("alpha1", m)
+
+
 def test_loop_closes_and_is_continuous_at_junctions():
     # the middle segment leaves the strip edges with a sqrt(delta) modulus of
     # continuity, so the junction jump must shrink like sqrt of the probe step
