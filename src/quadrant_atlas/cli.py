@@ -1,7 +1,7 @@
 """Command line front end.
 
 Five subcommands: expand (exact expansions and the composition verdict),
-preimage (two-stage solver for one target), certify (transversality and
+preimage (level-curve solver for one target), certify (transversality and
 linking certificates for one disc scale), sample (the positivity sweep)
 and identities (the remaining verification sweeps). Every subcommand
 takes --format text|json; JSON documents share the layout
@@ -182,14 +182,11 @@ def _run_expand(args) -> tuple[dict, dict, int, list[str]]:
         compose(f2.component1, f1.component1, f1.component2),
         compose(f2.component2, f1.component1, f1.component2),
     )
-    equal = to_triples(composed.component1) == to_triples(fmap.component1) and to_triples(
-        composed.component2
-    ) == to_triples(fmap.component2)
+    equal = composed == fmap
 
-    d1, n1 = stats(fmap.component1)
-    d2, n2 = stats(fmap.component2)
     glued = _map_payload(fmap)
-    glued["total_degree"] = int(d1 + d2)
+    (d1, d2), (n1, n2) = glued["degrees"], glued["monomials"]
+    glued["total_degree"] = d1 + d2
     glued["total_monomials"] = n1 + n2
     results = {
         "version": __version__,
@@ -203,11 +200,11 @@ def _run_expand(args) -> tuple[dict, dict, int, list[str]]:
         f"f1 = ({to_text(f1.component1)}, {to_text(f1.component2)})",
         f"f2 component 1 = {to_text(f2.component1)}",
         f"f2 component 2 = {to_text(f2.component2)}",
-        f"map component 1 (degree {int(d1)}, {n1} monomials):",
+        f"map component 1 (degree {d1}, {n1} monomials):",
         f"  {to_text(fmap.component1)}",
-        f"map component 2 (degree {int(d2)}, {n2} monomials):",
+        f"map component 2 (degree {d2}, {n2} monomials):",
         f"  {to_text(fmap.component2)}",
-        f"total degree {int(d1 + d2)}, total monomials {n1 + n2}",
+        f"total degree {d1 + d2}, total monomials {n1 + n2}",
         f"composition equals the glued map: {'yes' if equal else 'NO'}",
     ]
     return {"format": args.format}, results, 0 if equal else 1, lines
@@ -233,15 +230,7 @@ def _run_preimage(args) -> tuple[dict, dict, int, list[str]]:
     except SolverFailure as exc:
         results = {"version": __version__, "error": str(exc), "best_residual": exc.best_residual}
         return params, results, 3, [f"solver did not converge: {exc}"]
-    results = {
-        "version": __version__,
-        "x": result.x,
-        "y": result.y,
-        "residual": result.residual,
-        "stage": result.stage,
-        "newton_iters": result.newton_iters,
-        "seed_index": result.seed_index,
-    }
+    results = {"version": __version__, **dataclasses.asdict(result)}
     lines = [
         f"target ({a!r}, {b!r})",
         f"witness x={result.x!r} y={result.y!r}",

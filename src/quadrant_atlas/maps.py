@@ -2,7 +2,7 @@
 
 Each formula has one body, shared by the array sweeps in topology and
 sampler and by the solver, on arrays for its level-curve scan and on
-floats for its bisections and its direct stage:
+floats for its bisections and its polish:
 
 * ``g`` embeds the closed quadrant into 3-space; ``h`` projects back to the
   plane by summing squares of adjacent coordinates, and the composition

@@ -8,28 +8,26 @@ a quadratic in v: the level curve c2 = b is the two branches
 v+-(u) = (pq +- sqrt(D)) / A, with A = p^2 + u^3 and D = b A - u^3 q^2,
 which meet at the folds where D = 0. D / u^2 is a quartic with at most
 two positive roots, so there are at most two folds. A preimage is a root
-in u of c1(u, v+-(u)) - a, and the candidates form one stream, tried in
-order:
+in u of c1(u, v+-(u)) - a. The seeds lie on the level curve and are
+tried in this order. Both branches are scanned on SCAN_POINTS
+log-spaced u in [1e-40, 1e40], and each sign change is bisected in log u.
+Then each fold is located by bisection on D, both branches are sampled
+at FOLD_POINTS points graded toward it, and the sign changes there are
+bisected. Last, the samples where |c1 - a| has a local minimum with no
+sign change around it, near-tangencies of the level curves c1 = a and
+c2 = b, are taken as they are, least |c1 - a| first.
 
-1. Level-curve seeds. Both branches are scanned on SCAN_POINTS
-   log-spaced u in [1e-40, 1e40], and each sign change is bisected in
-   log u. Then each fold is located by bisection on D, both branches are
-   sampled at FOLD_POINTS points graded toward it, and the sign changes
-   there are bisected. Last, the samples where |c1 - a| has a local
-   minimum with no sign change around it, near-tangencies of the level
-   curves c1 = a and c2 = b, are taken as they are, least |c1 - a| first.
-2. Direct seeds: a 17 x 17 lattice of magnitudes 10^(k/2), k = -8..8.
-
-Each candidate is polished by one damped least-squares iteration on the
-outer factor over the closed quadrant, its value and Jacobian taken from
-the maps bodies of g, its partials and h. A polished point is graded if
-the polish converged, or if it stalled from a level-curve seed: near the
-axes the float residual rounds above the tolerance at points the exact
-map accepts. Grading evaluates the exact expanded map in rationals at
-the witness (x, y) = (sqrt(u), sqrt(v)), and at the doubles one ulp
-around it when that misses, so the solver cannot grade its own homework.
-The first point that passes wins. A value that overflows is inf or NaN,
-which never descends, so such a seed fails quietly.
+Each seed is polished by one damped least-squares iteration on the outer
+factor over the closed quadrant, its value and Jacobian taken from the
+maps bodies of g, its partials and h. Every polished point with a finite
+residual is graded, also when the polish stalled: a seed on the level
+curve brackets a root, and near the axes the float residual rounds above
+the tolerance at points the exact map accepts. Grading evaluates the
+exact expanded map in rationals at the witness (x, y) = (sqrt(u),
+sqrt(v)), and at the doubles one ulp around it when that misses, so the
+solver cannot grade its own homework. The first point that passes wins.
+A value that overflows is inf or NaN, which never descends, so such a
+seed fails quietly.
 """
 
 from __future__ import annotations
@@ -87,10 +85,9 @@ class PreimageQuery:
 @dataclass(frozen=True)
 class PreimageResult:
     """x, y: the witness point; residual: exact relative sup-norm error of
-    the expanded map at it; stage: "level-curve" or "direct-fallback", the
-    source of the winning seed; newton_iters: iterations of the polish
-    from that seed; seed_index: the seed's position in its stage's
-    stream."""
+    the expanded map at it; stage: "level-curve", the source of every
+    seed; newton_iters: iterations of the polish from the winning seed;
+    seed_index: that seed's position in the level-curve stream."""
 
     x: float
     y: float
@@ -125,7 +122,7 @@ def _newton_direct(
     # Steps are accepted on the squared 2-norm since that is what the
     # normal equations descend; convergence is judged on the sup norm.
     scale = max(q.a, q.b, 1.0)
-    u, v = max(seed[0], 0.0), max(seed[1], 0.0)
+    u, v = seed
     r, m, g, f = _direct_norms(u, v, q.a, q.b, scale)
     lam = -1.0
     for iters in range(1, MAX_NEWTON_ITERS + 1):
@@ -321,18 +318,6 @@ def _graded(u: float, v: float, q: PreimageQuery, tol: float) -> tuple[Fraction,
     return min((res, x, y), *((_official_residual(nx, ny, q), nx, ny) for nx, ny in around))
 
 
-def _candidates(q: PreimageQuery):
-    """Quadrant seeds for the direct polish, in the order they are tried:
-    (stage, seed_index, seed) for each level-curve seed, then for each
-    point of the direct lattice, log-spaced magnitudes in both
-    coordinates."""
-    for idx, seed in enumerate(_level_seeds(q)):
-        yield "level-curve", idx, seed
-    mags = [10.0 ** (k / 2.0) for k in range(-8, 9)]
-    for idx, seed in enumerate((u, v) for u in mags for v in mags):
-        yield "direct-fallback", idx, seed
-
-
 def preimage(q: PreimageQuery, cfg: SolverConfig = SolverConfig()) -> PreimageResult:
     """Witness point for the target, or SolverFailure if no graded point
     passes.
@@ -341,15 +326,16 @@ def preimage(q: PreimageQuery, cfg: SolverConfig = SolverConfig()) -> PreimageRe
     result that passes came from the theorem's own polynomial.
     """
     best_r, best_xy = math.inf, (0.0, 0.0)
-    for stage, idx, seed in _candidates(q):
-        ok, (u, v), r, iters = _newton_direct(seed, q, cfg)
+    for idx, seed in enumerate(_level_seeds(q)):
+        _, (u, v), r, iters = _newton_direct(seed, q, cfg)
         # a level-curve seed brackets a root, so a stalled polish is graded
-        if not (ok or stage == "level-curve" and math.isfinite(r)):
+        if not math.isfinite(r):
             continue
         res, x, y = _graded(u, v, q, cfg.residual_tol)
         if res <= cfg.residual_tol:
             return PreimageResult(
-                x=x, y=y, residual=float(res), stage=stage, newton_iters=iters, seed_index=idx
+                x=x, y=y, residual=float(res), stage="level-curve",
+                newton_iters=iters, seed_index=idx,
             )
         if res < best_r:
             best_r, best_xy = float(res), (x, y)

@@ -75,7 +75,7 @@ def test_preimage_json_solves_the_known_pair(capsys):
     assert res["residual"] <= 1e-9
     assert abs(res["x"] - 1.0) < 1e-6
     assert abs(res["y"] - 2.0) < 1e-6
-    assert res["stage"] in ("level-curve", "direct-fallback")
+    assert res["stage"] == "level-curve"
 
 
 def test_preimage_json_flag_matches_format_flag(capsys):

@@ -1,4 +1,4 @@
-"""Tests for the two-stage preimage solver.
+"""Tests for the level-curve preimage solver.
 
 The acceptance oracle throughout is forward evaluation: a result is right
 exactly when pushing it through the exact polynomial map reproduces the
@@ -234,7 +234,7 @@ def test_preimage_frozen_targets():
         assert isinstance(r, PreimageResult)
         assert r.residual <= 1e-9
         assert forward_residual(r.x, r.y, a, b) <= 1e-9
-        assert r.stage in ("level-curve", "direct-fallback")
+        assert r.stage == "level-curve"
 
 
 def test_preimage_decade_targets():
@@ -429,6 +429,31 @@ def test_preimage_raises_no_runtime_warning():
             assert preimage(PreimageQuery(a, b), SolverConfig()).residual <= 1e-9
         with pytest.raises(SolverFailure):
             preimage(PreimageQuery(1e300, 1e300), SolverConfig())
+
+
+# Targets where the gate, which scales by max(a, b, 1), passes points that
+# miss the small coordinate by 1e12 relative or more: a point mapping to
+# (1e30, 0.93) passes for (1e30, 1e-30), one mapping to (0.58, 6.58e11)
+# for the first hard target. The level curve yields no passing point for
+# them, so the solver reports a failure, not such a point.
+GATE_ONLY_TARGETS = [
+    (1e30, 1e-30),
+    (1e-30, 1e30),
+    (1.7432717858700207e-14, 657960868301.8638),
+    (7.098979925513692e-14, 20533116334.778038),
+    (2183442107.162487, 1.8293979751669146e-14),
+    (1.7397616297941639e-15, 40853906813.250145),
+    (3.455285877736244e-15, 791583249.3964957),
+    (641058722311.6287, 4.9645583116514865e-15),
+    (4.0646958449499786e-14, 36419100463.98103),
+]
+
+
+@pytest.mark.parametrize("target", GATE_ONLY_TARGETS, ids=lambda t: f"{t[0]!r},{t[1]!r}")
+def test_gate_only_targets_are_reported_as_failures(target):
+    with pytest.raises(SolverFailure) as info:
+        preimage(PreimageQuery(*target), SolverConfig())
+    assert math.isfinite(info.value.best_residual), target
 
 
 def test_edge_target_preimage_memory_is_bounded():
