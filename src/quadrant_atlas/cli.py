@@ -54,8 +54,6 @@ from .topology import (
     ALPHA2_D2_SIGN,
     BoundaryLoop,
     DegenerateGeometryError,
-    LinkingResult,
-    TransversalityReport,
     _circle,
     _loop_points,
     gauss_linking,
@@ -149,27 +147,6 @@ def _map_payload(fmap: PolyMap2) -> dict[str, Any]:
     }
 
 
-def _transversality_payload(report: TransversalityReport) -> dict[str, Any]:
-    return {
-        "ok": report.ok,
-        "hit_intervals": [list(iv) for iv in report.hit_intervals],
-        "expected_interval": list(report.expected_interval),
-        "max_lateral_deviation": report.max_lateral_deviation,
-    }
-
-
-def _linking_payload(result: LinkingResult, expected: int) -> dict[str, Any]:
-    return {
-        "value": result.value,
-        "rounded": result.rounded,
-        "expected": expected,
-        "loop_segments": result.loop_segments,
-        "circle_segments": result.circle_segments,
-        "arc_segments": result.arc_segments,
-        "closest_approach": result.closest_approach,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (params, results, exit code, text lines).
 
@@ -240,14 +217,14 @@ def _run_preimage(args) -> tuple[dict, dict, int, list[str]]:
     return params, results, 0 if result.residual <= args.tol else 1, lines
 
 
-def _dump_certify_points(path: str, loops, discs, segments: int) -> None:
+def _dump_certify_points(path: str, loops, tubes, segments: int) -> None:
     curves = []
-    for name, loop in loops:
+    for loop in loops:
         t = np.arange(segments) * (loop.t_max / segments)
-        curves.append((name, t, _loop_points(loop, t)))
-    for name, spec in discs:
+        curves.append((loop.variant, t, _loop_points(loop, t)))
+    for tube in tubes:
         s = np.arange(segments) * (math.tau / segments)
-        curves.append((name, s, _circle(spec, s)[0]))
+        curves.append((f"{tube.disc.variant}_boundary", s, _circle(tube.disc, s)[0]))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("curve,param,x,y,z\n")
         for name, params, points in curves:
@@ -255,42 +232,56 @@ def _dump_certify_points(path: str, loops, discs, segments: int) -> None:
                 handle.write(f"{name},{p!r},{x!r},{y!r},{z!r}\n")
 
 
+# the paper's two certificates: each loop links its disc with this sign
+_PAIRS = (("alpha1", "d1", ALPHA1_D1_SIGN), ("alpha2", "d2", ALPHA2_D2_SIGN))
+
+
 def _run_certify(args) -> tuple[dict, dict, int, list[str]]:
     if args.segments < 256:
         raise _UsageError(f"--segments must be at least 256, got {args.segments}")
     if args.grid < 1000:
         raise _UsageError(f"--grid must be at least 1000, got {args.grid}")
-    try:
-        tube1 = make_tube(args.a, args.b, "d1")
-        tube2 = make_tube(args.a, args.b, "d2")
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    loop1 = BoundaryLoop("alpha1", tube1.m)
-    loop2 = BoundaryLoop("alpha2", tube2.m)
 
-    # coordinates that overflow make numpy warn on the way; the linking sum
-    # then raises DegenerateGeometryError, which is reported once as exit 2
-    with np.errstate(all="ignore"):
-        trans1 = transversality_scan(loop1, tube1, args.grid)
-        trans2 = transversality_scan(loop2, tube2, args.grid)
+    passed = True
+    loops, tubes, pairs, pair_lines = [], [], [], []
+    for loop_name, disc_name, sign in _PAIRS:
         try:
-            link1 = gauss_linking(loop1, tube1.disc, args.segments, args.segments)
-            link2 = gauss_linking(loop2, tube2.disc, args.segments, args.segments)
-        except DegenerateGeometryError as exc:
-            raise _UsageError(f"no linking certificate at A={args.a!r}, B={args.b!r}: {exc}")
-
-    link1_ok = abs(link1.value - ALPHA1_D1_SIGN) <= _LINKING_TOL
-    link2_ok = abs(link2.value - ALPHA2_D2_SIGN) <= _LINKING_TOL
-    passed = trans1.ok and trans2.ok and link1_ok and link2_ok
+            tube = make_tube(args.a, args.b, disc_name)
+        except ValueError as exc:
+            raise _UsageError(str(exc))
+        loop = BoundaryLoop(loop_name, tube.m)
+        # coordinates that overflow make numpy warn on the way; the linking sum
+        # then raises DegenerateGeometryError, which is reported once as exit 2
+        with np.errstate(all="ignore"):
+            trans = transversality_scan(loop, tube, args.grid)
+            try:
+                link = gauss_linking(loop, tube.disc, args.segments, args.segments)
+            except DegenerateGeometryError as exc:
+                raise _UsageError(f"no linking certificate at A={args.a!r}, B={args.b!r}: {exc}")
+        passed = passed and trans.ok and abs(link.value - sign) <= _LINKING_TOL
+        loops.append(loop)
+        tubes.append(tube)
+        fields = list(dataclasses.asdict(link).items())
+        pairs.append(
+            {
+                "loop": loop_name,
+                "disc": disc_name,
+                "transversality": dataclasses.asdict(trans),
+                # the expected linking number right after the rounded one
+                "linking": dict([*fields[:2], ("expected", sign), *fields[2:]]),
+            }
+        )
+        iv = trans.hit_intervals[0] if trans.hit_intervals else None
+        name = f"{loop_name}/{disc_name}"
+        pair_lines += [
+            f"{name}: transversality {'ok' if trans.ok else 'FAILED'}"
+            + (f", hit interval ({iv[0]:.6g}, {iv[1]:.6g})" if iv else ""),
+            f"{name}: linking {link.value:+.6f} rounds to {link.rounded:+d} (expected {sign:+d})",
+        ]
 
     if args.dump_points is not None:
         try:
-            _dump_certify_points(
-                args.dump_points,
-                [("alpha1", loop1), ("alpha2", loop2)],
-                [("d1_boundary", tube1.disc), ("d2_boundary", tube2.disc)],
-                args.segments,
-            )
+            _dump_certify_points(args.dump_points, loops, tubes, args.segments)
         except OSError as exc:
             raise _UsageError(f"cannot write --dump-points file: {exc}")
 
@@ -302,43 +293,16 @@ def _run_certify(args) -> tuple[dict, dict, int, list[str]]:
         "dump_points": args.dump_points,
         "format": args.format,
     }
+    # the last tube's constants stand for both: they depend on A and B only
     results = {
         "version": __version__,
-        "tube": {"m0": tube1.m0, "m": tube1.m, "epsilon": tube1.epsilon},
-        "orientation_signs": {
-            "alpha1_d1": ALPHA1_D1_SIGN,
-            "alpha2_d2": ALPHA2_D2_SIGN,
-        },
-        "pairs": [
-            {
-                "loop": "alpha1",
-                "disc": "d1",
-                "transversality": _transversality_payload(trans1),
-                "linking": _linking_payload(link1, ALPHA1_D1_SIGN),
-            },
-            {
-                "loop": "alpha2",
-                "disc": "d2",
-                "transversality": _transversality_payload(trans2),
-                "linking": _linking_payload(link2, ALPHA2_D2_SIGN),
-            },
-        ],
+        "tube": {"m0": tube.m0, "m": tube.m, "epsilon": tube.epsilon},
+        "orientation_signs": {f"{loop}_{disc}": sign for loop, disc, sign in _PAIRS},
+        "pairs": pairs,
     }
-
-    def pair_lines(name, trans, link, expected):
-        iv = trans.hit_intervals[0] if trans.hit_intervals else None
-        return [
-            f"{name}: transversality {'ok' if trans.ok else 'FAILED'}"
-            + (f", hit interval ({iv[0]:.6g}, {iv[1]:.6g})" if iv else ""),
-            f"{name}: linking {link.value:+.6f} rounds to {link.rounded:+d}"
-            f" (expected {expected:+d})",
-        ]
-
     lines = [
-        f"discs at A={args.a!r}, B={args.b!r}: m0={tube1.m0!r}, "
-        f"epsilon={tube1.epsilon!r}",
-        *pair_lines("alpha1/d1", trans1, link1, ALPHA1_D1_SIGN),
-        *pair_lines("alpha2/d2", trans2, link2, ALPHA2_D2_SIGN),
+        f"discs at A={args.a!r}, B={args.b!r}: m0={tube.m0!r}, epsilon={tube.epsilon!r}",
+        *pair_lines,
     ]
     if args.dump_points is not None:
         lines.append(f"curve samples written to {args.dump_points}")

@@ -14,9 +14,10 @@ associative and commutative, so parallel and serial runs agree exactly.
 
 Chunks fix the stream; blocks fix only how much of a chunk is evaluated
 at once. Each worker evaluates its chunk in blocks of _BLOCK_ROWS rows,
-sized so one block's temporaries stay in a core's cache, and merges the
-blocks' stats like the chunks'. Every check is elementwise, so neither
-the block size nor the thread count changes a bit of any report.
+sized so one block's temporaries stay in a core's cache, and one _report
+combines the stats of every block of every chunk in one pass. Every check
+is elementwise, so neither the block size nor the thread count changes a
+bit of any report.
 """
 
 from __future__ import annotations
@@ -113,34 +114,21 @@ class SamplerReport:
 # with first either None or (global_index, input_pair)
 _Stats = tuple[int, int, float, float, float, tuple | None, int]
 
-_EMPTY_STATS: _Stats = (0, 0, math.inf, math.inf, 0.0, None, 0)
 
-
-def _merge(a: _Stats, b: _Stats) -> _Stats:
-    first = a[5]
-    if first is None or (b[5] is not None and b[5][0] < first[0]):
-        first = b[5]
-    return (
-        a[0] + b[0],
-        a[1] + b[1],
-        min(a[2], b[2]),
-        min(a[3], b[3]),
-        max(a[4], b[4]),
-        first,
-        a[6] + b[6],
-    )
-
-
-def _report(stats: _Stats) -> SamplerReport:
-    checked, failures, m1, m2, maxerr, first, nonfinite = stats
+def _report(parts: list[_Stats]) -> SamplerReport:
+    """One report from partial stats, which may come in any order: counts
+    add, the minima and the error maximum skip a part's NaN, and the first
+    failure is the one with the least global index."""
+    checked, failures, m1, m2, maxerr, firsts, nonfinite = zip(*parts)
+    first = min((f for f in firsts if f is not None), default=None)
     return SamplerReport(
-        checked=checked,
-        failures=failures,
-        min_component_1=m1,
-        min_component_2=m2,
-        max_relative_error=maxerr,
+        checked=sum(checked),
+        failures=sum(failures),
+        min_component_1=min([math.inf, *m1]),
+        min_component_2=min([math.inf, *m2]),
+        max_relative_error=max([0.0, *maxerr]),
         first_failure_input=None if first is None else first[1],
-        nonfinite=nonfinite,
+        nonfinite=sum(nonfinite),
     )
 
 
@@ -203,27 +191,26 @@ def _reduce(base: int, inputs: tuple, v1, v2, err, ok: np.ndarray) -> _Stats:
     )
 
 
-def _sweep(cfg: SamplerConfig, probe: Callable[[np.ndarray, np.ndarray], tuple]) -> _Stats:
+def _sweep(cfg: SamplerConfig, probe: Callable[[np.ndarray, np.ndarray], tuple]) -> list[_Stats]:
     """Run probe over the config's stream, chunk by chunk and, within a
-    chunk, block by block, and reduce.
+    chunk, block by block; returns every block's stats.
 
     probe maps one block's unit doubles (u1, u2) to the arguments of
     _reduce after base.
     """
 
-    def run(spec: tuple[int, int]) -> _Stats:
+    def run(spec: tuple[int, int]) -> list[_Stats]:
         chunk, n = spec
         unit = _unit_matrix(cfg.seed, chunk, n)
-        stats = _EMPTY_STATS
         # numpy's error state is per thread, so it is set here and not
         # around the pool; overflowed and NaN samples already count as
         # failures and in nonfinite
+        parts = []
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, n, _BLOCK_ROWS):
                 block = unit[lo : lo + _BLOCK_ROWS]
-                part = _reduce(chunk * CHUNK_SAMPLES + lo, *probe(block[:, 0], block[:, 1]))
-                stats = _merge(stats, part)
-        return stats
+                parts.append(_reduce(chunk * CHUNK_SAMPLES + lo, *probe(block[:, 0], block[:, 1])))
+        return parts
 
     plan = [
         (k, min(CHUNK_SAMPLES, cfg.count - start))
@@ -232,13 +219,10 @@ def _sweep(cfg: SamplerConfig, probe: Callable[[np.ndarray, np.ndarray], tuple])
     workers = min(thread_count(), len(plan))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, plan))
+            chunks = list(pool.map(run, plan))
     else:
-        parts = [run(spec) for spec in plan]
-    total = _EMPTY_STATS
-    for part in parts:
-        total = _merge(total, part)
-    return total
+        chunks = [run(spec) for spec in plan]
+    return [part for chunk in chunks for part in chunk]
 
 
 def _map_on_arrays(fmap: PolyMap2) -> Callable[[np.ndarray, np.ndarray], tuple]:
@@ -286,7 +270,7 @@ def check_positivity(cfg: SamplerConfig) -> SamplerReport:
         c1, c2 = evaluate(x, y)
         return (x, y), c1, c2, None, (c1 > 0.0) & (c2 > 0.0)
 
-    stats = _sweep(cfg, probe)
+    parts = _sweep(cfg, probe)
 
     # the grid in integers: every value is over the one power of two den,
     # so its sign is its numerator's and n / den its correctly rounded double
@@ -309,7 +293,7 @@ def check_positivity(cfg: SamplerConfig) -> SamplerReport:
         None,
         np.array([n1 > 0 and n2 > 0 for n1, n2 in nums]),
     )
-    return _report(_merge(stats, grid))
+    return _report([*parts, grid])
 
 
 def check_f2_equals_h_g(cfg: SamplerConfig) -> SamplerReport:
@@ -394,4 +378,4 @@ def check_mu_gluing() -> SamplerReport:
     mu = _mu_terms(theta)
     mu_err = np.abs(mu - _mu_terms(mirror))
     ok = (phi_err <= _GLUE_PHI_TOL) & (mu_err <= _GLUE_MU_TOL)
-    return _report(_reduce(0, (theta, mirror), mu, left[1], np.fmax(phi_err, mu_err), ok))
+    return _report([_reduce(0, (theta, mirror), mu, left[1], np.fmax(phi_err, mu_err), ok)])

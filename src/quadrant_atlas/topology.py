@@ -135,10 +135,10 @@ class LinkingResult:
 
 @dataclass(frozen=True)
 class TransversalityReport:
+    ok: bool
     hit_intervals: tuple[tuple[float, float], ...]
     expected_interval: tuple[float, float]
     max_lateral_deviation: float
-    ok: bool
 
 
 def make_tube(a: float, b: float, variant: str) -> TubeSpec:
@@ -238,14 +238,10 @@ def transversality_scan(loop: BoundaryLoop, tube: TubeSpec, grid: int) -> Transv
     step = loop.t_max / (grid - 1)
     (q1, q2, q3), member = _in_tube(_loop_points(loop, t), tube)
 
-    flags = member.astype(np.int8)
-    starts = list(np.flatnonzero(np.diff(flags) == 1) + 1)
-    ends = list(np.flatnonzero(np.diff(flags) == -1))
-    if member[0]:
-        starts.insert(0, 0)
-    if member[-1]:
-        ends.append(grid - 1)
-    intervals = tuple((float(t[i]), float(t[j])) for i, j in zip(starts, ends))
+    # with the mask padded by False, edges alternate: a run of hits starts
+    # at one and ends just before the next
+    edges = np.flatnonzero(np.diff(member, prepend=False, append=False))
+    intervals = tuple((float(t[i]), float(t[j - 1])) for i, j in zip(edges[::2], edges[1::2]))
 
     expected = (b - eps, b + eps)
     if member.any():
@@ -262,10 +258,10 @@ def transversality_scan(loop: BoundaryLoop, tube: TubeSpec, grid: int) -> Transv
         and affine_err <= 1e-9
     )
     return TransversalityReport(
+        ok=ok,
         hit_intervals=intervals,
         expected_interval=expected,
         max_lateral_deviation=lateral,
-        ok=ok,
     )
 
 

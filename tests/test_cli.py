@@ -372,9 +372,18 @@ def test_certify_json_reports_what_the_linking_sum_covered(capsys):
          "--format", "json"],
         capsys,
     )
+    signs = doc["results"]["orientation_signs"]
+    assert signs == {"alpha1_d1": 1, "alpha2_d2": -1}
     for pair in doc["results"]["pairs"]:
+        assert list(pair["transversality"]) == [
+            "ok", "hit_intervals", "expected_interval", "max_lateral_deviation",
+        ]
         link = pair["linking"]
-        assert list(link)[-3:] == ["circle_segments", "arc_segments", "closest_approach"]
+        assert list(link) == [
+            "value", "rounded", "expected", "loop_segments", "circle_segments",
+            "arc_segments", "closest_approach",
+        ]
+        assert link["expected"] == signs[f"{pair['loop']}_{pair['disc']}"]
         assert link["loop_segments"] == 512
         # the arc [m, m + pi/2] of a loop of length 2m + pi/2, m = 8 sqrt(5)
         assert link["arc_segments"] == math.ceil(512 * (math.pi / 2) / (16 * math.sqrt(5) + math.pi / 2))

@@ -367,6 +367,26 @@ def test_block_boundaries_keep_global_indices(monkeypatch):
     assert report.min_component_1 == -2.0
 
 
+def test_report_combines_parts_in_any_order():
+    # (checked, failures, min1, min2, maxerr, first, nonfinite); the middle
+    # part is all NaN, as np.fmin/np.fmax give for a block of NaN samples
+    parts = [
+        (10, 1, 0.5, 2.0, 1e-12, (17, (1.0, 2.0)), 0),
+        (5, 5, math.nan, math.nan, math.nan, (3, (4.0, 5.0)), 5),
+        (8, 2, -1.0, 3.0, 2e-12, (40, (6.0, 7.0)), 1),
+        (4, 0, 0.25, -2.0, 0.0, None, 0),
+    ]
+    expected = sampler.SamplerReport(27, 8, -1.0, -2.0, 2e-12, (4.0, 5.0), 6)
+    for k in range(len(parts)):
+        assert sampler._report(parts[k:] + parts[:k]) == expected
+        assert sampler._report((parts[k:] + parts[:k])[::-1]) == expected
+    only_nan = sampler._report([parts[1]])
+    assert (only_nan.min_component_1, only_nan.min_component_2) == (math.inf, math.inf)
+    assert only_nan.max_relative_error == 0.0
+    clean = sampler._report([parts[3]])
+    assert clean.first_failure_input is None
+
+
 @pytest.mark.parametrize(
     "check",
     [check_positivity, check_f2_equals_h_g, check_g_psi_equals_phi, check_phi_bound],
