@@ -8,7 +8,9 @@ takes --format text|json; JSON documents share the layout
 
     {"subcommand", "params", "results", "pass", "wall_time_ms"}
 
-and are byte-identical between runs with the same arguments apart from
+which run() alone builds: params echo the parsed arguments in parser
+order, and results start with the package version. Documents are
+byte-identical between runs with the same arguments apart from
 wall_time_ms. Exit codes: 0 all checks passed, 1 a check failed,
 2 invalid arguments, 3 the solver did not converge.
 """
@@ -92,16 +94,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pre = sub.add_parser("preimage", help="solve one target in the open quadrant")
     p_pre.add_argument("--target", required=True, metavar="A,B", help="target point")
     p_pre.add_argument("--tol", type=float, default=1e-9, help="relative residual bound")
-    p_pre.add_argument(
-        "--json",
-        action="store_true",
-        help="shorthand for --format json",
-    )
     add_format(p_pre)
 
     p_cert = sub.add_parser("certify", help="transversality and linking certificates")
-    p_cert.add_argument("--A", required=True, type=float, dest="a", help="disc radius")
-    p_cert.add_argument("--B", required=True, type=float, dest="b", help="height scale")
+    p_cert.add_argument("--A", required=True, type=float, help="disc radius")
+    p_cert.add_argument("--B", required=True, type=float, help="height scale")
     p_cert.add_argument(
         "--segments", type=int, default=4096, help="quadrature segments per curve"
     )
@@ -148,10 +145,11 @@ def _map_payload(fmap: PolyMap2) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (params, results, exit code, text lines).
+# Subcommand handlers: each returns (results, exit code, text lines);
+# run() adds the params echo and the version.
 
 
-def _run_expand(args) -> tuple[dict, dict, int, list[str]]:
+def _run_expand(args) -> tuple[dict, int, list[str]]:
     f1 = build_f1()
     f2 = build_f2()
     fmap = build_theorem_map()
@@ -166,7 +164,6 @@ def _run_expand(args) -> tuple[dict, dict, int, list[str]]:
     glued["total_degree"] = d1 + d2
     glued["total_monomials"] = n1 + n2
     results = {
-        "version": __version__,
         "f1": _map_payload(f1),
         "f2": _map_payload(f2),
         "theorem_map": glued,
@@ -184,10 +181,10 @@ def _run_expand(args) -> tuple[dict, dict, int, list[str]]:
         f"total degree {d1 + d2}, total monomials {n1 + n2}",
         f"composition equals the glued map: {'yes' if equal else 'NO'}",
     ]
-    return {"format": args.format}, results, 0 if equal else 1, lines
+    return results, 0 if equal else 1, lines
 
 
-def _run_preimage(args) -> tuple[dict, dict, int, list[str]]:
+def _run_preimage(args) -> tuple[dict, int, list[str]]:
     parts = args.target.split(",")
     if len(parts) != 2:
         raise _UsageError(f"--target expects A,B with two decimals, got {args.target!r}")
@@ -201,20 +198,19 @@ def _run_preimage(args) -> tuple[dict, dict, int, list[str]]:
     except ValueError as exc:
         raise _UsageError(str(exc))
 
-    params = {"target": [a, b], "tol": args.tol, "format": args.format}
+    args.target = [a, b]  # params echo the parsed target, not the string
     try:
         result = preimage(query, cfg)
     except SolverFailure as exc:
-        results = {"version": __version__, "error": str(exc), "best_residual": exc.best_residual}
-        return params, results, 3, [f"solver did not converge: {exc}"]
-    results = {"version": __version__, **dataclasses.asdict(result)}
+        results = {"error": str(exc), "best_residual": exc.best_residual}
+        return results, 3, [f"solver did not converge: {exc}"]
     lines = [
         f"target ({a!r}, {b!r})",
         f"witness x={result.x!r} y={result.y!r}",
         f"residual {result.residual:.3e} via {result.stage} "
         f"({result.newton_iters} iterations, seed {result.seed_index})",
     ]
-    return params, results, 0 if result.residual <= args.tol else 1, lines
+    return dataclasses.asdict(result), 0 if result.residual <= args.tol else 1, lines
 
 
 def _dump_certify_points(path: str, loops, tubes, segments: int) -> None:
@@ -236,7 +232,7 @@ def _dump_certify_points(path: str, loops, tubes, segments: int) -> None:
 _PAIRS = (("alpha1", "d1", ALPHA1_D1_SIGN), ("alpha2", "d2", ALPHA2_D2_SIGN))
 
 
-def _run_certify(args) -> tuple[dict, dict, int, list[str]]:
+def _run_certify(args) -> tuple[dict, int, list[str]]:
     if args.segments < 256:
         raise _UsageError(f"--segments must be at least 256, got {args.segments}")
     if args.grid < 1000:
@@ -246,7 +242,7 @@ def _run_certify(args) -> tuple[dict, dict, int, list[str]]:
     loops, tubes, pairs, pair_lines = [], [], [], []
     for loop_name, disc_name, sign in _PAIRS:
         try:
-            tube = make_tube(args.a, args.b, disc_name)
+            tube = make_tube(args.A, args.B, disc_name)
         except ValueError as exc:
             raise _UsageError(str(exc))
         loop = BoundaryLoop(loop_name, tube.m)
@@ -257,7 +253,7 @@ def _run_certify(args) -> tuple[dict, dict, int, list[str]]:
             try:
                 link = gauss_linking(loop, tube.disc, args.segments, args.segments)
             except DegenerateGeometryError as exc:
-                raise _UsageError(f"no linking certificate at A={args.a!r}, B={args.b!r}: {exc}")
+                raise _UsageError(f"no linking certificate at A={args.A!r}, B={args.B!r}: {exc}")
         passed = passed and trans.ok and abs(link.value - sign) <= _LINKING_TOL
         loops.append(loop)
         tubes.append(tube)
@@ -285,58 +281,39 @@ def _run_certify(args) -> tuple[dict, dict, int, list[str]]:
         except OSError as exc:
             raise _UsageError(f"cannot write --dump-points file: {exc}")
 
-    params = {
-        "A": args.a,
-        "B": args.b,
-        "segments": args.segments,
-        "grid": args.grid,
-        "dump_points": args.dump_points,
-        "format": args.format,
-    }
     # the last tube's constants stand for both: they depend on A and B only
     results = {
-        "version": __version__,
         "tube": {"m0": tube.m0, "m": tube.m, "epsilon": tube.epsilon},
         "orientation_signs": {f"{loop}_{disc}": sign for loop, disc, sign in _PAIRS},
         "pairs": pairs,
     }
     lines = [
-        f"discs at A={args.a!r}, B={args.b!r}: m0={tube.m0!r}, epsilon={tube.epsilon!r}",
+        f"discs at A={args.A!r}, B={args.B!r}: m0={tube.m0!r}, epsilon={tube.epsilon!r}",
         *pair_lines,
     ]
     if args.dump_points is not None:
         lines.append(f"curve samples written to {args.dump_points}")
-    return params, results, 0 if passed else 1, lines
+    return results, 0 if passed else 1, lines
 
 
-def _run_sample(args) -> tuple[dict, dict, int, list[str]]:
+def _run_sample(args) -> tuple[dict, int, list[str]]:
     try:
         cfg = SamplerConfig(count=args.count, seed=args.seed, range=args.range)
     except ValueError as exc:
         raise _UsageError(str(exc))
     report = check_positivity(cfg)
     passed = report.failures == 0
-    params = {
-        "count": args.count,
-        "seed": args.seed,
-        "range": args.range,
-        "format": args.format,
-    }
-    results = {
-        "version": __version__,
-        "check": "positivity",
-        **dataclasses.asdict(report),
-    }
+    results = {"check": "positivity", **dataclasses.asdict(report)}
     lines = [
         f"positivity: checked {report.checked}, failures {report.failures}",
         f"component minima {report.min_component_1!r}, {report.min_component_2!r}",
     ]
     if report.first_failure_input is not None:
         lines.append(f"first failure at input {report.first_failure_input}")
-    return params, results, 0 if passed else 1, lines
+    return results, 0 if passed else 1, lines
 
 
-def _run_identities(args) -> tuple[dict, dict, int, list[str]]:
+def _run_identities(args) -> tuple[dict, int, list[str]]:
     try:
         cfg = SamplerConfig(count=args.count, seed=args.seed)
     except ValueError as exc:
@@ -348,9 +325,7 @@ def _run_identities(args) -> tuple[dict, dict, int, list[str]]:
         "mu_gluing": check_mu_gluing(),
     }
     passed = all(r.failures == 0 for r in reports.values())
-    params = {"count": args.count, "seed": args.seed, "format": args.format}
     results = {
-        "version": __version__,
         "gluing_grid": GLUING_GRID,
         "checks": {name: dataclasses.asdict(r) for name, r in reports.items()},
     }
@@ -361,7 +336,7 @@ def _run_identities(args) -> tuple[dict, dict, int, list[str]]:
             f"{name}: checked {report.checked}, failures {report.failures}, "
             f"max error {report.max_relative_error:.3e} [{verdict}]"
         )
-    return params, results, 0 if passed else 1, lines
+    return results, 0 if passed else 1, lines
 
 
 _HANDLERS = {
@@ -397,21 +372,21 @@ def _emit(doc: dict, fmt: str, lines: list[str]) -> None:
 def run(argv: list[str]) -> int:
     """Parse argv, dispatch, print one report; returns the exit code."""
     args = _build_parser().parse_args(argv)
-    if getattr(args, "json", False):
-        args.format = "json"
 
     start = time.perf_counter()
     try:
-        params, results, code, lines = _HANDLERS[args.subcommand](args)
+        results, code, lines = _HANDLERS[args.subcommand](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = int(round((time.perf_counter() - start) * 1000.0))
 
+    # the parsed arguments in parser order, so format comes last
+    params = {k: v for k, v in vars(args).items() if k != "subcommand"}
     doc = {
         "subcommand": args.subcommand,
         "params": params,
-        "results": results,
+        "results": {"version": __version__, **results},
         "pass": code == 0,
         "wall_time_ms": elapsed,
     }

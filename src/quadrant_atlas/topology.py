@@ -244,12 +244,10 @@ def transversality_scan(loop: BoundaryLoop, tube: TubeSpec, grid: int) -> Transv
     intervals = tuple((float(t[i]), float(t[j - 1])) for i, j in zip(edges[::2], edges[1::2]))
 
     expected = (b - eps, b + eps)
-    if member.any():
-        lateral = float(np.max(np.sqrt(q1[member] ** 2 + q2[member] ** 2)))
-        affine_err = float(np.max(np.abs(q3[member] - (t[member] - b))))
-    else:
-        lateral = 0.0
-        affine_err = math.inf
+    # a loop that never enters the tube reads 0.0 for both; ok still fails
+    # for it, since it has no hit interval
+    lateral = float(np.max(np.sqrt(q1[member] ** 2 + q2[member] ** 2), initial=0.0))
+    affine_err = float(np.max(np.abs(q3[member] - (t[member] - b)), initial=0.0))
     ok = (
         len(intervals) == 1
         and abs(intervals[0][0] - expected[0]) <= step

@@ -67,7 +67,7 @@ def test_expand_text_ends_with_pass(capsys):
 
 
 def test_preimage_json_solves_the_known_pair(capsys):
-    code, doc = run_json(["preimage", "--target", "241,52", "--json"], capsys)
+    code, doc = run_json(["preimage", "--target", "241,52", "--format", "json"], capsys)
     assert code == 0
     assert doc["pass"] is True
     assert doc["params"]["target"] == [241.0, 52.0]
@@ -76,12 +76,6 @@ def test_preimage_json_solves_the_known_pair(capsys):
     assert abs(res["x"] - 1.0) < 1e-6
     assert abs(res["y"] - 2.0) < 1e-6
     assert res["stage"] == "level-curve"
-
-
-def test_preimage_json_flag_matches_format_flag(capsys):
-    _, out1, _ = run_cli(["preimage", "--target", "2,3", "--json"], capsys)
-    _, out2, _ = run_cli(["preimage", "--target", "2,3", "--format", "json"], capsys)
-    assert strip_wall_time(out1) == strip_wall_time(out2)
 
 
 def test_preimage_rejects_bad_targets(capsys):
@@ -476,6 +470,33 @@ def test_preimage_params_match_on_success_and_failure(capsys):
         assert all(isinstance(c, float) for c in doc["params"]["target"])
 
 
+def test_params_echo_the_parsed_arguments_and_results_start_with_version(capsys):
+    cases = [
+        (["expand"], 0, ["format"]),
+        (["preimage", "--target", "2,3"], 0, ["target", "tol", "format"]),
+        (["preimage", "--target", "1e300,1e300"], 3, ["target", "tol", "format"]),
+        (["certify", "--A", "1", "--B", "2", "--segments", "256", "--grid", "1000"], 0,
+         ["A", "B", "segments", "grid", "dump_points", "format"]),
+        (["sample", "--count", "1000", "--seed", "1"], 0, ["count", "seed", "range", "format"]),
+        (["identities", "--count", "500", "--seed", "1"], 0, ["count", "seed", "format"]),
+    ]
+    for argv, expected_code, keys in cases:
+        code, doc = run_json([*argv, "--format", "json"], capsys)
+        assert code == expected_code, argv
+        assert list(doc["params"]) == keys, argv
+        assert doc["params"]["format"] == "json"
+        assert next(iter(doc["results"])) == "version", argv
+        assert doc["results"]["version"] == quadrant_atlas.__version__
+    assert doc["params"] == {"count": 500, "seed": 1, "format": "json"}
+
+
+def test_preimage_has_no_json_alias(capsys):
+    code, out, err = run_cli(["preimage", "--target", "2,3", "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--json" in err
+
+
 # The parser is built once per process and reused by every run() call;
 # these check that one call leaves nothing behind for the next.
 
@@ -485,7 +506,7 @@ def test_parser_is_built_once():
 
 
 def test_json_flag_does_not_carry_over_to_the_next_call(capsys):
-    code, doc = run_json(["preimage", "--target", "2,3", "--json"], capsys)
+    code, doc = run_json(["preimage", "--target", "2,3", "--format", "json"], capsys)
     assert code == 0
     code, out, err = run_cli(["preimage", "--target", "2,3"], capsys)
     assert code == 0 and err == ""
@@ -504,7 +525,11 @@ def test_segments_default_returns_after_an_explicit_value(capsys):
 def test_rejected_call_leaves_the_next_output_unchanged(capsys):
     argv = ["preimage", "--target", "2,3"]
     _, before, _ = run_cli(argv, capsys)
-    for rejected in (argv + ["--json", "--bogus"], ["certify", "--A", "1", "--segments", "x"]):
+    rejected_calls = (
+        argv + ["--format", "json", "--bogus"],
+        ["certify", "--A", "1", "--segments", "x"],
+    )
+    for rejected in rejected_calls:
         code, out, err = run_cli(rejected, capsys)
         assert code == 2 and out == "" and err != "", rejected
     _, after, _ = run_cli(argv, capsys)

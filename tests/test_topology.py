@@ -188,6 +188,11 @@ def test_transversality_mismatched_pair_is_informational():
     loop = BoundaryLoop("alpha1", tube.m)
     report = transversality_scan(loop, tube, 2000)
     assert isinstance(report.ok, bool)
+    # a loop that never reaches the tube: no hits, so no certificate
+    report = transversality_scan(BoundaryLoop("alpha1", 0.5), make_tube(1.0, 2.0, "d1"), 2000)
+    assert report.ok is False
+    assert report.hit_intervals == ()
+    assert report.max_lateral_deviation == 0.0
 
 
 def test_transversality_rejects_tiny_grid():
