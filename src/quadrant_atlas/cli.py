@@ -30,6 +30,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
+from .parallel import thread_count
 from .polynomial import (
     PolyMap2,
     SparsePolynomial,
@@ -299,6 +300,7 @@ def _run_certify(args) -> tuple[dict, int, list[str]]:
 def _run_sample(args) -> tuple[dict, int, list[str]]:
     try:
         cfg = SamplerConfig(count=args.count, seed=args.seed, range=args.range)
+        thread_count()  # a bad QUADRANT_ATLAS_THREADS exits 2 before the sweep
     except ValueError as exc:
         raise _UsageError(str(exc))
     report = check_positivity(cfg)
@@ -316,6 +318,7 @@ def _run_sample(args) -> tuple[dict, int, list[str]]:
 def _run_identities(args) -> tuple[dict, int, list[str]]:
     try:
         cfg = SamplerConfig(count=args.count, seed=args.seed)
+        thread_count()  # a bad QUADRANT_ATLAS_THREADS exits 2 before the sweeps
     except ValueError as exc:
         raise _UsageError(str(exc))
     reports = {

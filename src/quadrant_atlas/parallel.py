@@ -1,4 +1,4 @@
-"""Thread-count resolution shared by the bulk numeric helpers.
+"""Thread-count resolution for the sampler's sweeps, the only threaded code.
 
 Parallel code in this package must partition work into fixed chunks whose
 results combine by order-independent reductions, so the thread count never

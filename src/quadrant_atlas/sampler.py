@@ -10,7 +10,7 @@ _unit_matrix is its one implementation, on numpy's wrapping uint64.
 The sample stream is split into fixed-size chunks and chunk k runs its
 own stream seeded seed + k. Chunks are independent, reports aggregate by
 count, min, max and first failure by global index; all of these are
-associative and commutative, so parallel and serial runs agree exactly.
+associative and commutative, so runs at any thread count agree exactly.
 
 Chunks fix the stream; blocks fix only how much of a chunk is evaluated
 at once. Each worker evaluates its chunk in blocks of _BLOCK_ROWS rows,
@@ -199,8 +199,8 @@ def _sweep(cfg: SamplerConfig, probe: Callable[[np.ndarray, np.ndarray], tuple])
     _reduce after base.
     """
 
-    def run(spec: tuple[int, int]) -> list[_Stats]:
-        chunk, n = spec
+    def run(start: int) -> list[_Stats]:
+        chunk, n = start // CHUNK_SAMPLES, min(CHUNK_SAMPLES, cfg.count - start)
         unit = _unit_matrix(cfg.seed, chunk, n)
         # numpy's error state is per thread, so it is set here and not
         # around the pool; overflowed and NaN samples already count as
@@ -209,20 +209,12 @@ def _sweep(cfg: SamplerConfig, probe: Callable[[np.ndarray, np.ndarray], tuple])
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, n, _BLOCK_ROWS):
                 block = unit[lo : lo + _BLOCK_ROWS]
-                parts.append(_reduce(chunk * CHUNK_SAMPLES + lo, *probe(block[:, 0], block[:, 1])))
+                parts.append(_reduce(start + lo, *probe(block[:, 0], block[:, 1])))
         return parts
 
-    plan = [
-        (k, min(CHUNK_SAMPLES, cfg.count - start))
-        for k, start in enumerate(range(0, cfg.count, CHUNK_SAMPLES))
-    ]
-    workers = min(thread_count(), len(plan))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run, plan))
-    else:
-        chunks = [run(spec) for spec in plan]
-    return [part for chunk in chunks for part in chunk]
+    starts = range(0, cfg.count, CHUNK_SAMPLES)
+    with ThreadPoolExecutor(max_workers=min(thread_count(), len(starts))) as pool:
+        return [part for parts in pool.map(run, starts) for part in parts]
 
 
 def _map_on_arrays(fmap: PolyMap2) -> Callable[[np.ndarray, np.ndarray], tuple]:

@@ -32,7 +32,6 @@ seed fails quietly.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,12 +41,15 @@ import numpy as np
 from .maps import Point2, _dg_terms, _g_terms, _h_chain, eval_g, eval_h
 from .polynomial import _exact_powers, _exact_sum, build_theorem_map
 
-# Newton budget per seed, step halvings per Newton step, and the sizes of
-# the level-curve scan and of the graded sampling toward each fold
+# Newton budget per seed, most ridge increases (each times 4) per step,
+# and the sizes of the level-curve scan, read-only log-spaced u in
+# [1e-40, 1e40], and of the graded sampling toward each fold
 MAX_NEWTON_ITERS = 100
 MAX_BACKTRACKS = 40
 SCAN_POINTS = 4000
 FOLD_POINTS = 400
+_SCAN = np.logspace(-40.0, 40.0, SCAN_POINTS)
+_SCAN.flags.writeable = False
 
 
 class SolverFailure(RuntimeError):
@@ -140,7 +142,6 @@ def _newton_direct(
             return False, (u, v), r, iters
         if lam < 0.0:
             lam = 1e-3 * trace
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
             det = (a11 + lam) * (a22 + lam) - a12 * a12
             if det == 0.0:
@@ -155,10 +156,9 @@ def _newton_direct(
                 u, v, r, m, g, f = cu, cv, rc, mc, gc, fc
                 # floor keeps det safely positive in floating point
                 lam = max(lam * 0.25, 1e-14 * trace)
-                accepted = True
                 break
             lam *= 4.0
-        if not accepted:
+        else:
             return False, (u, v), r, iters
     return r <= cfg.residual_tol, (u, v), r, MAX_NEWTON_ITERS
 
@@ -251,21 +251,13 @@ def _branch_minima(u, f, v) -> list:
     return list(zip(size[at].tolist(), u[at].tolist(), v[at].tolist()))
 
 
-@functools.cache
-def _scan_grid(points: int) -> np.ndarray:
-    """The read-only scan of log-spaced u in [1e-40, 1e40], built once."""
-    u = np.logspace(-40.0, 40.0, points)
-    u.flags.writeable = False
-    return u
-
-
 def _level_seeds(q: PreimageQuery):
     """Quadrant seeds (u, v) on the level curve c2 = b, in the order they
     are tried: the roots bracketed on the scan, then those near the folds,
     then the near-tangencies, the sampled minima of |c1 - a| on the scan
     and toward the folds, least |c1 - a| first. Each group is only
     computed once the caller has taken every seed before it."""
-    u = _scan_grid(SCAN_POINTS)
+    u = _SCAN
     f, d, v = _curve_samples(u, q)
     samples = [(u, fb, vb) for fb, vb in zip(f, v)]
     for branch, fb in enumerate(f):

@@ -168,37 +168,27 @@ def _circle(spec: WarpedDiscSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray
     c, sn = np.cos(s), np.sin(s)
     w = np.sqrt(np.maximum(b * b - a * a * sn * sn, 0.0))
     dw = np.where(w > 0.0, -a * a * sn * c / np.where(w > 0.0, w, 1.0), 0.0)
-    if spec.variant == "d1":
-        pts = np.stack([a * c, a * sn, w], axis=-1)
-        tan = np.stack([-a * sn, a * c, dw], axis=-1)
-    else:
-        pts = np.stack([w, a * sn, a * c], axis=-1)
-        tan = np.stack([dw, a * c, -a * sn], axis=-1)
+    pts = np.stack([a * c, a * sn, w], axis=-1)
+    tan = np.stack([-a * sn, a * c, dw], axis=-1)
+    if spec.variant == "d2":  # copies, as the linking sum is slower on reversed views
+        pts, tan = pts[:, ::-1].copy(), tan[:, ::-1].copy()
     return pts, tan
 
 
-def _loop_split(loop: BoundaryLoop, t: np.ndarray) -> tuple[int, int, tuple[int, int], np.ndarray]:
-    """Split an ascending t where t <= m and t <= m + pi/2 stop holding:
-    t[:i] is the first leg, t[i:j] the arc, t[j:] the second leg. Returns
-    i, j, the axes of the two legs and the strip angle on the arc."""
+def _loop_points(loop: BoundaryLoop, t: np.ndarray) -> np.ndarray:
+    """Loop points at an ascending 1-D t: t[:i] is the first leg, t[i:j]
+    the arc and t[j:] the second leg. On the legs theta is 0 or pi/2, where
+    phi is exactly rho times an axis, so their points are t and t_max - t
+    on that axis; only the arc goes through phi."""
     m = loop.m
     i, j = np.searchsorted(t, [m, m + HALF_PI], side="right")
     first, theta_sign = _ORIENTATION[loop.variant]
     arc = t[i:j]
     theta = arc - m if theta_sign > 0.0 else m + HALF_PI - arc
-    return i, j, (first, 2 - first), theta
-
-
-def _loop_points(loop: BoundaryLoop, t: np.ndarray) -> np.ndarray:
-    """Loop points at an ascending 1-D t, one segment at a time. On the
-    legs theta is 0 or pi/2, where phi is exactly rho times an axis, so
-    their points are t and t_max - t on that axis; only the arc goes
-    through phi."""
-    i, j, (first, second), theta = _loop_split(loop, t)
     out = np.zeros((len(t), 3))
     out[:i, first] = t[:i]
-    out[j:, second] = loop.t_max - t[j:]
-    out[i:j] = np.stack(_phi_terms(loop.m, *_trig_vec(theta)), axis=-1)
+    out[j:, 2 - first] = loop.t_max - t[j:]
+    out[i:j] = np.stack(_phi_terms(m, *_trig_vec(theta)), axis=-1)
     return out
 
 

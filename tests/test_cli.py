@@ -188,6 +188,18 @@ def test_certify_rejects_underflowing_scales(capsys):
         assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
+@pytest.mark.parametrize("flag, value", [("--segments", "255"), ("--grid", "999")])
+def test_certify_rejects_sizes_below_the_limits(capsys, flag, value):
+    code, out, err = run_cli(
+        ["certify", "--A", "1", "--B", "2", flag, value, "--format", "json"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert flag in lines[0]
+
+
 def test_sample_json_shape_and_exact_grid_contribution(capsys):
     code, doc = run_json(
         ["sample", "--count", "2000", "--seed", "42", "--format", "json"], capsys
@@ -207,6 +219,26 @@ def test_sample_rejects_bad_config(capsys):
     assert code == 2 and err != ""
     code, _, err = run_cli(["sample", "--count", "10", "--seed", "-3"], capsys)
     assert code == 2 and err != ""
+
+
+@pytest.mark.parametrize("threads", ["0", "abc"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--count", "100000", "--seed", "1"],
+        ["identities", "--count", "1000", "--seed", "1"],
+    ],
+)
+def test_bad_thread_count_exits_2(capsys, monkeypatch, threads, argv):
+    # the sweeps resolve QUADRANT_ATLAS_THREADS; a value that is not a
+    # positive integer is a usage error, not a failed check
+    monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "QUADRANT_ATLAS_THREADS" in lines[0]
 
 
 def test_identities_json_runs_all_four_checks(capsys):

@@ -215,7 +215,7 @@ def test_scalar_and_array_kernels_agree_bit_for_bit():
 
 
 def test_outer_factor_jacobian_matches_exact_partials():
-    # the direct stage's Jacobian, the chain rule over the partials of g,
+    # the polish's Jacobian, the chain rule over the partials of g,
     # against the partials of the expanded outer factor in exact rationals;
     # the error is bounded relative to the same partial with every
     # coefficient made positive, the size of the terms that cancel
