@@ -55,6 +55,8 @@ from .solver import PreimageQuery, SolverConfig, SolverFailure, preimage
 from .topology import (
     ALPHA1_D1_SIGN,
     ALPHA2_D2_SIGN,
+    MIN_GRID,
+    MIN_SEGMENTS,
     BoundaryLoop,
     DegenerateGeometryError,
     _circle,
@@ -94,7 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_pre = sub.add_parser("preimage", help="solve one target in the open quadrant")
     p_pre.add_argument("--target", required=True, metavar="A,B", help="target point")
-    p_pre.add_argument("--tol", type=float, default=1e-9, help="relative residual bound")
+    p_pre.add_argument(
+        "--tol", type=float, default=SolverConfig.residual_tol, help="relative residual bound"
+    )
     add_format(p_pre)
 
     p_cert = sub.add_parser("certify", help="transversality and linking certificates")
@@ -114,7 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="seeded positivity sweep")
     p_sample.add_argument("--count", required=True, type=int, help="sample count")
     p_sample.add_argument("--seed", required=True, type=int, help="stream seed")
-    p_sample.add_argument("--range", type=float, default=50.0, help="square half-width")
+    p_sample.add_argument(
+        "--range", type=float, default=SamplerConfig.range, help="square half-width"
+    )
     add_format(p_sample)
 
     p_ident = sub.add_parser("identities", help="identity, bound and gluing sweeps")
@@ -208,7 +214,7 @@ def _run_preimage(args) -> tuple[dict, int, list[str]]:
     lines = [
         f"target ({a!r}, {b!r})",
         f"witness x={result.x!r} y={result.y!r}",
-        f"residual {result.residual:.3e} via {result.stage} "
+        f"residual {result.residual:.3e} "
         f"({result.newton_iters} iterations, seed {result.seed_index})",
     ]
     return dataclasses.asdict(result), 0 if result.residual <= args.tol else 1, lines
@@ -234,10 +240,10 @@ _PAIRS = (("alpha1", "d1", ALPHA1_D1_SIGN), ("alpha2", "d2", ALPHA2_D2_SIGN))
 
 
 def _run_certify(args) -> tuple[dict, int, list[str]]:
-    if args.segments < 256:
-        raise _UsageError(f"--segments must be at least 256, got {args.segments}")
-    if args.grid < 1000:
-        raise _UsageError(f"--grid must be at least 1000, got {args.grid}")
+    if args.segments < MIN_SEGMENTS:
+        raise _UsageError(f"--segments must be at least {MIN_SEGMENTS}, got {args.segments}")
+    if args.grid < MIN_GRID:
+        raise _UsageError(f"--grid must be at least {MIN_GRID}, got {args.grid}")
 
     passed = True
     loops, tubes, pairs, pair_lines = [], [], [], []

@@ -114,10 +114,9 @@ def _xi_terms(y, b):
     return np.sqrt(b * b - np.minimum(y * y, b * b))
 
 
-def _zeta_terms(x, y, z, b, variant):
-    """Flattening of disc "d1", or of "d2" with x and z swapped."""
-    xi = _xi_terms(y, b)
-    return (x, y, z - xi) if variant == "d1" else (z, y, x - xi)
+def _zeta_terms(x, y, z, b):
+    """Flattening of the z-graph disc "d1"; topology swaps x and z for "d2"."""
+    return (x, y, z - _xi_terms(y, b))
 
 
 def _trig_vec(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -187,9 +187,7 @@ def _exact_powers(n: int, d: int, top: int) -> list[int]:
 def _exact_sum(p: SparsePolynomial, pu: list[int], pv: list[int]) -> int:
     """Numerator of p at the point whose power lists are pu and pv, as
     _exact_powers builds them, over the denominator pu[0] * pv[0]; the
-    lists may run past p's top exponents. With float coordinates the
-    denominator is a power of two, so the value's sign is the numerator's
-    and numerator / denominator rounds to the double nearest the value."""
+    lists may run past p's top exponents."""
     return sum(c * pu[a] * pv[b] for (a, b), c in p._coeffs.items())
 
 
@@ -230,6 +228,27 @@ def evaluate_float(p: SparsePolynomial, u: float, v: float) -> float:
     """Floating value of p(u, v) through _sum_terms. Overflow is reported as
     a non-finite result, never as an exception."""
     return _sum_terms(p, _powers(u, p._top[0]), _powers(v, p._top[1]))
+
+
+def evaluate_map_exact(fmap: PolyMap2, x, y) -> tuple[int, int, int]:
+    """(n1, n2, den): both components of fmap at (x, y) as integer
+    numerators over one positive denominator, so fmap(x, y) is exactly
+    (n1 / den, n2 / den). x and y are ints, floats or Fractions, read
+    through as_integer_ratio. Each value's sign is its numerator's, and
+    n / den in Python rounds to the double nearest the value."""
+    top_x, top_y = fmap.top
+    px = _exact_powers(*x.as_integer_ratio(), top_x)
+    py = _exact_powers(*y.as_integer_ratio(), top_y)
+    c1, c2 = fmap.component1, fmap.component2
+    return _exact_sum(c1, px, py), _exact_sum(c2, px, py), px[0] * py[0]
+
+
+def evaluate_map_float(fmap: PolyMap2, x, y) -> tuple:
+    """Both components of fmap at (x, y), floats or arrays, from one set of
+    power lists; each is bit-identical to evaluate_float of its component."""
+    top_x, top_y = fmap.top
+    px, py = _powers(x, top_x), _powers(y, top_y)
+    return _sum_terms(fmap.component1, px, py), _sum_terms(fmap.component2, px, py)
 
 
 def stats(p: SparsePolynomial) -> tuple[float, int]:

@@ -39,15 +39,7 @@ from .maps import (
     eval_h,
 )
 from .parallel import thread_count
-from .polynomial import (
-    PolyMap2,
-    _exact_powers,
-    _exact_sum,
-    _powers,
-    _sum_terms,
-    build_f2,
-    build_theorem_map,
-)
+from .polynomial import build_f2, build_theorem_map, evaluate_map_exact, evaluate_map_float
 
 _MASK64 = (1 << 64) - 1
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -217,19 +209,6 @@ def _sweep(cfg: SamplerConfig, probe: Callable[[np.ndarray, np.ndarray], tuple])
         return [part for parts in pool.map(run, starts) for part in parts]
 
 
-def _map_on_arrays(fmap: PolyMap2) -> Callable[[np.ndarray, np.ndarray], tuple]:
-    """Both components of fmap as one evaluator on arrays, sharing one set
-    of power arrays; the values are bit-identical to evaluate_float."""
-    c1, c2 = fmap.component1, fmap.component2
-    top_a, top_b = fmap.top
-
-    def evaluate(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        px, py = _powers(x, top_a), _powers(y, top_b)
-        return _sum_terms(c1, px, py), _sum_terms(c2, px, py)
-
-    return evaluate
-
-
 def _relative_error(lhs: tuple, rhs: tuple) -> np.ndarray:
     """Largest componentwise |l - r| / max(1, |r|)."""
     return np.maximum.reduce(
@@ -253,37 +232,28 @@ def check_positivity(cfg: SamplerConfig) -> SamplerReport:
     reported as zero.
     """
     fmap = build_theorem_map()
-    evaluate = _map_on_arrays(fmap)
     half = cfg.range
 
     def probe(u1: np.ndarray, u2: np.ndarray) -> tuple:
         x = (2.0 * u1 - 1.0) * half
         y = (2.0 * u2 - 1.0) * half
-        c1, c2 = evaluate(x, y)
+        c1, c2 = evaluate_map_float(fmap, x, y)
         return (x, y), c1, c2, None, (c1 > 0.0) & (c2 > 0.0)
 
     parts = _sweep(cfg, probe)
 
-    # the grid in integers: every value is over the one power of two den,
-    # so its sign is its numerator's and n / den its correctly rounded double
-    halves = range(-10, 11)
-    top_a, top_b = fmap.top
-    pys = [_exact_powers(k, 2, top_b) for k in halves]
-    den = 2 ** (top_a + top_b)
-    nums = [
-        (_exact_sum(fmap.component1, px, py), _exact_sum(fmap.component2, px, py))
-        for px in (_exact_powers(i, 2, top_a) for i in halves)
-        for py in pys
-    ]
-    coords = np.array(halves) / 2.0
+    # the grid in exact integers, x-major
+    coords = np.arange(-10, 11) / 2.0
+    halves = coords.tolist()
+    nums = [evaluate_map_exact(fmap, x, y) for x in halves for y in halves]
     # grid points sort after every stream sample
     grid = _reduce(
         cfg.count,
         (np.repeat(coords, coords.size), np.tile(coords, coords.size)),
-        np.array([n1 / den for n1, _ in nums]),
-        np.array([n2 / den for _, n2 in nums]),
+        np.array([n1 / den for n1, _, den in nums]),
+        np.array([n2 / den for _, n2, den in nums]),
         None,
-        np.array([n1 > 0 and n2 > 0 for n1, n2 in nums]),
+        np.array([n1 > 0 and n2 > 0 for n1, n2, _ in nums]),
     )
     return _report([*parts, grid])
 
@@ -297,12 +267,12 @@ def check_f2_equals_h_g(cfg: SamplerConfig) -> SamplerReport:
     The minima record the reference components, which stay positive on
     the closed quadrant.
     """
-    evaluate = _map_on_arrays(build_f2())
+    f2 = build_f2()
 
     def probe(u1: np.ndarray, u2: np.ndarray) -> tuple:
         u, v = u1 * cfg.range, u2 * cfg.range
         rhs = eval_h(_g_terms(u, v, np.sqrt(u)))
-        err = _relative_error(evaluate(u, v), rhs)
+        err = _relative_error(evaluate_map_float(f2, u, v), rhs)
         return (u, v), rhs[0], rhs[1], err, err <= _IDENTITY_TOL
 
     return _report(_sweep(cfg, probe))

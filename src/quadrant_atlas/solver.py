@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .maps import Point2, _dg_terms, _g_terms, _h_chain, eval_g, eval_h
-from .polynomial import _exact_powers, _exact_sum, build_theorem_map
+from .polynomial import build_theorem_map, evaluate_map_exact
 
 # Newton budget per seed, most ridge increases (each times 4) per step,
 # and the sizes of the level-curve scan, read-only log-spaced u in
@@ -87,14 +87,13 @@ class PreimageQuery:
 @dataclass(frozen=True)
 class PreimageResult:
     """x, y: the witness point; residual: exact relative sup-norm error of
-    the expanded map at it; stage: "level-curve", the source of every
-    seed; newton_iters: iterations of the polish from the winning seed;
-    seed_index: that seed's position in the level-curve stream."""
+    the expanded map at it; newton_iters: iterations of the polish from
+    the winning seed; seed_index: that seed's position in the level-curve
+    stream."""
 
     x: float
     y: float
     residual: float
-    stage: str
     newton_iters: int
     seed_index: int
 
@@ -103,7 +102,7 @@ class PreimageResult:
 # Polish.
 
 
-def _direct_norms(u: float, v: float, a: float, b: float, scale: float):
+def _norms(u: float, v: float, a: float, b: float, scale: float):
     """Scaled sup and squared 2-norms of the residual at (u, v), and the
     values g(u, v) and h(g) they came from, which the next step reuses."""
     g = eval_g((u, v))
@@ -112,9 +111,9 @@ def _direct_norms(u: float, v: float, a: float, b: float, scale: float):
     return max(abs(ra), abs(rb)), ra * ra + rb * rb, g, f
 
 
-def _newton_direct(
-    seed: Point2, q: PreimageQuery, cfg: SolverConfig
-) -> tuple[bool, Point2, float, int]:
+def _polish(seed: Point2, q: PreimageQuery, tol: float) -> tuple[Point2, float, int]:
+    """(point, scaled sup-norm residual, iterations) of the polish from
+    seed, which stops early once the residual is at most tol."""
     # Damped least-squares iteration with an adaptive ridge. The outer
     # factor has genuinely singular roots (both bracket terms vanish
     # together with parallel gradients); there an undamped solve blows up
@@ -125,11 +124,11 @@ def _newton_direct(
     # normal equations descend; convergence is judged on the sup norm.
     scale = max(q.a, q.b, 1.0)
     u, v = seed
-    r, m, g, f = _direct_norms(u, v, q.a, q.b, scale)
+    r, m, g, f = _norms(u, v, q.a, q.b, scale)
     lam = -1.0
     for iters in range(1, MAX_NEWTON_ITERS + 1):
-        if r <= cfg.residual_tol:
-            return True, (u, v), r, iters - 1
+        if r <= tol:
+            return (u, v), r, iters - 1
         d11, d12, d21, d22 = _h_chain(g, *_dg_terms(u, v, math.sqrt(u)))
         ra, rb = f[0] - q.a, f[1] - q.b
         g1 = d11 * ra + d21 * rb
@@ -139,7 +138,7 @@ def _newton_direct(
         a22 = d12 * d12 + d22 * d22
         trace = a11 + a22
         if trace <= 0.0 or not math.isfinite(trace):
-            return False, (u, v), r, iters
+            return (u, v), r, iters
         if lam < 0.0:
             lam = 1e-3 * trace
         for _ in range(MAX_BACKTRACKS):
@@ -151,7 +150,7 @@ def _newton_direct(
                 continue
             cu = max(u - ((a22 + lam) * g1 - a12 * g2) / det, 0.0)
             cv = max(v - ((a11 + lam) * g2 - a12 * g1) / det, 0.0)
-            rc, mc, gc, fc = _direct_norms(cu, cv, q.a, q.b, scale)
+            rc, mc, gc, fc = _norms(cu, cv, q.a, q.b, scale)
             if mc < m:
                 u, v, r, m, g, f = cu, cv, rc, mc, gc, fc
                 # floor keeps det safely positive in floating point
@@ -159,12 +158,12 @@ def _newton_direct(
                 break
             lam *= 4.0
         else:
-            return False, (u, v), r, iters
-    return r <= cfg.residual_tol, (u, v), r, MAX_NEWTON_ITERS
+            return (u, v), r, iters
+    return (u, v), r, MAX_NEWTON_ITERS
 
 
 # ---------------------------------------------------------------------------
-# Level-curve stage.
+# Level-curve seeds.
 
 
 def _level_curve(u, b, sqrt):
@@ -288,12 +287,10 @@ def _official_residual(x: float, y: float, q: PreimageQuery) -> Fraction:
     """The exact relative sup-norm residual of the expanded map at (x, y);
     its float expansion cancels near the axes. Worked in integers over the
     common denominator den * ad * bd, one Fraction at the end."""
-    f = build_theorem_map()
+    n1, n2, den = evaluate_map_exact(build_theorem_map(), x, y)
     (an, ad), (bn, bd) = q.a.as_integer_ratio(), q.b.as_integer_ratio()
-    px, py = (_exact_powers(*t.as_integer_ratio(), top) for t, top in zip((x, y), f.top))
-    den = px[0] * py[0]
-    err_a = abs(_exact_sum(f.component1, px, py) * ad - an * den) * bd
-    err_b = abs(_exact_sum(f.component2, px, py) * bd - bn * den) * ad
+    err_a = abs(n1 * ad - an * den) * bd
+    err_b = abs(n2 * bd - bn * den) * ad
     return Fraction(max(err_a, err_b), den * max(an * bd, bn * ad, ad * bd))
 
 
@@ -319,15 +316,14 @@ def preimage(q: PreimageQuery, cfg: SolverConfig = SolverConfig()) -> PreimageRe
     """
     best_r, best_xy = math.inf, (0.0, 0.0)
     for idx, seed in enumerate(_level_seeds(q)):
-        _, (u, v), r, iters = _newton_direct(seed, q, cfg)
+        (u, v), r, iters = _polish(seed, q, cfg.residual_tol)
         # a level-curve seed brackets a root, so a stalled polish is graded
         if not math.isfinite(r):
             continue
         res, x, y = _graded(u, v, q, cfg.residual_tol)
         if res <= cfg.residual_tol:
             return PreimageResult(
-                x=x, y=y, residual=float(res), stage="level-curve",
-                newton_iters=iters, seed_index=idx,
+                x=x, y=y, residual=float(res), newton_iters=iters, seed_index=idx
             )
         if res < best_r:
             best_r, best_xy = float(res), (x, y)

@@ -44,6 +44,10 @@ from .maps import HALF_PI, _phi_terms, _phi_theta, _trig_vec, _zeta_terms
 ALPHA1_D1_SIGN = 1
 ALPHA2_D2_SIGN = -1
 
+# least curve samples of a linking sum and grid points of a transversality scan
+MIN_SEGMENTS = 256
+MIN_GRID = 1000
+
 _PROXIMITY_LIMIT = 1e-9
 _TILE_ELEMENTS = 1 << 16
 
@@ -208,8 +212,10 @@ def _loop_corners(loop: BoundaryLoop) -> np.ndarray:
 
 def _in_tube(points: np.ndarray, tube: TubeSpec) -> tuple[tuple, np.ndarray]:
     """Flattened coordinates (q1, q2, q3) of n x 3 points and the mask of
-    those in the open cylinder {q1^2 + q2^2 < (a + epsilon)^2, |q3| < epsilon}."""
-    q1, q2, q3 = _zeta_terms(*points.T, tube.disc.b, tube.disc.variant)
+    those in the open cylinder {q1^2 + q2^2 < (a + epsilon)^2, |q3| < epsilon};
+    a d2 tube is the d1 tube with x and z swapped, as in _circle."""
+    points = points[:, ::-1] if tube.disc.variant == "d2" else points
+    q1, q2, q3 = _zeta_terms(*points.T, tube.disc.b)
     eps = tube.epsilon
     return (q1, q2, q3), (q1 * q1 + q2 * q2 < (tube.disc.a + eps) ** 2) & (np.abs(q3) < eps)
 
@@ -221,8 +227,8 @@ def transversality_scan(loop: BoundaryLoop, tube: TubeSpec, grid: int) -> Transv
     of b -/+ epsilon, lateral deviation sqrt(q1^2+q2^2) at most 1e-9 on the
     hits, and q3 matching t - b to 1e-9 there (the straight vertical pass).
     """
-    if grid < 1000:
-        raise ValueError(f"grid must be at least 1000, got {grid}")
+    if grid < MIN_GRID:
+        raise ValueError(f"grid must be at least {MIN_GRID}, got {grid}")
     b, eps = tube.disc.b, tube.epsilon
     t = np.linspace(0.0, loop.t_max, grid)
     step = loop.t_max / (grid - 1)
@@ -416,8 +422,8 @@ def gauss_linking(
     (alpha2, d2) the rounded value is +/-1, with signs pinned by
     ALPHA1_D1_SIGN and ALPHA2_D2_SIGN.
     """
-    if loop_segments < 256 or circle_segments < 256:
-        raise ValueError("segment counts must be at least 256")
+    if loop_segments < MIN_SEGMENTS or circle_segments < MIN_SEGMENTS:
+        raise ValueError(f"segment counts must be at least {MIN_SEGMENTS}")
     m = loop.m
     h2 = 2.0 * math.pi / circle_segments
     pts2, tan2 = _circle_samples(spec, circle_segments)

@@ -75,7 +75,6 @@ def test_preimage_json_solves_the_known_pair(capsys):
     assert res["residual"] <= 1e-9
     assert abs(res["x"] - 1.0) < 1e-6
     assert abs(res["y"] - 2.0) < 1e-6
-    assert res["stage"] == "level-curve"
 
 
 def test_preimage_rejects_bad_targets(capsys):
@@ -520,6 +519,13 @@ def test_params_echo_the_parsed_arguments_and_results_start_with_version(capsys)
         assert next(iter(doc["results"])) == "version", argv
         assert doc["results"]["version"] == quadrant_atlas.__version__
     assert doc["params"] == {"count": 500, "seed": 1, "format": "json"}
+    # a solved preimage and a failed one: every results key, in order
+    for target, keys in (
+        ("2,3", ["version", "x", "y", "residual", "newton_iters", "seed_index"]),
+        ("1e300,1e300", ["version", "error", "best_residual"]),
+    ):
+        code, doc = run_json(["preimage", "--target", target, "--format", "json"], capsys)
+        assert list(doc["results"]) == keys, target
 
 
 def test_preimage_has_no_json_alias(capsys):

@@ -149,14 +149,15 @@ def test_xi_frozen_values():
 
 def test_zeta_frozen_and_flattening():
     b = 2.0
-    assert _zeta_terms(0.0, 0.0, 5.0, b, "d1") == (0.0, 0.0, 3.0)
-    assert _zeta_terms(5.0, 0.0, 0.0, b, "d2") == (0.0, 0.0, 3.0)
+    assert _zeta_terms(0.0, 0.0, 5.0, b) == (0.0, 0.0, 3.0)
+    # a d2 point (x, y, z) is flattened as (z, y, x)
+    assert _zeta_terms(*(5.0, 0.0, 0.0)[::-1], b) == (0.0, 0.0, 3.0)
     rng = random.Random(23)
     # a random point of each warped graph must land on the flat disc
     x, y, z = np.array([[2.0 * rng.random() - 1.0 for _ in range(3)] for _ in range(1000)]).T
-    q = _zeta_terms(x, y, _xi_terms(y, b), b, "d1")
+    q = _zeta_terms(x, y, _xi_terms(y, b), b)
     assert np.all(q[2] == 0.0) and np.array_equal(q[0], x) and np.array_equal(q[1], y)
-    q = _zeta_terms(_xi_terms(y, b), y, z, b, "d2")
+    q = _zeta_terms(z, y, _xi_terms(y, b), b)
     assert np.all(q[2] == 0.0) and np.array_equal(q[0], z) and np.array_equal(q[1], y)
 
 

@@ -11,6 +11,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from quadrant_atlas.polynomial import (
     ONE,
     X,
@@ -24,6 +26,8 @@ from quadrant_atlas.polynomial import (
     compose,
     evaluate_exact,
     evaluate_float,
+    evaluate_map_exact,
+    evaluate_map_float,
     mul,
     stats,
     to_text,
@@ -333,6 +337,34 @@ def test_float_tracks_exact_on_random_rationals():
             exact = evaluate_exact(comp, u, v)
             approx = evaluate_float(comp, float(u), float(v))
             assert abs(approx - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+def test_map_evaluators_match_the_component_evaluators():
+    rng = random.Random(161803)
+    # random doubles of either sign, one coordinate near an axis for half
+    # of them, the exact 21 x 21 grid of halves, and two overflowing points
+    doubles = [
+        (rng.uniform(-5.0, 5.0), rng.uniform(-1e-8, 1e-8) if k % 2 else rng.uniform(-5.0, 5.0))
+        for k in range(300)
+    ]
+    doubles += [(i / 2.0, k / 2.0) for i in range(-10, 11) for k in range(-10, 11)]
+    doubles += [(1e300, -1e300), (-1e30, 1e-300)]
+    fractions = [(Fraction(1, 3), Fraction(-2, 7)), (Fraction(-500, 97), 5), (3, Fraction(5, 3))]
+    for fmap in (build_theorem_map(), build_f2()):
+        c1, c2 = fmap.component1, fmap.component2
+        for x, y in doubles + fractions:
+            n1, n2, den = evaluate_map_exact(fmap, x, y)
+            assert den > 0
+            want = (evaluate_exact(c1, x, y), evaluate_exact(c2, x, y))
+            assert (Fraction(n1, den), Fraction(n2, den)) == want, (x, y)
+        want = [tuple(evaluate_float(c, x, y).hex() for c in (c1, c2)) for x, y in doubles]
+        got = [tuple(v.hex() for v in evaluate_map_float(fmap, x, y)) for x, y in doubles]
+        assert got == want
+        xs, ys = np.array(doubles).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            on_arrays = evaluate_map_float(fmap, xs, ys)
+        pairs = zip(*(a.tolist() for a in on_arrays))
+        assert [tuple(v.hex() for v in pair) for pair in pairs] == want
 
 
 # ---------------------------------------------------------------------------

@@ -159,18 +159,17 @@ def test_positivity_exact_grid_minima_are_these_rationals():
 def test_exact_grid_failures_sort_after_the_stream(monkeypatch):
     # planted on the exact grid, which runs x-major after the stream: a zero
     # first component at (-1.5, 2) and a second component of -1 at (4.5, -0.5)
-    fmap = build_theorem_map()
-    real = sampler._exact_sum
+    real = sampler.evaluate_map_exact
 
-    def planted(p, px, py):
-        at = (Fraction(px[1], px[0]), Fraction(py[1], py[0]))
-        if at == (Fraction(-3, 2), 2) and p is fmap.component1:
-            return 0
-        if at == (Fraction(9, 2), Fraction(-1, 2)) and p is fmap.component2:
-            return -px[0] * py[0]
-        return real(p, px, py)
+    def planted(fmap, x, y):
+        n1, n2, den = real(fmap, x, y)
+        if (x, y) == (-1.5, 2.0):
+            return 0, n2, den
+        if (x, y) == (4.5, -0.5):
+            return n1, -den, den
+        return n1, n2, den
 
-    monkeypatch.setattr(sampler, "_exact_sum", planted)
+    monkeypatch.setattr(sampler, "evaluate_map_exact", planted)
     report = check_positivity(SamplerConfig(count=1000, seed=42))
     assert report.checked == 1000 + 441
     assert report.failures == 2
@@ -183,18 +182,13 @@ def test_exact_grid_failures_sort_after_the_stream(monkeypatch):
     # whose first sits at grid index 161
     u1, u2 = ref_pair(42, 999)
     x_bad = (2.0 * u1 - 1.0) * 50.0
-    real_map = sampler._map_on_arrays
+    real_map = sampler.evaluate_map_float
 
-    def planting(fmap):
-        evaluate = real_map(fmap)
+    def planted_evaluate(fmap, x, y):
+        c1, c2 = real_map(fmap, x, y)
+        return np.where(x == x_bad, -3.0, c1), c2
 
-        def planted_evaluate(x, y):
-            c1, c2 = evaluate(x, y)
-            return np.where(x == x_bad, -3.0, c1), c2
-
-        return planted_evaluate
-
-    monkeypatch.setattr(sampler, "_map_on_arrays", planting)
+    monkeypatch.setattr(sampler, "evaluate_map_float", planted_evaluate)
     report = check_positivity(SamplerConfig(count=1000, seed=42))
     assert report.failures == 3
     assert report.first_failure_input == (x_bad, (2.0 * u2 - 1.0) * 50.0)
@@ -344,20 +338,15 @@ def test_block_boundaries_keep_global_indices(monkeypatch):
     planted = {start + 7: math.nan, start + sampler._BLOCK_ROWS - 1: -2.0}
     planted[start + sampler._BLOCK_ROWS] = -1.0
     bad_x = {(2.0 * ref_pair(42, j)[0] - 1.0) * 50.0: v for j, v in planted.items()}
-    real = sampler._map_on_arrays
+    real = sampler.evaluate_map_float
 
-    def planting(fmap):
-        evaluate = real(fmap)
+    def planted_evaluate(fmap, x, y):
+        c1, c2 = real(fmap, x, y)
+        for xv, value in bad_x.items():
+            c1 = np.where(x == xv, value, c1)
+        return c1, c2
 
-        def planted_evaluate(x, y):
-            c1, c2 = evaluate(x, y)
-            for xv, value in bad_x.items():
-                c1 = np.where(x == xv, value, c1)
-            return c1, c2
-
-        return planted_evaluate
-
-    monkeypatch.setattr(sampler, "_map_on_arrays", planting)
+    monkeypatch.setattr(sampler, "evaluate_map_float", planted_evaluate)
     report = check_positivity(SamplerConfig(count=2 * CHUNK_SAMPLES + 3, seed=42))
     assert report.checked == 2 * CHUNK_SAMPLES + 3 + 441
     assert report.failures == 3

@@ -30,7 +30,7 @@ from quadrant_atlas.solver import (
     _curve_samples,
     _level_curve,
     _level_seeds,
-    _newton_direct,
+    _polish,
     _sqrt,
 )
 from quadrant_atlas.topology import TubeSpec, _in_tube, make_tube
@@ -210,17 +210,17 @@ def test_lift_intertwines_the_two_objectives():
         assert abs(fb - gb) <= 1e-9 * max(1.0, abs(gb))
 
 
-# The direct polish on the outer factor.
+# The polish on the outer factor.
 
 
 def test_refine_direct_fixed_point():
-    ok, got, r, iters = _newton_direct((1.0, 1.0), PreimageQuery(1.0, 1.0), SolverConfig())
-    assert ok and got == (1.0, 1.0) and r == 0.0 and iters == 0
+    got, r, iters = _polish((1.0, 1.0), PreimageQuery(1.0, 1.0), 1e-9)
+    assert got == (1.0, 1.0) and r == 0.0 and iters == 0
 
 
 def test_refine_direct_polishes_a_nearby_seed():
-    ok, (u, v), _, _ = _newton_direct((1.05, 1.02), PreimageQuery(1.0, 1.0), SolverConfig())
-    assert ok
+    (u, v), r, _ = _polish((1.05, 1.02), PreimageQuery(1.0, 1.0), 1e-9)
+    assert r <= 1e-9
     fa = evaluate_float(F2_MAP.component1, u, v)
     fb = evaluate_float(F2_MAP.component2, u, v)
     assert max(abs(fa - 1.0), abs(fb - 1.0)) <= 1e-9
@@ -234,7 +234,6 @@ def test_preimage_frozen_targets():
         assert isinstance(r, PreimageResult)
         assert r.residual <= 1e-9
         assert forward_residual(r.x, r.y, a, b) <= 1e-9
-        assert r.stage == "level-curve"
 
 
 def test_preimage_decade_targets():
@@ -309,38 +308,37 @@ def test_query_and_config_reject_non_finite_values():
 
 
 # Frozen from the level-curve solver: target (a, b), witness (x, y), all
-# as float.hex, then stage, seed_index, newton_iters. Decade and round-trip
+# as float.hex, then seed_index, newton_iters. Decade and round-trip
 # targets (random.Random(60), x, y in (0, 5)), targets of assorted scale,
 # one of the wide set (random.Random(7)) far out along the a-axis, the two
 # edge targets and (1e60, 1e60).
 FROZEN_RESULTS = [
-    ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.2187fa147285ep+0", "0x1.a96db54e3696fp-1", "level-curve", 0, 0),
-    ("0x1.f400000000000p+9", "0x1.47ae147ae147bp-7", "0x1.b27c84a896edap-5", "0x1.3a2c4f68fcab9p+4", "level-curve", 0, 0),
-    ("0x1.0624dd2f1a9fcp-10", "0x1.f400000000000p+9", "0x1.4763d6cc7daecp+5", "0x1.3c168f3d04b48p-11", "level-curve", 0, 0),
-    ("0x1.9000000000000p+6", "0x1.999999999999ap-4", "0x1.60fbe8705f0a0p-3", "0x1.a097cc603f1afp+2", "level-curve", 0, 0),
-    ("0x1.482d919b482bbp+15", "0x1.0c072e95ba8bdp+14", "0x1.89fe1e0d58eb0p+0", "0x1.71e49e5c54b8ep+1", "level-curve", 0, 0),
-    ("0x1.f12a900177596p+17", "0x1.cef3e6deead4cp+13", "0x1.53fdb7c4be822p+0", "0x1.0286d833571c8p+2", "level-curve", 0, 0),
-    ("0x1.eac2541e9d32ap+13", "0x1.9bf08cc8c38aap+17", "0x1.2b04de96d2300p+1", "0x1.a9a0171c0c0fap+0", "level-curve", 0, 0),
-    ("0x1.ed33acdb9fa6ap+26", "0x1.e731c1f031036p+33", "0x1.1ef5f901a59e4p+2", "0x1.fb24c7c99ea8bp+1", "level-curve", 0, 0),
-    ("0x1.1c27e9016bfb1p+25", "0x1.24902c6024bedp+32", "0x1.13138dcbb0068p+2", "0x1.aa1eec249c828p+1", "level-curve", 0, 0),
-    ("0x1.d82ab1cc709cep+6", "0x1.7d1d44302099cp+4", "0x1.dac6f1f14b408p-1", "0x1.f31bc7076e2e1p+0", "level-curve", 0, 0),
-    ("0x1.999999999999ap-4", "0x1.999999999999ap-4", "0x1.c1711442efc8fp+1", "0x1.5940dfa53951cp-4", "level-curve", 0, 0),
-    ("0x1.999999999999ap-5", "0x1.999999999999ap-5", "0x1.3045cc6a67383p+2", "0x1.7254161364005p-5", "level-curve", 0, 0),
-    ("0x1.fa6f54f3b6b9ap+28", "0x1.0726e4c8a3259p-21", "0x1.6807953edbd3bp-13", "0x1.6c2eb5eaddca4p+12", "level-curve", 0, 0),
-    ("0x1.0000000000000p+0", "0x1.ddede2babe3d2p-23", "0x1.eeabcd5521c26p-12", "0x1.08f7d10dbd10ap+11", "level-curve", 0, 0),
-    ("0x1.72213d47c1d92p-25", "0x1.47ae147ae147bp-7", "0x1.2d1752bb90d9fp+12", "0x1.72213a4a818d0p-25", "level-curve", 0, 0),
-    ("0x1.3e9e4e4c2f344p+199", "0x1.3e9e4e4c2f344p+199", "0x1.f4000346dc02bp+9", "0x1.e847f66666840p+19", "level-curve", 0, 0),
+    ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.2187fa147285ep+0", "0x1.a96db54e3696fp-1", 0, 0),
+    ("0x1.f400000000000p+9", "0x1.47ae147ae147bp-7", "0x1.b27c84a896edap-5", "0x1.3a2c4f68fcab9p+4", 0, 0),
+    ("0x1.0624dd2f1a9fcp-10", "0x1.f400000000000p+9", "0x1.4763d6cc7daecp+5", "0x1.3c168f3d04b48p-11", 0, 0),
+    ("0x1.9000000000000p+6", "0x1.999999999999ap-4", "0x1.60fbe8705f0a0p-3", "0x1.a097cc603f1afp+2", 0, 0),
+    ("0x1.482d919b482bbp+15", "0x1.0c072e95ba8bdp+14", "0x1.89fe1e0d58eb0p+0", "0x1.71e49e5c54b8ep+1", 0, 0),
+    ("0x1.f12a900177596p+17", "0x1.cef3e6deead4cp+13", "0x1.53fdb7c4be822p+0", "0x1.0286d833571c8p+2", 0, 0),
+    ("0x1.eac2541e9d32ap+13", "0x1.9bf08cc8c38aap+17", "0x1.2b04de96d2300p+1", "0x1.a9a0171c0c0fap+0", 0, 0),
+    ("0x1.ed33acdb9fa6ap+26", "0x1.e731c1f031036p+33", "0x1.1ef5f901a59e4p+2", "0x1.fb24c7c99ea8bp+1", 0, 0),
+    ("0x1.1c27e9016bfb1p+25", "0x1.24902c6024bedp+32", "0x1.13138dcbb0068p+2", "0x1.aa1eec249c828p+1", 0, 0),
+    ("0x1.d82ab1cc709cep+6", "0x1.7d1d44302099cp+4", "0x1.dac6f1f14b408p-1", "0x1.f31bc7076e2e1p+0", 0, 0),
+    ("0x1.999999999999ap-4", "0x1.999999999999ap-4", "0x1.c1711442efc8fp+1", "0x1.5940dfa53951cp-4", 0, 0),
+    ("0x1.999999999999ap-5", "0x1.999999999999ap-5", "0x1.3045cc6a67383p+2", "0x1.7254161364005p-5", 0, 0),
+    ("0x1.fa6f54f3b6b9ap+28", "0x1.0726e4c8a3259p-21", "0x1.6807953edbd3bp-13", "0x1.6c2eb5eaddca4p+12", 0, 0),
+    ("0x1.0000000000000p+0", "0x1.ddede2babe3d2p-23", "0x1.eeabcd5521c26p-12", "0x1.08f7d10dbd10ap+11", 0, 0),
+    ("0x1.72213d47c1d92p-25", "0x1.47ae147ae147bp-7", "0x1.2d1752bb90d9fp+12", "0x1.72213a4a818d0p-25", 0, 0),
+    ("0x1.3e9e4e4c2f344p+199", "0x1.3e9e4e4c2f344p+199", "0x1.f4000346dc02bp+9", "0x1.e847f66666840p+19", 0, 0),
 ]
 
 
 @pytest.mark.parametrize("row", FROZEN_RESULTS, ids=lambda row: f"{row[0]},{row[1]}")
 def test_preimage_frozen_results(row):
-    a, b, x, y, stage, seed_index, iters = row
+    a, b, x, y, seed_index, iters = row
     r = preimage(PreimageQuery(float.fromhex(a), float.fromhex(b)), SolverConfig())
-    assert (r.x.hex(), r.y.hex(), r.stage, r.seed_index, r.newton_iters) == (
+    assert (r.x.hex(), r.y.hex(), r.seed_index, r.newton_iters) == (
         float.fromhex(x).hex(),
         float.fromhex(y).hex(),
-        stage,
         seed_index,
         iters,
     )
@@ -382,8 +380,8 @@ def test_direct_stage_survives_a_vanishing_damped_determinant():
     # to 0, the Gram matrix grows by about 1e145 and its damped determinant,
     # with the ridge of the first step, cancels to exactly 0; dividing by
     # it raised ZeroDivisionError; the step is rejected instead
-    ok, _, _, _ = _newton_direct((1e-4, 100.0), PreimageQuery(1e60, 1e60), SolverConfig())
-    assert not ok
+    _, r, _ = _polish((1e-4, 100.0), PreimageQuery(1e60, 1e60), 1e-9)
+    assert not r <= 1e-9
     r = preimage(PreimageQuery(1e30, 1.0), SolverConfig())
     assert r.residual <= 1e-9
 
@@ -394,7 +392,6 @@ def test_edge_targets_are_solved():
     # gate accepts the witness
     for a, b in EDGE_TARGETS:
         r = preimage(PreimageQuery(a, b), SolverConfig())
-        assert r.stage == "level-curve"
         assert r.residual <= 1e-9
         assert exact_residual(r.x, r.y, a, b) == r.residual
 
@@ -406,11 +403,10 @@ def test_stalled_polish_from_the_level_curve_is_graded():
     for a, b in [(1.0, 8.328591873190005e-08), (7.234364434620563, 1.3495890612116638e-08)]:
         q = PreimageQuery(a, b)
         r = preimage(q, SolverConfig())
-        assert r.stage == "level-curve"
         assert r.residual == exact_residual(r.x, r.y, a, b) <= 1e-9
         seed = list(_level_seeds(q))[r.seed_index]
-        ok, _, stalled_at, _ = _newton_direct(seed, q, SolverConfig())
-        assert not ok and stalled_at > 1e-9
+        _, stalled_at, _ = _polish(seed, q, 1e-9)
+        assert stalled_at > 1e-9
 
 
 def test_residual_is_exact_where_the_float_expansion_cancels():
