@@ -45,10 +45,8 @@ from .polynomial import (
 from .sampler import (
     GLUING_GRID,
     SamplerConfig,
-    check_f2_equals_h_g,
-    check_g_psi_equals_phi,
+    check_identities,
     check_mu_gluing,
-    check_phi_bound,
     check_positivity,
 )
 from .solver import PreimageQuery, SolverConfig, SolverFailure, preimage
@@ -327,12 +325,8 @@ def _run_identities(args) -> tuple[dict, int, list[str]]:
         thread_count()  # a bad QUADRANT_ATLAS_THREADS exits 2 before the sweeps
     except ValueError as exc:
         raise _UsageError(str(exc))
-    reports = {
-        "f2_equals_h_g": check_f2_equals_h_g(cfg),
-        "g_psi_equals_phi": check_g_psi_equals_phi(cfg),
-        "phi_bound": check_phi_bound(cfg),
-        "mu_gluing": check_mu_gluing(),
-    }
+    names = ("f2_equals_h_g", "g_psi_equals_phi", "phi_bound", "mu_gluing")
+    reports = dict(zip(names, [*check_identities(cfg), check_mu_gluing()]))
     passed = all(r.failures == 0 for r in reports.values())
     results = {
         "gluing_grid": GLUING_GRID,

@@ -11,6 +11,9 @@ The sample stream is split into fixed-size chunks and chunk k runs its
 own stream seeded seed + k. Chunks are independent, reports aggregate by
 count, min, max and first failure by global index; all of these are
 associative and commutative, so runs at any thread count agree exactly.
+A command starts one pool: the checks it runs share one task list of
+(chunk, check) pairs, chunk-major, so a short last chunk of one check runs
+beside the other checks' work instead of leaving a thread idle.
 
 Chunks fix the stream; blocks fix only how much of a chunk is evaluated
 at once. Each worker evaluates its chunk in blocks of _BLOCK_ROWS rows,
@@ -183,15 +186,17 @@ def _reduce(base: int, inputs: tuple, v1, v2, err, ok: np.ndarray) -> _Stats:
     )
 
 
-def _sweep(cfg: SamplerConfig, probe: Callable[[np.ndarray, np.ndarray], tuple]) -> list[_Stats]:
-    """Run probe over the config's stream, chunk by chunk and, within a
-    chunk, block by block; returns every block's stats.
+def _sweep(cfg: SamplerConfig, probes: list[Callable]) -> list[list[_Stats]]:
+    """Run every probe over the config's stream in one pool, chunk by chunk
+    and, within a chunk, block by block; returns each probe's block stats.
 
-    probe maps one block's unit doubles (u1, u2) to the arguments of
-    _reduce after base.
+    probe(cfg, u1, u2) maps one block's unit doubles to the arguments of
+    _reduce after base. Tasks are (chunk, probe) pairs, chunk-major: every
+    probe's chunk 0, then every probe's chunk 1, so the short last chunks
+    run last.
     """
 
-    def run(start: int) -> list[_Stats]:
+    def run(start: int, probe: Callable) -> list[_Stats]:
         chunk, n = start // CHUNK_SAMPLES, min(CHUNK_SAMPLES, cfg.count - start)
         unit = _unit_matrix(cfg.seed, chunk, n)
         # numpy's error state is per thread, so it is set here and not
@@ -201,12 +206,14 @@ def _sweep(cfg: SamplerConfig, probe: Callable[[np.ndarray, np.ndarray], tuple])
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, n, _BLOCK_ROWS):
                 block = unit[lo : lo + _BLOCK_ROWS]
-                parts.append(_reduce(start + lo, *probe(block[:, 0], block[:, 1])))
+                parts.append(_reduce(start + lo, *probe(cfg, block[:, 0], block[:, 1])))
         return parts
 
-    starts = range(0, cfg.count, CHUNK_SAMPLES)
-    with ThreadPoolExecutor(max_workers=min(thread_count(), len(starts))) as pool:
-        return [part for parts in pool.map(run, starts) for part in parts]
+    tasks = [(start, probe) for start in range(0, cfg.count, CHUNK_SAMPLES) for probe in probes]
+    with ThreadPoolExecutor(max_workers=min(thread_count(), len(tasks))) as pool:
+        done = list(pool.map(run, *zip(*tasks)))
+    n = len(probes)
+    return [[part for parts in done[k::n] for part in parts] for k in range(n)]
 
 
 def _relative_error(lhs: tuple, rhs: tuple) -> np.ndarray:
@@ -214,6 +221,31 @@ def _relative_error(lhs: tuple, rhs: tuple) -> np.ndarray:
     return np.maximum.reduce(
         [np.abs(l - r) / np.maximum(1.0, np.abs(r)) for l, r in zip(lhs, rhs)]
     )
+
+
+def _f2_probe(cfg: SamplerConfig, u1: np.ndarray, u2: np.ndarray) -> tuple:
+    u, v = u1 * cfg.range, u2 * cfg.range
+    rhs = eval_h(_g_terms(u, v, np.sqrt(u)))
+    err = _relative_error(evaluate_map_float(build_f2(), u, v), rhs)
+    return (u, v), rhs[0], rhs[1], err, err <= _IDENTITY_TOL
+
+
+def _g_psi_probe(cfg: SamplerConfig, u1: np.ndarray, u2: np.ndarray) -> tuple:
+    rho = u1 * 10.0
+    theta = 0.01 + u2 * (HALF_PI - 0.02)
+    c, s, w = _trig_vec(theta)
+    x, y = _psi_terms(rho, c, s)
+    rhs = _phi_terms(rho, c, s, w)
+    err = _relative_error(_g_terms(x, y, np.sqrt(x)), rhs)
+    return (rho, theta), rhs[0], rhs[1], err, err <= _IDENTITY_TOL
+
+
+def _phi_bound_probe(cfg: SamplerConfig, u1: np.ndarray, u2: np.ndarray) -> tuple:
+    rho, theta = u1 * 100.0, u2 * HALF_PI
+    f1, _, f3 = _phi_terms(rho, *_trig_vec(theta))
+    margin = f1 * f1 + f3 * f3 - rho * rho / 4.0
+    scale = np.maximum(1.0, rho * rho)
+    return (rho, theta), margin, margin / scale, None, margin >= -_BOUND_SLACK * scale
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +264,14 @@ def check_positivity(cfg: SamplerConfig) -> SamplerReport:
     reported as zero.
     """
     fmap = build_theorem_map()
-    half = cfg.range
 
-    def probe(u1: np.ndarray, u2: np.ndarray) -> tuple:
-        x = (2.0 * u1 - 1.0) * half
-        y = (2.0 * u2 - 1.0) * half
+    def probe(cfg: SamplerConfig, u1: np.ndarray, u2: np.ndarray) -> tuple:
+        x = (2.0 * u1 - 1.0) * cfg.range
+        y = (2.0 * u2 - 1.0) * cfg.range
         c1, c2 = evaluate_map_float(fmap, x, y)
         return (x, y), c1, c2, None, (c1 > 0.0) & (c2 > 0.0)
 
-    parts = _sweep(cfg, probe)
+    parts = _sweep(cfg, [probe])[0]
 
     # the grid in exact integers, x-major
     coords = np.arange(-10, 11) / 2.0
@@ -267,15 +298,7 @@ def check_f2_equals_h_g(cfg: SamplerConfig) -> SamplerReport:
     The minima record the reference components, which stay positive on
     the closed quadrant.
     """
-    f2 = build_f2()
-
-    def probe(u1: np.ndarray, u2: np.ndarray) -> tuple:
-        u, v = u1 * cfg.range, u2 * cfg.range
-        rhs = eval_h(_g_terms(u, v, np.sqrt(u)))
-        err = _relative_error(evaluate_map_float(f2, u, v), rhs)
-        return (u, v), rhs[0], rhs[1], err, err <= _IDENTITY_TOL
-
-    return _report(_sweep(cfg, probe))
+    return _report(_sweep(cfg, [_f2_probe])[0])
 
 
 def check_g_psi_equals_phi(cfg: SamplerConfig) -> SamplerReport:
@@ -287,17 +310,7 @@ def check_g_psi_equals_phi(cfg: SamplerConfig) -> SamplerReport:
     direct map's magnitude floored at one; the minima record its first
     two components.
     """
-
-    def probe(u1: np.ndarray, u2: np.ndarray) -> tuple:
-        rho = u1 * 10.0
-        theta = 0.01 + u2 * (HALF_PI - 0.02)
-        c, s, w = _trig_vec(theta)
-        x, y = _psi_terms(rho, c, s)
-        rhs = _phi_terms(rho, c, s, w)
-        err = _relative_error(_g_terms(x, y, np.sqrt(x)), rhs)
-        return (rho, theta), rhs[0], rhs[1], err, err <= _IDENTITY_TOL
-
-    return _report(_sweep(cfg, probe))
+    return _report(_sweep(cfg, [_g_psi_probe])[0])
 
 
 def check_phi_bound(cfg: SamplerConfig) -> SamplerReport:
@@ -309,15 +322,13 @@ def check_phi_bound(cfg: SamplerConfig) -> SamplerReport:
     -1e-12 * max(1, rho^2). min_component_1 is the raw margin minimum,
     min_component_2 the slack-scaled one; the error field stays zero.
     """
+    return _report(_sweep(cfg, [_phi_bound_probe])[0])
 
-    def probe(u1: np.ndarray, u2: np.ndarray) -> tuple:
-        rho, theta = u1 * 100.0, u2 * HALF_PI
-        f1, _, f3 = _phi_terms(rho, *_trig_vec(theta))
-        margin = f1 * f1 + f3 * f3 - rho * rho / 4.0
-        scale = np.maximum(1.0, rho * rho)
-        return (rho, theta), margin, margin / scale, None, margin >= -_BOUND_SLACK * scale
 
-    return _report(_sweep(cfg, probe))
+def check_identities(cfg: SamplerConfig) -> list[SamplerReport]:
+    """check_f2_equals_h_g, check_g_psi_equals_phi and check_phi_bound, in
+    that order, from one sweep: their chunks share one pool."""
+    return [_report(parts) for parts in _sweep(cfg, [_f2_probe, _g_psi_probe, _phi_bound_probe])]
 
 
 def check_mu_gluing() -> SamplerReport:

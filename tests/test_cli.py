@@ -16,6 +16,7 @@ import pytest
 
 import quadrant_atlas
 import quadrant_atlas.cli as cli
+import quadrant_atlas.sampler as sampler
 from quadrant_atlas.solver import SolverFailure
 
 _TOP_KEYS = ["subcommand", "params", "results", "pass", "wall_time_ms"]
@@ -267,25 +268,45 @@ def test_unknown_subcommand_and_flag_exit_2(capsys):
 
 
 def test_json_byte_identical_across_thread_counts(capsys, monkeypatch):
-    outputs = []
-    for threads in ("1", "2", "8"):
-        monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
-        _, out, _ = run_cli(
-            ["sample", "--count", "5000", "--seed", "42", "--format", "json"], capsys
-        )
-        outputs.append(strip_wall_time(out))
-    assert outputs[0] == outputs[1] == outputs[2]
+    for argv in (
+        ["sample", "--count", "5000", "--seed", "42"],
+        # three chunks per check, the last of 3 samples
+        ["identities", "--count", "131075", "--seed", "3"],
+        ["certify", "--A", "1", "--B", "2", "--segments", "512", "--grid", "2000"],
+    ):
+        outputs = []
+        for threads in ("1", "2", "8"):
+            monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
+            _, out, _ = run_cli([*argv, "--format", "json"], capsys)
+            outputs.append(strip_wall_time(out))
+        assert outputs[0] == outputs[1] == outputs[2], argv
 
-    outputs = []
-    for threads in ("1", "2", "8"):
-        monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
-        _, out, _ = run_cli(
-            ["certify", "--A", "1", "--B", "2", "--segments", "512", "--grid", "2000",
-             "--format", "json"],
-            capsys,
-        )
-        outputs.append(strip_wall_time(out))
-    assert outputs[0] == outputs[1] == outputs[2]
+
+@pytest.mark.parametrize(
+    "argv, tasks",
+    [
+        # three checks of two chunks each, and 16 chunks of one check
+        (["identities", "--count", "100000", "--seed", "1"], 6),
+        (["sample", "--count", "1000000", "--seed", "1"], 16),
+    ],
+)
+def test_each_sweeping_command_starts_one_pool(capsys, monkeypatch, argv, tasks):
+    pools = []
+
+    class CountingPool(sampler.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(0)
+            super().__init__(*args, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            pools[-1] += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setenv("QUADRANT_ATLAS_THREADS", "2")
+    code, _ = run_json([*argv, "--format", "json"], capsys)
+    assert code == 0
+    assert pools == [tasks]
 
 
 def test_certify_json_byte_identical_across_blas_threads():

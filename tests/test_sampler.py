@@ -23,6 +23,7 @@ from quadrant_atlas.sampler import (
     SamplerConfig,
     check_f2_equals_h_g,
     check_g_psi_equals_phi,
+    check_identities,
     check_mu_gluing,
     check_phi_bound,
     check_positivity,
@@ -277,6 +278,49 @@ def test_reports_identical_across_thread_counts(monkeypatch):
     first = check_f2_equals_h_g(small)
     monkeypatch.setenv("QUADRANT_ATLAS_THREADS", "8")
     assert check_f2_equals_h_g(small) == first
+
+
+SINGLE_CHECKS = (check_f2_equals_h_g, check_g_psi_equals_phi, check_phi_bound)
+
+
+@pytest.mark.parametrize("count", [1, CHUNK_SAMPLES, 70_000, 2 * CHUNK_SAMPLES + 3])
+def test_identities_sweep_equals_the_three_single_checks(count, monkeypatch):
+    cfg = SamplerConfig(count=count, seed=42)
+    singles = [check(cfg) for check in SINGLE_CHECKS]
+    for threads in ("1", "2", "8"):
+        monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
+        assert check_identities(cfg) == singles
+
+
+def test_identities_sweep_keeps_each_failure_with_its_check_and_chunk(monkeypatch):
+    # one failure planted in chunk 1 of the f2 check and one in chunk 0 of
+    # the bound check; a sweep that hands stats to the wrong check, or drops
+    # or repeats a chunk, moves or loses one of them
+    seed, j_f2, j_bound = 9, CHUNK_SAMPLES + 100, 5
+    cfg = SamplerConfig(count=70_000, seed=seed)
+
+    def plant(name, j):
+        real, bad_u1 = getattr(sampler, name), ref_pair(seed, j)[0]
+
+        def probe(cfg, u1, u2):
+            inputs, v1, v2, err, ok = real(cfg, u1, u2)
+            return inputs, v1, v2, err, ok & (u1 != bad_u1)
+
+        monkeypatch.setattr(sampler, name, probe)
+
+    plant("_f2_probe", j_f2)
+    plant("_phi_bound_probe", j_bound)
+    for threads in ("1", "2", "8"):
+        monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
+        f2, g_psi, bound = check_identities(cfg)
+        assert [check(cfg) for check in SINGLE_CHECKS] == [f2, g_psi, bound]
+        u1, u2 = ref_pair(seed, j_f2)
+        assert (f2.checked, f2.failures) == (70_000, 1)
+        assert f2.first_failure_input == (u1 * 50.0, u2 * 50.0)
+        assert (g_psi.checked, g_psi.failures) == (70_000, 0)
+        u1, u2 = ref_pair(seed, j_bound)
+        assert (bound.checked, bound.failures) == (70_000, 1)
+        assert bound.first_failure_input == (u1 * 100.0, u2 * HALF_PI)
 
 
 def _oracle_f2(u, v):
