@@ -181,11 +181,7 @@ def compose(
 def _exact_powers(n: int, d: int, top: int) -> list[int]:
     """[n^k d^(top-k) for k = 0..top]: the powers of n/d up to top over the
     one denominator d^top, which is the list's first entry."""
-    up, down = [1], [1]
-    for _ in range(top):
-        up.append(up[-1] * n)
-        down.append(down[-1] * d)
-    return [a * b for a, b in zip(up, reversed(down))]
+    return [n**k * d ** (top - k) for k in range(top + 1)]
 
 
 def _exact_sum(p: SparsePolynomial, pu: list[int], pv: list[int]) -> int:

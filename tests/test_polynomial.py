@@ -19,7 +19,6 @@ from quadrant_atlas.polynomial import (
     Y,
     PolyMap2,
     SparsePolynomial,
-    _exact_powers,
     add,
     build_f1,
     build_f2,
@@ -313,15 +312,6 @@ def test_evaluate_exact_matches_fraction_oracle():
             got = evaluate_exact(p, u, v)
             assert isinstance(got, Fraction)
             assert got == fraction_eval(p, u, v), (to_text(p), u, v)
-
-
-def test_exact_powers_are_the_numerators_over_d_to_the_top():
-    rng = random.Random(577)
-    cases = [(-3, 1, 5), (7, 1, 0), (-5, 4, 0), (0, 9, 3), (-2, 1, 16), (1, 2**60, 12)]
-    cases += [(rng.randrange(-(2**60), 2**60), rng.randrange(1, 2**80), rng.randrange(13))
-              for _ in range(50)]
-    for n, d, top in cases:
-        assert _exact_powers(n, d, top) == [n**k * d ** (top - k) for k in range(top + 1)]
 
 
 def test_evaluate_float_basics():
