@@ -9,12 +9,13 @@ v+-(u) = (pq +- sqrt(D)) / A, with A = p^2 + u^3 and D = b A - u^3 q^2,
 which meet at the folds where D = 0. D / u^2 is a quartic with at most
 two positive roots, so there are at most two folds. A preimage is a root
 in u of c1(u, v+-(u)) - a. The seeds lie on the level curve and are
-tried in this order. Both branches are scanned on SCAN_POINTS
-log-spaced u in [1e-40, 1e40], and each sign change is bisected in log u.
-Then each fold is located by bisection on D, both branches are sampled
-at FOLD_POINTS points graded toward it, and the sign changes there are
-bisected. Last, the samples where |c1 - a| has a local minimum with no
-sign change around it, near-tangencies of the level curves c1 = a and
+tried in this order. The branches are scanned on SCAN_POINTS log-spaced
+u in [1e-40, 1e40], and each sign change is bisected in log u; v- is
+scanned only once v+'s roots are used up. Then each fold is located by
+bisection on D, the branches are sampled at FOLD_POINTS points graded
+toward it, v- again only after v+'s roots, and the sign changes there
+are bisected. Last, the samples where |c1 - a| has a local minimum with
+no sign change around it, near-tangencies of the level curves c1 = a and
 c2 = b, are taken as they are, least |c1 - a| first.
 
 Each seed is polished by one damped least-squares iteration on the outer
@@ -193,16 +194,13 @@ def _curve_point(u: float, branch: int, q: PreimageQuery) -> tuple[float, float]
     return eval_h(_g_terms(u, v, math.sqrt(u)))[0] - q.a, v
 
 
-def _curve_samples(u, q: PreimageQuery):
-    """([c1 - a on v+, c1 - a on v-], D, [v+, v-]) at an array of u;
-    _curve_point's + - * / and sqrt on arrays, so the values agree bit for
-    bit."""
+def _branch_samples(u, v, q: PreimageQuery):
+    """(c1 - a, v) on one branch v of the level curve over an array of u,
+    both NaN where the branch is absent or v < 0; _curve_point's + - * /
+    and sqrt on arrays, so the values agree bit for bit."""
     with np.errstate(all="ignore"):
-        d, *branches = _level_curve(u, q.b, np.sqrt)
-        root_u = np.sqrt(u)
-        v = [np.where(vb >= 0.0, vb, np.nan) for vb in branches]
-        f = [eval_h(_g_terms(u, vb, root_u))[0] - q.a for vb in v]
-    return f, d, v
+        v = np.where(v >= 0.0, v, np.nan)
+        return eval_h(_g_terms(u, v, np.sqrt(u)))[0] - q.a, v
 
 
 def _bisect(fn, x0: float, f0: float, x1: float, f1: float):
@@ -250,17 +248,28 @@ def _branch_minima(u, f, v) -> list:
     return list(zip(size[at].tolist(), u[at].tolist(), v[at].tolist()))
 
 
+def _sampled_roots(u, q: PreimageQuery, samples: list):
+    """The bisected roots of c1 - a between samples at an array of u, v+
+    first: c1 - a on v- is only evaluated once the caller has taken every
+    v+ root. Appends each branch's (u, c1 - a, v) to samples and returns D
+    over u."""
+    with np.errstate(all="ignore"):
+        d, *branches = _level_curve(u, q.b, np.sqrt)
+    for branch, vb in enumerate(branches):
+        f, v = _branch_samples(u, vb, q)
+        samples.append((u, f, v))
+        yield from _branch_roots(branch, u, f, q)
+    return d
+
+
 def _level_seeds(q: PreimageQuery):
     """Quadrant seeds (u, v) on the level curve c2 = b, in the order they
-    are tried: the roots bracketed on the scan, then those near the folds,
-    then the near-tangencies, the sampled minima of |c1 - a| on the scan
-    and toward the folds, least |c1 - a| first. Each group is only
-    computed once the caller has taken every seed before it."""
-    u = _SCAN
-    f, d, v = _curve_samples(u, q)
-    samples = [(u, fb, vb) for fb, vb in zip(f, v)]
-    for branch, fb in enumerate(f):
-        yield from _branch_roots(branch, u, fb, q)
+    are tried: the roots bracketed on the scan, v+ then v-, then those near
+    the folds, then the near-tangencies, the sampled minima of |c1 - a| on
+    the scan and toward the folds, least |c1 - a| first. Each group and
+    branch is only computed once the caller has taken every seed before it."""
+    u, samples = _SCAN, []
+    d = yield from _sampled_roots(u, q, samples)
     has_curve = d >= 0.0
     for i in np.flatnonzero(has_curve[:-1] != has_curve[1:]).tolist():
         inside, outside = (i, i + 1) if has_curve[i] else (i + 1, i)
@@ -271,10 +280,7 @@ def _level_seeds(q: PreimageQuery):
             float(u[inside]), float(d[inside]), float(u[outside]), float(d[outside]),
         )[0]
         graded = fold + (u[inside] - fold) * np.logspace(0.0, -14.0, FOLD_POINTS)
-        f, _, v = _curve_samples(graded, q)
-        for branch, (fb, vb) in enumerate(zip(f, v)):
-            samples.append((graded, fb, vb))
-            yield from _branch_roots(branch, graded, fb, q)
+        yield from _sampled_roots(graded, q, samples)
     for _, x, y in sorted(m for s in samples for m in _branch_minima(*s)):
         yield x, y
 

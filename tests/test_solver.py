@@ -8,6 +8,7 @@ target within the relative tolerance.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
 import tracemalloc
@@ -26,8 +27,8 @@ from quadrant_atlas.solver import (
     SolverConfig,
     SolverFailure,
     preimage,
+    _branch_samples,
     _curve_point,
-    _curve_samples,
     _level_curve,
     _level_seeds,
     _polish,
@@ -133,7 +134,8 @@ def test_level_curve_has_at_most_two_folds():
         signs = [c > 0.0 for c in coeffs if c != 0.0]
         assert sum(s != t for s, t in zip(signs, signs[1:])) <= 2, b
         u = np.logspace(-40.0, 40.0, solver.SCAN_POINTS)
-        has_curve = _curve_samples(u, PreimageQuery(1.0, b))[1] >= 0.0
+        with np.errstate(invalid="ignore"):
+            has_curve = _level_curve(u, b, np.sqrt)[0] >= 0.0
         assert np.count_nonzero(has_curve[:-1] != has_curve[1:]) <= 2, b
 
 
@@ -155,13 +157,76 @@ def test_lockstep_lanes_match_the_one_seed_loop_bit_for_bit(target, cfg, monkeyp
         monkeypatch.setattr(solver, name, value)
     q = PreimageQuery(*target)
     u = np.logspace(-40.0, 40.0, solver.SCAN_POINTS)[::7]
-    f, _, v = _curve_samples(u, q)
-    for branch in (0, 1):
+    samples = []
+    list(solver._sampled_roots(u, q, samples))
+    assert len(samples) == 2
+    for branch, (_, f, v) in enumerate(samples):
         points = [_curve_point(x, branch, q) for x in u.tolist()]
-        for k, lane in enumerate((f[branch], v[branch])):
+        for k, lane in enumerate((f, v)):
             got = [x.hex() for x in lane.tolist()]
             want = [p[k].hex() for p in points]
             assert got == want, (target, branch, k)
+
+
+# The bench's 49 decade targets (10^i, 10^j), i, j in -3..3, then the two
+# edge targets (the preimage-edge ops of bench seed 1); the seed stream of
+# each, as "u,v" float.hex pairs joined by spaces, hashed by sha256 (first
+# 16 hex digits), seven digests per a
+DECADE_TARGETS = [(10.0**i, 10.0**j) for i in range(-3, 4) for j in range(-3, 4)]
+SEED_STREAM_DIGESTS = [
+    "c4ea4baf5cbd86e1", "6840e5fa011747a8", "8dd185359d3d11da", "5e4bba4964e0ffe5",
+    "cfe46a6a99e8b973", "7a39cdb4646a88ef", "031868f3822c5bf9",
+    "febd44b526b23925", "d659fb338745772b", "d57db6e40d27a65b", "2456960b11238cb5",
+    "89629a7533f04b4a", "474476f51cb7061e", "1bcd03c477269638",
+    "a180396fe1300eea", "3a9d1b153da4c1d6", "0e9fb16a9f83d712", "70d30eb5950f8a48",
+    "03090ba4990d2df8", "c2e8621112cbd135", "1aff47e7985a321e",
+    "159b97a49330a3ed", "bc88d571da6ed789", "170e7b4b9b5be7eb", "b03fcc0a4e8863ea",
+    "f561bdd39db8e24d", "b8a885a81758ce8c", "d93b7a2b9cfdab51",
+    "20adfc229b89aaf4", "a9a6d83e88f72d94", "042d24866a0f161d", "f21ceacacae3953a",
+    "9ee90a93a13e816b", "6f46416aee565bdb", "7f719f9a5b31e0e8",
+    "322ae132e9395174", "42ae778a5ac98f2e", "e0fc411c9fa17536", "b8b89559d892f59f",
+    "129365f4369f977c", "462e9cc653c160e0", "3272dba561e3ff30",
+    "b503726298ec3702", "d686d15790565e3c", "0a7ea3354da270d3", "509e47df365615bc",
+    "b9c1c730d0307429", "8e61951f2e2c27c1", "32100e8b4894bd30",
+    "608011e02cda0e87", "1da388b92d2194e7",
+]
+
+
+def test_seed_streams_are_frozen():
+    # the whole stream, not only the winning seed: the order of the roots,
+    # the fold samples and the near-tangency minima a failed target tries
+    for target, digest in zip(DECADE_TARGETS + EDGE_TARGETS, SEED_STREAM_DIGESTS, strict=True):
+        seeds = list(_level_seeds(PreimageQuery(*target)))
+        text = " ".join(f"{u.hex()},{v.hex()}" for u, v in seeds)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, target
+
+
+def test_first_seed_on_v_plus_evaluates_one_scan_branch(monkeypatch):
+    # c1 - a on v- is evaluated over the scan only once v+ has no root
+    # left; of the decade targets, (10^i, 1e-3), i <= 1, have none there
+    no_v_plus_root = [(10.0**i, 1e-3) for i in range(-3, 2)]
+    scan_u = np.logspace(-40.0, 40.0, solver.SCAN_POINTS)
+    scan_branches = []
+
+    def counted(u, *args):
+        scan_branches.append(u.size == solver.SCAN_POINTS)
+        return _branch_samples(u, *args)
+
+    monkeypatch.setattr(solver, "_branch_samples", counted)
+    for target in DECADE_TARGETS:
+        q = PreimageQuery(*target)
+        scan_branches.clear()
+        u, v = next(_level_seeds(q))
+        if target in no_v_plus_root:
+            assert scan_branches[:2] == [True, True], target
+            with np.errstate(invalid="ignore"):
+                v_plus = _level_curve(scan_u, q.b, np.sqrt)[1]
+            f, _ = _branch_samples(scan_u, v_plus, q)
+            assert not list(solver._branch_roots(0, scan_u, f, q)), target
+        else:
+            # one branch evaluated in all: the seed is a root of v+ on the scan
+            assert scan_branches == [True], target
+            assert _curve_point(u, 0, q)[1] == v, target
 
 
 # The first seed is a bracketed root on the level curve, c2 = b to rounding
