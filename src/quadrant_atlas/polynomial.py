@@ -15,9 +15,12 @@ it factors through, and the outer factor of that composition.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
+
+import numpy as np
 
 Exponents = tuple[int, int]
 Rational = Union[int, Fraction]
@@ -243,12 +246,63 @@ def evaluate_map_exact(fmap: PolyMap2, x, y) -> tuple[int, int, int]:
     return _exact_sum(c1, px, py), _exact_sum(c2, px, py), px[0] * py[0]
 
 
+_SCRATCH = threading.local()
+
+
+def _scratch(rows: int, shape: tuple) -> list[np.ndarray]:
+    """rows float arrays of the given shape in memory owned by the calling
+    thread, which hands the same memory out again on the thread's next
+    call; it grows to the largest request and lives as long as the thread."""
+    n = int(np.prod(shape))
+    buf = getattr(_SCRATCH, "buf", np.empty((0, 0)))
+    if buf.shape[0] < rows or buf.shape[1] < n:
+        buf = _SCRATCH.buf = np.empty((max(rows, buf.shape[0]), max(n, buf.shape[1])))
+    return [row[:n].reshape(shape) for row in buf[:rows]]
+
+
+def _array_powers(base: np.ndarray, top: int, reads: set, kept, roll: np.ndarray) -> list:
+    """_powers(base, top) by the same products, written in place: a power
+    in reads to the next array of the iterator kept, any other to roll, so
+    the list holds stale arrays at the powers nothing reads."""
+    out = [1.0, base]
+    for k in range(2, top + 1):
+        out.append(np.multiply(out[-1], base, out=next(kept) if k in reads else roll))
+    return out
+
+
+def _accumulate(p: SparsePolynomial, px: list, py: list, tmp: np.ndarray, out: np.ndarray):
+    """_sum_terms(p, px, py) on arrays, bit for bit, written to out with
+    each term built in tmp. A factor 1.0 of (c * x^a) * y^b is left out,
+    which is exact, and a term with c = -1 is subtracted as x^a * y^b."""
+    for k, m in enumerate(p._terms):
+        (a, b), c = m.exponents, m.coefficient
+        factors = [f for f, keep in ((float(c), abs(c) != 1), (px[a], a), (py[b], b)) if keep]
+        term = factors[0] if factors else 1.0
+        for f in factors[1:]:
+            term = np.multiply(term, f, out=tmp)
+        # the sum starts from 0.0, which turns a first term of -0.0 into +0.0
+        (np.subtract if c == -1 else np.add)(out if k else 0.0, term, out=out)
+    return out
+
+
 def evaluate_map_float(fmap: PolyMap2, x, y) -> tuple:
     """Both components of fmap at (x, y), floats or arrays, from one set of
-    power lists; each is bit-identical to evaluate_float of its component."""
+    power lists; each is bit-identical to evaluate_float of its component.
+
+    On arrays, the powers some term reads and the term being added live in
+    the calling thread's scratch, and the two results are fresh arrays."""
     top_x, top_y = fmap.top
-    px, py = _powers(x, top_x), _powers(y, top_y)
-    return _sum_terms(fmap.component1, px, py), _sum_terms(fmap.component2, px, py)
+    c1, c2 = fmap.component1, fmap.component2
+    if np.ndim(x) == 0 == np.ndim(y):
+        px, py = _powers(x, top_x), _powers(y, top_y)
+        return _sum_terms(c1, px, py), _sum_terms(c2, px, py)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    reads = [{m.exponents[k] for m in c1._terms + c2._terms} - {0, 1} for k in (0, 1)]
+    tmp, *kept = _scratch(1 + len(reads[0]) + len(reads[1]), x.shape)
+    kept = iter(kept)
+    px = _array_powers(x, top_x, reads[0], kept, tmp)
+    py = _array_powers(y, top_y, reads[1], kept, tmp)
+    return tuple(_accumulate(c, px, py, tmp, np.empty(x.shape)) for c in (c1, c2))
 
 
 def stats(p: SparsePolynomial) -> tuple[float, int]:

@@ -15,12 +15,16 @@ A command starts one pool: the checks it runs share one task list of
 (chunk, check) pairs, chunk-major, so a short last chunk of one check runs
 beside the other checks' work instead of leaving a thread idle.
 
-Chunks fix the stream; blocks fix only how much of a chunk is evaluated
-at once. Each worker evaluates its chunk in blocks of _BLOCK_ROWS rows,
-sized so one block's temporaries stay in a core's cache, and one _report
-combines the stats of every block of every chunk in one pass. Every check
-is elementwise, so neither the block size nor the thread count changes a
-bit of any report.
+Chunks fix the stream; blocks fix only how much of a chunk is generated
+and evaluated at once. A worker generates its chunk block by block, each
+block's rows by _unit_matrix at the block's row offset, and evaluates a
+block before it generates the next: _POSITIVITY_ROWS rows for the
+positivity check, whose map powers live in reused per-thread arrays, and
+_BLOCK_ROWS for the identity checks, whose probes build their temporaries
+anew. Both sizes keep one block's live arrays in a core's cache. One
+_report combines the stats of every block of every chunk in one pass.
+Every check is elementwise, so neither the block size nor the thread
+count changes a bit of any report.
 """
 
 from __future__ import annotations
@@ -52,11 +56,18 @@ _MIX_MULT_2 = 0x94D049BB133111EB
 # samples per reseeded chunk; fixed so the stream layout never depends on
 # worker count
 CHUNK_SAMPLES = 65536
-# rows per evaluation block within a chunk: the positivity probe's 22 power
-# arrays of one block (2.9 MB) stay within a core's L2 cache; on a 2-vCPU
-# Xeon with 4 MiB L2 per core, 16384 rows ran fastest at two threads and
-# within noise of 8192 at one, well ahead of 65536 and 4096 at both
+# rows per block of the identity checks, whose probes build their
+# temporaries anew each block: on a 2-vCPU Xeon with 4 MiB L2 per core,
+# 32768 rows raised the identities command's peak RSS from 38 to 45 MB
+# and did not make it faster
 _BLOCK_ROWS = 16384
+# rows per block of the positivity check: its probe keeps 14 arrays of a
+# block live (9 powers of x and y and the term being added, in the
+# thread's scratch of polynomial.evaluate_map_float, the two components,
+# and x and y written over the block's unit doubles), 14 * 32768 * 8 bytes
+# = 3.7 MB, within the same L2; twice 16384 rows halve the numpy calls of
+# a sweep, each of which releases and retakes the GIL
+_POSITIVITY_ROWS = 32768
 
 # theta points of the gluing check
 GLUING_GRID = 1001
@@ -131,25 +142,30 @@ def _report(parts: list[_Stats]) -> SamplerReport:
 # The sweep: every check evaluates whole chunks of the stream.
 
 
-def _unit_matrix(seed: int, chunk: int, n: int) -> np.ndarray:
-    """The first n samples of a chunk, one row of two unit doubles each.
+def _unit_matrix(seed: int, chunk: int, n: int, offset: int = 0) -> np.ndarray:
+    """Samples offset, ..., offset + n - 1 of a chunk, one row of two unit
+    doubles each.
 
     Output i of the stream seeded s is mix(s + (i + 1) * SPLITMIX_GAMMA
     mod 2^64) >> 11, times 2^-53. The chunk's stream is seeded seed + chunk
     mod 2^64, and in-chunk sample t reads its outputs 2t and 2t + 1, first
-    coordinate first.
+    coordinate first. The rows are a view of a (2, n) array, so each
+    coordinate's column is contiguous; the mixer runs in place with one
+    scratch array for its shifts.
     """
-    chunk_seed = np.uint64((seed + chunk) & _MASK64)
-    z = chunk_seed + np.arange(1, 2 * n + 1, dtype=np.uint64) * np.uint64(
-        SPLITMIX_GAMMA
-    )
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX_MULT_1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX_MULT_2)
-    z ^= z >> np.uint64(31)
-    unit = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return unit.reshape(n, 2)
+    # each coordinate's first output, then two gammas a sample
+    first = [(seed + chunk + (2 * offset + j) * SPLITMIX_GAMMA) & _MASK64 for j in (1, 2)]
+    step = np.uint64(2 * SPLITMIX_GAMMA & _MASK64)
+    z, shifted = np.empty((2, n), dtype=np.uint64), np.empty((2, n), dtype=np.uint64)
+    np.multiply(np.arange(n, dtype=np.uint64), step, out=shifted[0])
+    np.add(shifted[0], np.array(first, dtype=np.uint64)[:, None], out=z)
+    for shift, mult in ((30, _MIX_MULT_1), (27, _MIX_MULT_2)):
+        np.bitwise_xor(z, np.right_shift(z, np.uint64(shift), out=shifted), out=z)
+        np.multiply(z, np.uint64(mult), out=z)
+    np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=shifted), out=z)
+    unit = z.view(np.float64)
+    np.multiply(np.right_shift(z, np.uint64(11), out=shifted), 2.0**-53, out=unit)
+    return unit.T
 
 
 def _reduce(base: int, inputs: tuple, v1, v2, err, ok: np.ndarray) -> _Stats:
@@ -186,26 +202,27 @@ def _reduce(base: int, inputs: tuple, v1, v2, err, ok: np.ndarray) -> _Stats:
     )
 
 
-def _sweep(cfg: SamplerConfig, probes: list[Callable]) -> list[list[_Stats]]:
+def _sweep(cfg: SamplerConfig, probes: list[Callable], rows: int) -> list[list[_Stats]]:
     """Run every probe over the config's stream in one pool, chunk by chunk
-    and, within a chunk, block by block; returns each probe's block stats.
+    and, within a chunk, block by block of the given rows; returns each
+    probe's block stats.
 
     probe(cfg, u1, u2) maps one block's unit doubles to the arguments of
-    _reduce after base. Tasks are (chunk, probe) pairs, chunk-major: every
-    probe's chunk 0, then every probe's chunk 1, so the short last chunks
-    run last.
+    _reduce after base; u1 and u2 are generated for that call alone, so
+    the probe may overwrite them. Tasks are (chunk, probe) pairs,
+    chunk-major: every probe's chunk 0, then every probe's chunk 1, so the
+    short last chunks run last.
     """
 
     def run(start: int, probe: Callable) -> list[_Stats]:
         chunk, n = start // CHUNK_SAMPLES, min(CHUNK_SAMPLES, cfg.count - start)
-        unit = _unit_matrix(cfg.seed, chunk, n)
         # numpy's error state is per thread, so it is set here and not
         # around the pool; overflowed and NaN samples already count as
         # failures and in nonfinite
         parts = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, n, _BLOCK_ROWS):
-                block = unit[lo : lo + _BLOCK_ROWS]
+            for lo in range(0, n, rows):
+                block = _unit_matrix(cfg.seed, chunk, min(rows, n - lo), lo)
                 parts.append(_reduce(start + lo, *probe(cfg, block[:, 0], block[:, 1])))
         return parts
 
@@ -266,12 +283,15 @@ def check_positivity(cfg: SamplerConfig) -> SamplerReport:
     fmap = build_theorem_map()
 
     def probe(cfg: SamplerConfig, u1: np.ndarray, u2: np.ndarray) -> tuple:
-        x = (2.0 * u1 - 1.0) * cfg.range
-        y = (2.0 * u2 - 1.0) * cfg.range
-        c1, c2 = evaluate_map_float(fmap, x, y)
-        return (x, y), c1, c2, None, (c1 > 0.0) & (c2 > 0.0)
+        # x and y overwrite the block's unit doubles, which nothing reads again
+        for u in (u1, u2):
+            u *= 2.0
+            u -= 1.0
+            u *= cfg.range
+        c1, c2 = evaluate_map_float(fmap, u1, u2)
+        return (u1, u2), c1, c2, None, (c1 > 0.0) & (c2 > 0.0)
 
-    parts = _sweep(cfg, [probe])[0]
+    parts = _sweep(cfg, [probe], _POSITIVITY_ROWS)[0]
 
     # the grid in exact integers, x-major
     coords = np.arange(-10, 11) / 2.0
@@ -298,7 +318,7 @@ def check_f2_equals_h_g(cfg: SamplerConfig) -> SamplerReport:
     The minima record the reference components, which stay positive on
     the closed quadrant.
     """
-    return _report(_sweep(cfg, [_f2_probe])[0])
+    return _report(_sweep(cfg, [_f2_probe], _BLOCK_ROWS)[0])
 
 
 def check_g_psi_equals_phi(cfg: SamplerConfig) -> SamplerReport:
@@ -310,7 +330,7 @@ def check_g_psi_equals_phi(cfg: SamplerConfig) -> SamplerReport:
     direct map's magnitude floored at one; the minima record its first
     two components.
     """
-    return _report(_sweep(cfg, [_g_psi_probe])[0])
+    return _report(_sweep(cfg, [_g_psi_probe], _BLOCK_ROWS)[0])
 
 
 def check_phi_bound(cfg: SamplerConfig) -> SamplerReport:
@@ -322,13 +342,14 @@ def check_phi_bound(cfg: SamplerConfig) -> SamplerReport:
     -1e-12 * max(1, rho^2). min_component_1 is the raw margin minimum,
     min_component_2 the slack-scaled one; the error field stays zero.
     """
-    return _report(_sweep(cfg, [_phi_bound_probe])[0])
+    return _report(_sweep(cfg, [_phi_bound_probe], _BLOCK_ROWS)[0])
 
 
 def check_identities(cfg: SamplerConfig) -> list[SamplerReport]:
     """check_f2_equals_h_g, check_g_psi_equals_phi and check_phi_bound, in
     that order, from one sweep: their chunks share one pool."""
-    return [_report(parts) for parts in _sweep(cfg, [_f2_probe, _g_psi_probe, _phi_bound_probe])]
+    probes = [_f2_probe, _g_psi_probe, _phi_bound_probe]
+    return [_report(parts) for parts in _sweep(cfg, probes, _BLOCK_ROWS)]
 
 
 def check_mu_gluing() -> SamplerReport:

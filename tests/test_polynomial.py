@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -350,21 +353,67 @@ def test_map_evaluators_match_the_component_evaluators():
     doubles += [(i / 2.0, k / 2.0) for i in range(-10, 11) for k in range(-10, 11)]
     doubles += [(1e300, -1e300), (-1e30, 1e-300)]
     fractions = [(Fraction(1, 3), Fraction(-2, 7)), (Fraction(-500, 97), 5), (3, Fraction(5, 3))]
-    for fmap in (build_theorem_map(), build_f2()):
+    # signed zeros, infinities, NaN and the least subnormals in each
+    # coordinate, against each other and against ordinary values, and
+    # points where only the second component overflows; floats only
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]
+    edges = [(s, t) for s in specials for t in specials + [1.5, -0.75]]
+    edges += [(t, s) for s in specials for t in (1.5, -0.75)]
+    edges += [(1e30, 1.0), (1e60, -1.0)]
+    # +-1 coefficients and no constant term, so a sum can be a signed zero
+    signed = PolyMap2(X**3 * Y - X * Y, Y - X)
+    for fmap in (build_theorem_map(), build_f2(), signed):
         c1, c2 = fmap.component1, fmap.component2
         for x, y in doubles + fractions:
             n1, n2, den = evaluate_map_exact(fmap, x, y)
             assert den > 0
             want = (evaluate_exact(c1, x, y), evaluate_exact(c2, x, y))
             assert (Fraction(n1, den), Fraction(n2, den)) == want, (x, y)
-        want = [tuple(evaluate_float(c, x, y).hex() for c in (c1, c2)) for x, y in doubles]
-        got = [tuple(v.hex() for v in evaluate_map_float(fmap, x, y)) for x, y in doubles]
+        points = doubles + edges
+        want = [tuple(evaluate_float(c, x, y).hex() for c in (c1, c2)) for x, y in points]
+        got = [tuple(v.hex() for v in evaluate_map_float(fmap, x, y)) for x, y in points]
         assert got == want
-        xs, ys = np.array(doubles).T
+        xs, ys = np.array(points).T
         with np.errstate(over="ignore", invalid="ignore"):
             on_arrays = evaluate_map_float(fmap, xs, ys)
         pairs = zip(*(a.tolist() for a in on_arrays))
         assert [tuple(v.hex() for v in pair) for pair in pairs] == want
+        if fmap is signed:
+            # terms of -0.0 sum to +0.0, as the scalar sum starts from 0.0
+            assert ("0x0.0p+0", "0x0.0p+0") in want
+        else:
+            assert any(v1 not in ("inf", "nan") and v2 == "inf" for v1, v2 in want[-2:])
+
+
+def test_map_evaluator_results_outlive_later_calls():
+    # the array path builds its powers in the calling thread's scratch;
+    # the results it returns must be the caller's own arrays
+    fmap = build_theorem_map()
+    rng = np.random.default_rng(2718)
+    inputs = [rng.uniform(-3.0, 3.0, size=(2, n)) for n in (50_000, 50_000, 30_000, 40_000)]
+    first = evaluate_map_float(fmap, *inputs[0])
+    kept = [a.copy() for a in first]
+    evaluate_map_float(fmap, *inputs[1])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, kept))
+
+    # four threads at once, more than the cores, switching often: each must
+    # get what a serial call gets
+    serial = [[a.tobytes() for a in evaluate_map_float(fmap, *xy)] for xy in inputs]
+    start = threading.Barrier(len(inputs), timeout=30)
+
+    def repeat(xy) -> list:
+        start.wait()
+        return [[a.tobytes() for a in evaluate_map_float(fmap, *xy)] for _ in range(10)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(inputs)) as pool:
+            runs = [f.result(timeout=60) for f in [pool.submit(repeat, xy) for xy in inputs]]
+    finally:
+        sys.setswitchinterval(interval)
+    for want, got in zip(serial, runs):
+        assert got == [want] * 10
 
 
 # ---------------------------------------------------------------------------

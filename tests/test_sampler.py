@@ -101,6 +101,22 @@ def test_chunk_boundary_reseeds_with_incremented_seed():
     assert tuple(sampler._unit_matrix(2**64 - 1, 1, 1)[0].tolist()) == ref_pair(0, 0)
 
 
+def test_stream_blocks_are_rows_of_the_chunk_stream():
+    # a block at a row offset, as the sweeps generate it, equals the same
+    # rows of the whole chunk's stream, down to a short last block and
+    # across the 64-bit seed wrap
+    rows = sampler._POSITIVITY_ROWS
+    # a whole chunk, and last chunks whose last block is 1000 rows long
+    for seed, chunk, n in ((42, 0, CHUNK_SAMPLES), (42, 3, rows + 1000), (2**64 - 1, 1, rows + 1000)):
+        whole = sampler._unit_matrix(seed, chunk, n)
+        for lo in range(0, n, rows):
+            block = sampler._unit_matrix(seed, chunk, min(rows, n - lo), lo)
+            assert block.tolist() == whole[lo : lo + rows].tolist()
+            assert block[:, 0].flags.c_contiguous and block[:, 1].flags.c_contiguous
+            last = len(block) - 1
+            assert tuple(block[last].tolist()) == ref_pair(seed, chunk * CHUNK_SAMPLES + lo + last)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(count=0, seed=1)
@@ -376,11 +392,14 @@ def test_vectorized_sweeps_match_scalar_oracle(check, to_input, oracle):
 
 
 def test_block_boundaries_keep_global_indices(monkeypatch):
-    # failures planted in the second block of the second chunk, one of them
-    # NaN, and at the first row of the next block, which must sort after them
-    start = CHUNK_SAMPLES + sampler._BLOCK_ROWS
-    planted = {start + 7: math.nan, start + sampler._BLOCK_ROWS - 1: -2.0}
-    planted[start + sampler._BLOCK_ROWS] = -1.0
+    # failures planted in the next-to-last positivity block of the second
+    # chunk, one of them NaN, and at the first row of its last block, which
+    # must sort after them
+    rows = sampler._POSITIVITY_ROWS
+    start = 2 * CHUNK_SAMPLES - 2 * rows
+    assert CHUNK_SAMPLES <= start and start % rows == 0
+    planted = {start + 7: math.nan, start + rows - 1: -2.0}
+    planted[start + rows] = -1.0
     bad_x = {(2.0 * ref_pair(42, j)[0] - 1.0) * 50.0: v for j, v in planted.items()}
     real = sampler.evaluate_map_float
 
@@ -427,8 +446,10 @@ def test_report_combines_parts_in_any_order():
 def test_block_size_and_threads_change_no_bit(check, monkeypatch):
     cfg = SamplerConfig(count=2 * CHUNK_SAMPLES + 3, seed=42)
     reports = []
-    for block_rows in (sampler._BLOCK_ROWS, CHUNK_SAMPLES, 1000):
-        monkeypatch.setattr(sampler, "_BLOCK_ROWS", block_rows)
+    for block_rows in (None, CHUNK_SAMPLES, 1000):
+        if block_rows is not None:
+            monkeypatch.setattr(sampler, "_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(sampler, "_POSITIVITY_ROWS", block_rows)
         for threads in ("1", "2"):
             monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
             reports.append(check(cfg))
