@@ -252,13 +252,16 @@ def _run_certify(args) -> tuple[dict, int, list[str]]:
             raise _UsageError(str(exc))
         loop = BoundaryLoop(loop_name, tube.m)
         # coordinates that overflow make numpy warn on the way; the linking sum
-        # then raises DegenerateGeometryError, which is reported once as exit 2
+        # then raises DegenerateGeometryError, which is reported once as exit 2,
+        # as is a grid or segment count whose arrays cannot be allocated
         with np.errstate(all="ignore"):
-            trans = transversality_scan(loop, tube, args.grid)
             try:
+                trans = transversality_scan(loop, tube, args.grid)
                 link = gauss_linking(loop, tube.disc, args.segments, args.segments)
             except DegenerateGeometryError as exc:
                 raise _UsageError(f"no linking certificate at A={args.A!r}, B={args.B!r}: {exc}")
+            except MemoryError:
+                raise _UsageError(f"out of memory: --grid {args.grid}, --segments {args.segments}")
         passed = passed and trans.ok and abs(link.value - sign) <= _LINKING_TOL
         loops.append(loop)
         tubes.append(tube)

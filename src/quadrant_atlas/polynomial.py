@@ -7,6 +7,10 @@ lexicographic order (total degree descending, then the x-exponent
 descending), which fixes a canonical form for equality, printing, and
 float evaluation order.
 
+Evaluation is exact (evaluate_exact, evaluate_map_exact) or in floats:
+evaluate_float at one point and evaluate_map_float on arrays of points,
+bit for bit evaluate_float's value at each.
+
 The module also builds the three concrete maps the rest of the package
 studies: the plane map whose image is the open quadrant, the squaring map
 it factors through, and the outer factor of that composition.
@@ -203,22 +207,22 @@ def evaluate_exact(p: SparsePolynomial, u: Rational, v: Rational) -> Fraction:
     return Fraction(_exact_sum(p, pu, pv), pu[0] * pv[0])
 
 
-def _powers(base, top: int) -> list:
+def _powers(base: float, top: int) -> list[float]:
     """[1.0, base, base^2, ..., base^top] by repeated multiplication, so
-    overflow yields inf instead of raising; base is a float or an array."""
+    overflow yields inf instead of raising."""
     out = [1.0]
     for _ in range(top):
         out.append(out[-1] * base)
     return out
 
 
-def _sum_terms(p: SparsePolynomial, px: list, py: list):
-    """p at the point whose power lists are px and py, as _powers builds
-    them; floats or arrays alike.
+def _sum_terms(p: SparsePolynomial, px: list[float], py: list[float]) -> float:
+    """p at the point whose float power lists are px and py, as _powers
+    builds them.
 
     Terms are accumulated left to right in the canonical graded-lex order,
-    each as (c * x^a) * y^b, so the rounding behaviour is reproducible and
-    an array result matches the scalar one element for element.
+    each as (c * x^a) * y^b, so the rounding behaviour is reproducible;
+    _accumulate repeats the same products and sums on arrays.
     """
     total = 0.0
     for m in p._terms:
@@ -285,17 +289,15 @@ def _accumulate(p: SparsePolynomial, px: list, py: list, tmp: np.ndarray, out: n
     return out
 
 
-def evaluate_map_float(fmap: PolyMap2, x, y) -> tuple:
-    """Both components of fmap at (x, y), floats or arrays, from one set of
-    power lists; each is bit-identical to evaluate_float of its component.
+def evaluate_map_float(fmap: PolyMap2, x: np.ndarray, y: np.ndarray) -> tuple:
+    """Both components of fmap at the points of the arrays x and y, from
+    one set of power arrays; each element is bit-identical to evaluate_float
+    of its component at that point.
 
-    On arrays, the powers some term reads and the term being added live in
-    the calling thread's scratch, and the two results are fresh arrays."""
+    The powers some term reads and the term being added live in the calling
+    thread's scratch, and the two results are fresh arrays."""
     top_x, top_y = fmap.top
     c1, c2 = fmap.component1, fmap.component2
-    if np.ndim(x) == 0 == np.ndim(y):
-        px, py = _powers(x, top_x), _powers(y, top_y)
-        return _sum_terms(c1, px, py), _sum_terms(c2, px, py)
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     reads = [{m.exponents[k] for m in c1._terms + c2._terms} - {0, 1} for k in (0, 1)]
     tmp, *kept = _scratch(1 + len(reads[0]) + len(reads[1]), x.shape)

@@ -1,6 +1,6 @@
 """Seeded random verification sweeps over the map identities and bounds.
 
-Every check draws from one fixed pseudorandom stream, SplitMix64: a
+Every sweep draws from one fixed pseudorandom stream, SplitMix64: a
 64-bit Weyl sequence pushed through a finalizing mixer, mapped to doubles
 in [0, 1) by the usual 53-bit construction. The stream is defined in
 closed form by (seed, index), so any sample can be reproduced in
@@ -11,9 +11,12 @@ The sample stream is split into fixed-size chunks and chunk k runs its
 own stream seeded seed + k. Chunks are independent, reports aggregate by
 count, min, max and first failure by global index; all of these are
 associative and commutative, so runs at any thread count agree exactly.
-A command starts one pool: the checks it runs share one task list of
-(chunk, check) pairs, chunk-major, so a short last chunk of one check runs
-beside the other checks' work instead of leaving a thread idle.
+Three entry points run the five checks: check_positivity,
+check_identities (the two map identities and the parametrization bound)
+and check_mu_gluing (a fixed grid, no stream). A command starts one pool:
+the checks it runs share one task list of (chunk, check) pairs,
+chunk-major, so a short last chunk of one check runs beside the other
+checks' work instead of leaving a thread idle.
 
 Chunks fix the stream; blocks fix only how much of a chunk is generated
 and evaluated at once. A worker generates its chunk block by block, each
@@ -309,45 +312,29 @@ def check_positivity(cfg: SamplerConfig) -> SamplerReport:
     return _report([*parts, grid])
 
 
-def check_f2_equals_h_g(cfg: SamplerConfig) -> SamplerReport:
-    """The outer factor agrees with its surface factorization.
-
-    Samples [0, range]^2 and compares the polynomial components against
-    the composite of the quadric projection with the surface embedding,
-    componentwise, relative to the reference magnitude floored at one.
-    The minima record the reference components, which stay positive on
-    the closed quadrant.
-    """
-    return _report(_sweep(cfg, [_f2_probe], _BLOCK_ROWS)[0])
-
-
-def check_g_psi_equals_phi(cfg: SamplerConfig) -> SamplerReport:
-    """The chart composed with the embedding agrees with the direct map.
-
-    Samples the open strip rho in [0, 10], theta in (0.01, pi/2 - 0.01);
-    the count and seed come from the config while the strip is fixed by
-    the chart's domain. Componentwise discrepancy is relative to the
-    direct map's magnitude floored at one; the minima record its first
-    two components.
-    """
-    return _report(_sweep(cfg, [_g_psi_probe], _BLOCK_ROWS)[0])
-
-
-def check_phi_bound(cfg: SamplerConfig) -> SamplerReport:
-    """First and third components dominate half the radial coordinate.
-
-    Samples rho in [0, 100], theta in [0, pi/2] (ranges fixed by the
-    bound's domain) and evaluates the margin phi1^2 + phi3^2 - rho^2/4.
-    A sample fails unless the margin stays at or above the floating slack
-    -1e-12 * max(1, rho^2). min_component_1 is the raw margin minimum,
-    min_component_2 the slack-scaled one; the error field stays zero.
-    """
-    return _report(_sweep(cfg, [_phi_bound_probe], _BLOCK_ROWS)[0])
-
-
 def check_identities(cfg: SamplerConfig) -> list[SamplerReport]:
-    """check_f2_equals_h_g, check_g_psi_equals_phi and check_phi_bound, in
-    that order, from one sweep: their chunks share one pool."""
+    """The map identities and the parametrization bound, from one sweep
+    whose chunks share one pool; three reports, in this order.
+
+    f2 = h o g: samples [0, range]^2 and compares the outer factor's
+    polynomial components against the composite of the quadric projection
+    with the surface embedding, componentwise, relative to the reference
+    magnitude floored at one. The minima record the reference components,
+    which stay positive on the closed quadrant.
+
+    g o psi = phi: samples the open strip rho in [0, 10], theta in
+    (0.01, pi/2 - 0.01); the count and seed come from the config while the
+    strip is fixed by the chart's domain. Componentwise discrepancy is
+    relative to the direct map's magnitude floored at one; the minima
+    record its first two components.
+
+    The phi bound: samples rho in [0, 100], theta in [0, pi/2] (ranges
+    fixed by the bound's domain) and evaluates the margin
+    phi1^2 + phi3^2 - rho^2/4. A sample fails unless the margin stays at
+    or above the floating slack -1e-12 * max(1, rho^2). min_component_1 is
+    the raw margin minimum, min_component_2 the slack-scaled one; the
+    error field stays zero.
+    """
     probes = [_f2_probe, _g_psi_probe, _phi_bound_probe]
     return [_report(parts) for parts in _sweep(cfg, probes, _BLOCK_ROWS)]
 

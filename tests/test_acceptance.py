@@ -26,9 +26,7 @@ from quadrant_atlas.polynomial import (
 )
 from quadrant_atlas.sampler import (
     SamplerConfig,
-    check_f2_equals_h_g,
-    check_g_psi_equals_phi,
-    check_phi_bound,
+    check_identities,
     check_positivity,
 )
 from quadrant_atlas.solver import PreimageQuery, preimage
@@ -98,8 +96,7 @@ def test_criterion_3_image_inclusion():
 def test_criterion_4_identities():
     t0 = time.perf_counter()
     cfg = SamplerConfig(count=10_000, seed=42, range=50.0)
-    r1 = check_f2_equals_h_g(cfg)
-    r2 = check_g_psi_equals_phi(cfg)
+    r1, r2, _ = check_identities(cfg)
     elapsed = time.perf_counter() - t0
     ok = (
         r1.failures == 0
@@ -113,7 +110,7 @@ def test_criterion_4_identities():
 
 def test_criterion_5_parametrization_bound():
     t0 = time.perf_counter()
-    report = check_phi_bound(SamplerConfig(count=100_000, seed=42, range=50.0))
+    report = check_identities(SamplerConfig(count=100_000, seed=42, range=50.0))[2]
     elapsed = time.perf_counter() - t0
     ok = report.failures == 0 and elapsed < 5.0
     verdict("criterion 5 parametrization bound", ok)

@@ -200,6 +200,20 @@ def test_certify_rejects_sizes_below_the_limits(capsys, flag, value):
     assert flag in lines[0]
 
 
+@pytest.mark.parametrize("flag", ["--grid", "--segments"])
+def test_certify_unallocatable_size_exits_2(capsys, flag):
+    # 10^15 doubles are 8 PB, beyond a 64-bit user address space, so the
+    # first array of that size fails at once
+    code, out, err = run_cli(
+        ["certify", "--A", "1", "--B", "2", flag, str(10**15), "--format", "json"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert flag in lines[0]
+
+
 def test_sample_json_shape_and_exact_grid_contribution(capsys):
     code, doc = run_json(
         ["sample", "--count", "2000", "--seed", "42", "--format", "json"], capsys

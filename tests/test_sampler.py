@@ -21,11 +21,8 @@ from quadrant_atlas.polynomial import build_theorem_map, evaluate_exact, evaluat
 from quadrant_atlas.sampler import (
     CHUNK_SAMPLES,
     SamplerConfig,
-    check_f2_equals_h_g,
-    check_g_psi_equals_phi,
     check_identities,
     check_mu_gluing,
-    check_phi_bound,
     check_positivity,
 )
 
@@ -219,7 +216,7 @@ def test_first_component_is_exactly_one_on_the_x_axis():
 
 
 def test_f2_h_g_identity_at_default_scale():
-    report = check_f2_equals_h_g(SamplerConfig(count=10_000, seed=7))
+    report = check_identities(SamplerConfig(count=10_000, seed=7))[0]
     assert report.checked == 10_000
     assert report.failures == 0
     assert report.max_relative_error <= 1e-10
@@ -233,7 +230,7 @@ def test_f2_h_g_failure_carries_first_offending_input(monkeypatch):
         return ((x * x + y * y) * (1.0 + 1e-6), y * y + z * z)
 
     monkeypatch.setattr(sampler, "eval_h", skewed)
-    report = check_f2_equals_h_g(SamplerConfig(count=64, seed=7))
+    report = check_identities(SamplerConfig(count=64, seed=7))[0]
     assert report.failures > 0
     u1, u2 = ref_pair(7, 0)
     assert report.first_failure_input == (u1 * 50.0, u2 * 50.0)
@@ -241,14 +238,14 @@ def test_f2_h_g_failure_carries_first_offending_input(monkeypatch):
 
 
 def test_g_psi_phi_identity_at_default_scale():
-    report = check_g_psi_equals_phi(SamplerConfig(count=10_000, seed=11))
+    report = check_identities(SamplerConfig(count=10_000, seed=11))[1]
     assert report.checked == 10_000
     assert report.failures == 0
     assert report.max_relative_error <= 1e-10
 
 
 def test_phi_bound_at_default_scale():
-    report = check_phi_bound(SamplerConfig(count=100_000, seed=3))
+    report = check_identities(SamplerConfig(count=100_000, seed=3))[2]
     assert report.checked == 100_000
     assert report.failures == 0
     # sampled margins may only dip below zero within the stated slack
@@ -261,7 +258,7 @@ def test_phi_bound_margin_definition_spot_check():
     theta = ref_pair(3, 0)[1] * HALF_PI
     p1, _, p3 = phi(rho, theta)
     margin = p1 * p1 + p3 * p3 - rho * rho / 4.0
-    report = check_phi_bound(SamplerConfig(count=1, seed=3))
+    report = check_identities(SamplerConfig(count=1, seed=3))[2]
     assert report.min_component_1 == margin
     assert report.min_component_2 == margin / max(1.0, rho * rho)
 
@@ -291,18 +288,23 @@ def test_reports_identical_across_thread_counts(monkeypatch):
 
     small = SamplerConfig(count=5000, seed=7)
     monkeypatch.setenv("QUADRANT_ATLAS_THREADS", "1")
-    first = check_f2_equals_h_g(small)
+    first = check_identities(small)[0]
     monkeypatch.setenv("QUADRANT_ATLAS_THREADS", "8")
-    assert check_f2_equals_h_g(small) == first
+    assert check_identities(small)[0] == first
 
 
-SINGLE_CHECKS = (check_f2_equals_h_g, check_g_psi_equals_phi, check_phi_bound)
+def one_probe_sweeps(cfg: SamplerConfig) -> list:
+    """Each identity probe's report from a sweep that runs it alone, read
+    from the module at call time so planted probes are used."""
+    names = ("_f2_probe", "_g_psi_probe", "_phi_bound_probe")
+    sweeps = [sampler._sweep(cfg, [getattr(sampler, n)], sampler._BLOCK_ROWS) for n in names]
+    return [sampler._report(parts) for (parts,) in sweeps]
 
 
 @pytest.mark.parametrize("count", [1, CHUNK_SAMPLES, 70_000, 2 * CHUNK_SAMPLES + 3])
 def test_identities_sweep_equals_the_three_single_checks(count, monkeypatch):
     cfg = SamplerConfig(count=count, seed=42)
-    singles = [check(cfg) for check in SINGLE_CHECKS]
+    singles = one_probe_sweeps(cfg)
     for threads in ("1", "2", "8"):
         monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
         assert check_identities(cfg) == singles
@@ -329,7 +331,7 @@ def test_identities_sweep_keeps_each_failure_with_its_check_and_chunk(monkeypatc
     for threads in ("1", "2", "8"):
         monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
         f2, g_psi, bound = check_identities(cfg)
-        assert [check(cfg) for check in SINGLE_CHECKS] == [f2, g_psi, bound]
+        assert one_probe_sweeps(cfg) == [f2, g_psi, bound]
         u1, u2 = ref_pair(seed, j_f2)
         assert (f2.checked, f2.failures) == (70_000, 1)
         assert f2.first_failure_input == (u1 * 50.0, u2 * 50.0)
@@ -367,18 +369,15 @@ def _oracle_phi_bound(rho, theta):
 
 
 @pytest.mark.parametrize(
-    "check, to_input, oracle",
+    "index, to_input, oracle",
     [
-        (check_f2_equals_h_g, lambda u1, u2: (u1 * 50.0, u2 * 50.0), _oracle_f2),
-        (
-            check_g_psi_equals_phi,
-            lambda u1, u2: (u1 * 10.0, 0.01 + u2 * (HALF_PI - 0.02)),
-            _oracle_g_psi,
-        ),
-        (check_phi_bound, lambda u1, u2: (u1 * 100.0, u2 * HALF_PI), _oracle_phi_bound),
+        (0, lambda u1, u2: (u1 * 50.0, u2 * 50.0), _oracle_f2),
+        (1, lambda u1, u2: (u1 * 10.0, 0.01 + u2 * (HALF_PI - 0.02)), _oracle_g_psi),
+        (2, lambda u1, u2: (u1 * 100.0, u2 * HALF_PI), _oracle_phi_bound),
     ],
+    ids=["f2_equals_h_g", "g_psi_equals_phi", "phi_bound"],
 )
-def test_vectorized_sweeps_match_scalar_oracle(check, to_input, oracle):
+def test_vectorized_sweeps_match_scalar_oracle(index, to_input, oracle):
     count, seed = 257, 42
     failures, m1, m2, maxerr, first = 0, math.inf, math.inf, 0.0, None
     for j in range(count):
@@ -387,7 +386,7 @@ def test_vectorized_sweeps_match_scalar_oracle(check, to_input, oracle):
         if not ok:
             failures += 1
             first = inp if first is None else first
-    report = check(SamplerConfig(count=count, seed=seed))
+    report = check_identities(SamplerConfig(count=count, seed=seed))[index]
     assert report == sampler.SamplerReport(count, failures, m1, m2, maxerr, first)
 
 
@@ -439,10 +438,7 @@ def test_report_combines_parts_in_any_order():
     assert clean.first_failure_input is None
 
 
-@pytest.mark.parametrize(
-    "check",
-    [check_positivity, check_f2_equals_h_g, check_g_psi_equals_phi, check_phi_bound],
-)
+@pytest.mark.parametrize("check", [check_positivity, check_identities])
 def test_block_size_and_threads_change_no_bit(check, monkeypatch):
     cfg = SamplerConfig(count=2 * CHUNK_SAMPLES + 3, seed=42)
     reports = []
