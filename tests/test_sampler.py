@@ -438,7 +438,11 @@ def test_report_combines_parts_in_any_order():
     assert clean.first_failure_input is None
 
 
-@pytest.mark.parametrize("check", [check_positivity, check_identities])
+@pytest.mark.parametrize(
+    "check",
+    [check_positivity, *(lambda cfg, i=i: check_identities(cfg)[i] for i in range(3))],
+    ids=["check_positivity", "check_f2_equals_h_g", "check_g_psi_equals_phi", "check_phi_bound"],
+)
 def test_block_size_and_threads_change_no_bit(check, monkeypatch):
     cfg = SamplerConfig(count=2 * CHUNK_SAMPLES + 3, seed=42)
     reports = []
