@@ -310,7 +310,10 @@ def _run_sample(args) -> tuple[dict, int, list[str]]:
         thread_count()  # a bad QUADRANT_ATLAS_THREADS exits 2 before the sweep
     except ValueError as exc:
         raise _UsageError(str(exc))
-    report = check_positivity(cfg)
+    try:
+        report = check_positivity(cfg)
+    except MemoryError:  # the sweep's task list for this count cannot be held
+        raise _UsageError(f"out of memory: --count {args.count}")
     passed = report.failures == 0
     results = {"check": "positivity", **dataclasses.asdict(report)}
     lines = [
@@ -328,8 +331,12 @@ def _run_identities(args) -> tuple[dict, int, list[str]]:
         thread_count()  # a bad QUADRANT_ATLAS_THREADS exits 2 before the sweeps
     except ValueError as exc:
         raise _UsageError(str(exc))
+    try:
+        sweeps = check_identities(cfg)
+    except MemoryError:  # the sweep's task list for this count cannot be held
+        raise _UsageError(f"out of memory: --count {args.count}")
     names = ("f2_equals_h_g", "g_psi_equals_phi", "phi_bound", "mu_gluing")
-    reports = dict(zip(names, [*check_identities(cfg), check_mu_gluing()]))
+    reports = dict(zip(names, [*sweeps, check_mu_gluing()]))
     passed = all(r.failures == 0 for r in reports.values())
     results = {
         "gluing_grid": GLUING_GRID,

@@ -3,7 +3,10 @@
 The discs are graphs over coordinate discs of radius A, warped to height B
 by the xi profile; flattening them with zeta turns "the loop crosses the
 disc once, straight through" into an interval statement about cylinder
-coordinates, which transversality_scan checks on a uniform grid.
+coordinates, which transversality_scan checks on a uniform grid. It runs
+over the grid in fixed blocks, so no temporary is the size of the grid;
+only the parameter array is whole, so that a grid too large to allocate
+fails at once.
 
 Each boundary loop is two straight legs along coordinate axes (phi is rho
 times an axis on both strip edges) joined by an arc at rho = m. The loop
@@ -50,6 +53,11 @@ MIN_GRID = 1000
 
 _PROXIMITY_LIMIT = 1e-9
 _TILE_ELEMENTS = 1 << 16
+# grid points of one transversality-scan block: its ~20 temporaries stay
+# small enough for the allocator to reuse from block to block and scan to
+# scan, where whole-grid ones went back to the OS and were faulted in again
+# on every scan; 16384-point blocks still were after smaller ones had run.
+_SCAN_ROWS = 8192
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -187,12 +195,13 @@ def _loop_points(loop: BoundaryLoop, t: np.ndarray) -> np.ndarray:
     m = loop.m
     i, j = np.searchsorted(t, [m, m + HALF_PI], side="right")
     first, theta_sign = _ORIENTATION[loop.variant]
-    arc = t[i:j]
-    theta = arc - m if theta_sign > 0.0 else m + HALF_PI - arc
     out = np.zeros((len(t), 3))
     out[:i, first] = t[:i]
     out[j:, 2 - first] = loop.t_max - t[j:]
-    out[i:j] = np.stack(_phi_terms(m, *_trig_vec(theta)), axis=-1)
+    if i < j:  # most blocks of a transversality scan hold no arc point
+        arc = t[i:j]
+        theta = arc - m if theta_sign > 0.0 else m + HALF_PI - arc
+        out[i:j] = np.stack(_phi_terms(m, *_trig_vec(theta)), axis=-1)
     return out
 
 
@@ -226,24 +235,39 @@ def transversality_scan(loop: BoundaryLoop, tube: TubeSpec, grid: int) -> Transv
     ok requires: exactly one hit interval, endpoints within one grid step
     of b -/+ epsilon, lateral deviation sqrt(q1^2+q2^2) at most 1e-9 on the
     hits, and q3 matching t - b to 1e-9 there (the straight vertical pass).
+
+    The points are made and tested _SCAN_ROWS at a time, and the report is
+    the whole-grid one, bit for bit. t is made whole: made block by block,
+    a grid too large for memory would not fail but run on for ever.
     """
     if grid < MIN_GRID:
         raise ValueError(f"grid must be at least {MIN_GRID}, got {grid}")
     b, eps = tube.disc.b, tube.epsilon
     t = np.linspace(0.0, loop.t_max, grid)
     step = loop.t_max / (grid - 1)
-    (q1, q2, q3), member = _in_tube(_loop_points(loop, t), tube)
 
-    # with the mask padded by False, edges alternate: a run of hits starts
-    # at one and ends just before the next
-    edges = np.flatnonzero(np.diff(member, prepend=False, append=False))
+    # edges alternate: a run of hits starts at one and ends just before the
+    # next. Each block's mask is padded in front by the membership before
+    # it (False before the first point); a run open at the end ends at grid.
+    edges = []
+    inside = False
+    # a loop that never enters the tube reads 0.0 for both; ok still fails
+    # for it, since it has no hit interval. Members are finite, as they pass
+    # strict bounds, so the largest block maximum is the grid's maximum.
+    lateral = affine_err = 0.0
+    for lo in range(0, grid, _SCAN_ROWS):
+        tb = t[lo : lo + _SCAN_ROWS]
+        (q1, q2, q3), member = _in_tube(_loop_points(loop, tb), tube)
+        edges += (lo + np.flatnonzero(np.diff(member, prepend=inside))).tolist()
+        inside = bool(member[-1])
+        q1, q2, q3, tb = q1[member], q2[member], q3[member], tb[member]
+        lateral = max(lateral, float(np.max(np.sqrt(q1**2 + q2**2), initial=0.0)))
+        affine_err = max(affine_err, float(np.max(np.abs(q3 - (tb - b)), initial=0.0)))
+    if inside:
+        edges.append(grid)
     intervals = tuple((float(t[i]), float(t[j - 1])) for i, j in zip(edges[::2], edges[1::2]))
 
     expected = (b - eps, b + eps)
-    # a loop that never enters the tube reads 0.0 for both; ok still fails
-    # for it, since it has no hit interval
-    lateral = float(np.max(np.sqrt(q1[member] ** 2 + q2[member] ** 2), initial=0.0))
-    affine_err = float(np.max(np.abs(q3[member] - (t[member] - b)), initial=0.0))
     ok = (
         len(intervals) == 1
         and abs(intervals[0][0] - expected[0]) <= step

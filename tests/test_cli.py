@@ -214,6 +214,22 @@ def test_certify_unallocatable_size_exits_2(capsys, flag):
     assert flag in lines[0]
 
 
+@pytest.mark.parametrize("command", ["sample", "identities"])
+def test_sweep_that_cannot_be_allocated_exits_2(capsys, monkeypatch, command):
+    # stands in for a --count whose task list does not fit in memory
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(sampler, "_sweep", no_memory)
+    argv = [command, "--count", "1000", "--seed", "1", "--format", "json"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "--count" in lines[0]
+
+
 def test_sample_json_shape_and_exact_grid_contribution(capsys):
     code, doc = run_json(
         ["sample", "--count", "2000", "--seed", "42", "--format", "json"], capsys

@@ -305,6 +305,20 @@ def test_linking_sum_memory_is_bounded_by_the_tile(monkeypatch):
     assert peak <= 16 * 2**20
 
 
+def test_transversality_scan_memory_is_bounded_by_the_block():
+    # a whole-grid scan peaks at about 5.3 MiB here; the grid t is 0.76 MiB
+    tube = make_tube(1.0, 2.0, "d1")
+    loop = BoundaryLoop("alpha1", tube.m)
+    tracemalloc.start()
+    try:
+        report = transversality_scan(loop, tube, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak <= 2.5 * 2**20
+
+
 def test_linking_raises_when_the_loop_overflows():
     # m0 is finite at this scale, but the loop's phi1 ~ rho^2 overflows
     tube = make_tube(1.0, 1e154, "d1")
@@ -478,11 +492,54 @@ def test_loop_segments_match_the_whole_grid_reference():
 
 
 def test_transversality_reports_match_the_whole_grid_reference(monkeypatch):
-    cases = list(reference_cases())
-    reports = [transversality_scan(loop, tube, 100_000) for tube, loop in cases]
+    # alpha1 at m = 0.5 never enters its tube; 12_345 is no multiple of a block
+    cases = [(tube, loop, grid) for tube, loop in reference_cases() for grid in (100_000, 12_345)]
+    cases.append((make_tube(1.0, 2.0, "d1"), BoundaryLoop("alpha1", 0.5), 12_345))
+
+    def scans():
+        return [transversality_scan(loop, tube, grid) for tube, loop, grid in cases]
+
+    reports = scans()
+    # blocks of 1000 and 4097 points cut the hit runs at grid 100_000; one
+    # block at or above the grid is the whole-grid scan
+    for rows in (1000, 4097, 100_000):
+        with monkeypatch.context() as patch:
+            patch.setattr(topology, "_SCAN_ROWS", rows)
+            assert scans() == reports, rows
+    monkeypatch.setattr(topology, "_SCAN_ROWS", 100_000)
     monkeypatch.setattr(topology, "_loop_points", reference_loop_points)
-    for (tube, loop), report in zip(cases, reports):
-        assert report == transversality_scan(loop, tube, 100_000), loop
+    for (tube, loop, grid), report in zip(cases, reports):
+        assert report == transversality_scan(loop, tube, grid), (loop, grid)
+
+    # Two curves in the d1 tube at (1, 2), whose hits span 1 < z < 3, try
+    # what no loop reaches. climb ends inside the tube at z = 2.5, so its
+    # run is still open at the last point; its lateral deviation falls
+    # along the run, so the maximum lies in the run's first block. nudge is
+    # the loop with z lifted by 1e-6 below z = 2, so only the first half
+    # of its run misses the affine bound and fails ok.
+    tube = make_tube(1.0, 2.0, "d1")
+    loop = BoundaryLoop("alpha1", tube.m)
+
+    def climb(loop, t):
+        drift = 1e-3 * (loop.t_max - t)
+        return np.stack([drift, np.zeros_like(t), t - loop.t_max + 2.5 - drift], axis=-1)
+
+    def nudge(loop, t):
+        points = reference_loop_points(loop, t)
+        points[:, 2] += np.where(points[:, 2] < 2.0, 1e-6, 0.0)
+        return points
+
+    wholes = {}
+    for curve in (climb, nudge):
+        monkeypatch.setattr(topology, "_SCAN_ROWS", 100_000)
+        monkeypatch.setattr(topology, "_loop_points", curve)
+        whole = wholes[curve] = transversality_scan(loop, tube, 100_000)
+        assert len(whole.hit_intervals) == 1 and not whole.ok
+        for rows in (1000, 4097):
+            monkeypatch.setattr(topology, "_SCAN_ROWS", rows)
+            assert transversality_scan(loop, tube, 100_000) == whole, (curve, rows)
+    assert wholes[climb].hit_intervals[0][1] == loop.t_max
+    assert wholes[nudge].max_lateral_deviation == 0.0
 
 
 def test_loop_legs_stay_exact_beyond_the_squared_range():
