@@ -13,21 +13,19 @@ count, min, max and first failure by global index; all of these are
 associative and commutative, so runs at any thread count agree exactly.
 Three entry points run the five checks: check_positivity,
 check_identities (the two map identities and the parametrization bound)
-and check_mu_gluing (a fixed grid, no stream). A command starts one pool:
-the checks it runs share one task list of (chunk, check) pairs,
-chunk-major, so a short last chunk of one check runs beside the other
-checks' work instead of leaving a thread idle.
+and check_mu_gluing (a fixed grid, no stream). A command starts one pool.
 
 Chunks fix the stream; blocks fix only how much of a chunk is generated
-and evaluated at once. A worker generates its chunk block by block, each
-block's rows by _unit_matrix at the block's row offset, and evaluates a
-block before it generates the next: _POSITIVITY_ROWS rows for the
-positivity check, whose map powers live in reused per-thread arrays, and
-_BLOCK_ROWS for the identity checks, whose probes build their temporaries
-anew. Both sizes keep one block's live arrays in a core's cache. One
-_report combines the stats of every block of every chunk in one pass.
-Every check is elementwise, so neither the block size nor the thread
-count changes a bit of any report.
+and evaluated at once. A pool task is one block, in stream order:
+_unit_matrix generates its rows once, at the block's row offset, and
+every check of the sweep evaluates them, so a check must not write them
+unless it is the sweep's only one. Blocks are _POSITIVITY_ROWS rows for
+the positivity check, whose map powers live in reused per-thread arrays
+and which writes x and y over its block, and _BLOCK_ROWS for the
+identity checks, whose probes build their temporaries anew; both keep a
+block's live arrays in a core's cache. One _report combines the stats
+of every block in one pass. Every check is elementwise, so neither the
+block size nor the thread count changes a bit of any report.
 """
 
 from __future__ import annotations
@@ -187,11 +185,11 @@ def _reduce(base: int, inputs: tuple, v1, v2, err, ok: np.ndarray) -> _Stats:
     finite = np.isfinite(v1) & np.isfinite(v2)
     if err is not None:
         finite &= np.isfinite(err)
-    bad = ~(ok & finite)
-    failures = int(np.count_nonzero(bad))
+    good = ok & finite
+    failures = ok.size - int(np.count_nonzero(good))
     first = None
     if failures:
-        i = int(np.argmax(bad))
+        i = int(np.argmin(good))
         first = (base + i, (float(inputs[0][i]), float(inputs[1][i])))
     maxerr = 0.0 if err is None else float(np.fmax.reduce(err))
     return (
@@ -206,41 +204,42 @@ def _reduce(base: int, inputs: tuple, v1, v2, err, ok: np.ndarray) -> _Stats:
 
 
 def _sweep(cfg: SamplerConfig, probes: list[Callable], rows: int) -> list[list[_Stats]]:
-    """Run every probe over the config's stream in one pool, chunk by chunk
-    and, within a chunk, block by block of the given rows; returns each
-    probe's block stats.
+    """Run every probe over the config's stream in one pool, block by block
+    of the given rows within each chunk; returns each probe's block stats.
 
     probe(cfg, u1, u2) maps one block's unit doubles to the arguments of
-    _reduce after base; u1 and u2 are generated for that call alone, so
-    the probe may overwrite them. Tasks are (chunk, probe) pairs,
-    chunk-major: every probe's chunk 0, then every probe's chunk 1, so the
-    short last chunks run last.
+    _reduce after base. A task is one block, generated once, and every
+    probe runs on it, so a probe must not write u1 or u2 unless it is the
+    sweep's only probe. Tasks are in stream order: chunk by chunk, and
+    block by block within a chunk.
     """
 
-    def run(start: int, probe: Callable) -> list[_Stats]:
-        chunk, n = start // CHUNK_SAMPLES, min(CHUNK_SAMPLES, cfg.count - start)
+    def run(start: int) -> list[_Stats]:
+        chunk, lo = divmod(start, CHUNK_SAMPLES)
+        n = min(rows, CHUNK_SAMPLES - lo, cfg.count - start)
+        block = _unit_matrix(cfg.seed, chunk, n, lo)
         # numpy's error state is per thread, so it is set here and not
         # around the pool; overflowed and NaN samples already count as
         # failures and in nonfinite
-        parts = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, n, rows):
-                block = _unit_matrix(cfg.seed, chunk, min(rows, n - lo), lo)
-                parts.append(_reduce(start + lo, *probe(cfg, block[:, 0], block[:, 1])))
-        return parts
+            return [_reduce(start, *probe(cfg, block[:, 0], block[:, 1])) for probe in probes]
 
-    tasks = [(start, probe) for start in range(0, cfg.count, CHUNK_SAMPLES) for probe in probes]
-    with ThreadPoolExecutor(max_workers=min(thread_count(), len(tasks))) as pool:
-        done = list(pool.map(run, *zip(*tasks)))
-    n = len(probes)
-    return [[part for parts in done[k::n] for part in parts] for k in range(n)]
+    chunks = range(0, cfg.count, CHUNK_SAMPLES)
+    starts = [c + lo for c in chunks for lo in range(0, CHUNK_SAMPLES, rows) if c + lo < cfg.count]
+    with ThreadPoolExecutor(max_workers=min(thread_count(), len(starts))) as pool:
+        done = pool.map(run, starts)
+    # read once the pool has shut down: this thread then wakes once a
+    # worker, not once a task, each wake taking the GIL from a busy worker
+    return [list(parts) for parts in zip(*done)]
 
 
 def _relative_error(lhs: tuple, rhs: tuple) -> np.ndarray:
     """Largest componentwise |l - r| / max(1, |r|)."""
-    return np.maximum.reduce(
-        [np.abs(l - r) / np.maximum(1.0, np.abs(r)) for l, r in zip(lhs, rhs)]
-    )
+    errs = (np.abs(l - r) / np.maximum(1.0, np.abs(r)) for l, r in zip(lhs, rhs))
+    err = next(errs)
+    for e in errs:
+        np.maximum(err, e, out=err)
+    return err
 
 
 def _f2_probe(cfg: SamplerConfig, u1: np.ndarray, u2: np.ndarray) -> tuple:
@@ -263,8 +262,9 @@ def _g_psi_probe(cfg: SamplerConfig, u1: np.ndarray, u2: np.ndarray) -> tuple:
 def _phi_bound_probe(cfg: SamplerConfig, u1: np.ndarray, u2: np.ndarray) -> tuple:
     rho, theta = u1 * 100.0, u2 * HALF_PI
     f1, _, f3 = _phi_terms(rho, *_trig_vec(theta))
-    margin = f1 * f1 + f3 * f3 - rho * rho / 4.0
-    scale = np.maximum(1.0, rho * rho)
+    rho2 = rho * rho
+    margin = f1 * f1 + f3 * f3 - rho2 / 4.0
+    scale = np.maximum(1.0, rho2)
     return (rho, theta), margin, margin / scale, None, margin >= -_BOUND_SLACK * scale
 
 

@@ -315,9 +315,10 @@ def test_json_byte_identical_across_thread_counts(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, tasks",
     [
-        # three checks of two chunks each, and 16 chunks of one check
-        (["identities", "--count", "100000", "--seed", "1"], 6),
-        (["sample", "--count", "1000000", "--seed", "1"], 16),
+        # one task a block: 4 + 3 blocks of 16384 rows, shared by the three
+        # checks, and 15 * 2 + 1 blocks of 32768 rows
+        (["identities", "--count", "100000", "--seed", "1"], 7),
+        (["sample", "--count", "1000000", "--seed", "1"], 31),
     ],
 )
 def test_each_sweeping_command_starts_one_pool(capsys, monkeypatch, argv, tasks):

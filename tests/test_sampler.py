@@ -310,6 +310,25 @@ def test_identities_sweep_equals_the_three_single_checks(count, monkeypatch):
         assert check_identities(cfg) == singles
 
 
+def test_identity_probes_leave_their_shared_block_alone(monkeypatch):
+    # the three identity probes run on one generated block; a probe that
+    # wrote its inputs would change what the next probe reads
+    cfg = SamplerConfig(count=2 * CHUNK_SAMPLES + 3, seed=42)
+    expected = check_identities(cfg)
+    real = sampler._unit_matrix
+
+    def read_only(*args):
+        block = real(*args)
+        block.flags.writeable = False
+        return block
+
+    monkeypatch.setattr(sampler, "_unit_matrix", read_only)
+    assert check_identities(cfg) == expected
+    # the positivity probe, alone in its sweep, writes x and y over its block
+    with pytest.raises(ValueError, match="read-only"):
+        check_positivity(cfg)
+
+
 def test_identities_sweep_keeps_each_failure_with_its_check_and_chunk(monkeypatch):
     # one failure planted in chunk 1 of the f2 check and one in chunk 0 of
     # the bound check; a sweep that hands stats to the wrong check, or drops
