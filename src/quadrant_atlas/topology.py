@@ -350,44 +350,6 @@ def _pair_sum(
     return total, math.ldexp(math.sqrt(closest2), e)
 
 
-def _check_linking_geometry(closest: float, total: float) -> None:
-    """Raise DegenerateGeometryError if the curves nearly touch or the
-    linking sum is not finite."""
-    if closest < _PROXIMITY_LIMIT:
-        raise DegenerateGeometryError(
-            f"curves pass within {closest:.3e} of each other; linking integrand is unreliable"
-        )
-    if not math.isfinite(total):
-        raise DegenerateGeometryError(
-            "linking sum is not finite; the curve coordinates overflow doubles"
-        )
-
-
-def _linking_double_sum(
-    pts1: np.ndarray,
-    tan1: np.ndarray,
-    h1: float,
-    pts2: np.ndarray,
-    tan2: np.ndarray,
-    h2: float,
-) -> float:
-    """Midpoint-rule Gauss integral over all sample pairs.
-
-    The integrand numerator det(p1 - p2, t1, t2) is evaluated through the
-    scalar triple-product identity
-
-        det(p1 - p2, t1, t2) = (p1 x t1) . t2 - t1 . (t2 x p2),
-
-    as tiled matrix products (see _pair_sum). Squared distances stay
-    explicit coordinate differences summed over x, y and z: the expansion
-    |p1|^2 + |p2|^2 - 2 p1.p2 cancels to ~1e-8 on coincident curves, which
-    would hide them from the proximity guard.
-    """
-    total, closest = _pair_sum(pts1, tan1, pts2, tan2)
-    _check_linking_geometry(closest, total)
-    return total * h1 * h2 / (4.0 * math.pi)
-
-
 def _leg_integrals(
     p0: np.ndarray, p1: np.ndarray, pts2: np.ndarray, tan2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -445,6 +407,10 @@ def gauss_linking(
     midpoint double sum. For the matched pairs (alpha1, d1) and
     (alpha2, d2) the rounded value is +/-1, with signs pinned by
     ALPHA1_D1_SIGN and ALPHA2_D2_SIGN.
+
+    Raises DegenerateGeometryError when a circle sample lies within
+    _PROXIMITY_LIMIT of an arc sample or of a leg, or else when the sum is
+    not finite because the curve coordinates overflow.
     """
     if loop_segments < MIN_SEGMENTS or circle_segments < MIN_SEGMENTS:
         raise ValueError(f"segment counts must be at least {MIN_SEGMENTS}")
@@ -467,7 +433,14 @@ def gauss_linking(
         values, dist = _leg_integrals(p0, p1, pts2, tan2)
         total += float(np.sum(values))
         closest = min(closest, float(np.min(dist)))
-    _check_linking_geometry(closest, total)
+    if closest < _PROXIMITY_LIMIT:
+        raise DegenerateGeometryError(
+            f"curves pass within {closest:.3e} of each other; linking integrand is unreliable"
+        )
+    if not math.isfinite(total):
+        raise DegenerateGeometryError(
+            "linking sum is not finite; the curve coordinates overflow doubles"
+        )
     value = total * h2 / (4.0 * math.pi)
     return LinkingResult(
         value=value,

@@ -37,7 +37,7 @@ from quadrant_atlas.topology import (
     gauss_linking,
     make_tube,
     transversality_scan,
-    _linking_double_sum,
+    _pair_sum,
 )
 
 AB_CHOICES = ((1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (2.0, 2.5))
@@ -179,15 +179,20 @@ def test_criterion_8_linking_certificate():
                 and elapsed < 60.0
             )
 
-    # self-test: two far-apart unit circles must read as unlinked
+    # self-test: two far-apart unit circles must read as unlinked under the
+    # midpoint Gauss sum, and so must a loop that never reaches its disc
+    # under the shipping path
     n = 512
     s = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
     h = 2.0 * math.pi / n
     p1 = np.stack([np.cos(s), np.sin(s), np.zeros(n)], axis=-1)
     t1 = np.stack([-np.sin(s), np.cos(s), np.zeros(n)], axis=-1)
     p2 = p1 + np.array([10.0, 0.0, 5.0])
-    unlinked = _linking_double_sum(p1, t1, h, p2, t1.copy(), h)
+    unlinked = _pair_sum(p1, t1, p2, t1.copy())[0] * h * h / (4.0 * math.pi)
     ok = ok and abs(unlinked) <= 0.01
+    disc = make_tube(1.0, 2.0, "d1").disc
+    unreached = gauss_linking(BoundaryLoop("alpha1", 0.5), disc, 4096, 4096)
+    ok = ok and abs(unreached.value) <= 0.01
     verdict("criterion 8 linking certificate", ok)
 
 

@@ -1,8 +1,11 @@
 """Tests for discs, tubes, loops, and the two numerical certificates.
 
 The linking quadrature is checked against itself at doubled resolution
-(the standard mesh-refinement oracle) and against hand-built unlinked and
-degenerate fixtures; the certified signs are frozen regression constants.
+(the standard mesh-refinement oracle), against hand-built degenerate
+fixtures, and against midpoint_linking, the whole-loop midpoint Gauss sum
+over _pair_sum with no geometry guard of its own; that oracle is itself
+checked on unlinked and Hopf circles and against a broadcast reference.
+The certified signs are frozen regression constants.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from quadrant_atlas.topology import (
     _circle_samples,
     _in_tube,
     _leg_integrals,
-    _linking_double_sum,
     _loop_corners,
     _loop_points,
     _pair_sum,
@@ -233,6 +235,12 @@ def test_linking_rejects_tiny_segment_counts():
         gauss_linking(loop, tube.disc, 512, 100)
 
 
+def midpoint_linking(pts1, tan1, h1, pts2, tan2, h2):
+    """The midpoint-rule Gauss integral over all sample pairs of two
+    curves with cell widths h1 and h2: the oracle of the linking tests."""
+    return _pair_sum(pts1, tan1, pts2, tan2)[0] * h1 * h2 / (4.0 * math.pi)
+
+
 def unit_circle(n: int, center, plane_z: float):
     s = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
     pts = np.stack(
@@ -245,14 +253,8 @@ def unit_circle(n: int, center, plane_z: float):
 def test_unlinked_circles_have_linking_zero():
     p1, t1, h1 = unit_circle(512, (0.0, 0.0), 0.0)
     p2, t2, h2 = unit_circle(512, (10.0, 0.0), 5.0)
-    value = _linking_double_sum(p1, t1, h1, p2, t2, h2)
+    value = midpoint_linking(p1, t1, h1, p2, t2, h2)
     assert abs(value) <= 0.01
-
-
-def test_coincident_curves_raise_degenerate_error():
-    p, t, h = unit_circle(512, (0.0, 0.0), 0.0)
-    with pytest.raises(DegenerateGeometryError):
-        _linking_double_sum(p, t, h, p.copy(), t.copy(), h)
 
 
 def test_hopf_circles_link_once():
@@ -261,7 +263,7 @@ def test_hopf_circles_link_once():
     s = (np.arange(512) + 0.5) * (2.0 * math.pi / 512)
     p2 = np.stack([1.0 + np.cos(s), np.zeros(512), np.sin(s)], axis=-1)
     t2 = np.stack([-np.sin(s), np.zeros(512), np.cos(s)], axis=-1)
-    value = _linking_double_sum(p1, t1, h1, p2, t2, h1)
+    value = midpoint_linking(p1, t1, h1, p2, t2, h1)
     assert abs(abs(value) - 1.0) <= 0.01
 
 
@@ -287,7 +289,7 @@ def test_linking_sum_matches_broadcast_reference():
             t = (np.arange(n) + 0.5) * h1
             args = (_loop_points(loop, t), reference_loop_tangents(loop, t), h1)
             args += (*_circle_samples(tube.disc, n), 2.0 * math.pi / n)
-            assert abs(_linking_double_sum(*args) - broadcast_double_sum(*args)) <= 1e-12
+            assert abs(midpoint_linking(*args) - broadcast_double_sum(*args)) <= 1e-12
 
 
 def test_linking_sum_memory_is_bounded_by_the_tile(monkeypatch):
@@ -297,7 +299,7 @@ def test_linking_sum_memory_is_bounded_by_the_tile(monkeypatch):
     p2, t2, h2 = unit_circle(65536, (10.0, 0.0), 5.0)
     tracemalloc.start()
     try:
-        value = _linking_double_sum(p1, t1, h1, p2, t2, h2)
+        value = midpoint_linking(p1, t1, h1, p2, t2, h2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -364,7 +366,7 @@ def test_linking_matches_the_whole_loop_midpoint_sum():
             loop = BoundaryLoop(loop_variant, tube.m)
             h1 = loop.t_max / n
             t = (np.arange(n) + 0.5) * h1
-            midpoint = _linking_double_sum(
+            midpoint = midpoint_linking(
                 _loop_points(loop, t),
                 reference_loop_tangents(loop, t),
                 h1,
@@ -390,6 +392,36 @@ def test_circle_through_a_leg_raises_degenerate_error(monkeypatch):
     tube = make_tube(1.0, 2.0, "d1")
     with pytest.raises(DegenerateGeometryError):
         gauss_linking(BoundaryLoop("alpha1", tube.m), tube.disc, 512, 512)
+
+
+def test_circle_through_the_arc_raises_degenerate_error(monkeypatch):
+    # a unit circle in a plane z = const whose middle sample is the middle
+    # arc midpoint of alpha1 at (1, 2), made as gauss_linking makes it; every
+    # sample stays at least 1e-3 from both legs, so only the arc trips the guard
+    tube = make_tube(1.0, 2.0, "d1")
+    loop = BoundaryLoop("alpha1", tube.m)
+    n = 512
+    arc_segments = math.ceil(n * HALF_PI / loop.t_max)
+    h_arc = HALF_PI / arc_segments
+    theta = (arc_segments // 2 + 0.5) * h_arc
+    arc_point = np.stack(_phi_terms(tube.m, *_trig_vec(np.array([HALF_PI - theta]))), axis=-1)[0]
+
+    def circle_through_arc(spec, n):
+        s = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+        c, sn = np.cos(s), np.sin(s)
+        x, y, z = arc_point
+        pts = np.stack([c - c[n // 2] + x, sn - sn[n // 2] + y, np.full(n, z)], axis=-1)
+        return pts, np.stack([-sn, c, np.zeros(n)], axis=-1)
+
+    pts = circle_through_arc(tube.disc, n)[0]
+    assert pts[n // 2].tolist() == arc_point.tolist()
+    # the legs run along the z- and x-axes, so their distances are at least
+    # those to the axes
+    x, y, z = pts.T
+    assert min(np.min(np.hypot(x, y)), np.min(np.hypot(y, z))) >= 1e-3
+    monkeypatch.setattr(topology, "_circle_samples", circle_through_arc)
+    with pytest.raises(DegenerateGeometryError, match="pass within"):
+        gauss_linking(loop, tube.disc, n, n)
 
 
 def test_leg_corners_lie_exactly_on_the_axes(monkeypatch):
