@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 import numpy as np
@@ -237,34 +238,51 @@ def _dump_certify_points(path: str, loops, tubes, segments: int) -> None:
 _PAIRS = (("alpha1", "d1", ALPHA1_D1_SIGN), ("alpha2", "d2", ALPHA2_D2_SIGN))
 
 
+def _certify_step(args, step, *step_args):
+    """One scan or linking sum of certify, its failures as usage errors."""
+    # coordinates that overflow make numpy warn on the way; the linking sum
+    # then raises DegenerateGeometryError, which is reported once as exit 2,
+    # as is a grid or segment count whose arrays cannot be allocated. The
+    # error state is per thread, so a pool worker sets its own.
+    with np.errstate(all="ignore"):
+        try:
+            return step(*step_args)
+        except DegenerateGeometryError as exc:
+            raise _UsageError(f"no linking certificate at A={args.A!r}, B={args.B!r}: {exc}")
+        except MemoryError:
+            raise _UsageError(f"out of memory: --grid {args.grid}, --segments {args.segments}")
+
+
 def _run_certify(args) -> tuple[dict, int, list[str]]:
     if args.segments < MIN_SEGMENTS:
         raise _UsageError(f"--segments must be at least {MIN_SEGMENTS}, got {args.segments}")
     if args.grid < MIN_GRID:
         raise _UsageError(f"--grid must be at least {MIN_GRID}, got {args.grid}")
+    try:
+        threads = thread_count()  # a bad QUADRANT_ATLAS_THREADS exits 2 before any work
+        tubes = [make_tube(args.A, args.B, disc_name) for _, disc_name, _ in _PAIRS]
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+    loops = [BoundaryLoop(loop_name, tube.m) for (loop_name, _, _), tube in zip(_PAIRS, tubes)]
+
+    scans = [
+        _certify_step(args, transversality_scan, loop, tube, args.grid)
+        for loop, tube in zip(loops, tubes)
+    ]
+    sums = [(loop, tube.disc, args.segments, args.segments) for loop, tube in zip(loops, tubes)]
+    # pair 2's sum runs on a worker while this thread runs pair 1's; when
+    # both fail, pair 1's error is the one reported
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            second = pool.submit(_certify_step, args, gauss_linking, *sums[1])
+            links = [_certify_step(args, gauss_linking, *sums[0]), second.result()]
+    else:
+        links = [_certify_step(args, gauss_linking, *pair) for pair in sums]
 
     passed = True
-    loops, tubes, pairs, pair_lines = [], [], [], []
-    for loop_name, disc_name, sign in _PAIRS:
-        try:
-            tube = make_tube(args.A, args.B, disc_name)
-        except ValueError as exc:
-            raise _UsageError(str(exc))
-        loop = BoundaryLoop(loop_name, tube.m)
-        # coordinates that overflow make numpy warn on the way; the linking sum
-        # then raises DegenerateGeometryError, which is reported once as exit 2,
-        # as is a grid or segment count whose arrays cannot be allocated
-        with np.errstate(all="ignore"):
-            try:
-                trans = transversality_scan(loop, tube, args.grid)
-                link = gauss_linking(loop, tube.disc, args.segments, args.segments)
-            except DegenerateGeometryError as exc:
-                raise _UsageError(f"no linking certificate at A={args.A!r}, B={args.B!r}: {exc}")
-            except MemoryError:
-                raise _UsageError(f"out of memory: --grid {args.grid}, --segments {args.segments}")
+    pairs, pair_lines = [], []
+    for (loop_name, disc_name, sign), trans, link in zip(_PAIRS, scans, links):
         passed = passed and trans.ok and abs(link.value - sign) <= _LINKING_TOL
-        loops.append(loop)
-        tubes.append(tube)
         fields = list(dataclasses.asdict(link).items())
         pairs.append(
             {
@@ -290,6 +308,7 @@ def _run_certify(args) -> tuple[dict, int, list[str]]:
             raise _UsageError(f"cannot write --dump-points file: {exc}")
 
     # the last tube's constants stand for both: they depend on A and B only
+    tube = tubes[-1]
     results = {
         "tube": {"m0": tube.m0, "m": tube.m, "epsilon": tube.epsilon},
         "orientation_signs": {f"{loop}_{disc}": sign for loop, disc, sign in _PAIRS},

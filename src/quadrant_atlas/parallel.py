@@ -1,8 +1,10 @@
-"""Thread-count resolution for the sampler's sweeps, the only threaded code.
+"""Thread-count resolution for the threaded code: the sampler's sweeps and
+certify's two linking sums, which run at the same time above one thread.
 
 Parallel code in this package must partition work into fixed chunks whose
-results combine by order-independent reductions, so the thread count never
-changes any output bit. The env var QUADRANT_ATLAS_THREADS caps the pool.
+results combine by order-independent reductions, or run whole jobs on
+other threads, so the thread count never changes any output bit. The env
+var QUADRANT_ATLAS_THREADS caps the sweeps' pool.
 """
 
 from __future__ import annotations

@@ -14,6 +14,10 @@ arrays are built one segment at a time: an ascending parameter array is
 split at m and m + pi/2 by binary search, the legs are written in closed
 form, and only the arc goes through phi.
 
+Curve samples are coordinate-major: each n x 3 array of points or tangents
+made here is the transpose of a 3 x n array, so a coordinate is one
+unit-stride row. Every function here gives the same bits on either layout.
+
 gauss_linking computes the classical double-integral linking number of a
 boundary loop with a disc boundary circle. Its value for a matched pair
 certifies, up to sign, that the loop generates the fundamental group of the
@@ -180,10 +184,10 @@ def _circle(spec: WarpedDiscSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray
     c, sn = np.cos(s), np.sin(s)
     w = np.sqrt(np.maximum(b * b - a * a * sn * sn, 0.0))
     dw = np.where(w > 0.0, -a * a * sn * c / np.where(w > 0.0, w, 1.0), 0.0)
-    pts = np.stack([a * c, a * sn, w], axis=-1)
-    tan = np.stack([-a * sn, a * c, dw], axis=-1)
-    if spec.variant == "d2":  # copies, as the linking sum is slower on reversed views
-        pts, tan = pts[:, ::-1].copy(), tan[:, ::-1].copy()
+    pts = np.array([a * c, a * sn, w]).T
+    tan = np.array([-a * sn, a * c, dw]).T
+    if spec.variant == "d2":
+        pts, tan = pts[:, ::-1], tan[:, ::-1]
     return pts, tan
 
 
@@ -195,14 +199,14 @@ def _loop_points(loop: BoundaryLoop, t: np.ndarray) -> np.ndarray:
     m = loop.m
     i, j = np.searchsorted(t, [m, m + HALF_PI], side="right")
     first, theta_sign = _ORIENTATION[loop.variant]
-    out = np.zeros((len(t), 3))
-    out[:i, first] = t[:i]
-    out[j:, 2 - first] = loop.t_max - t[j:]
+    out = np.zeros((3, len(t)))
+    out[first, :i] = t[:i]
+    out[2 - first, j:] = loop.t_max - t[j:]
     if i < j:  # most blocks of a transversality scan hold no arc point
         arc = t[i:j]
         theta = arc - m if theta_sign > 0.0 else m + HALF_PI - arc
-        out[i:j] = np.stack(_phi_terms(m, *_trig_vec(theta)), axis=-1)
-    return out
+        out[:, i:j] = _phi_terms(m, *_trig_vec(theta))
+    return out.T
 
 
 def _loop_corners(loop: BoundaryLoop) -> np.ndarray:
@@ -258,6 +262,8 @@ def transversality_scan(loop: BoundaryLoop, tube: TubeSpec, grid: int) -> Transv
     for lo in range(0, grid, _SCAN_ROWS):
         tb = t[lo : lo + _SCAN_ROWS]
         (q1, q2, q3), member = _in_tube(_loop_points(loop, tb), tube)
+        if not (inside or member.any()):
+            continue  # outside the tube from before its first point to its last
         edges += (lo + np.flatnonzero(np.diff(member, prepend=inside))).tolist()
         inside = bool(member[-1])
         q1, q2, q3, tb = q1[member], q2[member], q3[member], tb[member]
@@ -368,15 +374,18 @@ def _leg_integrals(
     """
     span = p1 - p0
     length = math.hypot(*span.tolist())
-    e = span / length
-    w = p0 - pts2
-    tau = -(w @ e)
-    # on a coordinate axis the component along e cancels exactly here
-    perp = w + tau[:, None] * e
-    delta2 = perp[:, 0] * perp[:, 0] + perp[:, 1] * perp[:, 1] + perp[:, 2] * perp[:, 2]
+    e0, e1, e2 = (span / length).tolist()
+    # coordinate rows of w = p0 - q and of t
+    w0, w1, w2 = p0[:, None] - pts2.T
+    t0, t1, t2 = tan2.T
+    tau = -(w0 * e0 + w1 * e1 + w2 * e2)
+    # w's part across e; on a coordinate axis the part along e cancels exactly
+    v0, v1, v2 = w0 + tau * e0, w1 + tau * e1, w2 + tau * e2
+    delta2 = v0 * v0 + v1 * v1 + v2 * v2
     u0, u1 = -tau, length - tau
     r0, r1 = np.sqrt(u0 * u0 + delta2), np.sqrt(u1 * u1 + delta2)
-    numer = np.sum(np.cross(w, e) * tan2, axis=1)
+    # det(w, e, t) as (w x e) . t
+    numer = (w1 * e2 - w2 * e1) * t0 + (w2 * e0 - w0 * e2) * t1 + (w0 * e1 - w1 * e0) * t2
     beyond = u0 * u1 > 0.0
     # both forms are evaluated everywhere; the one not selected may divide
     # by zero, and an overflow shows up as a non-finite total
@@ -423,8 +432,8 @@ def gauss_linking(
     _, theta_sign = _ORIENTATION[loop.variant]
     theta = (np.arange(arc_segments) + 0.5) * h_arc
     trig = _trig_vec(theta if theta_sign > 0.0 else HALF_PI - theta)
-    arc_pts = np.stack(_phi_terms(m, *trig), axis=-1)
-    arc_tan = theta_sign * np.stack(_phi_theta(m, *trig), axis=-1)
+    arc_pts = np.array(_phi_terms(m, *trig)).T
+    arc_tan = theta_sign * np.array(_phi_theta(m, *trig)).T
     arc_sum, closest = _pair_sum(arc_pts, arc_tan, pts2, tan2)
     total = arc_sum * h_arc
 

@@ -257,11 +257,12 @@ def test_sample_rejects_bad_config(capsys):
     [
         ["sample", "--count", "100000", "--seed", "1"],
         ["identities", "--count", "1000", "--seed", "1"],
+        ["certify", "--A", "1", "--B", "2", "--segments", "256", "--grid", "1000"],
     ],
 )
 def test_bad_thread_count_exits_2(capsys, monkeypatch, threads, argv):
-    # the sweeps resolve QUADRANT_ATLAS_THREADS; a value that is not a
-    # positive integer is a usage error, not a failed check
+    # the sweeps and certify resolve QUADRANT_ATLAS_THREADS; a value that is
+    # not a positive integer is a usage error, not a failed check
     monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
     code, out, err = run_cli(argv, capsys)
     assert code == 2
@@ -338,6 +339,50 @@ def test_each_sweeping_command_starts_one_pool(capsys, monkeypatch, argv, tasks)
     code, _ = run_json([*argv, "--format", "json"], capsys)
     assert code == 0
     assert pools == [tasks]
+
+
+@pytest.mark.parametrize("threads, pools", [("1", []), ("2", [[1, 1]]), ("8", [[1, 1]])])
+def test_certify_runs_pair_2s_linking_sum_on_one_worker(capsys, monkeypatch, threads, pools):
+    # each pool as [max_workers, tasks submitted]; at one thread none starts
+    started = []
+
+    class CountingPool(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append([max_workers, 0])
+            super().__init__(max_workers, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            started[-1][1] += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
+    argv = ["certify", "--A", "1", "--B", "2", "--segments", "256", "--grid", "1000"]
+    code, _ = run_json([*argv, "--format", "json"], capsys)
+    assert code == 0
+    assert started == pools
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_certify_reports_pair_1s_linking_error_first(capsys, monkeypatch, threads):
+    real = cli.gauss_linking
+    failing = set()
+
+    def gauss_linking(loop, disc, loop_segments, circle_segments):
+        if disc.variant in failing:
+            raise cli.DegenerateGeometryError(f"{disc.variant} fails")
+        return real(loop, disc, loop_segments, circle_segments)
+
+    monkeypatch.setattr(cli, "gauss_linking", gauss_linking)
+    monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
+    argv = ["certify", "--A", "1", "--B", "2", "--segments", "256", "--grid", "1000"]
+    for fails, reported in ((("d2",), "d2"), (("d1", "d2"), "d1")):
+        failing.update(fails)
+        code, out, err = run_cli([*argv, "--format", "json"], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: no linking certificate at A=1.0, B=2.0: {reported} fails"
+        ]
 
 
 def test_certify_json_byte_identical_across_blas_threads():

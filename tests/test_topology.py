@@ -573,6 +573,28 @@ def test_transversality_reports_match_the_whole_grid_reference(monkeypatch):
     assert wholes[climb].hit_intervals[0][1] == loop.t_max
     assert wholes[nudge].max_lateral_deviation == 0.0
 
+    # Two runs on the boundaries of 1000-point blocks: the first starts at a
+    # block's first point after a block wholly outside the tube, the second
+    # ends at a block's last point before one. The scan skips a block with
+    # no member unless the point before it was in the tube, so these cover
+    # a block it may skip and one it may not.
+    t = np.linspace(0.0, loop.t_max, 100_000)
+    runs = [(3000, 3500), (6200, 6999)]
+
+    def blocks(loop, tb):
+        hit = np.zeros(tb.shape, dtype=bool)
+        for i, j in runs:
+            hit |= (tb >= t[i]) & (tb <= t[j])
+        z = np.where(hit, 2.0, 10.0)
+        return np.stack([np.zeros_like(tb), np.zeros_like(tb), z], axis=-1)
+
+    monkeypatch.setattr(topology, "_loop_points", blocks)
+    monkeypatch.setattr(topology, "_SCAN_ROWS", 100_000)
+    whole = transversality_scan(loop, tube, 100_000)
+    assert whole.hit_intervals == tuple((t[i], t[j]) for i, j in runs)
+    monkeypatch.setattr(topology, "_SCAN_ROWS", 1000)
+    assert transversality_scan(loop, tube, 100_000) == whole
+
 
 def test_loop_legs_stay_exact_beyond_the_squared_range():
     # t * t overflows beyond about 1.34e154, and phi's rho^2 term at an
@@ -647,6 +669,34 @@ def test_pair_sum_runs_at_unit_scale(monkeypatch):
             for k in (-300, 300, 400):
                 scaled = _pair_sum(*(np.ldexp(v, k) for v in args))
                 assert scaled == (total, math.ldexp(closest, k)), (a, b, k)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (2.0, 2.5), (1.3, 2.7)])
+def test_linking_sums_are_the_same_bits_on_either_sample_layout(a, b, monkeypatch):
+    # the program passes coordinate-major samples, transposes of 3 x n
+    # arrays, which BLAS reads through a transposed operand; the tests pass
+    # row-major ones. Both give the same bits.
+    def layouts(*arrays):
+        row_major = [np.ascontiguousarray(v) for v in arrays]
+        coordinate_major = [np.ascontiguousarray(v.T).T for v in arrays]
+        assert all(v.flags.c_contiguous for v in row_major)
+        assert all(v.T.flags.c_contiguous and not v.flags.c_contiguous for v in coordinate_major)
+        return row_major, coordinate_major
+
+    for args in arc_inputs(monkeypatch, a, b, 4096):
+        row_major, coordinate_major = layouts(*args)
+        assert _pair_sum(*row_major) == _pair_sum(*coordinate_major)
+    for loop_variant, disc_variant, _ in MATCHED:
+        tube = make_tube(a, b, disc_variant)
+        corners = _loop_corners(BoundaryLoop(loop_variant, tube.m))
+        samples = _circle_samples(tube.disc, 4096)
+        # as made: each coordinate a unit-stride row (d2's rows in reverse order)
+        assert all(v.strides[0] == v.itemsize for v in samples)
+        row_major, coordinate_major = layouts(*samples)
+        for p0, p1 in (corners[:2], corners[2:]):
+            want = [v.tobytes() for v in _leg_integrals(p0, p1, *row_major)]
+            for layout in (samples, coordinate_major):
+                assert [v.tobytes() for v in _leg_integrals(p0, p1, *layout)] == want
 
 
 def test_linking_at_b_1e153_raises_no_warning():
