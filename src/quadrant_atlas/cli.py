@@ -1,10 +1,11 @@
 """Command line front end.
 
 Five subcommands: expand (exact expansions and the composition verdict),
-preimage (level-curve solver for one target), certify (transversality and
-linking certificates for one disc scale), sample (the positivity sweep)
-and identities (the remaining verification sweeps). Every subcommand
-takes --format text|json; JSON documents share the layout
+preimage (level-curve solver for one target), certify (the closed-form
+transversality certificate and the two linking sums for one disc scale),
+sample (the positivity sweep) and identities (the remaining verification
+sweeps). Every subcommand takes --format text|json; JSON documents share
+the layout
 
     {"subcommand", "params", "results", "pass", "wall_time_ms"}
 
@@ -54,7 +55,6 @@ from .solver import PreimageQuery, SolverConfig, SolverFailure, preimage
 from .topology import (
     ALPHA1_D1_SIGN,
     ALPHA2_D2_SIGN,
-    MIN_GRID,
     MIN_SEGMENTS,
     BoundaryLoop,
     DegenerateGeometryError,
@@ -62,7 +62,7 @@ from .topology import (
     _loop_points,
     gauss_linking,
     make_tube,
-    transversality_scan,
+    transversality_exact,
 )
 
 _LINKING_TOL = 0.01
@@ -105,9 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--B", required=True, type=float, help="height scale")
     p_cert.add_argument(
         "--segments", type=int, default=4096, help="quadrature segments per curve"
-    )
-    p_cert.add_argument(
-        "--grid", type=int, default=100_000, help="transversality scan resolution"
     )
     p_cert.add_argument(
         "--dump-points", metavar="FILE", default=None, help="write sampled curves as CSV"
@@ -238,26 +235,24 @@ def _dump_certify_points(path: str, loops, tubes, segments: int) -> None:
 _PAIRS = (("alpha1", "d1", ALPHA1_D1_SIGN), ("alpha2", "d2", ALPHA2_D2_SIGN))
 
 
-def _certify_step(args, step, *step_args):
-    """One scan or linking sum of certify, its failures as usage errors."""
+def _linking_sum(args, *sum_args):
+    """One linking sum of certify, its failures as usage errors."""
     # coordinates that overflow make numpy warn on the way; the linking sum
     # then raises DegenerateGeometryError, which is reported once as exit 2,
-    # as is a grid or segment count whose arrays cannot be allocated. The
-    # error state is per thread, so a pool worker sets its own.
+    # as is a segment count whose arrays cannot be allocated. The error
+    # state is per thread, so a pool worker sets its own.
     with np.errstate(all="ignore"):
         try:
-            return step(*step_args)
+            return gauss_linking(*sum_args)
         except DegenerateGeometryError as exc:
             raise _UsageError(f"no linking certificate at A={args.A!r}, B={args.B!r}: {exc}")
         except MemoryError:
-            raise _UsageError(f"out of memory: --grid {args.grid}, --segments {args.segments}")
+            raise _UsageError(f"out of memory: --segments {args.segments}")
 
 
 def _run_certify(args) -> tuple[dict, int, list[str]]:
     if args.segments < MIN_SEGMENTS:
         raise _UsageError(f"--segments must be at least {MIN_SEGMENTS}, got {args.segments}")
-    if args.grid < MIN_GRID:
-        raise _UsageError(f"--grid must be at least {MIN_GRID}, got {args.grid}")
     try:
         threads = thread_count()  # a bad QUADRANT_ATLAS_THREADS exits 2 before any work
         tubes = [make_tube(args.A, args.B, disc_name) for _, disc_name, _ in _PAIRS]
@@ -265,23 +260,20 @@ def _run_certify(args) -> tuple[dict, int, list[str]]:
         raise _UsageError(str(exc))
     loops = [BoundaryLoop(loop_name, tube.m) for (loop_name, _, _), tube in zip(_PAIRS, tubes)]
 
-    scans = [
-        _certify_step(args, transversality_scan, loop, tube, args.grid)
-        for loop, tube in zip(loops, tubes)
-    ]
+    crossings = [transversality_exact(loop, tube) for loop, tube in zip(loops, tubes)]
     sums = [(loop, tube.disc, args.segments, args.segments) for loop, tube in zip(loops, tubes)]
     # pair 2's sum runs on a worker while this thread runs pair 1's; when
     # both fail, pair 1's error is the one reported
     if threads > 1:
         with ThreadPoolExecutor(max_workers=1) as pool:
-            second = pool.submit(_certify_step, args, gauss_linking, *sums[1])
-            links = [_certify_step(args, gauss_linking, *sums[0]), second.result()]
+            second = pool.submit(_linking_sum, args, *sums[1])
+            links = [_linking_sum(args, *sums[0]), second.result()]
     else:
-        links = [_certify_step(args, gauss_linking, *pair) for pair in sums]
+        links = [_linking_sum(args, *pair) for pair in sums]
 
     passed = True
     pairs, pair_lines = [], []
-    for (loop_name, disc_name, sign), trans, link in zip(_PAIRS, scans, links):
+    for (loop_name, disc_name, sign), trans, link in zip(_PAIRS, crossings, links):
         passed = passed and trans.ok and abs(link.value - sign) <= _LINKING_TOL
         fields = list(dataclasses.asdict(link).items())
         pairs.append(

@@ -1,12 +1,14 @@
-"""Warped discs, tubes, boundary loops, and the two numerical certificates.
+"""Warped discs, tubes, boundary loops, and the two topological certificates.
 
 The discs are graphs over coordinate discs of radius A, warped to height B
 by the xi profile; flattening them with zeta turns "the loop crosses the
 disc once, straight through" into an interval statement about cylinder
-coordinates, which transversality_scan checks on a uniform grid. It runs
-over the grid in fixed blocks, so no temporary is the size of the grid;
-only the parameter array is whole, so that a grid too large to allocate
-fails at once.
+coordinates. transversality_exact decides it in closed form: the loop's
+first leg flattens, through zeta, to a vertical line that stays in the tube
+exactly over (B - epsilon, B + epsilon); the second leg stays at height -B
+and the arc at norm m/2 or more, both outside the tube. The inequalities
+behind that are checked in exact rationals on the tube's doubles, so the
+verdict holds at every scale at which the doubles do.
 
 Each boundary loop is two straight legs along coordinate axes (phi is rho
 times an axis on both strip edges) joined by an arc at rho = m. The loop
@@ -39,10 +41,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .maps import HALF_PI, _phi_terms, _phi_theta, _trig_vec, _zeta_terms
+from .maps import HALF_PI, _phi_terms, _phi_theta, _trig_vec, _xi_terms, _zeta_terms
 
 # Orientation regression constants: the loop and circle orientations below
 # are fixed by their parameterizations, and these are the observed signs of
@@ -51,17 +54,13 @@ from .maps import HALF_PI, _phi_terms, _phi_theta, _trig_vec, _zeta_terms
 ALPHA1_D1_SIGN = 1
 ALPHA2_D2_SIGN = -1
 
-# least curve samples of a linking sum and grid points of a transversality scan
+# least curve samples of a linking sum
 MIN_SEGMENTS = 256
-MIN_GRID = 1000
 
+# least distance between the two curves of a linking sum, relative to the
+# disc radius a, which is the circle's distance from the loop's axis legs
 _PROXIMITY_LIMIT = 1e-9
 _TILE_ELEMENTS = 1 << 16
-# grid points of one transversality-scan block: its ~20 temporaries stay
-# small enough for the allocator to reuse from block to block and scan to
-# scan, where whole-grid ones went back to the OS and were faulted in again
-# on every scan; 16384-point blocks still were after smaller ones had run.
-_SCAN_ROWS = 8192
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -151,10 +150,14 @@ class LinkingResult:
 
 @dataclass(frozen=True)
 class TransversalityReport:
+    """The loop's stretches inside the tube, the one predicted, the largest
+    distance from the tube's axis on them, and how they were found."""
+
     ok: bool
     hit_intervals: tuple[tuple[float, float], ...]
     expected_interval: tuple[float, float]
     max_lateral_deviation: float
+    basis: str
 
 
 def make_tube(a: float, b: float, variant: str) -> TubeSpec:
@@ -177,12 +180,13 @@ def make_tube(a: float, b: float, variant: str) -> TubeSpec:
 def _circle(spec: WarpedDiscSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Disc boundary points at angles s and their s-derivatives.
 
-    d1: (a cos s, a sin s, sqrt(b^2 - a^2 sin^2 s)), which lies on both
-    quadrics x^2+y^2 = a^2 and y^2+z^2 = b^2; d2 swaps x and z.
+    d1: (a cos s, a sin s, xi(a sin s)) = (a cos s, a sin s,
+    sqrt(b^2 - a^2 sin^2 s)), the disc's own height at its rim, which lies
+    on both quadrics x^2+y^2 = a^2 and y^2+z^2 = b^2; d2 swaps x and z.
     """
     a, b = spec.a, spec.b
     c, sn = np.cos(s), np.sin(s)
-    w = np.sqrt(np.maximum(b * b - a * a * sn * sn, 0.0))
+    w = _xi_terms(a * sn, b)
     dw = np.where(w > 0.0, -a * a * sn * c / np.where(w > 0.0, w, 1.0), 0.0)
     pts = np.array([a * c, a * sn, w]).T
     tan = np.array([-a * sn, a * c, dw]).T
@@ -220,72 +224,48 @@ def _loop_corners(loop: BoundaryLoop) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Tube membership and the transversality certificate.
+# The transversality certificate.
 
 
-def _in_tube(points: np.ndarray, tube: TubeSpec) -> tuple[tuple, np.ndarray]:
-    """Flattened coordinates (q1, q2, q3) of n x 3 points and the mask of
-    those in the open cylinder {q1^2 + q2^2 < (a + epsilon)^2, |q3| < epsilon};
-    a d2 tube is the d1 tube with x and z swapped, as in _circle."""
-    points = points[:, ::-1] if tube.disc.variant == "d2" else points
-    q1, q2, q3 = _zeta_terms(*points.T, tube.disc.b)
-    eps = tube.epsilon
-    return (q1, q2, q3), (q1 * q1 + q2 * q2 < (tube.disc.a + eps) ** 2) & (np.abs(q3) < eps)
+def transversality_exact(loop: BoundaryLoop, tube: TubeSpec) -> TransversalityReport:
+    """Decide "the loop crosses the tube once, straight through" in closed
+    form. Take alpha1 and d1; alpha2 and d2 are the same with x and z
+    swapped, and a loop whose first leg runs along the other axis fails.
 
+    zeta flattens the first leg (0, 0, t) to (q1, q2, t + q3), with (q1, q2,
+    q3) its value at the origin, so the leg is in the open cylinder exactly
+    for t in (-q3 - epsilon, -q3 + epsilon); ok needs that interval to be
+    (b - epsilon, b + epsilon), as written in doubles. These inequalities,
+    in exact rationals on the doubles, make it the one hit:
 
-def transversality_scan(loop: BoundaryLoop, tube: TubeSpec, grid: int) -> TransversalityReport:
-    """Sample the loop uniformly and certify "crosses the tube once".
-
-    ok requires: exactly one hit interval, endpoints within one grid step
-    of b -/+ epsilon, lateral deviation sqrt(q1^2+q2^2) at most 1e-9 on the
-    hits, and q3 matching t - b to 1e-9 there (the straight vertical pass).
-
-    The points are made and tested _SCAN_ROWS at a time, and the report is
-    the whole-grid one, bit for bit. t is made whole: made block by block,
-    a grid too large for memory would not fail but run on for ever.
+    * 0 < epsilon < min(b, m0 - b): the second leg flattens to height -b,
+      outside |q3| < epsilon, and the hit starts after the origin;
+    * m0^2 > a^2 + b^2: m0 strictly dominates the disc's sup norm;
+    * m^2 / 4 > (a + epsilon)^2 + (b + epsilon)^2: every tube point has a
+      norm below the right side's root, and the arc has norm at least m/2
+      (criterion 5, which the identities sweep checks), so the arc never
+      enters the tube. It also gives m > 2 (b + epsilon), so the hit ends
+      before the first leg does.
     """
-    if grid < MIN_GRID:
-        raise ValueError(f"grid must be at least {MIN_GRID}, got {grid}")
-    b, eps = tube.disc.b, tube.epsilon
-    t = np.linspace(0.0, loop.t_max, grid)
-    step = loop.t_max / (grid - 1)
-
-    # edges alternate: a run of hits starts at one and ends just before the
-    # next. Each block's mask is padded in front by the membership before
-    # it (False before the first point); a run open at the end ends at grid.
-    edges = []
-    inside = False
-    # a loop that never enters the tube reads 0.0 for both; ok still fails
-    # for it, since it has no hit interval. Members are finite, as they pass
-    # strict bounds, so the largest block maximum is the grid's maximum.
-    lateral = affine_err = 0.0
-    for lo in range(0, grid, _SCAN_ROWS):
-        tb = t[lo : lo + _SCAN_ROWS]
-        (q1, q2, q3), member = _in_tube(_loop_points(loop, tb), tube)
-        if not (inside or member.any()):
-            continue  # outside the tube from before its first point to its last
-        edges += (lo + np.flatnonzero(np.diff(member, prepend=inside))).tolist()
-        inside = bool(member[-1])
-        q1, q2, q3, tb = q1[member], q2[member], q3[member], tb[member]
-        lateral = max(lateral, float(np.max(np.sqrt(q1**2 + q2**2), initial=0.0)))
-        affine_err = max(affine_err, float(np.max(np.abs(q3 - (tb - b)), initial=0.0)))
-    if inside:
-        edges.append(grid)
-    intervals = tuple((float(t[i]), float(t[j - 1])) for i, j in zip(edges[::2], edges[1::2]))
-
+    a, b, eps = tube.disc.a, tube.disc.b, tube.epsilon
+    first, _ = _ORIENTATION[loop.variant]
+    q1, q2, q3 = _zeta_terms(0.0, 0.0, 0.0, b)
+    hit = (float(-q3) - eps, float(-q3) + eps)
     expected = (b - eps, b + eps)
+    fa, fb, fe, m0, m = map(Fraction, (a, b, eps, tube.m0, loop.m))
     ok = (
-        len(intervals) == 1
-        and abs(intervals[0][0] - expected[0]) <= step
-        and abs(intervals[0][1] - expected[1]) <= step
-        and lateral <= 1e-9
-        and affine_err <= 1e-9
+        first == (2 if tube.disc.variant == "d1" else 0)
+        and hit == expected
+        and 0 < fe < min(fb, m0 - fb)
+        and m0 * m0 > fa * fa + fb * fb
+        and m * m / 4 > (fa + fe) ** 2 + (fb + fe) ** 2
     )
     return TransversalityReport(
         ok=ok,
-        hit_intervals=intervals,
+        hit_intervals=(hit,),
         expected_interval=expected,
-        max_lateral_deviation=lateral,
+        max_lateral_deviation=math.hypot(q1, q2),
+        basis="exact",
     )
 
 
@@ -391,7 +371,7 @@ def _leg_integrals(
     # by zero, and an overflow shows up as a non-finite total
     with np.errstate(all="ignore"):
         across = (u1 / r1 - u0 / r0) / delta2
-        outside = (u1 - u0) * (u1 + u0) / ((u1 * r0 + u0 * r1) * r0 * r1)
+        outside = (u1 - u0) / r0 * ((u1 + u0) / r1) / (u1 * r0 + u0 * r1)
         gap = np.clip(tau, 0.0, length) - tau
         return numer * np.where(beyond, outside, across), np.sqrt(delta2 + gap * gap)
 
@@ -418,8 +398,8 @@ def gauss_linking(
     ALPHA1_D1_SIGN and ALPHA2_D2_SIGN.
 
     Raises DegenerateGeometryError when a circle sample lies within
-    _PROXIMITY_LIMIT of an arc sample or of a leg, or else when the sum is
-    not finite because the curve coordinates overflow.
+    _PROXIMITY_LIMIT times a of an arc sample or of a leg, or else when the
+    sum is not finite because the curve coordinates overflow.
     """
     if loop_segments < MIN_SEGMENTS or circle_segments < MIN_SEGMENTS:
         raise ValueError(f"segment counts must be at least {MIN_SEGMENTS}")
@@ -442,7 +422,7 @@ def gauss_linking(
         values, dist = _leg_integrals(p0, p1, pts2, tan2)
         total += float(np.sum(values))
         closest = min(closest, float(np.min(dist)))
-    if closest < _PROXIMITY_LIMIT:
+    if closest < _PROXIMITY_LIMIT * spec.a:
         raise DegenerateGeometryError(
             f"curves pass within {closest:.3e} of each other; linking integrand is unreliable"
         )

@@ -1,0 +1,88 @@
+"""The grid transversality scan: the criterion-7 oracle of the tests.
+
+certify decides the crossing in closed form (topology.transversality_exact);
+this scan samples the loop on a uniform grid and finds its runs inside the
+open cylinder by testing every sample, so it checks the closed form's
+interval, and the loop geometry behind it, with no algebra of its own.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from quadrant_atlas.maps import _zeta_terms
+from quadrant_atlas.topology import BoundaryLoop, TransversalityReport, TubeSpec, _loop_points
+
+# least grid points of a scan
+MIN_GRID = 1000
+# grid points of one scan block: its ~20 temporaries stay small enough for
+# the allocator to reuse from block to block and scan to scan
+_SCAN_ROWS = 8192
+
+
+def in_tube(points: np.ndarray, tube: TubeSpec) -> tuple[tuple, np.ndarray]:
+    """Flattened coordinates (q1, q2, q3) of n x 3 points and the mask of
+    those in the open cylinder {q1^2 + q2^2 < (a + epsilon)^2, |q3| < epsilon};
+    a d2 tube is the d1 tube with x and z swapped, as in topology._circle."""
+    points = points[:, ::-1] if tube.disc.variant == "d2" else points
+    q1, q2, q3 = _zeta_terms(*points.T, tube.disc.b)
+    eps = tube.epsilon
+    return (q1, q2, q3), (q1 * q1 + q2 * q2 < (tube.disc.a + eps) ** 2) & (np.abs(q3) < eps)
+
+
+def transversality_scan(loop: BoundaryLoop, tube: TubeSpec, grid: int) -> TransversalityReport:
+    """Sample the loop uniformly and certify "crosses the tube once".
+
+    ok requires: exactly one hit interval, endpoints within one grid step
+    of b -/+ epsilon, lateral deviation sqrt(q1^2+q2^2) at most 1e-9 on the
+    hits, and q3 matching t - b to 1e-9 there (the straight vertical pass).
+    The step never falls below (pi/2) / grid, so at small scales the grid
+    can step over the tube.
+
+    The points are made and tested _SCAN_ROWS at a time, and the report is
+    the whole-grid one, bit for bit.
+    """
+    if grid < MIN_GRID:
+        raise ValueError(f"grid must be at least {MIN_GRID}, got {grid}")
+    b, eps = tube.disc.b, tube.epsilon
+    t = np.linspace(0.0, loop.t_max, grid)
+    step = loop.t_max / (grid - 1)
+
+    # edges alternate: a run of hits starts at one and ends just before the
+    # next. Each block's mask is padded in front by the membership before
+    # it (False before the first point); a run open at the end ends at grid.
+    edges = []
+    inside = False
+    # a loop that never enters the tube reads 0.0 for both; ok still fails
+    # for it, since it has no hit interval. Members are finite, as they pass
+    # strict bounds, so the largest block maximum is the grid's maximum.
+    lateral = affine_err = 0.0
+    for lo in range(0, grid, _SCAN_ROWS):
+        tb = t[lo : lo + _SCAN_ROWS]
+        (q1, q2, q3), member = in_tube(_loop_points(loop, tb), tube)
+        if not (inside or member.any()):
+            continue  # outside the tube from before its first point to its last
+        edges += (lo + np.flatnonzero(np.diff(member, prepend=inside))).tolist()
+        inside = bool(member[-1])
+        q1, q2, q3, tb = q1[member], q2[member], q3[member], tb[member]
+        lateral = max(lateral, float(np.max(np.sqrt(q1**2 + q2**2), initial=0.0)))
+        affine_err = max(affine_err, float(np.max(np.abs(q3 - (tb - b)), initial=0.0)))
+    if inside:
+        edges.append(grid)
+    intervals = tuple((float(t[i]), float(t[j - 1])) for i, j in zip(edges[::2], edges[1::2]))
+
+    expected = (b - eps, b + eps)
+    ok = (
+        len(intervals) == 1
+        and abs(intervals[0][0] - expected[0]) <= step
+        and abs(intervals[0][1] - expected[1]) <= step
+        and lateral <= 1e-9
+        and affine_err <= 1e-9
+    )
+    return TransversalityReport(
+        ok=ok,
+        hit_intervals=intervals,
+        expected_interval=expected,
+        max_lateral_deviation=lateral,
+        basis="grid",
+    )

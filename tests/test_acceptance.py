@@ -36,9 +36,10 @@ from quadrant_atlas.topology import (
     BoundaryLoop,
     gauss_linking,
     make_tube,
-    transversality_scan,
+    transversality_exact,
     _pair_sum,
 )
+from scan_oracle import transversality_scan
 
 AB_CHOICES = ((1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (2.0, 2.5))
 
@@ -137,6 +138,9 @@ def test_criterion_6_preimage_surjectivity():
 
 
 def test_criterion_7_transversality():
+    # the closed form certifies the crossing; the grid scan, which finds
+    # the loop's runs inside the tube sample by sample, must agree with its
+    # interval to one grid step
     grid = 100_000
     ok = True
     for a, b in AB_CHOICES:
@@ -144,15 +148,18 @@ def test_criterion_7_transversality():
         for variant, loop_name in (("d1", "alpha1"), ("d2", "alpha2")):
             tube = make_tube(a, b, variant)
             loop = BoundaryLoop(loop_name, tube.m)
+            exact = transversality_exact(loop, tube)
             report = transversality_scan(loop, tube, grid)
             step = loop.t_max / (grid - 1)
-            lo, hi = report.hit_intervals[0]
+            [(lo, hi)] = exact.hit_intervals
             ok = (
                 ok
+                and exact.ok
+                and exact.expected_interval == (b - tube.epsilon, b + tube.epsilon)
                 and report.ok
                 and len(report.hit_intervals) == 1
-                and abs(lo - (b - tube.epsilon)) <= step
-                and abs(hi - (b + tube.epsilon)) <= step
+                and abs(report.hit_intervals[0][0] - lo) <= step
+                and abs(report.hit_intervals[0][1] - hi) <= step
             )
         ok = ok and (time.perf_counter() - t0) < 10.0
     verdict("criterion 7 transversality", ok)
@@ -201,8 +208,7 @@ def test_criterion_9_cli_determinism():
         ["sample", "--count", "5000", "--seed", "42", "--format", "json"],
         ["identities", "--count", "1000", "--seed", "7", "--format", "json"],
         [
-            "certify", "--A", "1", "--B", "2", "--segments", "512",
-            "--grid", "2000", "--format", "json",
+            "certify", "--A", "1", "--B", "2", "--segments", "512", "--format", "json",
         ],
     ]
     ok = True

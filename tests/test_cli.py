@@ -17,6 +17,8 @@ import pytest
 import quadrant_atlas
 import quadrant_atlas.cli as cli
 import quadrant_atlas.sampler as sampler
+import quadrant_atlas.topology as topology
+from quadrant_atlas.maps import _xi_terms
 from quadrant_atlas.solver import SolverFailure
 
 _TOP_KEYS = ["subcommand", "params", "results", "pass", "wall_time_ms"]
@@ -101,7 +103,7 @@ def test_preimage_maps_solver_failure_to_exit_3(capsys, monkeypatch):
 
 def test_certify_json_certificate_shape(capsys):
     code, doc = run_json(
-        ["certify", "--A", "1", "--B", "2", "--segments", "512", "--grid", "2000",
+        ["certify", "--A", "1", "--B", "2", "--segments", "512",
          "--format", "json"],
         capsys,
     )
@@ -136,7 +138,7 @@ def test_certify_rejects_non_finite_and_overflowing_scales(capsys):
 def test_certify_dump_points_writes_all_four_curves(tmp_path, capsys):
     target = tmp_path / "curves.csv"
     code, out, err = run_cli(
-        ["certify", "--A", "1", "--B", "2", "--segments", "512", "--grid", "2000",
+        ["certify", "--A", "1", "--B", "2", "--segments", "512",
          "--dump-points", str(target)],
         capsys,
     )
@@ -168,7 +170,7 @@ def test_certify_unwritable_dump_points_exits_2(tmp_path, capsys):
     # it cannot open is a usage error, not a failed check
     for target in (tmp_path / "missing" / "x.csv", tmp_path):
         code, out, err = run_cli(
-            ["certify", "--A", "1", "--B", "2", "--segments", "256", "--grid", "1000",
+            ["certify", "--A", "1", "--B", "2", "--segments", "256",
              "--dump-points", str(target), "--format", "json"],
             capsys,
         )
@@ -188,7 +190,7 @@ def test_certify_rejects_underflowing_scales(capsys):
         assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
-@pytest.mark.parametrize("flag, value", [("--segments", "255"), ("--grid", "999")])
+@pytest.mark.parametrize("flag, value", [("--segments", "255")])
 def test_certify_rejects_sizes_below_the_limits(capsys, flag, value):
     code, out, err = run_cli(
         ["certify", "--A", "1", "--B", "2", flag, value, "--format", "json"], capsys
@@ -200,7 +202,7 @@ def test_certify_rejects_sizes_below_the_limits(capsys, flag, value):
     assert flag in lines[0]
 
 
-@pytest.mark.parametrize("flag", ["--grid", "--segments"])
+@pytest.mark.parametrize("flag", ["--segments"])
 def test_certify_unallocatable_size_exits_2(capsys, flag):
     # 10^15 doubles are 8 PB, beyond a 64-bit user address space, so the
     # first array of that size fails at once
@@ -257,7 +259,7 @@ def test_sample_rejects_bad_config(capsys):
     [
         ["sample", "--count", "100000", "--seed", "1"],
         ["identities", "--count", "1000", "--seed", "1"],
-        ["certify", "--A", "1", "--B", "2", "--segments", "256", "--grid", "1000"],
+        ["certify", "--A", "1", "--B", "2", "--segments", "256"],
     ],
 )
 def test_bad_thread_count_exits_2(capsys, monkeypatch, threads, argv):
@@ -303,7 +305,7 @@ def test_json_byte_identical_across_thread_counts(capsys, monkeypatch):
         ["sample", "--count", "5000", "--seed", "42"],
         # three chunks per check, the last of 3 samples
         ["identities", "--count", "131075", "--seed", "3"],
-        ["certify", "--A", "1", "--B", "2", "--segments", "512", "--grid", "2000"],
+        ["certify", "--A", "1", "--B", "2", "--segments", "512"],
     ):
         outputs = []
         for threads in ("1", "2", "8"):
@@ -357,7 +359,7 @@ def test_certify_runs_pair_2s_linking_sum_on_one_worker(capsys, monkeypatch, thr
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
-    argv = ["certify", "--A", "1", "--B", "2", "--segments", "256", "--grid", "1000"]
+    argv = ["certify", "--A", "1", "--B", "2", "--segments", "256"]
     code, _ = run_json([*argv, "--format", "json"], capsys)
     assert code == 0
     assert started == pools
@@ -375,7 +377,7 @@ def test_certify_reports_pair_1s_linking_error_first(capsys, monkeypatch, thread
 
     monkeypatch.setattr(cli, "gauss_linking", gauss_linking)
     monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
-    argv = ["certify", "--A", "1", "--B", "2", "--segments", "256", "--grid", "1000"]
+    argv = ["certify", "--A", "1", "--B", "2", "--segments", "256"]
     for fails, reported in ((("d2",), "d2"), (("d1", "d2"), "d1")):
         failing.update(fails)
         code, out, err = run_cli([*argv, "--format", "json"], capsys)
@@ -393,7 +395,7 @@ def test_certify_json_byte_identical_across_blas_threads():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
     argv = [
         sys.executable, "-m", "quadrant_atlas.cli", "certify", "--A", "1", "--B", "2",
-        "--segments", "512", "--grid", "2000", "--format", "json",
+        "--segments", "512", "--format", "json",
     ]
     outputs = []
     for blas_env in (dict(env, OPENBLAS_NUM_THREADS="1"), env):
@@ -441,7 +443,7 @@ def test_preimage_rejects_non_finite_target_and_tol(capsys):
 def test_certify_overflowing_loop_geometry_exits_2(capsys):
     # the tube constants are finite here but the loop coordinates overflow
     code, out, err = run_cli(
-        ["certify", "--A", "1", "--B", "1e154", "--segments", "512", "--grid", "2000"],
+        ["certify", "--A", "1", "--B", "1e154", "--segments", "512"],
         capsys,
     )
     assert code == 2
@@ -488,9 +490,63 @@ def test_certify_resolves_the_crossing_of_a_thin_tall_disc(capsys):
         assert abs(pair["linking"]["value"] - sign) <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "a, b", [("1e-9", "2e-9"), ("1e-6", "2e-6"), ("1e80", "2e80"), ("1.31e150", "2.71e150")]
+)
+def test_certify_passes_far_from_unit_scale(capsys, a, b):
+    # the crossing is decided in closed form, where a grid of loop samples
+    # stepped over a tube 2e-6 wide; the leg integrals overflowed past a
+    # scale of about 1e77; the near-contact guard was an absolute 1e-9
+    code, doc = run_json(
+        ["certify", "--A", a, "--B", b, "--segments", "256", "--format", "json"], capsys
+    )
+    assert code == 0
+    for pair, sign in zip(doc["results"]["pairs"], (1, -1)):
+        assert pair["transversality"]["ok"] is True
+        assert abs(pair["linking"]["value"] - sign) <= 0.01
+
+
+def tube_rule(m0=None, epsilon=None, m=None):
+    """make_tube with some of its three constant rules replaced."""
+    m0_of = m0 or (lambda a, b: 2.0 * math.sqrt(a * a + b * b))
+    epsilon_of = epsilon or (lambda b, m0: min(b, m0 - b) / 2.0)
+    m_of = m or (lambda m0: 4.0 * m0)
+
+    def make_tube(a, b, variant):
+        disc = topology.WarpedDiscSpec(variant, a, b)
+        m0 = m0_of(a, b)
+        return topology.TubeSpec(disc, epsilon=epsilon_of(b, m0), m0=m0, m=m_of(m0))
+
+    return make_tube
+
+
+@pytest.mark.parametrize(
+    "module, name, mutant",
+    [
+        (topology, "_zeta_terms", lambda x, y, z, b: (x, y, z - 0.9 * _xi_terms(y, b))),
+        (cli, "make_tube", tube_rule(m=lambda m0: 0.3 * m0)),
+        # epsilon on the bound it must stay strictly inside
+        (cli, "make_tube", tube_rule(epsilon=lambda b, m0: min(b, m0 - b))),
+        # m0 equal to the disc's sup norm, where it must dominate it; at
+        # (1, 1) and (1, 2) the rounded root lies above the exact one, so
+        # there m0 does dominate it and the construction holds
+        (cli, "make_tube", tube_rule(m0=lambda a, b: math.sqrt(a * a + b * b))),
+    ],
+    ids=["zeta", "short-loop", "epsilon-on-bound", "m0-on-sup-norm"],
+)
+@pytest.mark.parametrize("a, b", [("0.5", "3"), ("3", "4")])
+def test_certify_fails_a_wrong_construction(capsys, monkeypatch, module, name, mutant, a, b):
+    monkeypatch.setattr(module, name, mutant)
+    code, doc = run_json(
+        ["certify", "--A", a, "--B", b, "--segments", "256", "--format", "json"], capsys
+    )
+    assert code == 1
+    assert [pair["transversality"]["ok"] for pair in doc["results"]["pairs"]] == [False, False]
+
+
 def test_certify_json_reports_what_the_linking_sum_covered(capsys):
     _, doc = run_json(
-        ["certify", "--A", "1", "--B", "2", "--segments", "512", "--grid", "2000",
+        ["certify", "--A", "1", "--B", "2", "--segments", "512",
          "--format", "json"],
         capsys,
     )
@@ -498,8 +554,9 @@ def test_certify_json_reports_what_the_linking_sum_covered(capsys):
     assert signs == {"alpha1_d1": 1, "alpha2_d2": -1}
     for pair in doc["results"]["pairs"]:
         assert list(pair["transversality"]) == [
-            "ok", "hit_intervals", "expected_interval", "max_lateral_deviation",
+            "ok", "hit_intervals", "expected_interval", "max_lateral_deviation", "basis",
         ]
+        assert pair["transversality"]["basis"] == "exact"
         link = pair["linking"]
         assert list(link) == [
             "value", "rounded", "expected", "loop_segments", "circle_segments",
@@ -519,7 +576,7 @@ def test_certify_overflow_prints_only_the_error_line():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "quadrant_atlas.cli", "certify", "--A", "1", "--B", "1e154",
-         "--segments", "512", "--grid", "2000"],
+         "--segments", "512"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 2
@@ -603,8 +660,8 @@ def test_params_echo_the_parsed_arguments_and_results_start_with_version(capsys)
         (["expand"], 0, ["format"]),
         (["preimage", "--target", "2,3"], 0, ["target", "tol", "format"]),
         (["preimage", "--target", "1e300,1e300"], 3, ["target", "tol", "format"]),
-        (["certify", "--A", "1", "--B", "2", "--segments", "256", "--grid", "1000"], 0,
-         ["A", "B", "segments", "grid", "dump_points", "format"]),
+        (["certify", "--A", "1", "--B", "2", "--segments", "256"], 0,
+         ["A", "B", "segments", "dump_points", "format"]),
         (["sample", "--count", "1000", "--seed", "1"], 0, ["count", "seed", "range", "format"]),
         (["identities", "--count", "500", "--seed", "1"], 0, ["count", "seed", "format"]),
     ]
@@ -650,7 +707,7 @@ def test_json_flag_does_not_carry_over_to_the_next_call(capsys):
 
 
 def test_segments_default_returns_after_an_explicit_value(capsys):
-    argv = ["certify", "--A", "1", "--B", "2", "--grid", "1000", "--format", "json"]
+    argv = ["certify", "--A", "1", "--B", "2", "--format", "json"]
     _, doc = run_json(argv[:5] + ["--segments", "512"] + argv[5:], capsys)
     assert doc["params"]["segments"] == 512
     _, doc = run_json(argv, capsys)

@@ -34,7 +34,8 @@ from quadrant_atlas.solver import (
     _polish,
     _sqrt,
 )
-from quadrant_atlas.topology import TubeSpec, _in_tube, make_tube
+from quadrant_atlas.topology import TubeSpec, make_tube
+from scan_oracle import in_tube
 
 F_MAP = build_theorem_map()
 F2_MAP = build_f2()
@@ -360,7 +361,7 @@ def test_surface_root_lands_inside_the_shrunk_tube():
             )
             r = preimage(PreimageQuery(*target))
             p = eval_g((r.x * r.x, r.y * r.y))
-            assert _in_tube(np.array([p]), shrunk)[1][0], (a_r, b_r, variant, r, p)
+            assert in_tube(np.array([p]), shrunk)[1][0], (a_r, b_r, variant, r, p)
 
 
 def test_query_and_config_reject_non_finite_values():

@@ -1,6 +1,9 @@
 """Tests for discs, tubes, loops, and the two numerical certificates.
 
-The linking quadrature is checked against itself at doubled resolution
+The closed-form transversality certificate is checked against the grid
+scan of scan_oracle, at every scale at which its doubles are exact, and
+against mutants of the tube constants it must refuse. The linking
+quadrature is checked against itself at doubled resolution
 (the standard mesh-refinement oracle), against hand-built degenerate
 fixtures, and against midpoint_linking, the whole-loop midpoint Gauss sum
 over _pair_sum with no geometry guard of its own; that oracle is itself
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import tracemalloc
 import warnings
 
@@ -19,6 +23,7 @@ import numpy as np
 import pytest
 
 import quadrant_atlas.topology as topology
+import scan_oracle
 from quadrant_atlas.maps import (
     HALF_PI,
     _phi_terms,
@@ -32,18 +37,19 @@ from quadrant_atlas.topology import (
     BoundaryLoop,
     DegenerateGeometryError,
     LinkingResult,
+    TubeSpec,
     WarpedDiscSpec,
     _circle,
     _circle_samples,
-    _in_tube,
     _leg_integrals,
     _loop_corners,
     _loop_points,
     _pair_sum,
     gauss_linking,
     make_tube,
-    transversality_scan,
+    transversality_exact,
 )
+from scan_oracle import in_tube, transversality_scan
 
 
 def loop_at(loop, t):
@@ -53,7 +59,7 @@ def loop_at(loop, t):
 
 def inside(points, tube):
     """Which of the n x 3 points lie in the tube's open cylinder."""
-    return _in_tube(np.asarray(points, dtype=float), tube)[1]
+    return in_tube(np.asarray(points, dtype=float), tube)[1]
 
 
 def test_make_tube_frozen_constants():
@@ -183,6 +189,12 @@ def test_transversality_certificates_for_matched_pairs():
             assert abs(hi - (b + tube.epsilon)) <= step
             assert report.expected_interval == (b - tube.epsilon, b + tube.epsilon)
             assert report.max_lateral_deviation <= 1e-9
+            assert report.basis == "grid"
+            exact = transversality_exact(loop, tube)
+            assert exact.ok and exact.basis == "exact"
+            assert exact.hit_intervals == (exact.expected_interval,)
+            assert exact.expected_interval == report.expected_interval
+            assert exact.max_lateral_deviation == 0.0
 
 
 def test_transversality_mismatched_pair_is_informational():
@@ -190,11 +202,58 @@ def test_transversality_mismatched_pair_is_informational():
     loop = BoundaryLoop("alpha1", tube.m)
     report = transversality_scan(loop, tube, 2000)
     assert isinstance(report.ok, bool)
+    # the closed form follows the loop's first leg, which runs along the
+    # other axis here
+    assert transversality_exact(loop, tube).ok is False
     # a loop that never reaches the tube: no hits, so no certificate
-    report = transversality_scan(BoundaryLoop("alpha1", 0.5), make_tube(1.0, 2.0, "d1"), 2000)
+    tube = make_tube(1.0, 2.0, "d1")
+    report = transversality_scan(BoundaryLoop("alpha1", 0.5), tube, 2000)
     assert report.ok is False
     assert report.hit_intervals == ()
     assert report.max_lateral_deviation == 0.0
+    # its first leg ends at 0.5, before the hit (1, 3) the closed form finds
+    assert transversality_exact(BoundaryLoop("alpha1", 0.5), tube).ok is False
+
+
+def test_transversality_exact_refuses_each_broken_hypothesis():
+    # at (1, 2), with make_tube's m0 = 2 sqrt(5), epsilon = 1 and m = 8 sqrt(5)
+    # unless replaced; each tube breaks one inequality and keeps the others
+    disc = WarpedDiscSpec("d1", 1.0, 2.0)
+    m0 = 2.0 * math.sqrt(5.0)
+    tubes = [
+        TubeSpec(disc, epsilon=1.0, m0=m0, m=4.0 * m0),
+        # epsilon on its bound b
+        TubeSpec(disc, epsilon=2.0, m0=m0, m=4.0 * m0),
+        # m0 below the sup norm sqrt(5)
+        TubeSpec(disc, epsilon=0.1, m0=2.2, m=8.8),
+        # the hit (1, 3) lies on the first leg, but the arc's norm bound
+        # m/2 = 1.75 falls short of the tube's sqrt(13)
+        TubeSpec(disc, epsilon=1.0, m0=m0, m=3.5),
+    ]
+    verdicts = [transversality_exact(BoundaryLoop("alpha1", t.m), t).ok for t in tubes]
+    assert verdicts == [True, False, False, False]
+
+
+def test_transversality_exact_holds_at_every_exact_scale():
+    # the acceptance pairs times 2^k, wherever make_tube succeeds and b^2
+    # is a normal double, so that sqrt(b * b) in xi gives back b; below
+    # that the disc's own height at y = 0 may round off b, and the crossing
+    # is then refused
+    checked = 0
+    for a, b in [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (2.0, 2.5)]:
+        for k in range(-1080, 1000):
+            sa, sb = math.ldexp(a, k), math.ldexp(b, k)
+            for loop_variant, disc_variant in (("alpha1", "d1"), ("alpha2", "d2")):
+                try:
+                    tube = make_tube(sa, sb, disc_variant)
+                except ValueError:
+                    continue
+                report = transversality_exact(BoundaryLoop(loop_variant, tube.m), tube)
+                if sb * sb >= sys.float_info.min:
+                    assert report.ok, (a, b, k, disc_variant)
+                    checked += 1
+    # every k from about -510 to 510 at each pair and variant
+    assert checked >= 4 * 2 * 1000
 
 
 def test_transversality_rejects_tiny_grid():
@@ -536,10 +595,10 @@ def test_transversality_reports_match_the_whole_grid_reference(monkeypatch):
     # block at or above the grid is the whole-grid scan
     for rows in (1000, 4097, 100_000):
         with monkeypatch.context() as patch:
-            patch.setattr(topology, "_SCAN_ROWS", rows)
+            patch.setattr(scan_oracle, "_SCAN_ROWS", rows)
             assert scans() == reports, rows
-    monkeypatch.setattr(topology, "_SCAN_ROWS", 100_000)
-    monkeypatch.setattr(topology, "_loop_points", reference_loop_points)
+    monkeypatch.setattr(scan_oracle, "_SCAN_ROWS", 100_000)
+    monkeypatch.setattr(scan_oracle, "_loop_points", reference_loop_points)
     for (tube, loop, grid), report in zip(cases, reports):
         assert report == transversality_scan(loop, tube, grid), (loop, grid)
 
@@ -563,12 +622,12 @@ def test_transversality_reports_match_the_whole_grid_reference(monkeypatch):
 
     wholes = {}
     for curve in (climb, nudge):
-        monkeypatch.setattr(topology, "_SCAN_ROWS", 100_000)
-        monkeypatch.setattr(topology, "_loop_points", curve)
+        monkeypatch.setattr(scan_oracle, "_SCAN_ROWS", 100_000)
+        monkeypatch.setattr(scan_oracle, "_loop_points", curve)
         whole = wholes[curve] = transversality_scan(loop, tube, 100_000)
         assert len(whole.hit_intervals) == 1 and not whole.ok
         for rows in (1000, 4097):
-            monkeypatch.setattr(topology, "_SCAN_ROWS", rows)
+            monkeypatch.setattr(scan_oracle, "_SCAN_ROWS", rows)
             assert transversality_scan(loop, tube, 100_000) == whole, (curve, rows)
     assert wholes[climb].hit_intervals[0][1] == loop.t_max
     assert wholes[nudge].max_lateral_deviation == 0.0
@@ -588,11 +647,11 @@ def test_transversality_reports_match_the_whole_grid_reference(monkeypatch):
         z = np.where(hit, 2.0, 10.0)
         return np.stack([np.zeros_like(tb), np.zeros_like(tb), z], axis=-1)
 
-    monkeypatch.setattr(topology, "_loop_points", blocks)
-    monkeypatch.setattr(topology, "_SCAN_ROWS", 100_000)
+    monkeypatch.setattr(scan_oracle, "_loop_points", blocks)
+    monkeypatch.setattr(scan_oracle, "_SCAN_ROWS", 100_000)
     whole = transversality_scan(loop, tube, 100_000)
     assert whole.hit_intervals == tuple((t[i], t[j]) for i, j in runs)
-    monkeypatch.setattr(topology, "_SCAN_ROWS", 1000)
+    monkeypatch.setattr(scan_oracle, "_SCAN_ROWS", 1000)
     assert transversality_scan(loop, tube, 100_000) == whole
 
 
