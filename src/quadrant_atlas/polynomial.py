@@ -144,6 +144,25 @@ class PolyMap2:
         (a1, b1), (a2, b2) = self.component1._top, self.component2._top
         return max(a1, a2), max(b1, b2)
 
+    @functools.cached_property
+    def _plan(self) -> tuple:
+        """evaluate_map_float's fixed work, once a map: the x and y powers some
+        term reads, the coefficients, and each component's terms (c * x^a) * y^b
+        as (first, further, np.add or np.subtract), indices into [*x powers,
+        *y powers, *coefficients] with a factor 1.0 left out, which is exact,
+        c = -1 subtracted, and x^0 = 1.0 read by a term with no factor left."""
+        (top_x, top_y), comps = self.top, (self.component1._terms, self.component2._terms)
+        reads = [{m.exponents[k] for t in comps for m in t} - {0, 1} for k in (0, 1)]
+        coefs = [float(m.coefficient) for t in comps for m in t]
+        slots = iter(range(top_x + top_y + 2, top_x + top_y + 2 + len(coefs)))
+
+        def term(m):
+            (a, b), c, slot = m.exponents, m.coefficient, next(slots)
+            idx = [i for i, on in ((slot, abs(c) != 1), (a, a), (top_x + 1 + b, b)) if on] or [0]
+            return idx[0], tuple(idx[1:]), np.subtract if c == -1 else np.add
+
+        return reads, coefs, [tuple(term(m) for m in t) for t in comps]
+
 
 # ---------------------------------------------------------------------------
 # Arithmetic.
@@ -274,18 +293,15 @@ def _array_powers(base: np.ndarray, top: int, reads: set, kept, roll: np.ndarray
     return out
 
 
-def _accumulate(p: SparsePolynomial, px: list, py: list, tmp: np.ndarray, out: np.ndarray):
-    """_sum_terms(p, px, py) on arrays, bit for bit, written to out with
-    each term built in tmp. A factor 1.0 of (c * x^a) * y^b is left out,
-    which is exact, and a term with c = -1 is subtracted as x^a * y^b."""
-    for k, m in enumerate(p._terms):
-        (a, b), c = m.exponents, m.coefficient
-        factors = [f for f, keep in ((float(c), abs(c) != 1), (px[a], a), (py[b], b)) if keep]
-        term = factors[0] if factors else 1.0
-        for f in factors[1:]:
-            term = np.multiply(term, f, out=tmp)
+def _accumulate(terms: tuple, operands: list, tmp: np.ndarray, out: np.ndarray):
+    """_sum_terms of one component on arrays, bit for bit, from its terms in
+    PolyMap2._plan, written to out with each term built in tmp."""
+    for k, (first, rest, op) in enumerate(terms):
+        term = operands[first]
+        for i in rest:
+            term = np.multiply(term, operands[i], out=tmp)
         # the sum starts from 0.0, which turns a first term of -0.0 into +0.0
-        (np.subtract if c == -1 else np.add)(out if k else 0.0, term, out=out)
+        op(out if k else 0.0, term, out=out)
     return out
 
 
@@ -297,14 +313,14 @@ def evaluate_map_float(fmap: PolyMap2, x: np.ndarray, y: np.ndarray) -> tuple:
     The powers some term reads and the term being added live in the calling
     thread's scratch, and the two results are fresh arrays."""
     top_x, top_y = fmap.top
-    c1, c2 = fmap.component1, fmap.component2
+    reads, coefs, plans = fmap._plan
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    reads = [{m.exponents[k] for m in c1._terms + c2._terms} - {0, 1} for k in (0, 1)]
     tmp, *kept = _scratch(1 + len(reads[0]) + len(reads[1]), x.shape)
     kept = iter(kept)
     px = _array_powers(x, top_x, reads[0], kept, tmp)
     py = _array_powers(y, top_y, reads[1], kept, tmp)
-    return tuple(_accumulate(c, px, py, tmp, np.empty(x.shape)) for c in (c1, c2))
+    operands = px + py + coefs
+    return tuple(_accumulate(terms, operands, tmp, np.empty(x.shape)) for terms in plans)
 
 
 def stats(p: SparsePolynomial) -> tuple[float, int]:

@@ -22,14 +22,15 @@ every check of the sweep evaluates them, so a check must not write them
 unless it is the sweep's only one. Blocks are _POSITIVITY_ROWS rows for
 the positivity check, whose map powers live in reused per-thread arrays
 and which writes x and y over its block, and _BLOCK_ROWS for the
-identity checks, whose probes build their temporaries anew; both keep a
-block's live arrays in a core's cache. One _report combines the stats
+identity checks, whose probes build their temporaries anew; both sizes
+were chosen by timing the sweeps. One _report combines the stats
 of every block in one pass. Every check is elementwise, so neither the
 block size nor the thread count changes a bit of any report.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -58,16 +59,16 @@ _MIX_MULT_2 = 0x94D049BB133111EB
 # worker count
 CHUNK_SAMPLES = 65536
 # rows per block of the identity checks, whose probes build their
-# temporaries anew each block: on a 2-vCPU Xeon with 4 MiB L2 per core,
-# 32768 rows raised the identities command's peak RSS from 38 to 45 MB
-# and did not make it faster
+# temporaries anew each block; chosen by timing, not by a cache fit: on a
+# 2-vCPU Xeon, 32768 rows raised the identities op's peak RSS (38 -> 45 MB,
+# BENCH_25.json) and its time (the withdrawn sizes in ROADMAP.md)
 _BLOCK_ROWS = 16384
-# rows per block of the positivity check: its probe keeps 14 arrays of a
-# block live (9 powers of x and y and the term being added, in the
-# thread's scratch of polynomial.evaluate_map_float, the two components,
-# and x and y written over the block's unit doubles), 14 * 32768 * 8 bytes
-# = 3.7 MB, within the same L2; twice 16384 rows halve the numpy calls of
-# a sweep, each of which releases and retakes the GIL
+# rows per block of the positivity check, also chosen by timing: 32768
+# rows halve a sweep's numpy calls against 16384 (BENCH_25.json), each of
+# which releases and retakes the GIL, kept the sample op's time as one pool
+# task a block (BENCH_28.json), and 16384 rows took it from 63-71 to 99-108
+# ms (the withdrawn sizes in ROADMAP.md); the 14 arrays its probe keeps
+# live, 14 * 32768 * 8 bytes = 3.7 MB, exceed a core's 2 MiB L2
 _POSITIVITY_ROWS = 32768
 
 # theta points of the gluing check
@@ -294,22 +295,24 @@ def check_positivity(cfg: SamplerConfig) -> SamplerReport:
         c1, c2 = evaluate_map_float(fmap, u1, u2)
         return (u1, u2), c1, c2, None, (c1 > 0.0) & (c2 > 0.0)
 
-    parts = _sweep(cfg, [probe], _POSITIVITY_ROWS)[0]
-
-    # the grid in exact integers, x-major
-    coords = np.arange(-10, 11) / 2.0
-    halves = coords.tolist()
-    nums = [evaluate_map_exact(fmap, x, y) for x in halves for y in halves]
     # grid points sort after every stream sample
-    grid = _reduce(
-        cfg.count,
-        (np.repeat(coords, coords.size), np.tile(coords, coords.size)),
-        np.array([n1 / den for n1, _, den in nums]),
-        np.array([n2 / den for _, n2, den in nums]),
-        None,
-        np.array([n1 > 0 and n2 > 0 for n1, n2, _ in nums]),
-    )
-    return _report([*parts, grid])
+    return _report([*_sweep(cfg, [probe], _POSITIVITY_ROWS)[0], _reduce(cfg.count, *_exact_grid())])
+
+
+@functools.cache
+def _exact_grid() -> tuple:
+    """_reduce's arguments after base for the theorem map on the 21 x 21
+    grid of half-integers, x-major, in exact integers. No argument of a
+    sweep changes them, so they are built once a process, as read-only
+    arrays."""
+    coords, fmap = np.arange(-10, 11) / 2.0, build_theorem_map()
+    nums = [evaluate_map_exact(fmap, x, y) for x in coords.tolist() for y in coords.tolist()]
+    xs, ys = np.repeat(coords, coords.size), np.tile(coords, coords.size)
+    v1, v2 = (np.array([n[k] / n[2] for n in nums]) for k in (0, 1))
+    ok = np.array([n1 > 0 and n2 > 0 for n1, n2, _ in nums])
+    for a in (xs, ys, v1, v2, ok):
+        a.flags.writeable = False
+    return (xs, ys), v1, v2, None, ok
 
 
 def check_identities(cfg: SamplerConfig) -> list[SamplerReport]:

@@ -64,8 +64,8 @@ _TILE_ELEMENTS = 1 << 16
 
 
 class DegenerateGeometryError(RuntimeError):
-    """Raised when the two curves of a linking integral nearly touch, or
-    when their sum is not finite because the coordinates overflow."""
+    """Raised when the two curves of a linking integral nearly touch, or when
+    their sum is not finite: the coordinates overflow or their squares underflow."""
 
 
 @dataclass(frozen=True)
@@ -399,7 +399,7 @@ def gauss_linking(
 
     Raises DegenerateGeometryError when a circle sample lies within
     _PROXIMITY_LIMIT times a of an arc sample or of a leg, or else when the
-    sum is not finite because the curve coordinates overflow.
+    sum is not finite: the curve coordinates overflow or their squares underflow.
     """
     if loop_segments < MIN_SEGMENTS or circle_segments < MIN_SEGMENTS:
         raise ValueError(f"segment counts must be at least {MIN_SEGMENTS}")
@@ -428,7 +428,7 @@ def gauss_linking(
         )
     if not math.isfinite(total):
         raise DegenerateGeometryError(
-            "linking sum is not finite; the curve coordinates overflow doubles"
+            "linking sum is not finite; the curve coordinates overflow or their squares underflow"
         )
     value = total * h2 / (4.0 * math.pi)
     return LinkingResult(

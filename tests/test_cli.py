@@ -453,6 +453,19 @@ def test_certify_overflowing_loop_geometry_exits_2(capsys):
     ]
 
 
+def test_certify_underflowing_leg_integrals_exits_2(capsys):
+    # below B of about 1.5e-154 the leg integrals' squares underflow and
+    # their quotients overflow; the message names both causes
+    code, out, err = run_cli(
+        ["certify", "--A", "1e-154", "--B", "2e-154", "--format", "json"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "linking sum is not finite" in lines[0] and "underflow" in lines[0]
+
+
 def test_failed_preimage_prints_valid_json(capsys):
     # a target whose outer factor overflows at every seed: no polished
     # point, so the best residual is infinite, which JSON cannot hold; it

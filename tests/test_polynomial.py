@@ -362,7 +362,10 @@ def test_map_evaluators_match_the_component_evaluators():
     edges += [(1e30, 1.0), (1e60, -1.0)]
     # +-1 coefficients and no constant term, so a sum can be a signed zero
     signed = PolyMap2(X**3 * Y - X * Y, Y - X)
-    for fmap in (build_theorem_map(), build_f2(), signed):
+    # constants 7 and -1, and c * x^a and c * y^b alone with |c| != 1; the
+    # second component alone overflows at (1e60, -1)
+    constants = PolyMap2(3 * X**2 - 5 * Y**3 + 7, 2 * X**6 * Y**2 + 6 * Y - 1)
+    for fmap in (build_theorem_map(), build_f2(), signed, constants):
         c1, c2 = fmap.component1, fmap.component2
         for x, y in doubles + fractions:
             n1, n2, den = evaluate_map_exact(fmap, x, y)

@@ -170,7 +170,39 @@ def test_positivity_exact_grid_minima_are_these_rationals():
     assert best2 == POS_EXACT_MIN_2
 
 
-def test_exact_grid_failures_sort_after_the_stream(monkeypatch):
+@pytest.fixture
+def fresh_exact_grid():
+    """No cached exact grid before or after the test, so a test that plants
+    grid values through evaluate_map_exact reads its own and leaks none."""
+    sampler._exact_grid.cache_clear()
+    yield
+    sampler._exact_grid.cache_clear()
+
+
+def test_exact_grid_is_evaluated_once_a_process(monkeypatch, fresh_exact_grid):
+    calls = []
+    real = sampler.evaluate_map_exact
+
+    def counted(fmap, x, y):
+        calls.append((x, y))
+        return real(fmap, x, y)
+
+    monkeypatch.setattr(sampler, "evaluate_map_exact", counted)
+    cfg = SamplerConfig(count=1000, seed=42)
+    first = check_positivity(cfg)
+    assert len(calls) == 441
+    # no argument of the sweep changes the grid, so no later call evaluates it
+    assert check_positivity(cfg) == first
+    check_positivity(SamplerConfig(count=3, seed=7, range=0.5))
+    assert len(calls) == 441
+    (xs, ys), v1, v2, err, ok = sampler._exact_grid()
+    assert err is None
+    for values in (xs, ys, v1, v2, ok):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = values[1]
+
+
+def test_exact_grid_failures_sort_after_the_stream(monkeypatch, fresh_exact_grid):
     # planted on the exact grid, which runs x-major after the stream: a zero
     # first component at (-1.5, 2) and a second component of -1 at (4.5, -0.5)
     real = sampler.evaluate_map_exact
