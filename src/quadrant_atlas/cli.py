@@ -236,18 +236,14 @@ _PAIRS = (("alpha1", "d1", ALPHA1_D1_SIGN), ("alpha2", "d2", ALPHA2_D2_SIGN))
 
 
 def _linking_sum(args, *sum_args):
-    """One linking sum of certify, its failures as usage errors."""
-    # coordinates that overflow make numpy warn on the way; the linking sum
-    # then raises DegenerateGeometryError, which is reported once as exit 2,
-    # as is a segment count whose arrays cannot be allocated. The error
-    # state is per thread, so a pool worker sets its own.
-    with np.errstate(all="ignore"):
-        try:
-            return gauss_linking(*sum_args)
-        except DegenerateGeometryError as exc:
-            raise _UsageError(f"no linking certificate at A={args.A!r}, B={args.B!r}: {exc}")
-        except MemoryError:
-            raise _UsageError(f"out of memory: --segments {args.segments}")
+    """One linking sum of certify, its failures as usage errors: degenerate
+    geometry, and a segment count whose arrays cannot be allocated."""
+    try:
+        return gauss_linking(*sum_args)
+    except DegenerateGeometryError as exc:
+        raise _UsageError(f"no linking certificate at A={args.A!r}, B={args.B!r}: {exc}")
+    except MemoryError:
+        raise _UsageError(f"out of memory: --segments {args.segments}")
 
 
 def _run_certify(args) -> tuple[dict, int, list[str]]:
@@ -285,11 +281,11 @@ def _run_certify(args) -> tuple[dict, int, list[str]]:
                 "linking": dict([*fields[:2], ("expected", sign), *fields[2:]]),
             }
         )
-        iv = trans.hit_intervals[0] if trans.hit_intervals else None
+        [(lo, hi)] = trans.hit_intervals
         name = f"{loop_name}/{disc_name}"
         pair_lines += [
-            f"{name}: transversality {'ok' if trans.ok else 'FAILED'}"
-            + (f", hit interval ({iv[0]:.6g}, {iv[1]:.6g})" if iv else ""),
+            f"{name}: transversality {'ok' if trans.ok else 'FAILED'}, "
+            f"hit interval ({lo:.6g}, {hi:.6g})",
             f"{name}: linking {link.value:+.6f} rounds to {link.rounded:+d} (expected {sign:+d})",
         ]
 

@@ -18,14 +18,13 @@ and check_mu_gluing (a fixed grid, no stream). A command starts one pool.
 Chunks fix the stream; blocks fix only how much of a chunk is generated
 and evaluated at once. A pool task is one block, in stream order:
 _unit_matrix generates its rows once, at the block's row offset, and
-every check of the sweep evaluates them, so a check must not write them
-unless it is the sweep's only one. Blocks are _POSITIVITY_ROWS rows for
-the positivity check, whose map powers live in reused per-thread arrays
-and which writes x and y over its block, and _BLOCK_ROWS for the
-identity checks, whose probes build their temporaries anew; both sizes
-were chosen by timing the sweeps. One _report combines the stats
-of every block in one pass. Every check is elementwise, so neither the
-block size nor the thread count changes a bit of any report.
+every check of the sweep evaluates them, so no check writes them. Blocks
+are _POSITIVITY_ROWS rows for the positivity check, whose map powers live
+in reused per-thread arrays, and _BLOCK_ROWS for the identity checks,
+whose probes build their temporaries anew; both sizes were chosen by
+timing the sweeps. One _report combines the stats of every block in one
+pass. Every check is elementwise, so neither the block size nor the
+thread count changes a bit of any report.
 """
 
 from __future__ import annotations
@@ -210,9 +209,8 @@ def _sweep(cfg: SamplerConfig, probes: list[Callable], rows: int) -> list[list[_
 
     probe(cfg, u1, u2) maps one block's unit doubles to the arguments of
     _reduce after base. A task is one block, generated once, and every
-    probe runs on it, so a probe must not write u1 or u2 unless it is the
-    sweep's only probe. Tasks are in stream order: chunk by chunk, and
-    block by block within a chunk.
+    probe runs on it, so no probe writes u1 or u2. Tasks are in stream
+    order: chunk by chunk, and block by block within a chunk.
     """
 
     def run(start: int) -> list[_Stats]:
@@ -241,6 +239,12 @@ def _relative_error(lhs: tuple, rhs: tuple) -> np.ndarray:
     for e in errs:
         np.maximum(err, e, out=err)
     return err
+
+
+def _positivity_probe(cfg: SamplerConfig, u1: np.ndarray, u2: np.ndarray) -> tuple:
+    x, y = ((u * 2.0 - 1.0) * cfg.range for u in (u1, u2))
+    c1, c2 = evaluate_map_float(build_theorem_map(), x, y)
+    return (x, y), c1, c2, None, (c1 > 0.0) & (c2 > 0.0)
 
 
 def _f2_probe(cfg: SamplerConfig, u1: np.ndarray, u2: np.ndarray) -> tuple:
@@ -284,19 +288,9 @@ def check_positivity(cfg: SamplerConfig) -> SamplerReport:
     checked and to the minima. The relative-error field is unused and
     reported as zero.
     """
-    fmap = build_theorem_map()
-
-    def probe(cfg: SamplerConfig, u1: np.ndarray, u2: np.ndarray) -> tuple:
-        # x and y overwrite the block's unit doubles, which nothing reads again
-        for u in (u1, u2):
-            u *= 2.0
-            u -= 1.0
-            u *= cfg.range
-        c1, c2 = evaluate_map_float(fmap, u1, u2)
-        return (u1, u2), c1, c2, None, (c1 > 0.0) & (c2 > 0.0)
-
     # grid points sort after every stream sample
-    return _report([*_sweep(cfg, [probe], _POSITIVITY_ROWS)[0], _reduce(cfg.count, *_exact_grid())])
+    parts = _sweep(cfg, [_positivity_probe], _POSITIVITY_ROWS)[0]
+    return _report([*parts, _reduce(cfg.count, *_exact_grid())])
 
 
 @functools.cache

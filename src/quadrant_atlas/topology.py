@@ -40,6 +40,7 @@ guard.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,10 +102,13 @@ class TubeSpec:
                 f"tube constants overflow at a={self.disc.a}, b={self.disc.b}: "
                 f"m0={self.m0}, m={self.m}, epsilon={self.epsilon}"
             )
-        if not (self.epsilon > 0.0 and self.m0 > 0.0):
+        # below a normal b^2, the disc's axis height sqrt(b^2) need not be b
+        b = self.disc.b
+        if not (self.epsilon > 0.0 and self.m0 > 0.0 and b * b >= sys.float_info.min):
             raise ValueError(
-                f"tube constants underflow at a={self.disc.a}, b={self.disc.b}: "
-                f"m0={self.m0}, epsilon={self.epsilon}"
+                f"tube constants underflow at a={self.disc.a}, b={b}: "
+                f"m0={self.m0}, epsilon={self.epsilon}, b^2={b * b} "
+                f"(least normal double {sys.float_info.min})"
             )
 
 
@@ -206,10 +210,9 @@ def _loop_points(loop: BoundaryLoop, t: np.ndarray) -> np.ndarray:
     out = np.zeros((3, len(t)))
     out[first, :i] = t[:i]
     out[2 - first, j:] = loop.t_max - t[j:]
-    if i < j:  # most blocks of a transversality scan hold no arc point
-        arc = t[i:j]
-        theta = arc - m if theta_sign > 0.0 else m + HALF_PI - arc
-        out[:, i:j] = _phi_terms(m, *_trig_vec(theta))
+    arc = t[i:j]
+    theta = arc - m if theta_sign > 0.0 else m + HALF_PI - arc
+    out[:, i:j] = _phi_terms(m, *_trig_vec(theta))
     return out.T
 
 
@@ -400,36 +403,40 @@ def gauss_linking(
     Raises DegenerateGeometryError when a circle sample lies within
     _PROXIMITY_LIMIT times a of an arc sample or of a leg, or else when the
     sum is not finite: the curve coordinates overflow or their squares underflow.
+    It never warns: its body ignores numpy's floating-point errors, on
+    whichever thread runs it, and the checks above catch what they flag.
     """
     if loop_segments < MIN_SEGMENTS or circle_segments < MIN_SEGMENTS:
         raise ValueError(f"segment counts must be at least {MIN_SEGMENTS}")
-    m = loop.m
-    h2 = 2.0 * math.pi / circle_segments
-    pts2, tan2 = _circle_samples(spec, circle_segments)
+    with np.errstate(all="ignore"):
+        m = loop.m
+        h2 = 2.0 * math.pi / circle_segments
+        pts2, tan2 = _circle_samples(spec, circle_segments)
 
-    arc_segments = math.ceil(loop_segments * HALF_PI / loop.t_max)
-    h_arc = HALF_PI / arc_segments
-    _, theta_sign = _ORIENTATION[loop.variant]
-    theta = (np.arange(arc_segments) + 0.5) * h_arc
-    trig = _trig_vec(theta if theta_sign > 0.0 else HALF_PI - theta)
-    arc_pts = np.array(_phi_terms(m, *trig)).T
-    arc_tan = theta_sign * np.array(_phi_theta(m, *trig)).T
-    arc_sum, closest = _pair_sum(arc_pts, arc_tan, pts2, tan2)
-    total = arc_sum * h_arc
+        arc_segments = math.ceil(loop_segments * HALF_PI / loop.t_max)
+        h_arc = HALF_PI / arc_segments
+        _, theta_sign = _ORIENTATION[loop.variant]
+        theta = (np.arange(arc_segments) + 0.5) * h_arc
+        trig = _trig_vec(theta if theta_sign > 0.0 else HALF_PI - theta)
+        arc_pts = np.array(_phi_terms(m, *trig)).T
+        arc_tan = theta_sign * np.array(_phi_theta(m, *trig)).T
+        arc_sum, closest = _pair_sum(arc_pts, arc_tan, pts2, tan2)
+        total = arc_sum * h_arc
 
-    corners = _loop_corners(loop)
-    for p0, p1 in (corners[:2], corners[2:]):
-        values, dist = _leg_integrals(p0, p1, pts2, tan2)
-        total += float(np.sum(values))
-        closest = min(closest, float(np.min(dist)))
-    if closest < _PROXIMITY_LIMIT * spec.a:
-        raise DegenerateGeometryError(
-            f"curves pass within {closest:.3e} of each other; linking integrand is unreliable"
-        )
-    if not math.isfinite(total):
-        raise DegenerateGeometryError(
-            "linking sum is not finite; the curve coordinates overflow or their squares underflow"
-        )
+        corners = _loop_corners(loop)
+        for p0, p1 in (corners[:2], corners[2:]):
+            values, dist = _leg_integrals(p0, p1, pts2, tan2)
+            total += float(np.sum(values))
+            closest = min(closest, float(np.min(dist)))
+        if closest < _PROXIMITY_LIMIT * spec.a:
+            near = f"curves pass within {closest:.3e} of each other"
+            if spec.a * spec.a < sys.float_info.min:
+                near = f"A^2 underflows to {spec.a * spec.a!r}, so the squared leg distances vanish"
+            raise DegenerateGeometryError(f"{near}; linking integrand is unreliable")
+        if not math.isfinite(total):
+            raise DegenerateGeometryError(
+                "linking sum is not finite; the curve coordinates overflow or their squares underflow"
+            )
     value = total * h2 / (4.0 * math.pi)
     return LinkingResult(
         value=value,

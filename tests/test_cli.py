@@ -466,6 +466,38 @@ def test_certify_underflowing_leg_integrals_exits_2(capsys):
     assert "linking sum is not finite" in lines[0] and "underflow" in lines[0]
 
 
+def test_certify_refuses_a_b_whose_square_is_subnormal(capsys):
+    # B^2 = 1.44e-308 is subnormal: the disc's height sqrt(B^2) at its axis
+    # need not give back B, and the closed form failed both crossings here
+    code, out, err = run_cli(
+        ["certify", "--A", "1.2e-154", "--B", "1.2e-154", "--segments", "256"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "underflow" in lines[0] and "b^2=1.44e-308" in lines[0]
+
+
+def test_certify_names_an_underflowing_a_squared(capsys):
+    # the circle lies A from the first leg, but the squared leg distance
+    # underflows to 0; a subnormal A^2 the guard does not trip on still passes
+    for a in ("1e-200", "1e-300"):
+        code, out, err = run_cli(
+            ["certify", "--A", a, "--B", "1", "--segments", "256", "--format", "json"], capsys
+        )
+        assert code == 2, a
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), a
+        assert "A^2 underflows" in lines[0], a
+    code, doc = run_json(
+        ["certify", "--A", "1.2e-154", "--B", "1.0", "--segments", "256", "--format", "json"],
+        capsys,
+    )
+    assert code == 0 and doc["pass"] is True
+
+
 def test_failed_preimage_prints_valid_json(capsys):
     # a target whose outer factor overflows at every seed: no polished
     # point, so the best residual is infinite, which JSON cannot hold; it

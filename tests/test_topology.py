@@ -256,6 +256,21 @@ def test_transversality_exact_holds_at_every_exact_scale():
     assert checked >= 4 * 2 * 1000
 
 
+def test_make_tube_refuses_a_b_whose_square_is_subnormal():
+    # the least b whose square is a normal double, and the double below it
+    b = math.sqrt(sys.float_info.min)
+    while b * b < sys.float_info.min:
+        b = math.nextafter(b, math.inf)
+    below = math.nextafter(b, 0.0)
+    assert below * below < sys.float_info.min
+    for loop_variant, disc_variant in (("alpha1", "d1"), ("alpha2", "d2")):
+        tube = make_tube(b, b, disc_variant)
+        assert transversality_exact(BoundaryLoop(loop_variant, tube.m), tube).ok
+        for a in (below, below / 2.0):
+            with pytest.raises(ValueError, match="underflow"):
+                make_tube(a, below, disc_variant)
+
+
 def test_transversality_rejects_tiny_grid():
     tube = make_tube(1.0, 2.0, "d1")
     with pytest.raises(ValueError):
@@ -366,26 +381,11 @@ def test_linking_sum_memory_is_bounded_by_the_tile(monkeypatch):
     assert peak <= 16 * 2**20
 
 
-def test_transversality_scan_memory_is_bounded_by_the_block():
-    # a whole-grid scan peaks at about 5.3 MiB here; the grid t is 0.76 MiB
-    tube = make_tube(1.0, 2.0, "d1")
-    loop = BoundaryLoop("alpha1", tube.m)
-    tracemalloc.start()
-    try:
-        report = transversality_scan(loop, tube, 100_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.ok
-    assert peak <= 2.5 * 2**20
-
-
 def test_linking_raises_when_the_loop_overflows():
     # m0 is finite at this scale, but the loop's phi1 ~ rho^2 overflows
     tube = make_tube(1.0, 1e154, "d1")
-    with np.errstate(all="ignore"):
-        with pytest.raises(DegenerateGeometryError):
-            gauss_linking(BoundaryLoop("alpha1", tube.m), tube.disc, 256, 256)
+    with pytest.raises(DegenerateGeometryError):
+        gauss_linking(BoundaryLoop("alpha1", tube.m), tube.disc, 256, 256)
 
 
 def test_leg_integral_matches_quadrature():
@@ -583,31 +583,19 @@ def test_loop_segments_match_the_whole_grid_reference():
 
 
 def test_transversality_reports_match_the_whole_grid_reference(monkeypatch):
-    # alpha1 at m = 0.5 never enters its tube; 12_345 is no multiple of a block
+    # alpha1 at m = 0.5 never enters its tube
     cases = [(tube, loop, grid) for tube, loop in reference_cases() for grid in (100_000, 12_345)]
     cases.append((make_tube(1.0, 2.0, "d1"), BoundaryLoop("alpha1", 0.5), 12_345))
-
-    def scans():
-        return [transversality_scan(loop, tube, grid) for tube, loop, grid in cases]
-
-    reports = scans()
-    # blocks of 1000 and 4097 points cut the hit runs at grid 100_000; one
-    # block at or above the grid is the whole-grid scan
-    for rows in (1000, 4097, 100_000):
-        with monkeypatch.context() as patch:
-            patch.setattr(scan_oracle, "_SCAN_ROWS", rows)
-            assert scans() == reports, rows
-    monkeypatch.setattr(scan_oracle, "_SCAN_ROWS", 100_000)
+    reports = [transversality_scan(loop, tube, grid) for tube, loop, grid in cases]
     monkeypatch.setattr(scan_oracle, "_loop_points", reference_loop_points)
     for (tube, loop, grid), report in zip(cases, reports):
         assert report == transversality_scan(loop, tube, grid), (loop, grid)
 
     # Two curves in the d1 tube at (1, 2), whose hits span 1 < z < 3, try
     # what no loop reaches. climb ends inside the tube at z = 2.5, so its
-    # run is still open at the last point; its lateral deviation falls
-    # along the run, so the maximum lies in the run's first block. nudge is
-    # the loop with z lifted by 1e-6 below z = 2, so only the first half
-    # of its run misses the affine bound and fails ok.
+    # run is still open at the last point. nudge is the loop with z lifted
+    # by 1e-6 below z = 2, so only the first half of its run misses the
+    # affine bound and fails ok.
     tube = make_tube(1.0, 2.0, "d1")
     loop = BoundaryLoop("alpha1", tube.m)
 
@@ -622,37 +610,28 @@ def test_transversality_reports_match_the_whole_grid_reference(monkeypatch):
 
     wholes = {}
     for curve in (climb, nudge):
-        monkeypatch.setattr(scan_oracle, "_SCAN_ROWS", 100_000)
         monkeypatch.setattr(scan_oracle, "_loop_points", curve)
         whole = wholes[curve] = transversality_scan(loop, tube, 100_000)
         assert len(whole.hit_intervals) == 1 and not whole.ok
-        for rows in (1000, 4097):
-            monkeypatch.setattr(scan_oracle, "_SCAN_ROWS", rows)
-            assert transversality_scan(loop, tube, 100_000) == whole, (curve, rows)
     assert wholes[climb].hit_intervals[0][1] == loop.t_max
     assert wholes[nudge].max_lateral_deviation == 0.0
 
-    # Two runs on the boundaries of 1000-point blocks: the first starts at a
-    # block's first point after a block wholly outside the tube, the second
-    # ends at a block's last point before one. The scan skips a block with
-    # no member unless the point before it was in the tube, so these cover
-    # a block it may skip and one it may not.
+    # Two runs of grid points inside the tube, apart and both away from the
+    # grid's ends: each is its own hit interval, from its first point to its
+    # last.
     t = np.linspace(0.0, loop.t_max, 100_000)
     runs = [(3000, 3500), (6200, 6999)]
 
-    def blocks(loop, tb):
-        hit = np.zeros(tb.shape, dtype=bool)
+    def two_runs(loop, ts):
+        hit = np.zeros(ts.shape, dtype=bool)
         for i, j in runs:
-            hit |= (tb >= t[i]) & (tb <= t[j])
+            hit |= (ts >= t[i]) & (ts <= t[j])
         z = np.where(hit, 2.0, 10.0)
-        return np.stack([np.zeros_like(tb), np.zeros_like(tb), z], axis=-1)
+        return np.stack([np.zeros_like(ts), np.zeros_like(ts), z], axis=-1)
 
-    monkeypatch.setattr(scan_oracle, "_loop_points", blocks)
-    monkeypatch.setattr(scan_oracle, "_SCAN_ROWS", 100_000)
-    whole = transversality_scan(loop, tube, 100_000)
-    assert whole.hit_intervals == tuple((t[i], t[j]) for i, j in runs)
-    monkeypatch.setattr(scan_oracle, "_SCAN_ROWS", 1000)
-    assert transversality_scan(loop, tube, 100_000) == whole
+    monkeypatch.setattr(scan_oracle, "_loop_points", two_runs)
+    report = transversality_scan(loop, tube, 100_000)
+    assert report.hit_intervals == tuple((t[i], t[j]) for i, j in runs)
 
 
 def test_loop_legs_stay_exact_beyond_the_squared_range():
@@ -670,14 +649,13 @@ def test_linking_raises_once_the_arc_overflows():
     # the arc at rho = m has no finite points; at B = 1e153 it still has.
     # At both scales the arc is one sample, at theta = pi/4, and the pair
     # sum runs at unit scale, so only a non-finite arc point ends the sum.
-    with np.errstate(all="ignore"):
-        for variant, disc in (("alpha1", "d1"), ("alpha2", "d2")):
-            tube = make_tube(1.0, 1.7e153, disc)
-            with pytest.raises(DegenerateGeometryError, match="not finite"):
-                gauss_linking(BoundaryLoop(variant, tube.m), tube.disc, 256, 256)
-            tube = make_tube(1.0, 1e153, disc)
-            result = gauss_linking(BoundaryLoop(variant, tube.m), tube.disc, 256, 256)
-            assert abs(result.value - result.rounded) <= 0.01
+    for variant, disc in (("alpha1", "d1"), ("alpha2", "d2")):
+        tube = make_tube(1.0, 1.7e153, disc)
+        with pytest.raises(DegenerateGeometryError, match="not finite"):
+            gauss_linking(BoundaryLoop(variant, tube.m), tube.disc, 256, 256)
+        tube = make_tube(1.0, 1e153, disc)
+        result = gauss_linking(BoundaryLoop(variant, tube.m), tube.disc, 256, 256)
+        assert abs(result.value - result.rounded) <= 0.01
 
 
 MATCHED = (("alpha1", "d1", ALPHA1_D1_SIGN), ("alpha2", "d2", ALPHA2_D2_SIGN))
