@@ -14,7 +14,6 @@ floats for its bisections and its polish:
   topological certificates.
 * The solver finds preimages of the outer factor ``h . g``; its Jacobian
   is the chain rule through ``h`` over the partials of ``g``.
-  ``d phi / d theta`` gives the tangents of the boundary loops in topology.
 
 Only g and h have scalar entry points, the ones the solver calls on
 floats. Angles are radians; ``pi`` is the platform double.
@@ -71,19 +70,6 @@ def _phi_terms(rho, c, s, w):
         cs * (d * d) + rho * (2.0 * c4 * s + c * s4 + c4 * c) + rho * rho * (c4 * c) * s,
         w * (c + s + rho * cs),
         rho * s,
-    )
-
-
-def _phi_theta(rho, c, s, w):
-    """d phi / d theta, arguments as for _phi_terms; needs w > 0, that is
-    theta strictly inside the strip, where phi2 is differentiable."""
-    cs, c2, s2 = c * s, c * c, s * s
-    c4, cc_ss = c2 * c2, c2 - s2
-    lin = -8.0 * (c2 * c) * s2 + 2.0 * (c4 * c) - s2 * s2 * s + 4.0 * c2 * (s2 * s) - 5.0 * c4 * s
-    return (
-        cc_ss * (1.0 - 4.0 * cs) + rho * lin + rho * rho * (c4 * c2 - 5.0 * c4 * s2),
-        cc_ss / (2.0 * w) * (c + s + rho * cs) + w * ((c - s) + rho * cc_ss),
-        rho * c,
     )
 
 

@@ -16,9 +16,9 @@ arrays are built one segment at a time: an ascending parameter array is
 split at m and m + pi/2 by binary search, the legs are written in closed
 form, and only the arc goes through phi.
 
-Curve samples are coordinate-major: each n x 3 array of points or tangents
-made here is the transpose of a 3 x n array, so a coordinate is one
-unit-stride row. Every function here gives the same bits on either layout.
+Curve samples are coordinate-major: each n x 3 array of points, tangents
+or chords made here is the transpose of a 3 x n array, so a coordinate is
+one unit-stride row. Every function here gives the same bits on either layout.
 
 gauss_linking computes the classical double-integral linking number of a
 boundary loop with a disc boundary circle. Its value for a matched pair
@@ -27,14 +27,14 @@ circle's complement. Against a fixed circle sample the integrand along a
 straight leg has the closed-form finite-wire antiderivative, so the legs
 are integrated exactly, once per circle sample. Only the arc goes through
 the midpoint double sum. It is sampled in its own strip angle theta at
-rho = m, so its samples stay strictly inside the strip at any scale. The
-sum runs on both sample sets scaled by a power of two to unit size, and
-evaluates the numerator det(p1 - p2, t1, t2) by the triple-product
-identity (p1 x t1) . t2 - t1 . (t2 x p2), as matrix products over tiles
-sized by a fixed element count rather than a row count, so memory stays
-bounded for any segment count; squared distances are kept as explicit
-coordinate differences, which stay exact enough for the near-contact
-guard.
+rho = m, so its samples stay strictly inside the strip at any scale, and
+its cells' chords serve as its tangents. The sum runs on both sample sets
+scaled by a power of two to unit size, and evaluates the numerator
+det(p1 - p2, t1, t2) by the triple-product identity
+(p1 x t1) . t2 - t1 . (t2 x p2), as matrix products over tiles sized by a
+fixed element count rather than a row count, so memory stays bounded for
+any segment count; squared distances are kept as explicit coordinate
+differences, which stay exact enough for the near-contact guard.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .maps import HALF_PI, _phi_terms, _phi_theta, _trig_vec, _xi_terms, _zeta_terms
+from .maps import HALF_PI, _phi_terms, _trig_vec, _xi_terms, _zeta_terms
 
 # Orientation regression constants: the loop and circle orientations below
 # are fixed by their parameterizations, and these are the observed signs of
@@ -285,7 +285,8 @@ def _pair_sum(
     pts1: np.ndarray, tan1: np.ndarray, pts2: np.ndarray, tan2: np.ndarray
 ) -> tuple[float, float]:
     """Unscaled sum of det(p1 - p2, t1, t2) / |p1 - p2|^3 over all sample
-    pairs, and the least distance between the two sample sets.
+    pairs, and the least distance between the two sample sets; t1 is a
+    tangent or, for the loop's arc, a chord.
 
     Scaling points and tangents together leaves the integrand unchanged,
     so the sum runs on both sets times 2^-e, e the binary exponent of their
@@ -391,14 +392,15 @@ def gauss_linking(
     straight legs, p(0) -> p(m) and p(m + pi/2) -> p(t_max), with corners
     from _loop_corners, are integrated exactly against each circle sample
     (_leg_integrals). The arc at rho = m is sampled in its own angle, at
-    the ceil(loop_segments * (pi/2) / t_max) midpoints theta_k = (k + 1/2)
-    h_arc of [0, pi/2], so its cells are no wider than those of
+    the n = ceil(loop_segments * (pi/2) / t_max) midpoints theta_k =
+    (k + 1/2) (pi/2) / n of [0, pi/2], so its cells are no wider than those of
     loop_segments cells over the whole loop; alpha1 runs them down, as
-    pi/2 - theta_k. Its points are phi(m, theta) and its tangents
-    +/-dphi/dtheta, signed by the way theta runs, and they go through the
-    midpoint double sum. For the matched pairs (alpha1, d1) and
-    (alpha2, d2) the rounded value is +/-1, with signs pinned by
-    ALPHA1_D1_SIGN and ALPHA2_D2_SIGN.
+    pi/2 - theta_k. Its points are phi(m, theta_k) and its tangents the
+    chords of their cells, whose end edges are exactly 0 and pi/2, so the
+    chords start and end on the leg corners. They go through the midpoint
+    double sum. For the matched pairs (alpha1, d1) and (alpha2, d2) the
+    rounded value is +/-1, with signs pinned by ALPHA1_D1_SIGN and
+    ALPHA2_D2_SIGN.
 
     Raises DegenerateGeometryError when a circle sample lies within
     _PROXIMITY_LIMIT times a of an arc sample or of a leg, or else when the
@@ -414,14 +416,15 @@ def gauss_linking(
         pts2, tan2 = _circle_samples(spec, circle_segments)
 
         arc_segments = math.ceil(loop_segments * HALF_PI / loop.t_max)
-        h_arc = HALF_PI / arc_segments
+        theta = (np.arange(arc_segments) + 0.5) * (HALF_PI / arc_segments)
+        # linspace ends exactly on pi/2, where arange can miss it
+        edges = np.linspace(0.0, HALF_PI, arc_segments + 1)
         _, theta_sign = _ORIENTATION[loop.variant]
-        theta = (np.arange(arc_segments) + 0.5) * h_arc
-        trig = _trig_vec(theta if theta_sign > 0.0 else HALF_PI - theta)
-        arc_pts = np.array(_phi_terms(m, *trig)).T
-        arc_tan = theta_sign * np.array(_phi_theta(m, *trig)).T
-        arc_sum, closest = _pair_sum(arc_pts, arc_tan, pts2, tan2)
-        total = arc_sum * h_arc
+        if theta_sign < 0.0:
+            theta, edges = HALF_PI - theta, HALF_PI - edges
+        arc_pts = np.array(_phi_terms(m, *_trig_vec(theta))).T
+        arc_chords = np.diff(np.array(_phi_terms(m, *_trig_vec(edges))), axis=1).T
+        total, closest = _pair_sum(arc_pts, arc_chords, pts2, tan2)
 
         corners = _loop_corners(loop)
         for p0, p1 in (corners[:2], corners[2:]):

@@ -19,6 +19,7 @@ import quadrant_atlas.cli as cli
 import quadrant_atlas.sampler as sampler
 import quadrant_atlas.topology as topology
 from quadrant_atlas.maps import _xi_terms
+from quadrant_atlas.parallel import thread_count
 from quadrant_atlas.solver import SolverFailure
 
 _TOP_KEYS = ["subcommand", "params", "results", "pass", "wall_time_ms"]
@@ -253,7 +254,7 @@ def test_sample_rejects_bad_config(capsys):
     assert code == 2 and err != ""
 
 
-@pytest.mark.parametrize("threads", ["0", "abc"])
+@pytest.mark.parametrize("threads", ["0", "abc", "257"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -264,14 +265,28 @@ def test_sample_rejects_bad_config(capsys):
 )
 def test_bad_thread_count_exits_2(capsys, monkeypatch, threads, argv):
     # the sweeps and certify resolve QUADRANT_ATLAS_THREADS; a value that is
-    # not a positive integer is a usage error, not a failed check
+    # not an integer from 1 to 256 is a usage error, not a failed check, and
+    # exits before a pool starts
+    pools = []
+    for module in (cli, sampler):
+        monkeypatch.setattr(module, "ThreadPoolExecutor", lambda *a, **k: pools.append(a))
     monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
     code, out, err = run_cli(argv, capsys)
-    assert code == 2
+    assert code == 2 and pools == []
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     assert "QUADRANT_ATLAS_THREADS" in lines[0]
+
+
+def test_thread_count_is_at_most_256(monkeypatch):
+    # a sweep starts a thread per task up to the count, so the count is
+    # bounded; resolved alone, without starting a pool
+    monkeypatch.setenv("QUADRANT_ATLAS_THREADS", "256")
+    assert thread_count() == 256
+    monkeypatch.setenv("QUADRANT_ATLAS_THREADS", "257")
+    with pytest.raises(ValueError, match="QUADRANT_ATLAS_THREADS must be from 1 to 256, got 257"):
+        thread_count()
 
 
 def test_identities_json_runs_all_four_checks(capsys):

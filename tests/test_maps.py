@@ -1,10 +1,10 @@
 """Tests for the closed-form surface and parameter maps.
 
-The formula bodies are checked as the program runs them: phi and its
-theta-partial on numpy arrays with angles through _trig_vec, g and h
-through their scalar entry points, psi on floats with math's cos and sin.
-Frozen values come from direct hand substitution; the partial is checked
-against a central finite-difference oracle computed here in the test.
+The formula bodies are checked as the program runs them: phi on numpy
+arrays with angles through _trig_vec, g and h through their scalar entry
+points, psi on floats with math's cos and sin. Frozen values come from
+direct hand substitution; the tests' reference theta-partial of phi is
+checked against a central finite-difference oracle computed here.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from quadrant_atlas.maps import (
     HALF_PI,
     _mu_terms,
     _phi_terms,
-    _phi_theta,
     _psi_terms,
     _trig_vec,
     _xi_terms,
@@ -28,6 +27,7 @@ from quadrant_atlas.maps import (
     eval_h,
 )
 from quadrant_atlas.polynomial import build_f2, evaluate_float
+from test_topology import phi_theta
 
 
 def phi(rho, theta):
@@ -177,12 +177,12 @@ def test_objective_frozen_points():
 
 
 def test_jacobian_matches_central_differences():
-    # d phi / d theta, which topology uses for the loop tangents
+    # d phi / d theta, the reference loop tangents of the topology tests
     rng = random.Random(71)
     h = 1e-6
     samples = [(0.1 + 2.9 * rng.random(), 0.05 + (HALF_PI - 0.1) * rng.random()) for _ in range(1000)]
     rho, theta = np.array(samples).T
-    jac = _phi_theta(rho, *_trig_vec(theta))
+    jac = phi_theta(rho, *_trig_vec(theta))
     fpt = phi(rho, theta + h)
     fmt = phi(rho, theta - h)
     num = [(p - m) / (2 * h) for p, m in zip(fpt, fmt)]

@@ -27,13 +27,13 @@ import scan_oracle
 from quadrant_atlas.maps import (
     HALF_PI,
     _phi_terms,
-    _phi_theta,
     _trig_vec,
     eval_h,
 )
 from quadrant_atlas.topology import (
     ALPHA1_D1_SIGN,
     ALPHA2_D2_SIGN,
+    MIN_SEGMENTS,
     BoundaryLoop,
     DegenerateGeometryError,
     LinkingResult,
@@ -536,11 +536,25 @@ def phi_rho(rho, c, s, w):
     return (2.0 * c4 * s + c * s4 + c4 * c + 2.0 * rho * (c4 * c) * s, (c * s) * w, s)
 
 
+def phi_theta(rho, c, s, w):
+    """d phi / d theta, arguments as for _phi_terms; needs w > 0, that is
+    theta strictly inside the strip, where phi2 is differentiable. The
+    arc's tangent, which the program replaces by its cells' chords."""
+    cs, c2, s2 = c * s, c * c, s * s
+    c4, cc_ss = c2 * c2, c2 - s2
+    lin = -8.0 * (c2 * c) * s2 + 2.0 * (c4 * c) - s2 * s2 * s + 4.0 * c2 * (s2 * s) - 5.0 * c4 * s
+    return (
+        cc_ss * (1.0 - 4.0 * cs) + rho * lin + rho * rho * (c4 * c2 - 5.0 * c4 * s2),
+        cc_ss / (2.0 * w) * (c + s + rho * cs) + w * ((c - s) + rho * cc_ss),
+        rho * c,
+    )
+
+
 def reference_loop_tangents(loop, t):
     rho, theta, seg = reference_loop_params(loop, t)
     d_rho = np.stack(phi_rho(rho, *_trig_vec(theta)), axis=-1)
     safe_theta = np.clip(theta, 1e-300, HALF_PI * (1.0 - 1e-16))
-    d_theta = np.stack(_phi_theta(rho, *_trig_vec(safe_theta)), axis=-1)
+    d_theta = np.stack(phi_theta(rho, *_trig_vec(safe_theta)), axis=-1)
     theta_sign = -1.0 if loop.variant == "alpha1" else 1.0
     return np.where(
         (seg == 0)[..., None],
@@ -682,18 +696,54 @@ def arc_inputs(monkeypatch, a, b, n):
 def test_linking_arc_midpoint_stays_on_the_arc_at_large_scales(b, monkeypatch):
     # the loop parameter m + pi/4 rounds to m + 1 (theta = 1) at B = 1e15,
     # where ulp(m) = 1, and onto t = m, the leg corner, from m = 2^53 (B =
-    # 1.2e15). Sampled in its own angle, the one arc sample is phi(m, pi/4).
+    # 1.2e15). Sampled in its own angle, the one arc sample is phi(m, pi/4),
+    # and its one chord runs from corner to corner: phi(m, 0) - phi(m, pi/2)
+    # = (m, 0, -m) for alpha1, which runs theta down, and the negation for alpha2.
     tube = make_tube(1.0, b, "d1")
     assert math.ulp(tube.m) >= 1.0
     arcs = arc_inputs(monkeypatch, 1.0, b, 4096)
-    for (pts, tan, _, _), (loop_variant, _, _) in zip(arcs, MATCHED):
-        assert pts.shape == tan.shape == (1, 3)
-        trig = _trig_vec(np.array([math.pi / 4]))
-        on_arc = np.stack(_phi_terms(tube.m, *trig), axis=-1)
+    m = tube.m
+    chords = {"alpha1": [m, 0.0, -m], "alpha2": [-m, 0.0, m]}
+    for (pts, chord, _, _), (loop_variant, _, _) in zip(arcs, MATCHED):
+        assert pts.shape == chord.shape == (1, 3)
+        on_arc = np.stack(_phi_terms(m, *_trig_vec(np.array([math.pi / 4]))), axis=-1)
         assert pts[0].tolist() == pytest.approx(on_arc[0].tolist(), rel=1e-15)
-        sign = -1.0 if loop_variant == "alpha1" else 1.0
-        d_theta = np.stack(_phi_theta(tube.m, *trig), axis=-1)
-        assert tan[0].tolist() == pytest.approx((sign * d_theta[0]).tolist(), rel=1e-15)
+        assert chord[0].tolist() == chords[loop_variant]
+
+
+@pytest.mark.parametrize("arc_segments", [25, 41, 50])
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 2.0)])
+def test_linking_arc_chords_end_on_the_leg_corners(a, b, arc_segments, monkeypatch):
+    # k * (pi/2 / n) misses pi/2 at these n; the arc's cell edges come from
+    # linspace, so its chord polyline starts and ends exactly on the leg
+    # corners and the sampled loop closes
+    assert (np.arange(arc_segments + 1) * (HALF_PI / arc_segments))[-1] != HALF_PI
+    edges, chords = [], []
+
+    def recording_phi_terms(rho, c, s, w):
+        out = _phi_terms(rho, c, s, w)
+        if len(c) == arc_segments + 1:
+            edges.append(np.array(out).T)
+        return out
+
+    def recording_pair_sum(*args):
+        chords.append(args[1].copy())
+        return _pair_sum(*args)
+
+    monkeypatch.setattr(topology, "_phi_terms", recording_phi_terms)
+    monkeypatch.setattr(topology, "_pair_sum", recording_pair_sum)
+    for loop_variant, disc_variant, _ in MATCHED:
+        tube = make_tube(a, b, disc_variant)
+        loop = BoundaryLoop(loop_variant, tube.m)
+        sizes = range(MIN_SEGMENTS, 1 << 16)
+        n = next(n for n in sizes if math.ceil(n * HALF_PI / loop.t_max) == arc_segments)
+        result = gauss_linking(loop, tube.disc, n, MIN_SEGMENTS)
+        assert result.arc_segments == arc_segments
+        vertices = edges.pop()
+        corners = _loop_corners(loop)
+        assert vertices[0].tolist() == corners[1].tolist()
+        assert vertices[-1].tolist() == corners[2].tolist()
+        assert chords.pop().tolist() == np.diff(vertices, axis=0).tolist()
 
 
 def test_pair_sum_runs_at_unit_scale(monkeypatch):
