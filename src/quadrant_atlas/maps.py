@@ -10,6 +10,8 @@ floats for its bisections and its polish:
 * ``phi`` parameterizes the image surface over the strip
   ``rho >= 0, 0 <= theta <= pi/2``; ``psi`` carries strip points back into
   the closed quadrant so that ``g(psi(p)) = phi(p)`` away from the edges.
+  On the edge ``rho = 0``, ``phi(0, theta) = phi(0, pi/2 - theta)``: the
+  fold that glues the strip, which is all the gluing step needs.
 * ``xi`` and ``zeta`` build and flatten the warped discs used by the
   topological certificates.
 * The solver finds preimages of the outer factor ``h . g``; its Jacobian
@@ -86,12 +88,6 @@ def _h_chain(f, f_a, f_b):
         2.0 * (f2 * a2 + f3 * a3),
         2.0 * (f2 * b2 + f3 * b3),
     )
-
-
-def _mu_terms(theta):
-    """The gluing profile mu(theta)."""
-    t = 4.0 * theta / math.pi - 1.0
-    return t * t
 
 
 def _xi_terms(y, b):

@@ -14,11 +14,13 @@ Each boundary loop is two straight legs along coordinate axes (phi is rho
 times an axis on both strip edges) joined by an arc at rho = m. The loop
 arrays are built one segment at a time: an ascending parameter array is
 split at m and m + pi/2 by binary search, the legs are written in closed
-form, and only the arc goes through phi.
+form, and only the arc goes through phi. The linking sum builds its loop
+from one phi evaluation of the arc, whose end points are the legs' corners.
 
 Curve samples are coordinate-major: each n x 3 array of points, tangents
-or chords made here is the transpose of a 3 x n array, so a coordinate is
-one unit-stride row. Every function here gives the same bits on either layout.
+or chords made here is the transpose of a 3 x n array, or of every other
+column of one, so a coordinate is one row. Every function here gives the
+same bits on any of these layouts and on row-major arrays.
 
 gauss_linking computes the classical double-integral linking number of a
 boundary loop with a disc boundary circle. Its value for a matched pair
@@ -216,16 +218,6 @@ def _loop_points(loop: BoundaryLoop, t: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def _loop_corners(loop: BoundaryLoop) -> np.ndarray:
-    """p(0), p(m), p(m + pi/2) and p(t_max), from the formula: phi(rho, 0)
-    = (rho, 0, 0) and phi(rho, pi/2) = (0, 0, rho), so the legs end exactly
-    on the axes, where evaluating p at the rounded m + pi/2 would not."""
-    first, _ = _ORIENTATION[loop.variant]
-    out = np.zeros((4, 3))
-    out[1, first] = out[2, 2 - first] = loop.m
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The transversality certificate.
 
@@ -388,19 +380,20 @@ def gauss_linking(
 ) -> LinkingResult:
     """Linking number of the loop with the disc boundary circle.
 
-    The circle is sampled at circle_segments midpoints. The loop's two
-    straight legs, p(0) -> p(m) and p(m + pi/2) -> p(t_max), with corners
-    from _loop_corners, are integrated exactly against each circle sample
-    (_leg_integrals). The arc at rho = m is sampled in its own angle, at
-    the n = ceil(loop_segments * (pi/2) / t_max) midpoints theta_k =
-    (k + 1/2) (pi/2) / n of [0, pi/2], so its cells are no wider than those of
-    loop_segments cells over the whole loop; alpha1 runs them down, as
-    pi/2 - theta_k. Its points are phi(m, theta_k) and its tangents the
-    chords of their cells, whose end edges are exactly 0 and pi/2, so the
-    chords start and end on the leg corners. They go through the midpoint
-    double sum. For the matched pairs (alpha1, d1) and (alpha2, d2) the
-    rounded value is +/-1, with signs pinned by ALPHA1_D1_SIGN and
-    ALPHA2_D2_SIGN.
+    The circle is sampled at circle_segments midpoints. The arc at rho = m
+    is sampled in its own angle: one phi evaluation on the 2n + 1 angles of
+    [0, pi/2], n = ceil(loop_segments * (pi/2) / t_max), gives the n
+    midpoints theta_k = (k + 1/2) (pi/2) / n and the n + 1 cell edges
+    between them, so its cells are no wider than those of loop_segments
+    cells over the whole loop; alpha1 runs them down, as pi/2 - theta.
+    The arc's points are phi(m, theta_k) and its tangents the chords of
+    their cells; they go through the midpoint double sum. The end edges
+    are exactly 0 and pi/2, where phi is m times an axis, so the loop's two
+    straight legs, from the origin to the first edge and from the last edge
+    back, lie on the axes; they are integrated exactly against each circle
+    sample (_leg_integrals). For the matched pairs (alpha1, d1) and
+    (alpha2, d2) the rounded value is +/-1, with signs pinned by
+    ALPHA1_D1_SIGN and ALPHA2_D2_SIGN.
 
     Raises DegenerateGeometryError when a circle sample lies within
     _PROXIMITY_LIMIT times a of an arc sample or of a leg, or else when the
@@ -416,18 +409,19 @@ def gauss_linking(
         pts2, tan2 = _circle_samples(spec, circle_segments)
 
         arc_segments = math.ceil(loop_segments * HALF_PI / loop.t_max)
-        theta = (np.arange(arc_segments) + 0.5) * (HALF_PI / arc_segments)
-        # linspace ends exactly on pi/2, where arange can miss it
-        edges = np.linspace(0.0, HALF_PI, arc_segments + 1)
+        # entry i is i * fl((pi/2) / 2n), and the last is exactly pi/2: the
+        # odd entries are the midpoints (k + 1/2) fl((pi/2) / n), bit for
+        # bit, and the even ones the cell edges
+        theta = np.linspace(0.0, HALF_PI, 2 * arc_segments + 1)
         _, theta_sign = _ORIENTATION[loop.variant]
         if theta_sign < 0.0:
-            theta, edges = HALF_PI - theta, HALF_PI - edges
-        arc_pts = np.array(_phi_terms(m, *_trig_vec(theta))).T
-        arc_chords = np.diff(np.array(_phi_terms(m, *_trig_vec(edges))), axis=1).T
-        total, closest = _pair_sum(arc_pts, arc_chords, pts2, tan2)
+            theta = HALF_PI - theta
+        arc = np.array(_phi_terms(m, *_trig_vec(theta)))
+        edges = arc[:, ::2]
+        total, closest = _pair_sum(arc[:, 1::2].T, np.diff(edges, axis=1).T, pts2, tan2)
 
-        corners = _loop_corners(loop)
-        for p0, p1 in (corners[:2], corners[2:]):
+        origin = np.zeros(3)
+        for p0, p1 in ((origin, edges[:, 0]), (edges[:, -1], origin)):
             values, dist = _leg_integrals(p0, p1, pts2, tan2)
             total += float(np.sum(values))
             closest = min(closest, float(np.min(dist)))

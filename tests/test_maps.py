@@ -17,7 +17,6 @@ import pytest
 
 from quadrant_atlas.maps import (
     HALF_PI,
-    _mu_terms,
     _phi_terms,
     _psi_terms,
     _trig_vec,
@@ -159,14 +158,6 @@ def test_zeta_frozen_and_flattening():
     assert np.all(q[2] == 0.0) and np.array_equal(q[0], x) and np.array_equal(q[1], y)
     q = _zeta_terms(z, y, _xi_terms(y, b), b)
     assert np.all(q[2] == 0.0) and np.array_equal(q[0], z) and np.array_equal(q[1], y)
-
-
-def test_mu_values_and_symmetry():
-    assert _mu_terms(math.pi / 4) == 0.0
-    assert _mu_terms(0.0) == 1.0
-    assert _mu_terms(HALF_PI) == 1.0
-    theta = np.array([HALF_PI if i == 99 else HALF_PI * i / 99 for i in range(100)])
-    assert np.max(np.abs(_mu_terms(theta) - _mu_terms(HALF_PI - theta))) <= 1e-15
 
 
 def test_objective_frozen_points():

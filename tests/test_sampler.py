@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import quadrant_atlas.sampler as sampler
-from quadrant_atlas.maps import HALF_PI, _mu_terms, _phi_terms, _trig_vec
+from quadrant_atlas.maps import HALF_PI, _phi_terms, _trig_vec
 from quadrant_atlas.polynomial import build_theorem_map, evaluate_exact, evaluate_float
 from quadrant_atlas.sampler import (
     CHUNK_SAMPLES,
@@ -302,10 +302,11 @@ def test_mu_gluing_grid_1001():
     assert report.failures == 0
     assert report.max_relative_error <= 1e-12
     assert report.first_failure_input is None
+    # phi's first and second components at rho = 0, both 0 at theta = 0
+    assert report.min_component_1 == report.min_component_2 == 0.0
 
 
 def test_mu_gluing_symmetry_is_exact_at_quarter_pi():
-    assert _mu_terms(HALF_PI / 2.0) == 0.0
     left = phi(0.0, HALF_PI / 2.0)
     assert left == phi(0.0, HALF_PI - HALF_PI / 2.0)
 

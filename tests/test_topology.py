@@ -42,7 +42,6 @@ from quadrant_atlas.topology import (
     _circle,
     _circle_samples,
     _leg_integrals,
-    _loop_corners,
     _loop_points,
     _pair_sum,
     gauss_linking,
@@ -484,25 +483,22 @@ def test_circle_through_the_arc_raises_degenerate_error(monkeypatch):
 
 
 def test_leg_corners_lie_exactly_on_the_axes(monkeypatch):
-    # p(m + pi/2) evaluated at the rounded parameter lands a few ulps of the
-    # angle off the axis (x = -1.3e-9 for alpha2 at (1, 1000)); the legs
-    # take their corners from the formula instead
-    def rounded_corners(loop):
-        return _loop_points(loop, np.array([0.0, loop.m, loop.m + math.pi / 2, loop.t_max]))
-
-    cases = []
+    # the legs end on the arc's end edges, phi(m, 0) = (m, 0, 0) and
+    # phi(m, pi/2) = (0, 0, m) exactly; p(m + pi/2) evaluated at the rounded
+    # parameter lands a few ulps of the angle off the axis (x = -1.3e-9 for
+    # alpha2 at (1, 1000))
     for a, b in [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (2.0, 2.5), (1.0, 1000.0)]:
         for loop_variant, disc_variant in (("alpha1", "d1"), ("alpha2", "d2")):
             tube = make_tube(a, b, disc_variant)
             loop = BoundaryLoop(loop_variant, tube.m)
-            x_end, z_end = [tube.m, 0.0, 0.0], [0.0, 0.0, tube.m]
-            legs = (z_end, x_end) if loop_variant == "alpha1" else (x_end, z_end)
-            assert _loop_corners(loop).tolist() == [[0.0, 0.0, 0.0], *legs, [0.0, 0.0, 0.0]]
-            assert np.max(np.abs(rounded_corners(loop) - _loop_corners(loop))) <= 1e-7
-            cases.append((loop, tube.disc, gauss_linking(loop, tube.disc, 4096, 4096).value))
-    monkeypatch.setattr(topology, "_loop_corners", rounded_corners)
-    for loop, disc, value in cases:
-        assert abs(gauss_linking(loop, disc, 4096, 4096).value - value) <= 1e-8
+            _, [arc], _, legs = record_linking(monkeypatch, loop, tube.disc, 4096, 4096)
+            corners = [arc[:, 0].tolist(), arc[:, -1].tolist()]
+            origin, x_end, z_end = [0.0, 0.0, 0.0], [tube.m, 0.0, 0.0], [0.0, 0.0, tube.m]
+            ends = [z_end, x_end] if loop_variant == "alpha1" else [x_end, z_end]
+            assert corners == ends
+            assert legs == [(origin, ends[0]), (ends[1], origin)]
+            rounded = _loop_points(loop, np.array([loop.m, loop.m + math.pi / 2]))
+            assert np.max(np.abs(rounded - np.array(corners))) <= 1e-7
 
 
 # Reference: the whole-grid loop geometry that _loop_points replaced. It
@@ -679,17 +675,36 @@ def arc_inputs(monkeypatch, a, b, n):
     """The arguments gauss_linking passes _pair_sum for the arc of each
     matched pair at (a, b), n segments each way."""
     seen = []
+    for loop_variant, disc_variant, _ in MATCHED:
+        tube = make_tube(a, b, disc_variant)
+        seen += record_linking(monkeypatch, BoundaryLoop(loop_variant, tube.m), tube.disc, n, n)[2]
+    return seen
+
+
+def record_linking(monkeypatch, loop, disc, loop_segments, circle_segments):
+    """gauss_linking's result, the arrays its phi evaluations return, the
+    arguments it passes _pair_sum and the ends it passes _leg_integrals."""
+    phis, pairs, legs = [], [], []
+
+    def recording_phi_terms(*args):
+        out = _phi_terms(*args)
+        phis.append(np.array(out))
+        return out
 
     def recording_pair_sum(*args):
-        seen.append(tuple(v.copy() for v in args))
+        pairs.append(tuple(v.copy() for v in args))
         return _pair_sum(*args)
 
+    def recording_leg_integrals(p0, p1, *args):
+        legs.append((p0.tolist(), p1.tolist()))
+        return _leg_integrals(p0, p1, *args)
+
     with monkeypatch.context() as patch:
+        patch.setattr(topology, "_phi_terms", recording_phi_terms)
         patch.setattr(topology, "_pair_sum", recording_pair_sum)
-        for loop_variant, disc_variant, _ in MATCHED:
-            tube = make_tube(a, b, disc_variant)
-            gauss_linking(BoundaryLoop(loop_variant, tube.m), tube.disc, n, n)
-    return seen
+        patch.setattr(topology, "_leg_integrals", recording_leg_integrals)
+        result = gauss_linking(loop, disc, loop_segments, circle_segments)
+    return result, phis, pairs, legs
 
 
 @pytest.mark.parametrize("b", [1e15, 1.2e15])
@@ -711,39 +726,39 @@ def test_linking_arc_midpoint_stays_on_the_arc_at_large_scales(b, monkeypatch):
         assert chord[0].tolist() == chords[loop_variant]
 
 
-@pytest.mark.parametrize("arc_segments", [25, 41, 50])
+@pytest.mark.parametrize("arc_segments", [25, 41, 50, 173])
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 2.0)])
 def test_linking_arc_chords_end_on_the_leg_corners(a, b, arc_segments, monkeypatch):
-    # k * (pi/2 / n) misses pi/2 at these n; the arc's cell edges come from
-    # linspace, so its chord polyline starts and ends exactly on the leg
-    # corners and the sampled loop closes
-    assert (np.arange(arc_segments + 1) * (HALF_PI / arc_segments))[-1] != HALF_PI
-    edges, chords = [], []
-
-    def recording_phi_terms(rho, c, s, w):
-        out = _phi_terms(rho, c, s, w)
-        if len(c) == arc_segments + 1:
-            edges.append(np.array(out).T)
-        return out
-
-    def recording_pair_sum(*args):
-        chords.append(args[1].copy())
-        return _pair_sum(*args)
-
-    monkeypatch.setattr(topology, "_phi_terms", recording_phi_terms)
-    monkeypatch.setattr(topology, "_pair_sum", recording_pair_sum)
+    # the arc is one phi evaluation on linspace's 2n + 1 angles: the odd
+    # ones are the midpoints (k + 1/2) (pi/2 / n) bit for bit, and the end
+    # edges are exactly 0 and pi/2, where k * (pi/2 / n) misses pi/2 at n =
+    # 25, 41 and 50, so the chord polyline starts and ends exactly on the
+    # axes, the legs run from and to those ends, and the sampled loop
+    # closes; 173 is certify's arc at (1, 2) and 4096 segments
+    misses = (np.arange(arc_segments + 1) * (HALF_PI / arc_segments))[-1] != HALF_PI
+    assert misses == (arc_segments != 173)
     for loop_variant, disc_variant, _ in MATCHED:
         tube = make_tube(a, b, disc_variant)
         loop = BoundaryLoop(loop_variant, tube.m)
         sizes = range(MIN_SEGMENTS, 1 << 16)
         n = next(n for n in sizes if math.ceil(n * HALF_PI / loop.t_max) == arc_segments)
-        result = gauss_linking(loop, tube.disc, n, MIN_SEGMENTS)
+        result, phis, pairs, legs = record_linking(monkeypatch, loop, tube.disc, n, MIN_SEGMENTS)
         assert result.arc_segments == arc_segments
-        vertices = edges.pop()
-        corners = _loop_corners(loop)
-        assert vertices[0].tolist() == corners[1].tolist()
-        assert vertices[-1].tolist() == corners[2].tolist()
-        assert chords.pop().tolist() == np.diff(vertices, axis=0).tolist()
+        [arc] = phis
+        assert arc.shape == (3, 2 * arc_segments + 1)
+        theta = (np.arange(arc_segments) + 0.5) * (HALF_PI / arc_segments)
+        if loop_variant == "alpha1":
+            theta = HALF_PI - theta
+        midpoints = np.array(_phi_terms(loop.m, *_trig_vec(theta)))
+        assert arc[:, 1::2].tobytes() == midpoints.tobytes()
+        vertices = arc[:, ::2].T
+        origin, x_end, z_end = [0.0, 0.0, 0.0], [loop.m, 0.0, 0.0], [0.0, 0.0, loop.m]
+        first, last = (z_end, x_end) if loop_variant == "alpha1" else (x_end, z_end)
+        assert vertices[0].tolist() == first and vertices[-1].tolist() == last
+        assert legs == [(origin, first), (last, origin)]
+        [(pts, chords, _, _)] = pairs
+        assert pts.tobytes() == midpoints.T.tobytes()
+        assert chords.tolist() == np.diff(vertices, axis=0).tolist()
 
 
 def test_pair_sum_runs_at_unit_scale(monkeypatch):
@@ -770,17 +785,26 @@ def test_linking_sums_are_the_same_bits_on_either_sample_layout(a, b, monkeypatc
         assert all(v.T.flags.c_contiguous and not v.flags.c_contiguous for v in coordinate_major)
         return row_major, coordinate_major
 
+    def every_other_column(v):
+        # as the arc's midpoints are made: the odd columns of one 3 x 2n array
+        out = np.zeros((3, 2 * len(v)))
+        out[:, 1::2] = v.T
+        return out[:, 1::2].T
+
     for args in arc_inputs(monkeypatch, a, b, 4096):
         row_major, coordinate_major = layouts(*args)
-        assert _pair_sum(*row_major) == _pair_sum(*coordinate_major)
+        want = _pair_sum(*row_major)
+        assert _pair_sum(*coordinate_major) == want
+        assert _pair_sum(*map(every_other_column, args)) == want
     for loop_variant, disc_variant, _ in MATCHED:
         tube = make_tube(a, b, disc_variant)
-        corners = _loop_corners(BoundaryLoop(loop_variant, tube.m))
+        origin, x_end, z_end = np.zeros(3), np.array([tube.m, 0.0, 0.0]), np.array([0.0, 0.0, tube.m])
+        first, last = (z_end, x_end) if loop_variant == "alpha1" else (x_end, z_end)
         samples = _circle_samples(tube.disc, 4096)
         # as made: each coordinate a unit-stride row (d2's rows in reverse order)
         assert all(v.strides[0] == v.itemsize for v in samples)
         row_major, coordinate_major = layouts(*samples)
-        for p0, p1 in (corners[:2], corners[2:]):
+        for p0, p1 in ((origin, first), (last, origin)):
             want = [v.tobytes() for v in _leg_integrals(p0, p1, *row_major)]
             for layout in (samples, coordinate_major):
                 assert [v.tobytes() for v in _leg_integrals(p0, p1, *layout)] == want
