@@ -4,7 +4,8 @@ polynomial map of the plane whose image is the open quadrant.
 The package splits into five working layers: exact sparse polynomial
 arithmetic (polynomial), the factor maps and charts as floating-point
 evaluators (maps), warped discs, boundary loops and their certificates
-(topology), the level-curve preimage solver (solver), and seeded random
+(topology, with the outward-rounded intervals of interval), the
+level-curve preimage solver (solver), and seeded random
 verification sweeps (sampler). The command line in cli ties them
 together. The package itself exports the preimage solver and the
 theorem map with its evaluators; everything else is imported from its

@@ -2,7 +2,8 @@
 
 Five subcommands: expand (exact expansions and the composition verdict),
 preimage (level-curve solver for one target), certify (the closed-form
-transversality certificate and the two linking sums for one disc scale),
+transversality certificate and the two exact linking counts for one disc
+scale),
 sample (the positivity sweep) and identities (the remaining verification
 sweeps). Every subcommand takes --format text|json; JSON documents share
 the layout
@@ -26,7 +27,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 import numpy as np
@@ -56,16 +56,16 @@ from .topology import (
     ALPHA1_D1_SIGN,
     ALPHA2_D2_SIGN,
     MIN_SEGMENTS,
+    QUADRIC_TOL,
     BoundaryLoop,
     DegenerateGeometryError,
     _circle,
     _loop_points,
     gauss_linking,
     make_tube,
+    quadric_residual,
     transversality_exact,
 )
-
-_LINKING_TOL = 0.01
 
 
 class _UsageError(Exception):
@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--A", required=True, type=float, help="disc radius")
     p_cert.add_argument("--B", required=True, type=float, help="height scale")
     p_cert.add_argument(
-        "--segments", type=int, default=4096, help="quadrature segments per curve"
+        "--segments", type=int, default=4096, help="polygon segments per curve"
     )
     p_cert.add_argument(
         "--dump-points", metavar="FILE", default=None, help="write sampled curves as CSV"
@@ -223,7 +223,7 @@ def _dump_certify_points(path: str, loops, tubes, segments: int) -> None:
         curves.append((loop.variant, t, _loop_points(loop, t)))
     for tube in tubes:
         s = np.arange(segments) * (math.tau / segments)
-        curves.append((f"{tube.disc.variant}_boundary", s, _circle(tube.disc, s)[0]))
+        curves.append((f"{tube.disc.variant}_boundary", s, _circle(tube.disc, s)))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("curve,param,x,y,z\n")
         for name, params, points in curves:
@@ -235,11 +235,13 @@ def _dump_certify_points(path: str, loops, tubes, segments: int) -> None:
 _PAIRS = (("alpha1", "d1", ALPHA1_D1_SIGN), ("alpha2", "d2", ALPHA2_D2_SIGN))
 
 
-def _linking_sum(args, *sum_args):
-    """One linking sum of certify, its failures as usage errors: degenerate
-    geometry, and a segment count whose arrays cannot be allocated."""
+def _linking_count(args, loop, disc):
+    """One pair's linking count and its circle's quadric residual, their
+    failures as usage errors: geometry the count cannot certify, and a
+    segment count whose arrays cannot be allocated."""
     try:
-        return gauss_linking(*sum_args)
+        link = gauss_linking(loop, disc, args.segments, args.segments)
+        return link, quadric_residual(disc, args.segments)
     except DegenerateGeometryError as exc:
         raise _UsageError(f"no linking certificate at A={args.A!r}, B={args.B!r}: {exc}")
     except MemoryError:
@@ -250,44 +252,46 @@ def _run_certify(args) -> tuple[dict, int, list[str]]:
     if args.segments < MIN_SEGMENTS:
         raise _UsageError(f"--segments must be at least {MIN_SEGMENTS}, got {args.segments}")
     try:
-        threads = thread_count()  # a bad QUADRANT_ATLAS_THREADS exits 2 before any work
         tubes = [make_tube(args.A, args.B, disc_name) for _, disc_name, _ in _PAIRS]
     except ValueError as exc:
         raise _UsageError(str(exc))
     loops = [BoundaryLoop(loop_name, tube.m) for (loop_name, _, _), tube in zip(_PAIRS, tubes)]
 
     crossings = [transversality_exact(loop, tube) for loop, tube in zip(loops, tubes)]
-    sums = [(loop, tube.disc, args.segments, args.segments) for loop, tube in zip(loops, tubes)]
-    # pair 2's sum runs on a worker while this thread runs pair 1's; when
-    # both fail, pair 1's error is the one reported
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            second = pool.submit(_linking_sum, args, *sums[1])
-            links = [_linking_sum(args, *sums[0]), second.result()]
-    else:
-        links = [_linking_sum(args, *pair) for pair in sums]
+    # a pair whose crossing check failed fails whatever its count, so it gets none
+    counts = [
+        _linking_count(args, loop, tube.disc) if trans.ok else (None, None)
+        for loop, tube, trans in zip(loops, tubes, crossings)
+    ]
 
     passed = True
     pairs, pair_lines = [], []
-    for (loop_name, disc_name, sign), trans, link in zip(_PAIRS, crossings, links):
-        passed = passed and trans.ok and abs(link.value - sign) <= _LINKING_TOL
-        fields = list(dataclasses.asdict(link).items())
+    for (loop_name, disc_name, sign), trans, (link, residual) in zip(_PAIRS, crossings, counts):
+        [(lo, hi)] = trans.hit_intervals
+        name = f"{loop_name}/{disc_name}"
+        pair_lines.append(
+            f"{name}: transversality {'ok' if trans.ok else 'FAILED'}, "
+            f"hit interval ({lo:.6g}, {hi:.6g})"
+        )
+        passed = passed and link is not None and link.rounded == sign and residual <= QUADRIC_TOL
+        if link is not None:
+            pair_lines.append(
+                f"{name}: linking number {link.rounded:+d} (expected {sign:+d}) from "
+                f"{link.crossings} crossings, boxes {link.closest_approach:.3g} apart, "
+                f"circle off its quadrics by {residual:.3g}"
+            )
+            fields = list(dataclasses.asdict(link).items())
+            # the expected linking number right after the rounded one
+            link = dict([*fields[:2], ("expected", sign), *fields[2:]])
         pairs.append(
             {
                 "loop": loop_name,
                 "disc": disc_name,
                 "transversality": dataclasses.asdict(trans),
-                # the expected linking number right after the rounded one
-                "linking": dict([*fields[:2], ("expected", sign), *fields[2:]]),
+                "linking": link,
+                "quadric_residual": residual,
             }
         )
-        [(lo, hi)] = trans.hit_intervals
-        name = f"{loop_name}/{disc_name}"
-        pair_lines += [
-            f"{name}: transversality {'ok' if trans.ok else 'FAILED'}, "
-            f"hit interval ({lo:.6g}, {hi:.6g})",
-            f"{name}: linking {link.value:+.6f} rounds to {link.rounded:+d} (expected {sign:+d})",
-        ]
 
     if args.dump_points is not None:
         try:

@@ -1,11 +1,9 @@
-"""Thread-count resolution for the threaded code: the sampler's sweeps and
-certify's two linking sums, which run at the same time above one thread.
+"""Thread-count resolution for the threaded code: the sampler's sweeps.
 
 Parallel code in this package must partition work into fixed chunks whose
-results combine by order-independent reductions, or run whole jobs on
-other threads, so the thread count never changes any output bit. The env
-var QUADRANT_ATLAS_THREADS caps the sweeps' pool and decides whether
-certify overlaps its linking sums.
+results combine by order-independent reductions, so the thread count never
+changes any output bit. The env var QUADRANT_ATLAS_THREADS caps the sweeps'
+pool; certify starts no thread and does not read it.
 """
 
 from __future__ import annotations

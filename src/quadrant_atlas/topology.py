@@ -14,29 +14,17 @@ Each boundary loop is two straight legs along coordinate axes (phi is rho
 times an axis on both strip edges) joined by an arc at rho = m. The loop
 arrays are built one segment at a time: an ascending parameter array is
 split at m and m + pi/2 by binary search, the legs are written in closed
-form, and only the arc goes through phi. The linking sum builds its loop
-from one phi evaluation of the arc, whose end points are the legs' corners.
+form, and only the arc goes through phi.
 
-Curve samples are coordinate-major: each n x 3 array of points, tangents
-or chords made here is the transpose of a 3 x n array, or of every other
-column of one, so a coordinate is one row. Every function here gives the
-same bits on any of these layouts and on row-major arrays.
-
-gauss_linking computes the classical double-integral linking number of a
-boundary loop with a disc boundary circle. Its value for a matched pair
-certifies, up to sign, that the loop generates the fundamental group of the
-circle's complement. Against a fixed circle sample the integrand along a
-straight leg has the closed-form finite-wire antiderivative, so the legs
-are integrated exactly, once per circle sample. Only the arc goes through
-the midpoint double sum. It is sampled in its own strip angle theta at
-rho = m, so its samples stay strictly inside the strip at any scale, and
-its cells' chords serve as its tangents. The sum runs on both sample sets
-scaled by a power of two to unit size, and evaluates the numerator
-det(p1 - p2, t1, t2) by the triple-product identity
-(p1 x t1) . t2 - t1 . (t2 x p2), as matrix products over tiles sized by a
-fixed element count rather than a row count, so memory stays bounded for
-any segment count; squared distances are kept as explicit coordinate
-differences, which stay exact enough for the near-contact guard.
+gauss_linking decides the linking number of a boundary loop with a disc
+boundary circle, which for a matched pair certifies, up to sign, that the
+loop generates the fundamental group of the circle's complement. For two
+closed polygons the Gauss integral is their signed crossing count in any
+regular view (Banchoff, Indiana Univ. Math. J. 25, 1976); each orientation
+goes through a float filter with a stated error bound, and what it cannot
+decide through Fractions. Cell boxes from the Interval type carry the count
+from the polygons to the curves. The tests hold the midpoint quadrature it
+replaced as a cross-check.
 """
 
 from __future__ import annotations
@@ -48,6 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .interval import Interval, down, up
 from .maps import HALF_PI, _phi_terms, _trig_vec, _xi_terms, _zeta_terms
 
 # Orientation regression constants: the loop and circle orientations below
@@ -57,18 +46,25 @@ from .maps import HALF_PI, _phi_terms, _trig_vec, _xi_terms, _zeta_terms
 ALPHA1_D1_SIGN = 1
 ALPHA2_D2_SIGN = -1
 
-# least curve samples of a linking sum
+# least polygon segments of a linking count
 MIN_SEGMENTS = 256
 
-# least distance between the two curves of a linking sum, relative to the
-# disc radius a, which is the circle's distance from the loop's axis legs
-_PROXIMITY_LIMIT = 1e-9
-_TILE_ELEMENTS = 1 << 16
+# largest residual of a linking circle's vertices on their disc's quadrics,
+# each relative to 1: 32 units of roundoff
+QUADRIC_TOL = 2.0**-48
+
+# least arc cells of a linking loop: at 4096 segments the arc has one cell
+# at (1, 1000), and that cell's box meets the circle's
+_MIN_ARC_CELLS = 4
+
+# the crossing count's view direction
+_VIEW = (1, 2, 3)
 
 
 class DegenerateGeometryError(RuntimeError):
-    """Raised when the two curves of a linking integral nearly touch, or when
-    their sum is not finite: the coordinates overflow or their squares underflow."""
+    """Raised when a linking count cannot be certified: a polygon vertex is
+    not finite, a loop cell's box meets a circle cell's, or the count's view
+    is not regular."""
 
 
 @dataclass(frozen=True)
@@ -99,10 +95,11 @@ class TubeSpec:
     m: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.epsilon, self.m0, self.m)):
+        # the loop's arc phi(m, theta) has a term in m^2
+        if not all(math.isfinite(v) for v in (self.epsilon, self.m0, self.m * self.m)):
             raise ValueError(
                 f"tube constants overflow at a={self.disc.a}, b={self.disc.b}: "
-                f"m0={self.m0}, m={self.m}, epsilon={self.epsilon}"
+                f"m0={self.m0}, m={self.m}, m^2={self.m * self.m}, epsilon={self.epsilon}"
             )
         # below a normal b^2, the disc's axis height sqrt(b^2) need not be b
         b = self.disc.b
@@ -141,10 +138,10 @@ class BoundaryLoop:
 
 @dataclass(frozen=True)
 class LinkingResult:
-    """loop_segments is the requested loop resolution; arc_segments is the
-    number of arc midpoints that went through the double sum (the legs are
-    exact), and closest_approach the least distance between the circle
-    samples and the loop (legs exactly, arc at its midpoints)."""
+    """value is the exact linking number as a float, rounded the same integer;
+    loop_segments is the requested loop resolution, arc_segments the number
+    of arc cells, closest_approach the least gap between a loop cell's box
+    and a circle cell's, and crossings the number of projected crossings."""
 
     value: float
     rounded: int
@@ -152,6 +149,7 @@ class LinkingResult:
     circle_segments: int
     arc_segments: int
     closest_approach: float
+    crossings: int
 
 
 @dataclass(frozen=True)
@@ -183,22 +181,29 @@ def make_tube(a: float, b: float, variant: str) -> TubeSpec:
 # Curves on arrays of parameters.
 
 
-def _circle(spec: WarpedDiscSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Disc boundary points at angles s and their s-derivatives.
+def _circle(spec: WarpedDiscSpec, s: np.ndarray) -> np.ndarray:
+    """Disc boundary points at angles s, n x 3.
 
     d1: (a cos s, a sin s, xi(a sin s)) = (a cos s, a sin s,
     sqrt(b^2 - a^2 sin^2 s)), the disc's own height at its rim, which lies
     on both quadrics x^2+y^2 = a^2 and y^2+z^2 = b^2; d2 swaps x and z.
     """
     a, b = spec.a, spec.b
-    c, sn = np.cos(s), np.sin(s)
-    w = _xi_terms(a * sn, b)
-    dw = np.where(w > 0.0, -a * a * sn * c / np.where(w > 0.0, w, 1.0), 0.0)
-    pts = np.array([a * c, a * sn, w]).T
-    tan = np.array([-a * sn, a * c, dw]).T
+    y = a * np.sin(s)
+    pts = np.array([a * np.cos(s), y, _xi_terms(y, b)])
+    return (pts[::-1] if spec.variant == "d2" else pts).T
+
+
+def quadric_residual(spec: WarpedDiscSpec, n: int) -> float:
+    """The largest residual of the linking circle's n vertices on the disc's
+    two quadrics, x^2 + y^2 = a^2 and y^2 + z^2 = b^2 (x and z swapped for
+    d2), each written scale-free, as (x/a)^2 + (y/a)^2 - 1, so that it holds
+    where a^2 underflows. Certify needs it at most QUADRIC_TOL."""
+    x, y, z = _circle(spec, np.arange(n) * (2.0 * math.pi / n)).T
     if spec.variant == "d2":
-        pts, tan = pts[:, ::-1], tan[:, ::-1]
-    return pts, tan
+        x, z = z, x
+    (xa, ya), (yb, zb) = (x / spec.a, y / spec.a), (y / spec.b, z / spec.b)
+    return float(np.max(np.abs([xa * xa + ya * ya - 1.0, yb * yb + zb * zb - 1.0])))
 
 
 def _loop_points(loop: BoundaryLoop, t: np.ndarray) -> np.ndarray:
@@ -237,10 +242,12 @@ def transversality_exact(loop: BoundaryLoop, tube: TubeSpec) -> TransversalityRe
       outside |q3| < epsilon, and the hit starts after the origin;
     * m0^2 > a^2 + b^2: m0 strictly dominates the disc's sup norm;
     * m^2 / 4 > (a + epsilon)^2 + (b + epsilon)^2: every tube point has a
-      norm below the right side's root, and the arc has norm at least m/2
-      (criterion 5, which the identities sweep checks), so the arc never
-      enters the tube. It also gives m > 2 (b + epsilon), so the hit ends
-      before the first leg does.
+      norm below the right side's root, and the arc has norm above m/2
+      (criterion 5 at rho = m, proved here in intervals on four cells of
+      the arc), so the arc never enters the tube. It also gives
+      m > 2 (b + epsilon), so the hit ends before the first leg does.
+
+    Nothing in the verdict is sampled.
     """
     a, b, eps = tube.disc.a, tube.disc.b, tube.epsilon
     first, _ = _ORIENTATION[loop.variant]
@@ -254,6 +261,7 @@ def transversality_exact(loop: BoundaryLoop, tube: TubeSpec) -> TransversalityRe
         and 0 < fe < min(fb, m0 - fb)
         and m0 * m0 > fa * fa + fb * fb
         and m * m / 4 > (fa + fe) ** 2 + (fb + fe) ** 2
+        and _arc_clears_tube(loop.m)
     )
     return TransversalityReport(
         ok=ok,
@@ -265,111 +273,165 @@ def transversality_exact(loop: BoundaryLoop, tube: TubeSpec) -> TransversalityRe
 
 
 # ---------------------------------------------------------------------------
-# Gauss linking number.
+# Linking number.
 
 
-def _circle_samples(spec: WarpedDiscSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint samples of the disc boundary and its s-derivative."""
-    return _circle(spec, (np.arange(n) + 0.5) * (2.0 * math.pi / n))
+def _cells(v: np.ndarray) -> Interval:
+    """A function monotone on each cell, enclosed from its values at the edges."""
+    return Interval(down(np.minimum(v[:-1], v[1:])), up(np.maximum(v[:-1], v[1:])))
 
 
-def _pair_sum(
-    pts1: np.ndarray, tan1: np.ndarray, pts2: np.ndarray, tan2: np.ndarray
-) -> tuple[float, float]:
-    """Unscaled sum of det(p1 - p2, t1, t2) / |p1 - p2|^3 over all sample
-    pairs, and the least distance between the two sample sets; t1 is a
-    tangent or, for the loop's arc, a chord.
+def _arc_boxes(m: float, trig) -> tuple[Interval, Interval, Interval]:
+    """phi(m, theta) over the cells between consecutive strip angles, on
+    intervals; trig is _trig_vec at the angles, exact at 0 and pi/2, and
+    cos and sin are monotone in between."""
+    c, s = _cells(trig[0]), _cells(trig[1])
+    return _phi_terms(Interval(m), c, s, (c * s).sqrt())
 
-    Scaling points and tangents together leaves the integrand unchanged,
-    so the sum runs on both sets times 2^-e, e the binary exponent of their
-    largest |coordinate|: far pairs' cubed distances stay finite, and the
-    power of two changes no rounding that stays in the normal range. The
-    least distance is scaled back.
 
-    With a = pts1 x tan1 and b = tan2 x pts2 formed once per call, a tile's
-    numerators are two (rows x 3) @ (3 x cols) matrix products. The pair
-    grid is cut into tiles of at most _TILE_ELEMENTS pairs, so the
-    temporaries of one tile fit in cache and memory does not grow with the
-    sample counts; tile sums are combined with fsum in index order. The sum
-    is NaN when a tile sum is not finite.
+def _arc_clears_tube(m: float) -> bool:
+    """Criterion 5 at rho = m: ||phi(m, theta)||^2 > m^2/4 on all of
+    [0, pi/2], proved on 4 cells."""
+    norm2 = Interval(0.0)
+    with np.errstate(over="ignore"):
+        for p in _arc_boxes(m, _trig_vec(np.linspace(0.0, HALF_PI, 5))):
+            least = Interval(np.maximum(np.maximum(p.lo, -p.hi), 0.0))
+            norm2 = norm2 + least * least
+        return bool(np.all(norm2.lo > (Interval(m) * m * 0.25).hi))
+
+
+def _circle_boxes(spec: WarpedDiscSpec, s: np.ndarray, pts: np.ndarray):
+    """Boxes (lo, hi), 3 x n, around the disc boundary's cells between the
+    angles s, the last closing at 2 pi, and the chords of its closed polygon
+    pts. cos and sin are monotone between quarter turns; a cell that holds
+    one takes the extreme there. The height goes through intervals: b^2 -
+    y^2 rounds by ulps of b^2, not of the height."""
+    a, b = spec.a, spec.b
+    ends = np.append(s, 2.0 * math.pi)
+    cos, sin = _cells(np.append(np.cos(s), 1.0)), _cells(np.append(np.sin(s), 0.0))
+    for k, bound, extreme in ((1, sin.hi, 1.0), (2, cos.lo, -1.0), (3, sin.lo, -1.0)):
+        # the cells that hold k pi/2, to a few ulps
+        q = k * HALF_PI
+        bound[(ends[:-1] <= q * (1.0 + 2.0**-50)) & (ends[1:] >= q * (1.0 - 2.0**-50))] = extreme
+    y = a * sin
+    y2, b2 = y * y, Interval(b) * b
+    z = (b2 - Interval(np.minimum(y2.lo, b2.lo), np.minimum(y2.hi, b2.hi))).sqrt()
+    box = [a * cos, y, z][:: -1 if spec.variant == "d2" else 1]
+    box = [v.hull(p[:-1], p[1:]) for v, p in zip(box, pts.T)]
+    return np.array([v.lo for v in box]), np.array([v.hi for v in box])
+
+
+def _least_gap(lo1, hi1, lo2, hi2) -> float:
+    """The least gap between a box of the first set and one of the second
+    (3 x n bounds); raises DegenerateGeometryError when two boxes meet. A
+    box's gap to the second set's hull bounds its gaps to that set, so boxes
+    go nearest the hull first, until none is nearer than the least gap."""
+    near = _box_gaps(lo1, hi1, lo2.min(axis=1)[:, None], hi2.max(axis=1)[:, None])
+    best = math.inf
+    for i in np.argsort(near, kind="stable"):
+        if near[i] >= best > 0.0:
+            break
+        best = min(best, float(np.min(_box_gaps(lo1[:, i, None], hi1[:, i, None], lo2, hi2))))
+    if not best > 0.0:
+        raise DegenerateGeometryError("a loop cell's box meets a circle cell's box")
+    return best
+
+
+def _box_gaps(lo1, hi1, lo2, hi2) -> np.ndarray:
+    """Euclidean gaps between broadcast boxes, rounded down (hypot within an
+    ulp); 0 where two boxes meet, at least 5e-324 where they do not."""
+    sep = np.maximum(lo2 - hi1, lo1 - hi2)
+    gx, gy, gz = np.maximum(down(sep), 0.0)
+    gap = down(down(np.hypot(np.hypot(gx, gy), gz)))
+    return np.where(np.any(sep > 0.0, axis=0), np.maximum(gap, 5e-324), 0.0)
+
+
+def _orientations(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Signs of det(_VIEW, b - a, c - a) for rows of n x 3 doubles: the side
+    of the projected line through a and b that c projects to.
+
+    A float filter evaluates it twice, also as det(_VIEW, a - c, b - c),
+    whose terms are small where c is near a or b and the first form's
+    cancel, and decides a row when either value exceeds 2^-50 P + 2^-1060,
+    P its permanent (products by magnitude). A term takes at most seven
+    roundings (two differences, a product, a difference, the factor of
+    _VIEW, two sums), so the error is below gamma_7 P / (1 - gamma_7) <
+    8 eps P, eps = 2^-53; 2^-1060 covers products rounded in the subnormal
+    range. Other rows, overflowed ones too, are redone exactly in Fractions.
     """
-    n1, n2 = pts1.shape[0], pts2.shape[0]
-    e = math.frexp(max(float(np.max(np.abs(v))) for v in (pts1, tan1, pts2, tan2)))[1]
-    pts1, tan1, pts2, tan2 = (np.ldexp(v, -e) for v in (pts1, tan1, pts2, tan2))
-    a = np.cross(pts1, tan1)
-    # unit-stride copies: the tile loop below runs about 20% faster on them
-    b_t = np.cross(tan2, pts2).T.copy()
-    tan2_t = tan2.T.copy()
-    x1, y1, z1 = pts1.T.copy()
-    x2, y2, z2 = pts2.T.copy()
-    cols = min(n2, _TILE_ELEMENTS)
-    rows = max(1, _TILE_ELEMENTS // cols)
-    # three tile buffers reused by every tile: allocating fresh ones per
-    # tile goes through mmap and page faults and costs more than the
-    # arithmetic
-    buffers = np.empty((3, rows, cols))
-    sums = []
-    closest2 = math.inf
-    for i0 in range(0, n1, rows):
-        i = slice(i0, min(i0 + rows, n1))
-        for j0 in range(0, n2, cols):
-            j = slice(j0, min(j0 + cols, n2))
-            numer, dist2, tmp = buffers[:, : i.stop - i.start, : j.stop - j.start]
-            np.matmul(a[i], tan2_t[:, j], out=numer)
-            numer -= np.matmul(tan1[i], b_t[:, j], out=tmp)
-            np.square(np.subtract(x1[i, None], x2[j], out=dist2), out=dist2)
-            dist2 += np.square(np.subtract(y1[i, None], y2[j], out=tmp), out=tmp)
-            dist2 += np.square(np.subtract(z1[i, None], z2[j], out=tmp), out=tmp)
-            closest2 = min(closest2, float(np.min(dist2)))
-            dist2 *= np.sqrt(dist2, out=tmp)
-            # a degenerate pair divides by ~0 here; the caller raises before
-            # the polluted sum can be used, so silence the transient warning
-            with np.errstate(divide="ignore", invalid="ignore"):
-                numer /= dist2
-            sums.append(float(np.sum(numer)))
-    total = math.fsum(sums) if all(math.isfinite(v) for v in sums) else math.nan
-    # sqrt is monotone, so the root of the least square is the least distance
-    return total, math.ldexp(math.sqrt(closest2), e)
+    signs = np.zeros(len(a))
+    view = np.array(_VIEW, dtype=float)[:, None]
+    for u, v in (((b - a).T, (c - a).T), ((a - c).T, (b - c).T)):
+        left = np.array([u[1] * v[2], u[2] * v[0], u[0] * v[1]])
+        right = np.array([u[2] * v[1], u[0] * v[2], u[1] * v[0]])
+        det = (view * (left - right)).sum(axis=0)
+        perm = (view * (np.abs(left) + np.abs(right))).sum(axis=0)
+        signs = np.where(np.abs(det) > 2.0**-50 * perm + 2.0**-1060, np.sign(det), signs)
+    signs = signs.astype(int)
+    for k in np.flatnonzero(signs == 0):
+        signs[k] = _det_sign(_VIEW, _minus(b[k], a[k]), _minus(c[k], a[k]))
+    return signs
 
 
-def _leg_integrals(
-    p0: np.ndarray, p1: np.ndarray, pts2: np.ndarray, tan2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact integral of det(p - q, dp, t) / |p - q|^3 along the straight
-    segment p0 -> p1 for each circle sample (q, t), and the distance from
-    each sample to the segment.
+def _minus(p: np.ndarray, q: np.ndarray) -> list[Fraction]:
+    return [Fraction(x) - Fraction(y) for x, y in zip(p.tolist(), q.tolist())]
 
-    With e the unit direction and L the length, the numerator det(p0 - q,
-    e, t) is constant along the segment. With tau = e . (q - p0), delta the
-    distance from q to the segment's line, u0 = -tau, u1 = L - tau and
-    r_i = sqrt(u_i^2 + delta^2), the integral of |p - q|^-3 is the
-    finite-wire (Biot-Savart) form (u1/r1 - u0/r0) / delta^2. When u0 and
-    u1 have the same sign, the sample lies beyond an end of the segment and
-    that difference cancels, so the equal form
-    (u1 - u0)(u1 + u0) / ((u1 r0 + u0 r1) r0 r1) is used instead.
+
+def _det_sign(r0, r1, r2) -> int:
+    """Sign of the determinant of three exact rows."""
+    det = sum(r0[i] * (r1[i - 2] * r2[i - 1] - r1[i - 1] * r2[i - 2]) for i in range(3))
+    return (det > 0) - (det < 0)
+
+
+def _projected_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Boxes (lo, hi), 2 x n, around a polygon's edges projected along _VIEW
+    by (3y - 2z, 2x - y), in intervals."""
+    x, y, z = map(Interval, np.minimum(pts[:-1], pts[1:]).T, np.maximum(pts[:-1], pts[1:]).T)
+    u, v = 3.0 * y - 2.0 * z, 2.0 * x - y
+    return np.array([u.lo, v.lo]), np.array([u.hi, v.hi])
+
+
+def _crossings(loop: np.ndarray, circle: np.ndarray) -> tuple[int, int]:
+    """The signed count of the crossings of two closed polygons ((n + 1) x 3,
+    last vertex first) viewed along _VIEW with the loop on top, and the
+    number of crossings either way. Only edges whose projected boxes meet
+    are compared.
+
+    Where loop edge P0 P1 crosses circle edge Q0 Q1 the loop's point is the
+    circle's plus lambda _VIEW, lambda det(_VIEW, t1, t2) = det(P0 - Q0, t1,
+    t2) with t1 = P1 - P0, t2 = Q1 - Q0. It counts when lambda > 0, with
+    the sign of det(_VIEW, t1, t2), Q1's orientation to P0 P1. The sum is
+    the Gauss integral, loop tangent first. Raises DegenerateGeometryError
+    when the view is not regular: a vertex projects onto an edge of the
+    other polygon, or two edges cross at one height.
     """
-    span = p1 - p0
-    length = math.hypot(*span.tolist())
-    e0, e1, e2 = (span / length).tolist()
-    # coordinate rows of w = p0 - q and of t
-    w0, w1, w2 = p0[:, None] - pts2.T
-    t0, t1, t2 = tan2.T
-    tau = -(w0 * e0 + w1 * e1 + w2 * e2)
-    # w's part across e; on a coordinate axis the part along e cancels exactly
-    v0, v1, v2 = w0 + tau * e0, w1 + tau * e1, w2 + tau * e2
-    delta2 = v0 * v0 + v1 * v1 + v2 * v2
-    u0, u1 = -tau, length - tau
-    r0, r1 = np.sqrt(u0 * u0 + delta2), np.sqrt(u1 * u1 + delta2)
-    # det(w, e, t) as (w x e) . t
-    numer = (w1 * e2 - w2 * e1) * t0 + (w2 * e0 - w0 * e2) * t1 + (w0 * e1 - w1 * e0) * t2
-    beyond = u0 * u1 > 0.0
-    # both forms are evaluated everywhere; the one not selected may divide
-    # by zero, and an overflow shows up as a non-finite total
-    with np.errstate(all="ignore"):
-        across = (u1 / r1 - u0 / r0) / delta2
-        outside = (u1 - u0) / r0 * ((u1 + u0) / r1) / (u1 * r0 + u0 * r1)
-        gap = np.clip(tau, 0.0, length) - tau
-        return numer * np.where(beyond, outside, across), np.sqrt(delta2 + gap * gap)
+    # scaling up by a power of two is exact; at |coordinates| up to 2^500,
+    # products stay finite and small ones clear of the slow subnormal range
+    k = max(0, 500 - math.frexp(max(float(np.max(np.abs(v))) for v in (loop, circle)))[1])
+    loop, circle = np.ldexp(loop, k), np.ldexp(circle, k)
+    (llo, lhi), (clo, chi) = _projected_edges(loop), _projected_edges(circle)
+    hull = (llo <= chi.max(axis=1)[:, None]) & (lhi >= clo.min(axis=1)[:, None])
+    near = np.flatnonzero(np.all(hull, axis=0))
+    meet = (llo[:, near, None] <= chi[:, None]) & (lhi[:, near, None] >= clo[:, None])
+    i, j = np.nonzero(np.all(meet, axis=0))
+    p0, p1, q0, q1 = loop[near[i]], loop[near[i] + 1], circle[j], circle[j + 1]
+    # the circle edge's ends against the loop edge, then, where they part or
+    # touch its line, the loop edge's ends against the circle edge
+    o = _orientations(np.vstack([p0, p0]), np.vstack([p1, p1]), np.vstack([q0, q1])).reshape(2, -1)
+    part = np.flatnonzero((o[0] != o[1]) | (o[0] == 0))
+    p0, p1, q0, q1, o = p0[part], p1[part], q0[part], q1[part], o[:, part]
+    ends = _orientations(np.vstack([q0, q0]), np.vstack([q1, q1]), np.vstack([p0, p1]))
+    o = np.vstack([o, ends.reshape(2, -1)])
+    if not o.all():
+        raise DegenerateGeometryError("a vertex of one polygon projects onto an edge of the other")
+    crossing = np.flatnonzero(o[2] != o[3])
+    total = 0
+    for k in crossing:
+        height = _det_sign(_minus(p0[k], q0[k]), _minus(p1[k], p0[k]), _minus(q1[k], q0[k]))
+        if height == 0:
+            raise DegenerateGeometryError("a loop edge and a circle edge cross at one height")
+        total += int(o[1, k]) if height == o[1, k] else 0
+    return total, int(crossing.size)
 
 
 def gauss_linking(
@@ -378,68 +440,48 @@ def gauss_linking(
     loop_segments: int,
     circle_segments: int,
 ) -> LinkingResult:
-    """Linking number of the loop with the disc boundary circle.
+    """Linking number of the loop with the disc boundary circle: the exact
+    crossing count of two polygons, carried to the curves by cell boxes.
 
-    The circle is sampled at circle_segments midpoints. The arc at rho = m
-    is sampled in its own angle: one phi evaluation on the 2n + 1 angles of
-    [0, pi/2], n = ceil(loop_segments * (pi/2) / t_max), gives the n
-    midpoints theta_k = (k + 1/2) (pi/2) / n and the n + 1 cell edges
-    between them, so its cells are no wider than those of loop_segments
-    cells over the whole loop; alpha1 runs them down, as pi/2 - theta.
-    The arc's points are phi(m, theta_k) and its tangents the chords of
-    their cells; they go through the midpoint double sum. The end edges
-    are exactly 0 and pi/2, where phi is m times an axis, so the loop's two
-    straight legs, from the origin to the first edge and from the last edge
-    back, lie on the axes; they are integrated exactly against each circle
-    sample (_leg_integrals). For the matched pairs (alpha1, d1) and
-    (alpha2, d2) the rounded value is +/-1, with signs pinned by
-    ALPHA1_D1_SIGN and ALPHA2_D2_SIGN.
+    The loop polygon is the origin, phi(m, theta) on theta = linspace(0,
+    pi/2, n + 1) (alpha1 runs it down, as pi/2 - theta), n = max(4,
+    ceil(loop_segments (pi/2) / t_max)), and the origin again; phi at exactly
+    0 and pi/2 is m times an axis, so its legs are the loop's own. The circle
+    polygon is the disc boundary at circle_segments equally spaced angles.
+    Each arc cell's box holds phi over the cell and its chord, each circle
+    cell's box the boundary over the cell and its chord, and each leg is its
+    own box. When no loop box meets a circle box, the straight-line
+    homotopies from the curves to the polygons never bring them together,
+    so the count is the curves' linking number: ALPHA1_D1_SIGN and
+    ALPHA2_D2_SIGN for the matched pairs. closest_approach is the least gap
+    between the boxes.
 
-    Raises DegenerateGeometryError when a circle sample lies within
-    _PROXIMITY_LIMIT times a of an arc sample or of a leg, or else when the
-    sum is not finite: the curve coordinates overflow or their squares underflow.
-    It never warns: its body ignores numpy's floating-point errors, on
-    whichever thread runs it, and the checks above catch what they flag.
+    Raises DegenerateGeometryError on a vertex that is not finite, boxes
+    that meet or a view that is not regular; it never warns.
     """
     if loop_segments < MIN_SEGMENTS or circle_segments < MIN_SEGMENTS:
         raise ValueError(f"segment counts must be at least {MIN_SEGMENTS}")
+    arc_segments = max(_MIN_ARC_CELLS, math.ceil(loop_segments * HALF_PI / loop.t_max))
+    theta = np.linspace(0.0, HALF_PI, arc_segments + 1)
+    if _ORIENTATION[loop.variant][1] < 0.0:
+        theta = HALF_PI - theta
+    s = np.arange(circle_segments) * (2.0 * math.pi / circle_segments)
     with np.errstate(all="ignore"):
-        m = loop.m
-        h2 = 2.0 * math.pi / circle_segments
-        pts2, tan2 = _circle_samples(spec, circle_segments)
-
-        arc_segments = math.ceil(loop_segments * HALF_PI / loop.t_max)
-        # entry i is i * fl((pi/2) / 2n), and the last is exactly pi/2: the
-        # odd entries are the midpoints (k + 1/2) fl((pi/2) / n), bit for
-        # bit, and the even ones the cell edges
-        theta = np.linspace(0.0, HALF_PI, 2 * arc_segments + 1)
-        _, theta_sign = _ORIENTATION[loop.variant]
-        if theta_sign < 0.0:
-            theta = HALF_PI - theta
-        arc = np.array(_phi_terms(m, *_trig_vec(theta)))
-        edges = arc[:, ::2]
-        total, closest = _pair_sum(arc[:, 1::2].T, np.diff(edges, axis=1).T, pts2, tan2)
-
-        origin = np.zeros(3)
-        for p0, p1 in ((origin, edges[:, 0]), (edges[:, -1], origin)):
-            values, dist = _leg_integrals(p0, p1, pts2, tan2)
-            total += float(np.sum(values))
-            closest = min(closest, float(np.min(dist)))
-        if closest < _PROXIMITY_LIMIT * spec.a:
-            near = f"curves pass within {closest:.3e} of each other"
-            if spec.a * spec.a < sys.float_info.min:
-                near = f"A^2 underflows to {spec.a * spec.a!r}, so the squared leg distances vanish"
-            raise DegenerateGeometryError(f"{near}; linking integrand is unreliable")
-        if not math.isfinite(total):
-            raise DegenerateGeometryError(
-                "linking sum is not finite; the curve coordinates overflow or their squares underflow"
-            )
-    value = total * h2 / (4.0 * math.pi)
+        trig = _trig_vec(theta)
+        arc = np.array(_phi_terms(loop.m, *trig))
+        loop_pts = np.hstack([np.zeros((3, 1)), arc, np.zeros((3, 1))]).T
+        circle_pts = _circle(spec, s)
+        circle_pts = np.vstack([circle_pts, circle_pts[:1]])
+        if not np.all(np.isfinite(loop_pts)) or not np.all(np.isfinite(circle_pts)):
+            raise DegenerateGeometryError("a polygon vertex is not finite: coordinates overflow")
+        # each edge's box: its ends' hull, and for an arc edge its cell's phi
+        ends = loop_pts[:-1], loop_pts[1:]
+        lo, hi = np.minimum(*ends).T, np.maximum(*ends).T
+        for k, v in enumerate(_arc_boxes(loop.m, trig)):
+            lo[k, 1:-1] = np.minimum(lo[k, 1:-1], v.lo)
+            hi[k, 1:-1] = np.maximum(hi[k, 1:-1], v.hi)
+        closest = _least_gap(lo, hi, *_circle_boxes(spec, s, circle_pts))
+        count, crossings = _crossings(loop_pts, circle_pts)
     return LinkingResult(
-        value=value,
-        rounded=int(round(value)),
-        loop_segments=loop_segments,
-        circle_segments=circle_segments,
-        arc_segments=arc_segments,
-        closest_approach=closest,
+        float(count), count, loop_segments, circle_segments, arc_segments, closest, crossings
     )

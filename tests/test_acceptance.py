@@ -37,8 +37,8 @@ from quadrant_atlas.topology import (
     gauss_linking,
     make_tube,
     transversality_exact,
-    _pair_sum,
 )
+from linking_oracle import _pair_sum, midpoint_linking
 from scan_oracle import transversality_scan
 
 AB_CHOICES = ((1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (2.0, 2.5))
@@ -166,6 +166,8 @@ def test_criterion_7_transversality():
 
 
 def test_criterion_8_linking_certificate():
+    # the exact count reads the pinned sign, with disjoint cell boxes, and
+    # the midpoint quadrature of linking_oracle agrees with it to 0.01
     ok = True
     for a, b in AB_CHOICES:
         for variant, loop_name, sign in (
@@ -176,19 +178,20 @@ def test_criterion_8_linking_certificate():
             tube = make_tube(a, b, variant)
             loop = BoundaryLoop(loop_name, tube.m)
             res = gauss_linking(loop, tube.disc, 4096, 4096)
-            fine = gauss_linking(loop, tube.disc, 8192, 8192)
+            quadrature, _ = midpoint_linking(loop, tube.disc, 4096, 4096)
             elapsed = time.perf_counter() - t0
             ok = (
                 ok
-                and abs(res.value - sign) <= 0.01
-                and res.rounded == sign
-                and abs(fine.value - res.value) <= 5e-4
+                and res.value == res.rounded == sign
+                and res.closest_approach > 0.0
+                and abs(quadrature - res.value) <= 0.01
                 and elapsed < 60.0
             )
 
     # self-test: two far-apart unit circles must read as unlinked under the
-    # midpoint Gauss sum, and so must a loop that never reaches its disc
-    # under the shipping path
+    # midpoint Gauss sum; loops that stop short of their disc (m = 0.5 and
+    # 1.0 at (1, 2)) count 0, and one that reaches it (m = 1.9) the linked
+    # sign
     n = 512
     s = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
     h = 2.0 * math.pi / n
@@ -198,8 +201,9 @@ def test_criterion_8_linking_certificate():
     unlinked = _pair_sum(p1, t1, p2, t1.copy())[0] * h * h / (4.0 * math.pi)
     ok = ok and abs(unlinked) <= 0.01
     disc = make_tube(1.0, 2.0, "d1").disc
-    unreached = gauss_linking(BoundaryLoop("alpha1", 0.5), disc, 4096, 4096)
-    ok = ok and abs(unreached.value) <= 0.01
+    for m, count in ((0.5, 0), (1.0, 0), (1.9, ALPHA1_D1_SIGN)):
+        res = gauss_linking(BoundaryLoop("alpha1", m), disc, 4096, 4096)
+        ok = ok and res.value == res.rounded == count
     verdict("criterion 8 linking certificate", ok)
 
 

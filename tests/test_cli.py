@@ -9,16 +9,19 @@ import json
 import math
 import os
 import re
+import random
 import subprocess
 import sys
+import threading
 
+import numpy as np
 import pytest
 
 import quadrant_atlas
 import quadrant_atlas.cli as cli
 import quadrant_atlas.sampler as sampler
 import quadrant_atlas.topology as topology
-from quadrant_atlas.maps import _xi_terms
+from quadrant_atlas.maps import _phi_terms, _xi_terms
 from quadrant_atlas.parallel import thread_count
 from quadrant_atlas.solver import SolverFailure
 
@@ -260,16 +263,14 @@ def test_sample_rejects_bad_config(capsys):
     [
         ["sample", "--count", "100000", "--seed", "1"],
         ["identities", "--count", "1000", "--seed", "1"],
-        ["certify", "--A", "1", "--B", "2", "--segments", "256"],
     ],
 )
 def test_bad_thread_count_exits_2(capsys, monkeypatch, threads, argv):
-    # the sweeps and certify resolve QUADRANT_ATLAS_THREADS; a value that is
-    # not an integer from 1 to 256 is a usage error, not a failed check, and
-    # exits before a pool starts
+    # the sweeps resolve QUADRANT_ATLAS_THREADS; a value that is not an
+    # integer from 1 to 256 is a usage error, not a failed check, and exits
+    # before a pool starts
     pools = []
-    for module in (cli, sampler):
-        monkeypatch.setattr(module, "ThreadPoolExecutor", lambda *a, **k: pools.append(a))
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", lambda *a, **k: pools.append(a))
     monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and pools == []
@@ -358,26 +359,17 @@ def test_each_sweeping_command_starts_one_pool(capsys, monkeypatch, argv, tasks)
     assert pools == [tasks]
 
 
-@pytest.mark.parametrize("threads, pools", [("1", []), ("2", [[1, 1]]), ("8", [[1, 1]])])
-def test_certify_runs_pair_2s_linking_sum_on_one_worker(capsys, monkeypatch, threads, pools):
-    # each pool as [max_workers, tasks submitted]; at one thread none starts
+def test_certify_starts_no_thread(capsys, monkeypatch):
+    # certify counts crossings on the calling thread and ignores
+    # QUADRANT_ATLAS_THREADS, even a value the sweeps refuse
     started = []
-
-    class CountingPool(cli.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            started.append([max_workers, 0])
-            super().__init__(max_workers, **kwargs)
-
-        def submit(self, *args, **kwargs):
-            started[-1][1] += 1
-            return super().submit(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
-    monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
-    argv = ["certify", "--A", "1", "--B", "2", "--segments", "256"]
-    code, _ = run_json([*argv, "--format", "json"], capsys)
-    assert code == 0
-    assert started == pools
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+    argv = ["certify", "--A", "1", "--B", "2", "--segments", "256", "--format", "json"]
+    for threads in ("1", "2", "8", "0"):
+        monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
+        code, _ = run_json(argv, capsys)
+        assert code == 0
+    assert started == []
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -403,7 +395,7 @@ def test_certify_reports_pair_1s_linking_error_first(capsys, monkeypatch, thread
 
 
 def test_certify_json_byte_identical_across_blas_threads():
-    # the linking sum runs through BLAS, so its own thread setting must not
+    # certify calls no BLAS routine that threads; its setting must not
     # change a bit of the certificate either
     src_dir = os.path.dirname(os.path.dirname(quadrant_atlas.__file__))
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -468,19 +460,6 @@ def test_certify_overflowing_loop_geometry_exits_2(capsys):
     ]
 
 
-def test_certify_underflowing_leg_integrals_exits_2(capsys):
-    # below B of about 1.5e-154 the leg integrals' squares underflow and
-    # their quotients overflow; the message names both causes
-    code, out, err = run_cli(
-        ["certify", "--A", "1e-154", "--B", "2e-154", "--format", "json"], capsys
-    )
-    assert code == 2
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "linking sum is not finite" in lines[0] and "underflow" in lines[0]
-
-
 def test_certify_refuses_a_b_whose_square_is_subnormal(capsys):
     # B^2 = 1.44e-308 is subnormal: the disc's height sqrt(B^2) at its axis
     # need not give back B, and the closed form failed both crossings here
@@ -494,23 +473,18 @@ def test_certify_refuses_a_b_whose_square_is_subnormal(capsys):
     assert "underflow" in lines[0] and "b^2=1.44e-308" in lines[0]
 
 
-def test_certify_names_an_underflowing_a_squared(capsys):
-    # the circle lies A from the first leg, but the squared leg distance
-    # underflows to 0; a subnormal A^2 the guard does not trip on still passes
-    for a in ("1e-200", "1e-300"):
-        code, out, err = run_cli(
+def test_certify_decides_an_underflowing_a_squared(capsys):
+    # the circle lies A from the first leg; the count and the boxes use no
+    # squared distance, and the quadric residual is scale-free, so A^2 may
+    # underflow (to 0 at 1e-200, to a subnormal at 1.2e-154)
+    for a in ("1e-200", "1e-300", "1.2e-154"):
+        code, doc = run_json(
             ["certify", "--A", a, "--B", "1", "--segments", "256", "--format", "json"], capsys
         )
-        assert code == 2, a
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), a
-        assert "A^2 underflows" in lines[0], a
-    code, doc = run_json(
-        ["certify", "--A", "1.2e-154", "--B", "1.0", "--segments", "256", "--format", "json"],
-        capsys,
-    )
-    assert code == 0 and doc["pass"] is True
+        assert code == 0 and doc["pass"] is True, a
+        for pair, sign in zip(doc["results"]["pairs"], (1, -1)):
+            assert pair["linking"]["value"] == sign
+            assert 0.0 < pair["linking"]["closest_approach"] <= float(a)
 
 
 def test_failed_preimage_prints_valid_json(capsys):
@@ -566,6 +540,62 @@ def test_certify_passes_far_from_unit_scale(capsys, a, b):
         assert abs(pair["linking"]["value"] - sign) <= 0.01
 
 
+def scale_sweep():
+    """300 (A, B) with B log-uniform on [1e-150, 1e150] and A = B 10^U(-3, 0),
+    and the ends of the range: a thin tall disc, the small and large scales
+    certify decides, and an A whose square underflows."""
+    rng = random.Random(3)
+    draws = []
+    for _ in range(300):
+        b = 10.0 ** rng.uniform(-150.0, 150.0)
+        draws.append((b * 10.0 ** rng.uniform(-3.0, 0.0), b))
+    return draws + [(1.0, 1000.0), (1e-153, 2e-153), (1e-154, 2e-154), (1e80, 2e80), (1e-200, 1.0)]
+
+
+def test_certify_passes_at_every_scale(capsys):
+    for a, b in scale_sweep():
+        argv = ["certify", "--A", repr(a), "--B", repr(b), "--segments", "256", "--format", "json"]
+        code, doc = run_json(argv, capsys)
+        assert code == 0, (a, b)
+        for pair, sign in zip(doc["results"]["pairs"], (1, -1)):
+            link = pair["linking"]
+            assert (link["value"], link["rounded"], link["crossings"]) == (sign, sign, 2), (a, b)
+            assert link["closest_approach"] > 0.0
+
+
+@pytest.mark.parametrize("a, b", [("1", "2"), ("0.5", "3"), ("1e-9", "2e-9")])
+def test_certify_fails_a_circle_off_its_quadric(capsys, monkeypatch, a, b):
+    # the circle's height sqrt(B^2 - A^2 sin^2 s) made sqrt(B^2 - A^2 sin^2 s / 2):
+    # still linked once, but off y^2 + z^2 = B^2 by up to (A/B)^2 / 2
+    def half_xi(y, b):
+        return np.sqrt(b * b - 0.5 * np.minimum(y * y, b * b))
+
+    monkeypatch.setattr(topology, "_xi_terms", half_xi)
+    code, doc = run_json(
+        ["certify", "--A", a, "--B", b, "--segments", "256", "--format", "json"], capsys
+    )
+    assert code == 1
+    for pair, sign in zip(doc["results"]["pairs"], (1, -1)):
+        assert pair["transversality"]["ok"] is True and pair["linking"]["value"] == sign
+        assert pair["quadric_residual"] > topology.QUADRIC_TOL
+
+
+@pytest.mark.parametrize("a, b", [("1", "2"), ("0.5", "3"), ("1e-9", "2e-9")])
+def test_certify_fails_an_arc_that_enters_its_tube(capsys, monkeypatch, a, b):
+    # phi3 shrunk by 4: at theta = pi/2 the arc's norm is m/4, below the
+    # m/2 that keeps it out of the tube (criterion 5)
+    def short_phi(rho, c, s, w):
+        p1, p2, p3 = _phi_terms(rho, c, s, w)
+        return p1, p2, 0.25 * p3
+
+    monkeypatch.setattr(topology, "_phi_terms", short_phi)
+    code, doc = run_json(
+        ["certify", "--A", a, "--B", b, "--segments", "256", "--format", "json"], capsys
+    )
+    assert code == 1
+    assert [pair["transversality"]["ok"] for pair in doc["results"]["pairs"]] == [False, False]
+
+
 def tube_rule(m0=None, epsilon=None, m=None):
     """make_tube with some of its three constant rules replaced."""
     m0_of = m0 or (lambda a, b: 2.0 * math.sqrt(a * a + b * b))
@@ -613,6 +643,7 @@ def test_certify_json_reports_what_the_linking_sum_covered(capsys):
     signs = doc["results"]["orientation_signs"]
     assert signs == {"alpha1_d1": 1, "alpha2_d2": -1}
     for pair in doc["results"]["pairs"]:
+        assert list(pair) == ["loop", "disc", "transversality", "linking", "quadric_residual"]
         assert list(pair["transversality"]) == [
             "ok", "hit_intervals", "expected_interval", "max_lateral_deviation", "basis",
         ]
@@ -620,14 +651,18 @@ def test_certify_json_reports_what_the_linking_sum_covered(capsys):
         link = pair["linking"]
         assert list(link) == [
             "value", "rounded", "expected", "loop_segments", "circle_segments",
-            "arc_segments", "closest_approach",
+            "arc_segments", "closest_approach", "crossings",
         ]
         assert link["expected"] == signs[f"{pair['loop']}_{pair['disc']}"]
+        assert link["value"] == link["rounded"] == link["expected"]
         assert link["loop_segments"] == 512
         # the arc [m, m + pi/2] of a loop of length 2m + pi/2, m = 8 sqrt(5)
         assert link["arc_segments"] == math.ceil(512 * (math.pi / 2) / (16 * math.sqrt(5) + math.pi / 2))
-        # the disc boundary circle stays at its radius A = 1 from both axes
-        assert abs(link["closest_approach"] - 1.0) <= 1e-12
+        # the disc boundary circle stays at its radius A = 1 from both axes;
+        # its cell boxes reach in from there by at most a cell's sagitta
+        assert 1.0 - 2.0 * (math.pi / 512) <= link["closest_approach"] < 1.0
+        assert link["crossings"] == 2
+        assert 0.0 <= pair["quadric_residual"] <= topology.QUADRIC_TOL
 
 
 def test_certify_overflow_prints_only_the_error_line():

@@ -1,13 +1,13 @@
-"""Tests for discs, tubes, loops, and the two numerical certificates.
+"""Tests for discs, tubes, loops, and the two topological certificates.
 
 The closed-form transversality certificate is checked against the grid
 scan of scan_oracle, at every scale at which its doubles are exact, and
-against mutants of the tube constants it must refuse. The linking
-quadrature is checked against itself at doubled resolution
-(the standard mesh-refinement oracle), against hand-built degenerate
-fixtures, and against midpoint_linking, the whole-loop midpoint Gauss sum
-over _pair_sum with no geometry guard of its own; that oracle is itself
-checked on unlinked and Hopf circles and against a broadcast reference.
+against mutants of the tube constants it must refuse. The exact linking
+count is checked on unlinked and Hopf polygons, at doubled resolution,
+against hand-built degenerate fixtures, and against linking_oracle's
+midpoint quadrature, which is itself checked on unlinked and Hopf circles,
+against a broadcast reference and against the whole-loop midpoint sum; its
+cell boxes are checked to enclose the curves, evaluated in high precision.
 The certified signs are frozen regression constants.
 """
 
@@ -22,8 +22,10 @@ import warnings
 import numpy as np
 import pytest
 
+import linking_oracle
 import quadrant_atlas.topology as topology
 import scan_oracle
+from quadrant_atlas.interval import Interval
 from quadrant_atlas.maps import (
     HALF_PI,
     _phi_terms,
@@ -40,14 +42,14 @@ from quadrant_atlas.topology import (
     TubeSpec,
     WarpedDiscSpec,
     _circle,
-    _circle_samples,
-    _leg_integrals,
+    _crossings,
     _loop_points,
-    _pair_sum,
+    _orientations,
     gauss_linking,
     make_tube,
     transversality_exact,
 )
+from linking_oracle import _circle_samples, _leg_integrals, _pair_sum, arc_pair_inputs
 from scan_oracle import in_tube, transversality_scan
 
 
@@ -90,7 +92,7 @@ def test_make_tube_rejects_bad_radii():
 
 def test_disc_boundary_frozen_points():
     d1 = WarpedDiscSpec("d1", 1.0, 2.0)
-    pts = _circle(d1, np.array([0.0, math.pi / 2]))[0].tolist()
+    pts = _circle(d1, np.array([0.0, math.pi / 2])).tolist()
     assert tuple(pts[0]) == (1.0, 0.0, 2.0)
     p = pts[1]
     assert abs(p[0]) <= 1e-15 and abs(p[1] - 1.0) <= 1e-15
@@ -102,7 +104,7 @@ def test_disc_boundary_lies_on_both_quadrics():
         spec = WarpedDiscSpec(variant, 1.3, 2.7)
         a2, b2 = spec.a**2, spec.b**2
         s = np.array([2.0 * math.pi * k / 257 for k in range(257)])
-        x, y, z = _circle(spec, s)[0].T
+        x, y, z = _circle(spec, s).T
         if variant == "d1":
             assert np.max(np.abs(x * x + y * y - a2)) <= 1e-12
             assert np.max(np.abs(y * y + z * z - b2)) <= 1e-12
@@ -282,10 +284,9 @@ def test_linking_signs_are_the_frozen_constants():
         t2 = make_tube(a, b, "d2")
         r1 = gauss_linking(BoundaryLoop("alpha1", t1.m), t1.disc, 512, 512)
         r2 = gauss_linking(BoundaryLoop("alpha2", t2.m), t2.disc, 512, 512)
-        assert r1.rounded == ALPHA1_D1_SIGN
-        assert r2.rounded == ALPHA2_D2_SIGN
-        assert abs(r1.value - r1.rounded) <= 0.01
-        assert abs(r2.value - r2.rounded) <= 0.01
+        assert (r1.value, r1.rounded) == (ALPHA1_D1_SIGN, ALPHA1_D1_SIGN)
+        assert (r2.value, r2.rounded) == (ALPHA2_D2_SIGN, ALPHA2_D2_SIGN)
+        assert r1.crossings == r2.crossings == 2
 
 
 def test_linking_stable_under_mesh_refinement():
@@ -294,8 +295,7 @@ def test_linking_stable_under_mesh_refinement():
     coarse = gauss_linking(loop, tube.disc, 512, 512)
     fine = gauss_linking(loop, tube.disc, 1024, 1024)
     circle_only = gauss_linking(loop, tube.disc, 512, 1024)
-    assert abs(coarse.value - fine.value) <= 5e-3
-    assert coarse.rounded == fine.rounded == circle_only.rounded
+    assert coarse.value == fine.value == circle_only.value == ALPHA1_D1_SIGN
     assert isinstance(coarse, LinkingResult)
 
 
@@ -308,14 +308,14 @@ def test_linking_rejects_tiny_segment_counts():
         gauss_linking(loop, tube.disc, 512, 100)
 
 
-def midpoint_linking(pts1, tan1, h1, pts2, tan2, h2):
+def midpoint_sum(pts1, tan1, h1, pts2, tan2, h2):
     """The midpoint-rule Gauss integral over all sample pairs of two
-    curves with cell widths h1 and h2: the oracle of the linking tests."""
+    curves with cell widths h1 and h2."""
     return _pair_sum(pts1, tan1, pts2, tan2)[0] * h1 * h2 / (4.0 * math.pi)
 
 
-def unit_circle(n: int, center, plane_z: float):
-    s = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+def unit_circle(n: int, center, plane_z: float, s=None):
+    s = (np.arange(n) + 0.5) * (2.0 * math.pi / n) if s is None else s
     pts = np.stack(
         [center[0] + np.cos(s), center[1] + np.sin(s), np.full(n, plane_z)], axis=-1
     )
@@ -323,21 +323,113 @@ def unit_circle(n: int, center, plane_z: float):
     return pts, tan, 2.0 * math.pi / n
 
 
+def closed(pts):
+    """A polygon through the given vertices, closed by its first."""
+    return np.vstack([pts, pts[:1]])
+
+
+def hopf_partner(n: int, s=None):
+    """A circle of radius 1 in the xz-plane through the unit circle's centre."""
+    s = (np.arange(n) + 0.5) * (2.0 * math.pi / n) if s is None else s
+    pts = np.stack([1.0 + np.cos(s), np.zeros(n), np.sin(s)], axis=-1)
+    return pts, np.stack([-np.sin(s), np.zeros(n), np.cos(s)], axis=-1)
+
+
 def test_unlinked_circles_have_linking_zero():
     p1, t1, h1 = unit_circle(512, (0.0, 0.0), 0.0)
     p2, t2, h2 = unit_circle(512, (10.0, 0.0), 5.0)
-    value = midpoint_linking(p1, t1, h1, p2, t2, h2)
-    assert abs(value) <= 0.01
+    assert abs(midpoint_sum(p1, t1, h1, p2, t2, h2)) <= 0.01
+    # as polygons: their projections along (1, 2, 3) are apart
+    assert _crossings(closed(p1), closed(p2)) == (0, 0)
+    # a circle whose projection crosses the other's twice, both times above:
+    # the unit circle moved by 2 (1, 2, 3), which projects to 0, and by
+    # (0.5, 0, 0), which does not
+    p3 = p1 + np.array([2.5, 4.0, 6.0])
+    assert _crossings(closed(p3), closed(p1)) == (0, 2)
 
 
 def test_hopf_circles_link_once():
-    # textbook sanity fixture: unit circle in the plane vs a loop threading it
+    # textbook sanity fixture: unit circle in the plane vs a loop threading
+    # it; the count and the quadrature agree on the sign, loop tangent first
     p1, t1, h1 = unit_circle(512, (0.0, 0.0), 0.0)
-    s = (np.arange(512) + 0.5) * (2.0 * math.pi / 512)
-    p2 = np.stack([1.0 + np.cos(s), np.zeros(512), np.sin(s)], axis=-1)
-    t2 = np.stack([-np.sin(s), np.zeros(512), np.cos(s)], axis=-1)
-    value = midpoint_linking(p1, t1, h1, p2, t2, h1)
+    p2, t2 = hopf_partner(512)
+    value = midpoint_sum(p2, t2, h1, p1, t1, h1)
     assert abs(abs(value) - 1.0) <= 0.01
+    # polygons through vertices off the axes' planes, so no vertex projects
+    # onto an edge of the other
+    s = (np.arange(512) + 0.25) * (2.0 * math.pi / 512)
+    loop, circle = closed(hopf_partner(512, s)[0]), closed(unit_circle(512, (0.0, 0.0), 0.0, s)[0])
+    count, crossings = _crossings(loop, circle)
+    assert count == round(value) and crossings == 2
+    # swapping the curves keeps the linking number; reversing one negates it
+    assert _crossings(circle, loop)[0] == count
+    assert _crossings(loop[::-1], circle)[0] == -count
+
+
+def test_crossing_count_refuses_a_view_that_is_not_regular():
+    # a vertex of one polygon projects onto an edge of the other: (1, 2, 3)
+    # from a point of the edge through the origin
+    square = closed(np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [-1.0, 1.0, 0.0]]))
+    on_edge = np.array([1.0, 0.0, 0.0]) + np.array([1.0, 2.0, 3.0])
+    loop = closed(np.array([on_edge, [5.0, 5.0, 9.0], [5.0, -5.0, 9.0]]))
+    with pytest.raises(DegenerateGeometryError, match="projects onto an edge"):
+        _crossings(loop, square)
+    # an edge that projects onto a square edge's line, overlapping it
+    view = np.array([1.0, 2.0, 3.0])
+    along = closed(np.array([[-2.0, -1.0, 0.0] + view, [2.0, -1.0, 0.0] + view, [0.0, 5.0, 9.0]]))
+    with pytest.raises(DegenerateGeometryError, match="projects onto an edge"):
+        _crossings(along, square)
+    # two edges that meet in space, at (1, 0, 0), cross at one height
+    through = closed(np.array([[1.0, 0.0, -1.0], [1.0, 0.0, 1.0], [7.0, 0.1, 5.0]]))
+    with pytest.raises(DegenerateGeometryError, match="one height"):
+        _crossings(through, square)
+
+
+# (a, b, c) whose orientation det(_VIEW, b - a, c - a) rounds to the wrong
+# sign in doubles (-1, 0 and +1 where it is +1, +1 and -1): found by
+# sampling c one ulp off the line through a and b
+NEAR_COLLINEAR = [
+    (
+        [0.6100058474907604, 0.6158815794729875, 0.030651122084284],
+        [-0.4283972398237168, -0.8921385952366871, -0.23326223842896354],
+        [0.26361877077170515, 0.11284118376117426, -0.057384226203929294],
+    ),
+    (
+        [0.6741235312661911, 0.7301008447541804, -0.7098687402229238],
+        [0.8773532507916382, 0.6711672269237998, -0.7913272483009841],
+        [0.31198297511785095, 0.835116258773169, -0.5647156125834935],
+    ),
+    (
+        [-0.2619008778373684, 0.3622234741788142, -0.3568408342440208],
+        [-0.7351117997538328, 0.5676418485149965, -0.9414984859808175],
+        [-1.1400164886908886, 0.7434088460849096, -1.441762984636973],
+    ),
+]
+
+
+def exact_orientation(a, b, c):
+    return topology._det_sign(topology._VIEW, topology._minus(b, a), topology._minus(c, a))
+
+
+def test_orientation_filter_defers_to_exact_arithmetic():
+    # on the line through a and b, all dyadic, the exact sign is 0; one ulp
+    # off it either way, and at the near-collinear triples, the float
+    # determinant is at rounding level and the filter defers to Fractions
+    a, b = np.array([0.125, 0.25, 0.375]), np.array([0.75, -1.25, 2.875])
+    on = a + 2.0 * (b - a)
+    off = [np.nextafter(on, on + d * e) for d in (1.0, -1.0) for e in np.eye(3)]
+    rows = [(a, b, on), *((a, b, c) for c in off), *(tuple(map(np.array, t)) for t in NEAR_COLLINEAR)]
+    signs = _orientations(*(np.array(r) for r in zip(*rows)))
+    exact = [exact_orientation(*row) for row in rows]
+    assert signs.tolist() == exact
+    assert exact[0] == 0 and exact[-3:] == [1, 1, -1]
+    # the rows the filter decides itself agree with exact arithmetic too
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-1.0, 1.0, (2, 1000, 3))
+    c = a + rng.uniform(-3.0, 3.0, (1000, 1)) * (b - a)
+    c = np.nextafter(c, c + rng.choice([-1.0, 1.0], c.shape))
+    exact = [exact_orientation(*row) for row in zip(a, b, c)]
+    assert _orientations(a, b, c).tolist() == exact
 
 
 def broadcast_double_sum(pts1, tan1, h1, pts2, tan2, h2):
@@ -362,17 +454,16 @@ def test_linking_sum_matches_broadcast_reference():
             t = (np.arange(n) + 0.5) * h1
             args = (_loop_points(loop, t), reference_loop_tangents(loop, t), h1)
             args += (*_circle_samples(tube.disc, n), 2.0 * math.pi / n)
-            assert abs(midpoint_linking(*args) - broadcast_double_sum(*args)) <= 1e-12
+            assert abs(midpoint_sum(*args) - broadcast_double_sum(*args)) <= 1e-12
 
 
-def test_linking_sum_memory_is_bounded_by_the_tile(monkeypatch):
+def test_linking_sum_memory_is_bounded_by_the_tile():
     # the bound sits far below one 64-row broadcast temporary of this grid (96 MiB)
-    monkeypatch.setenv("QUADRANT_ATLAS_THREADS", "1")
     p1, t1, h1 = unit_circle(256, (0.0, 0.0), 0.0)
     p2, t2, h2 = unit_circle(65536, (10.0, 0.0), 5.0)
     tracemalloc.start()
     try:
-        value = midpoint_linking(p1, t1, h1, p2, t2, h2)
+        value = midpoint_sum(p1, t1, h1, p2, t2, h2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -380,11 +471,20 @@ def test_linking_sum_memory_is_bounded_by_the_tile(monkeypatch):
     assert peak <= 16 * 2**20
 
 
+def overflowing_pair(b, loop_variant, disc_variant):
+    """The loop and disc make_tube's rule gives at (1, b), where make_tube
+    itself refuses an m whose square overflows."""
+    disc = WarpedDiscSpec(disc_variant, 1.0, b)
+    m = 8.0 * math.sqrt(1.0 + b * b)
+    with pytest.raises(ValueError, match=r"m\^2=inf"):
+        make_tube(1.0, b, disc_variant)
+    return BoundaryLoop(loop_variant, m), disc
+
+
 def test_linking_raises_when_the_loop_overflows():
     # m0 is finite at this scale, but the loop's phi1 ~ rho^2 overflows
-    tube = make_tube(1.0, 1e154, "d1")
     with pytest.raises(DegenerateGeometryError):
-        gauss_linking(BoundaryLoop("alpha1", tube.m), tube.disc, 256, 256)
+        gauss_linking(*overflowing_pair(1e154, "alpha1", "d1"), 256, 256)
 
 
 def test_leg_integral_matches_quadrature():
@@ -417,6 +517,8 @@ def test_leg_integral_matches_quadrature():
 
 
 def test_linking_matches_the_whole_loop_midpoint_sum():
+    # the whole-loop midpoint sum, the oracle's quadrature (legs exact) and
+    # the count agree
     n = 4096
     for a, b in [(1.0, 2.0), (0.5, 3.0)]:
         for loop_variant, disc_variant in (("alpha1", "d1"), ("alpha2", "d2")):
@@ -424,61 +526,59 @@ def test_linking_matches_the_whole_loop_midpoint_sum():
             loop = BoundaryLoop(loop_variant, tube.m)
             h1 = loop.t_max / n
             t = (np.arange(n) + 0.5) * h1
-            midpoint = midpoint_linking(
+            midpoint = midpoint_sum(
                 _loop_points(loop, t),
                 reference_loop_tangents(loop, t),
                 h1,
                 *_circle_samples(tube.disc, n),
                 2.0 * math.pi / n,
             )
+            quadrature, _ = linking_oracle.midpoint_linking(loop, tube.disc, n, n)
+            assert abs(quadrature - midpoint) <= 1e-4
             result = gauss_linking(loop, tube.disc, n, n)
-            assert abs(result.value - midpoint) <= 1e-4
+            assert result.value == result.rounded == round(quadrature)
             assert result.loop_segments == n
             assert result.arc_segments == math.ceil(n * (math.pi / 2) / loop.t_max)
 
 
 def test_circle_through_a_leg_raises_degenerate_error(monkeypatch):
-    # a unit circle in the plane z = 5 whose middle sample lies on the z-axis,
-    # which is the first leg of alpha1; no loop midpoint lies near it
-    def circle_through_axis(spec, n):
-        s = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    # a unit circle in the plane z = 5 with a vertex on the z-axis, which is
+    # the first leg of alpha1: that vertex's cell box meets the leg
+    def circle_through_axis(spec, s):
         c, sn = np.cos(s), np.sin(s)
-        pts = np.stack([c - c[n // 2], sn - sn[n // 2], np.full(n, 5.0)], axis=-1)
-        return pts, np.stack([-sn, c, np.zeros(n)], axis=-1)
+        return np.stack([c - c[len(s) // 2], sn - sn[len(s) // 2], np.full(len(s), 5.0)], axis=-1)
 
-    monkeypatch.setattr(topology, "_circle_samples", circle_through_axis)
+    monkeypatch.setattr(topology, "_circle", circle_through_axis)
     tube = make_tube(1.0, 2.0, "d1")
-    with pytest.raises(DegenerateGeometryError):
+    with pytest.raises(DegenerateGeometryError, match="box meets"):
         gauss_linking(BoundaryLoop("alpha1", tube.m), tube.disc, 512, 512)
 
 
 def test_circle_through_the_arc_raises_degenerate_error(monkeypatch):
-    # a unit circle in a plane z = const whose middle sample is the middle
-    # arc midpoint of alpha1 at (1, 2), made as gauss_linking makes it; every
-    # sample stays at least 1e-3 from both legs, so only the arc trips the guard
+    # a unit circle in a plane z = const with a vertex at an arc vertex of
+    # alpha1 at (1, 2), made as gauss_linking makes it; every vertex stays
+    # at least 1e-3 from both legs, so only an arc cell's box meets it
     tube = make_tube(1.0, 2.0, "d1")
     loop = BoundaryLoop("alpha1", tube.m)
     n = 512
     arc_segments = math.ceil(n * HALF_PI / loop.t_max)
-    h_arc = HALF_PI / arc_segments
-    theta = (arc_segments // 2 + 0.5) * h_arc
+    theta = np.linspace(0.0, HALF_PI, arc_segments + 1)[arc_segments // 2]
     arc_point = np.stack(_phi_terms(tube.m, *_trig_vec(np.array([HALF_PI - theta]))), axis=-1)[0]
 
-    def circle_through_arc(spec, n):
-        s = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    def circle_through_arc(spec, s):
         c, sn = np.cos(s), np.sin(s)
         x, y, z = arc_point
-        pts = np.stack([c - c[n // 2] + x, sn - sn[n // 2] + y, np.full(n, z)], axis=-1)
-        return pts, np.stack([-sn, c, np.zeros(n)], axis=-1)
+        k = len(s) // 2
+        return np.stack([c - c[k] + x, sn - sn[k] + y, np.full(len(s), z)], axis=-1)
 
-    pts = circle_through_arc(tube.disc, n)[0]
+    pts = circle_through_arc(tube.disc, np.arange(n) * (2.0 * math.pi / n))
     assert pts[n // 2].tolist() == arc_point.tolist()
     # the legs run along the z- and x-axes, so their distances are at least
     # those to the axes
     x, y, z = pts.T
     assert min(np.min(np.hypot(x, y)), np.min(np.hypot(y, z))) >= 1e-3
-    monkeypatch.setattr(topology, "_circle_samples", circle_through_arc)
-    with pytest.raises(DegenerateGeometryError, match="pass within"):
+    monkeypatch.setattr(topology, "_circle", circle_through_arc)
+    with pytest.raises(DegenerateGeometryError, match="box meets"):
         gauss_linking(loop, tube.disc, n, n)
 
 
@@ -491,12 +591,12 @@ def test_leg_corners_lie_exactly_on_the_axes(monkeypatch):
         for loop_variant, disc_variant in (("alpha1", "d1"), ("alpha2", "d2")):
             tube = make_tube(a, b, disc_variant)
             loop = BoundaryLoop(loop_variant, tube.m)
-            _, [arc], _, legs = record_linking(monkeypatch, loop, tube.disc, 4096, 4096)
+            _, [arc], (polygon, _) = record_linking(monkeypatch, loop, tube.disc, 4096, 4096)
             corners = [arc[:, 0].tolist(), arc[:, -1].tolist()]
             origin, x_end, z_end = [0.0, 0.0, 0.0], [tube.m, 0.0, 0.0], [0.0, 0.0, tube.m]
             ends = [z_end, x_end] if loop_variant == "alpha1" else [x_end, z_end]
             assert corners == ends
-            assert legs == [(origin, ends[0]), (ends[1], origin)]
+            assert polygon[[0, 1, -2, -1]].tolist() == [origin, ends[0], ends[1], origin]
             rounded = _loop_points(loop, np.array([loop.m, loop.m + math.pi / 2]))
             assert np.max(np.abs(rounded - np.array(corners))) <= 1e-7
 
@@ -656,85 +756,78 @@ def test_loop_legs_stay_exact_beyond_the_squared_range():
 
 def test_linking_raises_once_the_arc_overflows():
     # at B = 1.7e153 the tube and the legs are finite, but m^2 is not, so
-    # the arc at rho = m has no finite points; at B = 1e153 it still has.
-    # At both scales the arc is one sample, at theta = pi/4, and the pair
-    # sum runs at unit scale, so only a non-finite arc point ends the sum.
+    # the arc at rho = m has no finite points; at B = 1e153 it still has
     for variant, disc in (("alpha1", "d1"), ("alpha2", "d2")):
-        tube = make_tube(1.0, 1.7e153, disc)
         with pytest.raises(DegenerateGeometryError, match="not finite"):
-            gauss_linking(BoundaryLoop(variant, tube.m), tube.disc, 256, 256)
+            gauss_linking(*overflowing_pair(1.7e153, variant, disc), 256, 256)
         tube = make_tube(1.0, 1e153, disc)
         result = gauss_linking(BoundaryLoop(variant, tube.m), tube.disc, 256, 256)
-        assert abs(result.value - result.rounded) <= 0.01
+        assert result.value == result.rounded
 
 
 MATCHED = (("alpha1", "d1", ALPHA1_D1_SIGN), ("alpha2", "d2", ALPHA2_D2_SIGN))
 
 
-def arc_inputs(monkeypatch, a, b, n):
-    """The arguments gauss_linking passes _pair_sum for the arc of each
-    matched pair at (a, b), n segments each way."""
+def arc_inputs(a, b, n):
+    """The arguments the oracle's quadrature passes _pair_sum for the arc
+    of each matched pair at (a, b), n segments each way."""
     seen = []
     for loop_variant, disc_variant, _ in MATCHED:
         tube = make_tube(a, b, disc_variant)
-        seen += record_linking(monkeypatch, BoundaryLoop(loop_variant, tube.m), tube.disc, n, n)[2]
+        seen.append(arc_pair_inputs(BoundaryLoop(loop_variant, tube.m), tube.disc, n, n))
     return seen
 
 
 def record_linking(monkeypatch, loop, disc, loop_segments, circle_segments):
-    """gauss_linking's result, the arrays its phi evaluations return, the
-    arguments it passes _pair_sum and the ends it passes _leg_integrals."""
-    phis, pairs, legs = [], [], []
+    """gauss_linking's result, the arrays its phi evaluations on doubles
+    return, and the two polygons whose crossings it counts."""
+    phis, polygons = [], []
 
     def recording_phi_terms(*args):
         out = _phi_terms(*args)
-        phis.append(np.array(out))
+        if not isinstance(args[1], Interval):
+            phis.append(np.array(out))
         return out
 
-    def recording_pair_sum(*args):
-        pairs.append(tuple(v.copy() for v in args))
-        return _pair_sum(*args)
-
-    def recording_leg_integrals(p0, p1, *args):
-        legs.append((p0.tolist(), p1.tolist()))
-        return _leg_integrals(p0, p1, *args)
+    def recording_crossings(*args):
+        polygons.extend(v.copy() for v in args)
+        return _crossings(*args)
 
     with monkeypatch.context() as patch:
         patch.setattr(topology, "_phi_terms", recording_phi_terms)
-        patch.setattr(topology, "_pair_sum", recording_pair_sum)
-        patch.setattr(topology, "_leg_integrals", recording_leg_integrals)
+        patch.setattr(topology, "_crossings", recording_crossings)
         result = gauss_linking(loop, disc, loop_segments, circle_segments)
-    return result, phis, pairs, legs
+    return result, phis, polygons
 
 
 @pytest.mark.parametrize("b", [1e15, 1.2e15])
 def test_linking_arc_midpoint_stays_on_the_arc_at_large_scales(b, monkeypatch):
     # the loop parameter m + pi/4 rounds to m + 1 (theta = 1) at B = 1e15,
     # where ulp(m) = 1, and onto t = m, the leg corner, from m = 2^53 (B =
-    # 1.2e15). Sampled in its own angle, the one arc sample is phi(m, pi/4),
-    # and its one chord runs from corner to corner: phi(m, 0) - phi(m, pi/2)
-    # = (m, 0, -m) for alpha1, which runs theta down, and the negation for alpha2.
+    # 1.2e15). Cut in its own angle, the arc keeps its least 4 cells, whose
+    # inner vertices phi(m, k pi/8) stay on the arc, off both axes
     tube = make_tube(1.0, b, "d1")
     assert math.ulp(tube.m) >= 1.0
-    arcs = arc_inputs(monkeypatch, 1.0, b, 4096)
-    m = tube.m
-    chords = {"alpha1": [m, 0.0, -m], "alpha2": [-m, 0.0, m]}
-    for (pts, chord, _, _), (loop_variant, _, _) in zip(arcs, MATCHED):
-        assert pts.shape == chord.shape == (1, 3)
-        on_arc = np.stack(_phi_terms(m, *_trig_vec(np.array([math.pi / 4]))), axis=-1)
-        assert pts[0].tolist() == pytest.approx(on_arc[0].tolist(), rel=1e-15)
-        assert chord[0].tolist() == chords[loop_variant]
+    for loop_variant, disc_variant, sign in MATCHED:
+        tube = make_tube(1.0, b, disc_variant)
+        loop = BoundaryLoop(loop_variant, tube.m)
+        result, [arc], _ = record_linking(monkeypatch, loop, tube.disc, 4096, 4096)
+        assert result.arc_segments == 4 and result.value == sign
+        theta = np.linspace(0.0, HALF_PI, 5)
+        if loop_variant == "alpha1":
+            theta = HALF_PI - theta
+        assert arc.tobytes() == np.array(_phi_terms(tube.m, *_trig_vec(theta))).tobytes()
+        assert np.all(arc[:, 1:-1] > 0.0)
 
 
 @pytest.mark.parametrize("arc_segments", [25, 41, 50, 173])
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 2.0)])
 def test_linking_arc_chords_end_on_the_leg_corners(a, b, arc_segments, monkeypatch):
-    # the arc is one phi evaluation on linspace's 2n + 1 angles: the odd
-    # ones are the midpoints (k + 1/2) (pi/2 / n) bit for bit, and the end
+    # the arc is one phi evaluation on linspace's n + 1 angles, whose end
     # edges are exactly 0 and pi/2, where k * (pi/2 / n) misses pi/2 at n =
-    # 25, 41 and 50, so the chord polyline starts and ends exactly on the
-    # axes, the legs run from and to those ends, and the sampled loop
-    # closes; 173 is certify's arc at (1, 2) and 4096 segments
+    # 25, 41 and 50, so the arc starts and ends exactly on the axes, the
+    # legs run from and to those ends, and the loop polygon closes at the
+    # origin; 173 is certify's arc at (1, 2) and 4096 segments
     misses = (np.arange(arc_segments + 1) * (HALF_PI / arc_segments))[-1] != HALF_PI
     assert misses == (arc_segments != 173)
     for loop_variant, disc_variant, _ in MATCHED:
@@ -742,31 +835,26 @@ def test_linking_arc_chords_end_on_the_leg_corners(a, b, arc_segments, monkeypat
         loop = BoundaryLoop(loop_variant, tube.m)
         sizes = range(MIN_SEGMENTS, 1 << 16)
         n = next(n for n in sizes if math.ceil(n * HALF_PI / loop.t_max) == arc_segments)
-        result, phis, pairs, legs = record_linking(monkeypatch, loop, tube.disc, n, MIN_SEGMENTS)
+        result, [arc], (polygon, circle) = record_linking(monkeypatch, loop, tube.disc, n, MIN_SEGMENTS)
         assert result.arc_segments == arc_segments
-        [arc] = phis
-        assert arc.shape == (3, 2 * arc_segments + 1)
-        theta = (np.arange(arc_segments) + 0.5) * (HALF_PI / arc_segments)
+        theta = np.linspace(0.0, HALF_PI, arc_segments + 1)
         if loop_variant == "alpha1":
             theta = HALF_PI - theta
-        midpoints = np.array(_phi_terms(loop.m, *_trig_vec(theta)))
-        assert arc[:, 1::2].tobytes() == midpoints.tobytes()
-        vertices = arc[:, ::2].T
+        assert arc.tobytes() == np.array(_phi_terms(loop.m, *_trig_vec(theta))).tobytes()
         origin, x_end, z_end = [0.0, 0.0, 0.0], [loop.m, 0.0, 0.0], [0.0, 0.0, loop.m]
         first, last = (z_end, x_end) if loop_variant == "alpha1" else (x_end, z_end)
-        assert vertices[0].tolist() == first and vertices[-1].tolist() == last
-        assert legs == [(origin, first), (last, origin)]
-        [(pts, chords, _, _)] = pairs
-        assert pts.tobytes() == midpoints.T.tobytes()
-        assert chords.tolist() == np.diff(vertices, axis=0).tolist()
+        assert polygon.tolist() == [origin, *arc.T.tolist(), origin]
+        assert polygon[1].tolist() == first and polygon[-2].tolist() == last
+        s = np.arange(MIN_SEGMENTS) * (2.0 * math.pi / MIN_SEGMENTS)
+        assert circle.tolist() == [*_circle(tube.disc, s).tolist(), circle[0].tolist()]
 
 
-def test_pair_sum_runs_at_unit_scale(monkeypatch):
+def test_pair_sum_runs_at_unit_scale():
     # det(p1 - p2, t1, t2) / |p1 - p2|^3 does not change when points and
     # tangents scale together; summed at unit scale, scaled inputs give the
     # same total bit for bit, where at 2^400 the cubed distances overflow
     for a, b in [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (2.0, 2.5)]:
-        for args in arc_inputs(monkeypatch, a, b, 4096):
+        for args in arc_inputs(a, b, 4096):
             total, closest = _pair_sum(*args)
             for k in (-300, 300, 400):
                 scaled = _pair_sum(*(np.ldexp(v, k) for v in args))
@@ -774,10 +862,10 @@ def test_pair_sum_runs_at_unit_scale(monkeypatch):
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (2.0, 2.5), (1.3, 2.7)])
-def test_linking_sums_are_the_same_bits_on_either_sample_layout(a, b, monkeypatch):
-    # the program passes coordinate-major samples, transposes of 3 x n
-    # arrays, which BLAS reads through a transposed operand; the tests pass
-    # row-major ones. Both give the same bits.
+def test_linking_sums_are_the_same_bits_on_either_sample_layout(a, b):
+    # the oracle passes coordinate-major samples, transposes of 3 x n
+    # arrays, which BLAS reads through a transposed operand; row-major ones
+    # give the same bits
     def layouts(*arrays):
         row_major = [np.ascontiguousarray(v) for v in arrays]
         coordinate_major = [np.ascontiguousarray(v.T).T for v in arrays]
@@ -791,7 +879,7 @@ def test_linking_sums_are_the_same_bits_on_either_sample_layout(a, b, monkeypatc
         out[:, 1::2] = v.T
         return out[:, 1::2].T
 
-    for args in arc_inputs(monkeypatch, a, b, 4096):
+    for args in arc_inputs(a, b, 4096):
         row_major, coordinate_major = layouts(*args)
         want = _pair_sum(*row_major)
         assert _pair_sum(*coordinate_major) == want
@@ -812,11 +900,65 @@ def test_linking_sums_are_the_same_bits_on_either_sample_layout(a, b, monkeypatc
 
 def test_linking_at_b_1e153_raises_no_warning():
     # the arc point phi(m, pi/4) is near 1e307 here, and far pairs' cubed
-    # distances overflowed with a RuntimeWarning before the sum was scaled
+    # distances overflowed with a RuntimeWarning before the quadrature ran
+    # at unit scale; the count scales its polygons by a power of two
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for loop_variant, disc_variant, sign in MATCHED:
             tube = make_tube(1.0, 1e153, disc_variant)
             result = gauss_linking(BoundaryLoop(loop_variant, tube.m), tube.disc, 256, 256)
-            assert result.rounded == sign
-            assert abs(result.value - result.rounded) <= 0.01
+            assert result.value == result.rounded == sign
+
+
+@pytest.mark.parametrize(
+    "a, b", [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (1e-9, 2e-9), (1e80, 2e80), (1e-200, 1.0)]
+)
+def test_cell_boxes_enclose_the_curves(a, b):
+    # the boxes gauss_linking compares, against phi and the disc boundary
+    # evaluated in 40 digits at points of every cell; the cell edges are
+    # the doubles the program uses, except the ends, which stand for exactly
+    # 0 and pi/2 (the arc) and 2 pi (the circle). At A = B the height
+    # sqrt(B^2 - A^2 sin^2 s) has a kink at each quarter turn.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(11)
+    with mpmath.workdps(40):
+        pi = mpmath.pi
+        for loop_variant, disc_variant, _ in MATCHED:
+            tube = make_tube(a, b, disc_variant)
+            loop = BoundaryLoop(loop_variant, tube.m)
+            theta = np.linspace(0.0, HALF_PI, 65)
+            if loop_variant == "alpha1":
+                theta = HALF_PI - theta
+            boxes = topology._arc_boxes(loop.m, _trig_vec(theta))
+            edges = [mpmath.mpf(t) for t in theta.tolist()]
+            edges[0], edges[-1] = (pi / 2, 0) if loop_variant == "alpha1" else (0, pi / 2)
+            rho = mpmath.mpf(loop.m)
+            for k in range(64):
+                for u in (0, 1, rng.random(), rng.random()):
+                    t = edges[k] + u * (edges[k + 1] - edges[k])
+                    c, s = mpmath.cos(t), mpmath.sin(t)
+                    phi = (
+                        c * s * (c - s) ** 2
+                        + rho * (2 * c**4 * s + c * s**4 + c**5)
+                        + rho**2 * c**5 * s,
+                        mpmath.sqrt(c * s) * (c + s + rho * c * s),
+                        rho * s,
+                    )
+                    for v, box in zip(phi, boxes):
+                        assert box.lo[k] <= v <= box.hi[k], (loop_variant, k, u)
+            n = 256
+            s = np.arange(n) * (2.0 * math.pi / n)
+            pts = _circle(tube.disc, s)
+            lo, hi = topology._circle_boxes(tube.disc, s, np.vstack([pts, pts[:1]]))
+            ends = [mpmath.mpf(v) for v in s.tolist()] + [2 * pi]
+            fa, fb = mpmath.mpf(a), mpmath.mpf(b)
+            for j in range(n):
+                params = [ends[j] + u * (ends[j + 1] - ends[j]) for u in (0, 1, rng.random())]
+                params += [q * pi / 2 for q in range(1, 4) if ends[j] <= q * pi / 2 <= ends[j + 1]]
+                for t in params:
+                    y = fa * mpmath.sin(t)
+                    p = [fa * mpmath.cos(t), y, mpmath.sqrt(fb**2 - y**2)]
+                    if disc_variant == "d2":
+                        p.reverse()
+                    for v, low, high in zip(p, lo[:, j], hi[:, j]):
+                        assert low <= v <= high, (disc_variant, j, t)
