@@ -359,17 +359,20 @@ def test_each_sweeping_command_starts_one_pool(capsys, monkeypatch, argv, tasks)
     assert pools == [tasks]
 
 
-def test_certify_starts_no_thread(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "threads, pools", [("1", []), ("2", []), ("8", []), ("0", [])]
+)
+def test_certify_runs_pair_2s_linking_sum_on_one_worker(capsys, monkeypatch, threads, pools):
     # certify counts crossings on the calling thread and ignores
-    # QUADRANT_ATLAS_THREADS, even a value the sweeps refuse
+    # QUADRANT_ATLAS_THREADS, even a value the sweeps refuse: at every
+    # count it starts no thread
     started = []
     monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+    monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
     argv = ["certify", "--A", "1", "--B", "2", "--segments", "256", "--format", "json"]
-    for threads in ("1", "2", "8", "0"):
-        monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
-        code, _ = run_json(argv, capsys)
-        assert code == 0
-    assert started == []
+    code, _ = run_json(argv, capsys)
+    assert code == 0
+    assert started == pools
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
