@@ -61,9 +61,9 @@ from .topology import (
     DegenerateGeometryError,
     _circle,
     _loop_points,
-    gauss_linking,
+    linking_circle,
+    linking_count,
     make_tube,
-    quadric_residual,
     transversality_exact,
 )
 
@@ -235,17 +235,25 @@ def _dump_certify_points(path: str, loops, tubes, segments: int) -> None:
 _PAIRS = (("alpha1", "d1", ALPHA1_D1_SIGN), ("alpha2", "d2", ALPHA2_D2_SIGN))
 
 
-def _linking_count(args, loop, disc):
-    """One pair's linking count and its circle's quadric residual, their
+def _linking_counts(args, loops, tubes, crossings):
+    """Each pair's linking count, None for a pair whose crossing check
+    failed (it fails whatever its count), and the circle's quadric residual,
+    from one circle that is built only when some pair needs it; their
     failures as usage errors: geometry the count cannot certify, and a
     segment count whose arrays cannot be allocated."""
+    if not any(trans.ok for trans in crossings):
+        return [None] * len(loops), None
     try:
-        link = gauss_linking(loop, disc, args.segments, args.segments)
-        return link, quadric_residual(disc, args.segments)
+        circle = linking_circle(args.A, args.B, args.segments)
+        links = [
+            linking_count(loop, tube.disc, circle, args.segments) if trans.ok else None
+            for loop, tube, trans in zip(loops, tubes, crossings)
+        ]
     except DegenerateGeometryError as exc:
         raise _UsageError(f"no linking certificate at A={args.A!r}, B={args.B!r}: {exc}")
     except MemoryError:
         raise _UsageError(f"out of memory: --segments {args.segments}")
+    return links, circle.residual
 
 
 def _run_certify(args) -> tuple[dict, int, list[str]]:
@@ -258,16 +266,13 @@ def _run_certify(args) -> tuple[dict, int, list[str]]:
     loops = [BoundaryLoop(loop_name, tube.m) for (loop_name, _, _), tube in zip(_PAIRS, tubes)]
 
     crossings = [transversality_exact(loop, tube) for loop, tube in zip(loops, tubes)]
-    # a pair whose crossing check failed fails whatever its count, so it gets none
-    counts = [
-        _linking_count(args, loop, tube.disc) if trans.ok else (None, None)
-        for loop, tube, trans in zip(loops, tubes, crossings)
-    ]
+    links, circle_residual = _linking_counts(args, loops, tubes, crossings)
 
     passed = True
     pairs, pair_lines = [], []
-    for (loop_name, disc_name, sign), trans, (link, residual) in zip(_PAIRS, crossings, counts):
+    for (loop_name, disc_name, sign), trans, link in zip(_PAIRS, crossings, links):
         [(lo, hi)] = trans.hit_intervals
+        residual = None if link is None else circle_residual
         name = f"{loop_name}/{disc_name}"
         pair_lines.append(
             f"{name}: transversality {'ok' if trans.ok else 'FAILED'}, "

@@ -23,8 +23,10 @@ closed polygons the Gauss integral is their signed crossing count in any
 regular view (Banchoff, Indiana Univ. Math. J. 25, 1976); each orientation
 goes through a float filter with a stated error bound, and what it cannot
 decide through Fractions. Cell boxes from the Interval type carry the count
-from the polygons to the curves. The tests hold the midpoint quadrature it
-replaced as a cross-check.
+from the polygons to the curves. linking_circle builds the circle polygon
+and its boxes once for both pairs at one (A, B), since d2's are d1's with x
+and z swapped, and linking_count counts one pair on it. The tests hold the
+midpoint quadrature it replaced as a cross-check.
 """
 
 from __future__ import annotations
@@ -194,15 +196,14 @@ def _circle(spec: WarpedDiscSpec, s: np.ndarray) -> np.ndarray:
     return (pts[::-1] if spec.variant == "d2" else pts).T
 
 
-def quadric_residual(spec: WarpedDiscSpec, n: int) -> float:
-    """The largest residual of the linking circle's n vertices on the disc's
-    two quadrics, x^2 + y^2 = a^2 and y^2 + z^2 = b^2 (x and z swapped for
-    d2), each written scale-free, as (x/a)^2 + (y/a)^2 - 1, so that it holds
-    where a^2 underflows. Certify needs it at most QUADRIC_TOL."""
-    x, y, z = _circle(spec, np.arange(n) * (2.0 * math.pi / n)).T
-    if spec.variant == "d2":
-        x, z = z, x
-    (xa, ya), (yb, zb) = (x / spec.a, y / spec.a), (y / spec.b, z / spec.b)
+def quadric_residual(a: float, b: float, pts: np.ndarray) -> float:
+    """The largest residual of d1 circle vertices pts (rows x, y, z) on the
+    disc's two quadrics, x^2 + y^2 = a^2 and y^2 + z^2 = b^2, each written
+    scale-free, as (x/a)^2 + (y/a)^2 - 1, so that it holds where a^2
+    underflows; d2's vertices, the same with x and z swapped, have the same
+    residual. Certify needs it at most QUADRIC_TOL."""
+    x, y, z = pts.T
+    (xa, ya), (yb, zb) = (x / a, y / a), (y / b, z / b)
     return float(np.max(np.abs([xa * xa + ya * ya - 1.0, yb * yb + zb * zb - 1.0])))
 
 
@@ -385,10 +386,23 @@ def _det_sign(r0, r1, r2) -> int:
 
 def _projected_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Boxes (lo, hi), 2 x n, around a polygon's edges projected along _VIEW
-    by (3y - 2z, 2x - y), in intervals."""
-    x, y, z = map(Interval, np.minimum(pts[:-1], pts[1:]).T, np.maximum(pts[:-1], pts[1:]).T)
-    u, v = 3.0 * y - 2.0 * z, 2.0 * x - y
-    return np.array([u.lo, v.lo]), np.array([u.hi, v.hi])
+    by (u, v) = (3y - 2z, 2x - y).
+
+    Each vertex's u and v are taken in doubles: 2z and 2x are exact, so u
+    rounds twice and is within 2^-52 (3|y| + 2|z|) (1 + 2^-53) + 2^-1074
+    of its exact value, the last term for a subnormal 3y, and v within the
+    same of 2^-52 (2|x| + |y|). Each value is padded by 2^-49 times its own
+    sum of magnitudes, plus 2^-1060; that pad, after its own roundings, is
+    above the error by more than 2^-50 of the sum plus 2^-1061, which
+    covers the rounding of value -+ pad, so each vertex's padded range
+    holds its exact projection. An edge's box spans its ends' ranges.
+    """
+    x, y, z = pts.T
+    ay = np.abs(y)
+    proj = np.array([3.0 * y - 2.0 * z, 2.0 * x - y])
+    pad = 2.0**-49 * np.array([3.0 * ay + 2.0 * np.abs(z), 2.0 * np.abs(x) + ay]) + 2.0**-1060
+    lo, hi = proj - pad, proj + pad
+    return np.minimum(lo[:, :-1], lo[:, 1:]), np.maximum(hi[:, :-1], hi[:, 1:])
 
 
 def _crossings(loop: np.ndarray, circle: np.ndarray) -> tuple[int, int]:
@@ -434,44 +448,71 @@ def _crossings(loop: np.ndarray, circle: np.ndarray) -> tuple[int, int]:
     return total, int(crossing.size)
 
 
-def gauss_linking(
-    loop: BoundaryLoop,
-    spec: WarpedDiscSpec,
-    loop_segments: int,
-    circle_segments: int,
+@dataclass(frozen=True)
+class LinkingCircle:
+    """The two discs' boundary circles at one (a, b), as the closed polygons
+    their linking counts compare: d1's n + 1 vertices (the last is the
+    first again), (n + 1) x 3, its n cells' boxes (lo, hi), 3 x n, from
+    _circle_boxes, and the vertices' quadric_residual. d2's polygon and
+    boxes are d1's with x and z swapped; polygon() returns them as views."""
+
+    points: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    residual: float
+
+    def polygon(self, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if variant == "d1":
+            return self.points, self.lo, self.hi
+        return self.points[:, ::-1], self.lo[::-1], self.hi[::-1]
+
+
+def linking_circle(a: float, b: float, n: int) -> LinkingCircle:
+    """Both discs' boundary circles at n equally spaced angles, built once
+    for the linking counts of both pairs at (a, b)."""
+    if n < MIN_SEGMENTS:
+        raise ValueError(f"segment counts must be at least {MIN_SEGMENTS}")
+    disc = WarpedDiscSpec("d1", a, b)
+    s = np.arange(n) * (2.0 * math.pi / n)
+    with np.errstate(all="ignore"):
+        pts = _circle(disc, s)
+        pts = np.vstack([pts, pts[:1]])
+        lo, hi = _circle_boxes(disc, s, pts)
+        return LinkingCircle(pts, lo, hi, quadric_residual(a, b, pts))
+
+
+def linking_count(
+    loop: BoundaryLoop, disc: WarpedDiscSpec, circle: LinkingCircle, loop_segments: int
 ) -> LinkingResult:
-    """Linking number of the loop with the disc boundary circle: the exact
+    """Linking number of the loop with the disc's boundary circle, read
+    from circle, the linking_circle at the disc's a and b: the exact
     crossing count of two polygons, carried to the curves by cell boxes.
 
     The loop polygon is the origin, phi(m, theta) on theta = linspace(0,
     pi/2, n + 1) (alpha1 runs it down, as pi/2 - theta), n = max(4,
     ceil(loop_segments (pi/2) / t_max)), and the origin again; phi at exactly
-    0 and pi/2 is m times an axis, so its legs are the loop's own. The circle
-    polygon is the disc boundary at circle_segments equally spaced angles.
-    Each arc cell's box holds phi over the cell and its chord, each circle
-    cell's box the boundary over the cell and its chord, and each leg is its
-    own box. When no loop box meets a circle box, the straight-line
-    homotopies from the curves to the polygons never bring them together,
-    so the count is the curves' linking number: ALPHA1_D1_SIGN and
-    ALPHA2_D2_SIGN for the matched pairs. closest_approach is the least gap
-    between the boxes.
+    0 and pi/2 is m times an axis, so its legs are the loop's own. Each arc
+    cell's box holds phi over the cell and its chord, each circle cell's box
+    the boundary over the cell and its chord, and each leg is its own box.
+    When no loop box meets a circle box, the straight-line homotopies from
+    the curves to the polygons never bring them together, so the count is
+    the curves' linking number: ALPHA1_D1_SIGN and ALPHA2_D2_SIGN for the
+    matched pairs. closest_approach is the least gap between the boxes.
 
     Raises DegenerateGeometryError on a vertex that is not finite, boxes
     that meet or a view that is not regular; it never warns.
     """
-    if loop_segments < MIN_SEGMENTS or circle_segments < MIN_SEGMENTS:
+    if loop_segments < MIN_SEGMENTS:
         raise ValueError(f"segment counts must be at least {MIN_SEGMENTS}")
     arc_segments = max(_MIN_ARC_CELLS, math.ceil(loop_segments * HALF_PI / loop.t_max))
     theta = np.linspace(0.0, HALF_PI, arc_segments + 1)
     if _ORIENTATION[loop.variant][1] < 0.0:
         theta = HALF_PI - theta
-    s = np.arange(circle_segments) * (2.0 * math.pi / circle_segments)
+    circle_pts, circle_lo, circle_hi = circle.polygon(disc.variant)
     with np.errstate(all="ignore"):
         trig = _trig_vec(theta)
         arc = np.array(_phi_terms(loop.m, *trig))
         loop_pts = np.hstack([np.zeros((3, 1)), arc, np.zeros((3, 1))]).T
-        circle_pts = _circle(spec, s)
-        circle_pts = np.vstack([circle_pts, circle_pts[:1]])
         if not np.all(np.isfinite(loop_pts)) or not np.all(np.isfinite(circle_pts)):
             raise DegenerateGeometryError("a polygon vertex is not finite: coordinates overflow")
         # each edge's box: its ends' hull, and for an arc edge its cell's phi
@@ -480,8 +521,21 @@ def gauss_linking(
         for k, v in enumerate(_arc_boxes(loop.m, trig)):
             lo[k, 1:-1] = np.minimum(lo[k, 1:-1], v.lo)
             hi[k, 1:-1] = np.maximum(hi[k, 1:-1], v.hi)
-        closest = _least_gap(lo, hi, *_circle_boxes(spec, s, circle_pts))
+        closest = _least_gap(lo, hi, circle_lo, circle_hi)
         count, crossings = _crossings(loop_pts, circle_pts)
     return LinkingResult(
-        float(count), count, loop_segments, circle_segments, arc_segments, closest, crossings
+        float(count), count, loop_segments, circle_lo.shape[1], arc_segments, closest, crossings
     )
+
+
+def gauss_linking(
+    loop: BoundaryLoop,
+    spec: WarpedDiscSpec,
+    loop_segments: int,
+    circle_segments: int,
+) -> LinkingResult:
+    """Linking number of the loop with the disc boundary circle at
+    circle_segments equally spaced angles: linking_count on that disc's
+    linking_circle. Certify builds the circle once for both of its pairs
+    and calls linking_count itself."""
+    return linking_count(loop, spec, linking_circle(spec.a, spec.b, circle_segments), loop_segments)

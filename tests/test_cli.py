@@ -377,15 +377,15 @@ def test_certify_runs_pair_2s_linking_sum_on_one_worker(capsys, monkeypatch, thr
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_certify_reports_pair_1s_linking_error_first(capsys, monkeypatch, threads):
-    real = cli.gauss_linking
+    real = cli.linking_count
     failing = set()
 
-    def gauss_linking(loop, disc, loop_segments, circle_segments):
+    def linking_count(loop, disc, circle, loop_segments):
         if disc.variant in failing:
             raise cli.DegenerateGeometryError(f"{disc.variant} fails")
-        return real(loop, disc, loop_segments, circle_segments)
+        return real(loop, disc, circle, loop_segments)
 
-    monkeypatch.setattr(cli, "gauss_linking", gauss_linking)
+    monkeypatch.setattr(cli, "linking_count", linking_count)
     monkeypatch.setenv("QUADRANT_ATLAS_THREADS", threads)
     argv = ["certify", "--A", "1", "--B", "2", "--segments", "256"]
     for fails, reported in ((("d2",), "d2"), (("d1", "d2"), "d1")):
@@ -592,11 +592,61 @@ def test_certify_fails_an_arc_that_enters_its_tube(capsys, monkeypatch, a, b):
         return p1, p2, 0.25 * p3
 
     monkeypatch.setattr(topology, "_phi_terms", short_phi)
+    builds = count_circle_builds(monkeypatch)
     code, doc = run_json(
         ["certify", "--A", a, "--B", b, "--segments", "256", "--format", "json"], capsys
     )
     assert code == 1
     assert [pair["transversality"]["ok"] for pair in doc["results"]["pairs"]] == [False, False]
+    # neither pair is counted, so no circle is built
+    assert builds == []
+
+
+def count_circle_builds(monkeypatch):
+    """A list that gains "points" each time topology builds a disc boundary
+    polygon and "boxes" each time it boxes one."""
+    builds = []
+    for name, label in (("_circle", "points"), ("_circle_boxes", "boxes")):
+        real = getattr(topology, name)
+
+        def counted(*args, real=real, label=label):
+            builds.append(label)
+            return real(*args)
+
+        monkeypatch.setattr(topology, name, counted)
+    return builds
+
+
+def test_certify_builds_its_circle_once_an_op(capsys, monkeypatch):
+    # both pairs count on one circle, and the next op builds its own
+    builds = count_circle_builds(monkeypatch)
+    argv = ["certify", "--A", "1", "--B", "2", "--segments", "256", "--format", "json"]
+    for ops in (1, 2):
+        code, _ = run_json(argv, capsys)
+        assert code == 0
+        assert builds == ["points", "boxes"] * ops
+
+
+@pytest.mark.parametrize(
+    "a, b, closest, arc_segments, residual",
+    [
+        ("1", "1", "0x1.ff9b6e3c77dc8p-1", 266, 2.220446049250313e-16),
+        ("1", "2", "0x1.ff9b6e3c77dcap-1", 173, 2.220446049250313e-16),
+        ("0.5", "3", "0x1.ff9b6e3c77dcap-2", 129, 3.3306690738754696e-16),
+        ("2", "2.5", "0x1.ff9b6e3c77dcap+0", 122, 4.440892098500626e-16),
+    ],
+)
+def test_certify_pins_the_benchmark_pairs(capsys, a, b, closest, arc_segments, residual):
+    # the benchmark's four pairs at the default 4096 segments
+    code, doc = run_json(["certify", "--A", a, "--B", b, "--format", "json"], capsys)
+    assert code == 0
+    for pair, sign in zip(doc["results"]["pairs"], (1, -1)):
+        link = pair["linking"]
+        assert (link["value"], link["rounded"], link["crossings"]) == (sign, sign, 2)
+        assert (link["loop_segments"], link["circle_segments"]) == (4096, 4096)
+        assert link["arc_segments"] == arc_segments
+        assert link["closest_approach"].hex() == closest
+        assert pair["quadric_residual"] == residual
 
 
 def tube_rule(m0=None, epsilon=None, m=None):

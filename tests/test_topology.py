@@ -18,6 +18,7 @@ import random
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -962,3 +963,60 @@ def test_cell_boxes_enclose_the_curves(a, b):
                         p.reverse()
                     for v, low, high in zip(p, lo[:, j], hi[:, j]):
                         assert low <= v <= high, (disc_variant, j, t)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (1e-9, 2e-9), (1e80, 2e80)])
+def test_linking_circle_gives_d2_the_d1_polygon_swapped(a, b):
+    # the one circle certify builds: d2's polygon and boxes, read as views
+    # of d1's, are _circle and _circle_boxes run on d2, bit for bit
+    n = 4096
+    circle = topology.linking_circle(a, b, n)
+    s = np.arange(n) * (2.0 * math.pi / n)
+    for variant in ("d1", "d2"):
+        spec = WarpedDiscSpec(variant, a, b)
+        pts = closed(_circle(spec, s))
+        direct = (pts, *topology._circle_boxes(spec, s, pts))
+        shared = circle.polygon(variant)
+        assert [v.tobytes() for v in shared] == [v.tobytes() for v in direct]
+        for v, base in zip(shared, (circle.points, circle.lo, circle.hi)):
+            assert np.shares_memory(v, base)
+
+
+@pytest.mark.parametrize(
+    "a, b, unscaled",
+    [(1.0, 2.0, False), (1e-153, 2e-153, False), (1e80, 2e80, True), (1.31e150, 2.71e150, True)],
+)
+def test_projected_edge_boxes_hold_the_exact_projections(a, b, unscaled, monkeypatch):
+    # each projected edge box, padded in doubles, holds both of its ends'
+    # projections (3y - 2z, 2x - y) taken in Fractions, for both polygons as
+    # _crossings scales them by 2^k; k is 0 where the arc passes 2^500
+    projected_edges = topology._projected_edges
+    for loop_variant, disc_variant, _ in MATCHED:
+        tube = make_tube(a, b, disc_variant)
+        polygons, scaled = [], []
+
+        def recording_crossings(*args):
+            polygons.extend(args)
+            return _crossings(*args)
+
+        def recording_edges(pts):
+            scaled.append(pts)
+            return projected_edges(pts)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(topology, "_crossings", recording_crossings)
+            patch.setattr(topology, "_projected_edges", recording_edges)
+            gauss_linking(BoundaryLoop(loop_variant, tube.m), tube.disc, 1024, 1024)
+        k = max(0, 500 - math.frexp(max(float(np.max(np.abs(v))) for v in polygons))[1])
+        assert (k == 0) == unscaled
+        for polygon, pts in zip(polygons, scaled):
+            assert pts.tobytes() == np.ldexp(polygon, k).tobytes()
+            lo, hi = (v.T.tolist() for v in projected_edges(pts))
+            exact = [
+                (3 * Fraction(y) - 2 * Fraction(z), 2 * Fraction(x) - Fraction(y))
+                for x, y, z in pts.tolist()
+            ]
+            for j, ends in enumerate(zip(exact[:-1], exact[1:])):
+                for p in ends:
+                    for c in range(2):
+                        assert lo[j][c] <= p[c] <= hi[j][c], (loop_variant, j, c)
