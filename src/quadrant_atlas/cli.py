@@ -61,10 +61,11 @@ from .topology import (
     DegenerateGeometryError,
     _circle,
     _loop_points,
+    linking_arcs,
     linking_circle,
     linking_count,
     make_tube,
-    transversality_exact,
+    transversality_report,
 )
 
 
@@ -223,7 +224,8 @@ def _dump_certify_points(path: str, loops, tubes, segments: int) -> None:
         curves.append((loop.variant, t, _loop_points(loop, t)))
     for tube in tubes:
         s = np.arange(segments) * (math.tau / segments)
-        curves.append((f"{tube.disc.variant}_boundary", s, _circle(tube.disc, s)))
+        points = _circle(tube.disc, np.cos(s), np.sin(s))
+        curves.append((f"{tube.disc.variant}_boundary", s, points))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("curve,param,x,y,z\n")
         for name, params, points in curves:
@@ -235,19 +237,19 @@ def _dump_certify_points(path: str, loops, tubes, segments: int) -> None:
 _PAIRS = (("alpha1", "d1", ALPHA1_D1_SIGN), ("alpha2", "d2", ALPHA2_D2_SIGN))
 
 
-def _linking_counts(args, loops, tubes, crossings):
-    """Each pair's linking count, None for a pair whose crossing check
-    failed (it fails whatever its count), and the circle's quadric residual,
-    from one circle that is built only when some pair needs it; their
-    failures as usage errors: geometry the count cannot certify, and a
-    segment count whose arrays cannot be allocated."""
+def _linking_counts(args, polygons, tubes, crossings):
+    """Each pair's linking count on its loop's polygon, None for a pair
+    whose crossing check failed (it fails whatever its count), and the
+    circle's quadric residual, from one circle that is built only when some
+    pair needs it; their failures as usage errors: geometry the count cannot
+    certify, and a segment count whose arrays cannot be allocated."""
     if not any(trans.ok for trans in crossings):
-        return [None] * len(loops), None
+        return [None] * len(polygons), None
     try:
         circle = linking_circle(args.A, args.B, args.segments)
         links = [
-            linking_count(loop, tube.disc, circle, args.segments) if trans.ok else None
-            for loop, tube, trans in zip(loops, tubes, crossings)
+            linking_count(polygon, tube.disc, circle, args.segments) if trans.ok else None
+            for polygon, tube, trans in zip(polygons, tubes, crossings)
         ]
     except DegenerateGeometryError as exc:
         raise _UsageError(f"no linking certificate at A={args.A!r}, B={args.B!r}: {exc}")
@@ -265,8 +267,17 @@ def _run_certify(args) -> tuple[dict, int, list[str]]:
         raise _UsageError(str(exc))
     loops = [BoundaryLoop(loop_name, tube.m) for (loop_name, _, _), tube in zip(_PAIRS, tubes)]
 
-    crossings = [transversality_exact(loop, tube) for loop, tube in zip(loops, tubes)]
-    links, circle_residual = _linking_counts(args, loops, tubes, crossings)
+    # both loops have the tubes' one m: their arcs and criterion 5 at rho =
+    # m come from one build, which every crossing check reads
+    try:
+        arcs, arc_clears_tube = linking_arcs(tubes[0].m, args.segments)
+    except MemoryError:
+        raise _UsageError(f"out of memory: --segments {args.segments}")
+    crossings = [
+        transversality_report(loop, tube, arc_clears_tube) for loop, tube in zip(loops, tubes)
+    ]
+    polygons = [arcs[loop.variant] for loop in loops]
+    links, circle_residual = _linking_counts(args, polygons, tubes, crossings)
 
     passed = True
     pairs, pair_lines = [], []

@@ -3,7 +3,7 @@
 The discs are graphs over coordinate discs of radius A, warped to height B
 by the xi profile; flattening them with zeta turns "the loop crosses the
 disc once, straight through" into an interval statement about cylinder
-coordinates. transversality_exact decides it in closed form: the loop's
+coordinates. transversality_report decides it in closed form: the loop's
 first leg flattens, through zeta, to a vertical line that stays in the tube
 exactly over (B - epsilon, B + epsilon); the second leg stays at height -B
 and the arc at norm m/2 or more, both outside the tube. The inequalities
@@ -22,11 +22,17 @@ loop generates the fundamental group of the circle's complement. For two
 closed polygons the Gauss integral is their signed crossing count in any
 regular view (Banchoff, Indiana Univ. Math. J. 25, 1976); each orientation
 goes through a float filter with a stated error bound, and what it cannot
-decide through Fractions. Cell boxes from the Interval type carry the count
-from the polygons to the curves. linking_circle builds the circle polygon
-and its boxes once for both pairs at one (A, B), since d2's are d1's with x
-and z swapped, and linking_count counts one pair on it. The tests hold the
-midpoint quadrature it replaced as a cross-check.
+decide, like each crossing's height, through determinants of Python
+integers: the doubles times one power of two. Cell boxes from the Interval
+type carry the count from the polygons to the curves. Both of certify's
+pairs at one (A, B) share their pieces, built once an op: linking_arcs
+builds both loops' polygons and edge boxes, and proves criterion 5 at
+rho = m, from one phi pass on doubles and one on intervals, since both
+loops have the same m; linking_circle builds the circle polygon and its
+boxes, since d2's are d1's with x and z swapped; linking_count counts one
+pair on them, and transversality_report takes criterion 5's verdict.
+transversality_exact and gauss_linking are the one-pair compositions. The
+tests hold the midpoint quadrature the count replaced as a cross-check.
 """
 
 from __future__ import annotations
@@ -61,6 +67,9 @@ _MIN_ARC_CELLS = 4
 
 # the crossing count's view direction
 _VIEW = (1, 2, 3)
+
+# the edges of the cells on which criterion 5 is proved at rho = m
+_TUBE_ANGLES = np.linspace(0.0, HALF_PI, 5)
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -183,16 +192,17 @@ def make_tube(a: float, b: float, variant: str) -> TubeSpec:
 # Curves on arrays of parameters.
 
 
-def _circle(spec: WarpedDiscSpec, s: np.ndarray) -> np.ndarray:
-    """Disc boundary points at angles s, n x 3.
+def _circle(spec: WarpedDiscSpec, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Disc boundary points at the angles s whose cos and sin are given,
+    n x 3.
 
     d1: (a cos s, a sin s, xi(a sin s)) = (a cos s, a sin s,
     sqrt(b^2 - a^2 sin^2 s)), the disc's own height at its rim, which lies
     on both quadrics x^2+y^2 = a^2 and y^2+z^2 = b^2; d2 swaps x and z.
     """
     a, b = spec.a, spec.b
-    y = a * np.sin(s)
-    pts = np.array([a * np.cos(s), y, _xi_terms(y, b)])
+    y = a * sin
+    pts = np.array([a * cos, y, _xi_terms(y, b)])
     return (pts[::-1] if spec.variant == "d2" else pts).T
 
 
@@ -229,9 +239,18 @@ def _loop_points(loop: BoundaryLoop, t: np.ndarray) -> np.ndarray:
 
 
 def transversality_exact(loop: BoundaryLoop, tube: TubeSpec) -> TransversalityReport:
+    """transversality_report with criterion 5 at the loop's m proved on its
+    own four cells; certify proves it once for both loops in linking_arcs."""
+    return transversality_report(loop, tube, _arc_clears_tube(loop.m))
+
+
+def transversality_report(
+    loop: BoundaryLoop, tube: TubeSpec, arc_clears_tube: bool
+) -> TransversalityReport:
     """Decide "the loop crosses the tube once, straight through" in closed
-    form. Take alpha1 and d1; alpha2 and d2 are the same with x and z
-    swapped, and a loop whose first leg runs along the other axis fails.
+    form, given whether the arc clears the tube (criterion 5 at rho = m).
+    Take alpha1 and d1; alpha2 and d2 are the same with x and z swapped,
+    and a loop whose first leg runs along the other axis fails.
 
     zeta flattens the first leg (0, 0, t) to (q1, q2, t + q3), with (q1, q2,
     q3) its value at the origin, so the leg is in the open cylinder exactly
@@ -244,9 +263,9 @@ def transversality_exact(loop: BoundaryLoop, tube: TubeSpec) -> TransversalityRe
     * m0^2 > a^2 + b^2: m0 strictly dominates the disc's sup norm;
     * m^2 / 4 > (a + epsilon)^2 + (b + epsilon)^2: every tube point has a
       norm below the right side's root, and the arc has norm above m/2
-      (criterion 5 at rho = m, proved here in intervals on four cells of
-      the arc), so the arc never enters the tube. It also gives
-      m > 2 (b + epsilon), so the hit ends before the first leg does.
+      (arc_clears_tube, proved in intervals on four cells of the arc), so
+      the arc never enters the tube. It also gives m > 2 (b + epsilon), so
+      the hit ends before the first leg does.
 
     Nothing in the verdict is sampled.
     """
@@ -262,7 +281,7 @@ def transversality_exact(loop: BoundaryLoop, tube: TubeSpec) -> TransversalityRe
         and 0 < fe < min(fb, m0 - fb)
         and m0 * m0 > fa * fa + fb * fb
         and m * m / 4 > (fa + fe) ** 2 + (fb + fe) ** 2
-        and _arc_clears_tube(loop.m)
+        and arc_clears_tube
     )
     return TransversalityReport(
         ok=ok,
@@ -290,26 +309,33 @@ def _arc_boxes(m: float, trig) -> tuple[Interval, Interval, Interval]:
     return _phi_terms(Interval(m), c, s, (c * s).sqrt())
 
 
-def _arc_clears_tube(m: float) -> bool:
+def _clears_tube(m: float, boxes) -> bool:
     """Criterion 5 at rho = m: ||phi(m, theta)||^2 > m^2/4 on all of
-    [0, pi/2], proved on 4 cells."""
+    [0, pi/2], proved from phi's boxes over cells that cover it; the
+    caller ignores overflow."""
     norm2 = Interval(0.0)
+    for p in boxes:
+        least = Interval(np.maximum(np.maximum(p.lo, -p.hi), 0.0))
+        norm2 = norm2 + least * least
+    return bool(np.all(norm2.lo > (Interval(m) * m * 0.25).hi))
+
+
+def _arc_clears_tube(m: float) -> bool:
+    """_clears_tube on the boxes of criterion 5's cells alone."""
     with np.errstate(over="ignore"):
-        for p in _arc_boxes(m, _trig_vec(np.linspace(0.0, HALF_PI, 5))):
-            least = Interval(np.maximum(np.maximum(p.lo, -p.hi), 0.0))
-            norm2 = norm2 + least * least
-        return bool(np.all(norm2.lo > (Interval(m) * m * 0.25).hi))
+        return _clears_tube(m, _arc_boxes(m, _trig_vec(_TUBE_ANGLES)))
 
 
-def _circle_boxes(spec: WarpedDiscSpec, s: np.ndarray, pts: np.ndarray):
+def _circle_boxes(spec: WarpedDiscSpec, s: np.ndarray, cos, sin, pts: np.ndarray):
     """Boxes (lo, hi), 3 x n, around the disc boundary's cells between the
     angles s, the last closing at 2 pi, and the chords of its closed polygon
-    pts. cos and sin are monotone between quarter turns; a cell that holds
-    one takes the extreme there. The height goes through intervals: b^2 -
-    y^2 rounds by ulps of b^2, not of the height."""
+    pts; cos and sin are those of s. cos and sin are monotone between
+    quarter turns; a cell that holds one takes the extreme there. The
+    height goes through intervals: b^2 - y^2 rounds by ulps of b^2, not of
+    the height."""
     a, b = spec.a, spec.b
     ends = np.append(s, 2.0 * math.pi)
-    cos, sin = _cells(np.append(np.cos(s), 1.0)), _cells(np.append(np.sin(s), 0.0))
+    cos, sin = _cells(np.append(cos, 1.0)), _cells(np.append(sin, 0.0))
     for k, bound, extreme in ((1, sin.hi, 1.0), (2, cos.lo, -1.0), (3, sin.lo, -1.0)):
         # the cells that hold k pi/2, to a few ulps
         q = k * HALF_PI
@@ -358,7 +384,8 @@ def _orientations(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     roundings (two differences, a product, a difference, the factor of
     _VIEW, two sums), so the error is below gamma_7 P / (1 - gamma_7) <
     8 eps P, eps = 2^-53; 2^-1060 covers products rounded in the subnormal
-    range. Other rows, overflowed ones too, are redone exactly in Fractions.
+    range. Other rows, overflowed ones too, are redone exactly
+    (_orientation_exact).
     """
     signs = np.zeros(len(a))
     view = np.array(_VIEW, dtype=float)[:, None]
@@ -370,12 +397,36 @@ def _orientations(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         signs = np.where(np.abs(det) > 2.0**-50 * perm + 2.0**-1060, np.sign(det), signs)
     signs = signs.astype(int)
     for k in np.flatnonzero(signs == 0):
-        signs[k] = _det_sign(_VIEW, _minus(b[k], a[k]), _minus(c[k], a[k]))
+        signs[k] = _orientation_exact(a[k], b[k], c[k])
     return signs
 
 
-def _minus(p: np.ndarray, q: np.ndarray) -> list[Fraction]:
-    return [Fraction(x) - Fraction(y) for x, y in zip(p.tolist(), q.tolist())]
+def _orientation_exact(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> int:
+    """Sign of det(_VIEW, b - a, c - a) for three points of doubles, exactly."""
+    a, b, c = _integer_points(a, b, c)
+    return _det_sign(_VIEW, _minus(b, a), _minus(c, a))
+
+
+def _height_sign(p0: np.ndarray, p1: np.ndarray, q0: np.ndarray, q1: np.ndarray) -> int:
+    """Sign of det(p0 - q0, p1 - p0, q1 - q0) for four points of doubles,
+    exactly: the side of the circle edge q0 q1 the loop edge p0 p1 crosses
+    on, along _VIEW, where their projections cross."""
+    p0, p1, q0, q1 = _integer_points(p0, p1, q0, q1)
+    return _det_sign(_minus(p0, q0), _minus(p1, p0), _minus(q1, q0))
+
+
+def _integer_points(*points: np.ndarray) -> list[list[int]]:
+    """The points' coordinates times one power of two, the largest of their
+    denominators, as exact Python integers: differences and determinants
+    built from them have the exact signs. Finite doubles only."""
+    ratios = [x.as_integer_ratio() for p in points for x in p.tolist()]
+    top = max(d for _, d in ratios)
+    ints = [n * (top // d) for n, d in ratios]
+    return [ints[i : i + 3] for i in range(0, len(ints), 3)]
+
+
+def _minus(p: list[int], q: list[int]) -> list[int]:
+    return [x - y for x, y in zip(p, q)]
 
 
 def _det_sign(r0, r1, r2) -> int:
@@ -441,7 +492,7 @@ def _crossings(loop: np.ndarray, circle: np.ndarray) -> tuple[int, int]:
     crossing = np.flatnonzero(o[2] != o[3])
     total = 0
     for k in crossing:
-        height = _det_sign(_minus(p0[k], q0[k]), _minus(p1[k], p0[k]), _minus(q1[k], q0[k]))
+        height = _height_sign(p0[k], p1[k], q0[k], q1[k])
         if height == 0:
             raise DegenerateGeometryError("a loop edge and a circle edge cross at one height")
         total += int(o[1, k]) if height == o[1, k] else 0
@@ -475,56 +526,95 @@ def linking_circle(a: float, b: float, n: int) -> LinkingCircle:
     disc = WarpedDiscSpec("d1", a, b)
     s = np.arange(n) * (2.0 * math.pi / n)
     with np.errstate(all="ignore"):
-        pts = _circle(disc, s)
+        cos, sin = np.cos(s), np.sin(s)
+        pts = _circle(disc, cos, sin)
         pts = np.vstack([pts, pts[:1]])
-        lo, hi = _circle_boxes(disc, s, pts)
+        lo, hi = _circle_boxes(disc, s, cos, sin, pts)
         return LinkingCircle(pts, lo, hi, quadric_residual(a, b, pts))
 
 
-def linking_count(
-    loop: BoundaryLoop, disc: WarpedDiscSpec, circle: LinkingCircle, loop_segments: int
-) -> LinkingResult:
-    """Linking number of the loop with the disc's boundary circle, read
-    from circle, the linking_circle at the disc's a and b: the exact
-    crossing count of two polygons, carried to the curves by cell boxes.
+@dataclass(frozen=True)
+class LoopPolygon:
+    """A boundary loop as the closed polygon its linking counts compare:
+    the origin, phi(m, theta) at the arc's arc_segments + 1 cell edges and
+    the origin again, (n + 3) x 3, and its n + 2 edges' boxes (lo, hi),
+    3 x (n + 2): a leg's box is its ends' hull, an arc edge's also holds
+    phi over its cell."""
 
-    The loop polygon is the origin, phi(m, theta) on theta = linspace(0,
-    pi/2, n + 1) (alpha1 runs it down, as pi/2 - theta), n = max(4,
-    ceil(loop_segments (pi/2) / t_max)), and the origin again; phi at exactly
-    0 and pi/2 is m times an axis, so its legs are the loop's own. Each arc
-    cell's box holds phi over the cell and its chord, each circle cell's box
-    the boundary over the cell and its chord, and each leg is its own box.
-    When no loop box meets a circle box, the straight-line homotopies from
-    the curves to the polygons never bring them together, so the count is
-    the curves' linking number: ALPHA1_D1_SIGN and ALPHA2_D2_SIGN for the
-    matched pairs. closest_approach is the least gap between the boxes.
+    points: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    arc_segments: int
+
+
+def linking_arcs(m: float, loop_segments: int) -> tuple[dict[str, LoopPolygon], bool]:
+    """Both boundary loops at one m, as LoopPolygons keyed by variant, and
+    whether their arc clears the tube (criterion 5 at rho = m), built once
+    for both pairs at one (a, b).
+
+    Each arc has n = max(4, ceil(loop_segments (pi/2) / t_max)) cells on
+    theta = linspace(0, pi/2, n + 1); alpha1 runs them down, as pi/2 -
+    theta. phi at exactly 0 and pi/2 is m times an axis, so the legs are the
+    loop's own. phi runs once on doubles, at both arcs' angles, and once on
+    intervals, over both arcs' cells and criterion 5's four, joined in one
+    array: every operation is elementwise, so each slice holds the bits a
+    pass of its own would give.
+    """
+    if loop_segments < MIN_SEGMENTS:
+        raise ValueError(f"segment counts must be at least {MIN_SEGMENTS}")
+    n = max(_MIN_ARC_CELLS, math.ceil(loop_segments * HALF_PI / BoundaryLoop("alpha1", m).t_max))
+    theta = np.linspace(0.0, HALF_PI, n + 1)
+    # each loop's cell edges in _ORIENTATION's order, then criterion 5's;
+    # _cells also boxes the two steps from one run to the next, which
+    # nothing reads
+    runs = [theta if sign > 0.0 else HALF_PI - theta for _, sign in _ORIENTATION.values()]
+    theta = np.concatenate([*runs, _TUBE_ANGLES])
+    with np.errstate(all="ignore"):
+        trig = _trig_vec(theta)
+        arcs = np.array(_phi_terms(m, *(v[: 2 * n + 2] for v in trig)))
+        boxes = _arc_boxes(m, trig)
+        pts = np.zeros((2, n + 3, 3))
+        pts[:, 1:-1] = arcs.reshape(3, 2, n + 1).transpose(1, 2, 0)
+        # each edge's box: its ends' hull, and for an arc edge its cell's
+        # phi; cells is (lo or hi, loop, coordinate, cell)
+        lo = np.minimum(pts[:, :-1], pts[:, 1:]).transpose(0, 2, 1)
+        hi = np.maximum(pts[:, :-1], pts[:, 1:]).transpose(0, 2, 1)
+        cells = np.array([(v.lo, v.hi) for v in boxes])[..., : 2 * n + 2]
+        cells = cells.reshape(3, 2, 2, n + 1)[..., :n].transpose(1, 2, 0, 3)
+        lo[..., 1:-1] = np.minimum(lo[..., 1:-1], cells[0])
+        hi[..., 1:-1] = np.maximum(hi[..., 1:-1], cells[1])
+        clear = _clears_tube(m, [Interval(v.lo[2 * n + 2 :], v.hi[2 * n + 2 :]) for v in boxes])
+    polygons = {v: LoopPolygon(pts[k], lo[k], hi[k], n) for k, v in enumerate(_ORIENTATION)}
+    return polygons, clear
+
+
+def linking_count(
+    loop: LoopPolygon, disc: WarpedDiscSpec, circle: LinkingCircle, loop_segments: int
+) -> LinkingResult:
+    """Linking number of a loop, given as its linking_arcs polygon at
+    loop_segments, with the disc's boundary circle, read from circle, the
+    linking_circle at the disc's a and b: the exact crossing count of two
+    polygons, carried to the curves by cell boxes.
+
+    Each arc cell's box holds phi over the cell and its chord, each circle
+    cell's box the boundary over the cell and its chord, and each leg is
+    its own box. When no loop box meets a circle box, the straight-line
+    homotopies from the curves to the polygons never bring them together,
+    so the count is the curves' linking number: ALPHA1_D1_SIGN and
+    ALPHA2_D2_SIGN for the matched pairs. closest_approach is the least gap
+    between the boxes.
 
     Raises DegenerateGeometryError on a vertex that is not finite, boxes
     that meet or a view that is not regular; it never warns.
     """
-    if loop_segments < MIN_SEGMENTS:
-        raise ValueError(f"segment counts must be at least {MIN_SEGMENTS}")
-    arc_segments = max(_MIN_ARC_CELLS, math.ceil(loop_segments * HALF_PI / loop.t_max))
-    theta = np.linspace(0.0, HALF_PI, arc_segments + 1)
-    if _ORIENTATION[loop.variant][1] < 0.0:
-        theta = HALF_PI - theta
     circle_pts, circle_lo, circle_hi = circle.polygon(disc.variant)
     with np.errstate(all="ignore"):
-        trig = _trig_vec(theta)
-        arc = np.array(_phi_terms(loop.m, *trig))
-        loop_pts = np.hstack([np.zeros((3, 1)), arc, np.zeros((3, 1))]).T
-        if not np.all(np.isfinite(loop_pts)) or not np.all(np.isfinite(circle_pts)):
+        if not np.all(np.isfinite(loop.points)) or not np.all(np.isfinite(circle_pts)):
             raise DegenerateGeometryError("a polygon vertex is not finite: coordinates overflow")
-        # each edge's box: its ends' hull, and for an arc edge its cell's phi
-        ends = loop_pts[:-1], loop_pts[1:]
-        lo, hi = np.minimum(*ends).T, np.maximum(*ends).T
-        for k, v in enumerate(_arc_boxes(loop.m, trig)):
-            lo[k, 1:-1] = np.minimum(lo[k, 1:-1], v.lo)
-            hi[k, 1:-1] = np.maximum(hi[k, 1:-1], v.hi)
-        closest = _least_gap(lo, hi, circle_lo, circle_hi)
-        count, crossings = _crossings(loop_pts, circle_pts)
+        closest = _least_gap(loop.lo, loop.hi, circle_lo, circle_hi)
+        count, crossings = _crossings(loop.points, circle_pts)
     return LinkingResult(
-        float(count), count, loop_segments, circle_lo.shape[1], arc_segments, closest, crossings
+        float(count), count, loop_segments, circle_lo.shape[1], loop.arc_segments, closest, crossings
     )
 
 
@@ -535,7 +625,10 @@ def gauss_linking(
     circle_segments: int,
 ) -> LinkingResult:
     """Linking number of the loop with the disc boundary circle at
-    circle_segments equally spaced angles: linking_count on that disc's
-    linking_circle. Certify builds the circle once for both of its pairs
-    and calls linking_count itself."""
-    return linking_count(loop, spec, linking_circle(spec.a, spec.b, circle_segments), loop_segments)
+    circle_segments equally spaced angles: linking_count on the loop's
+    linking_arcs polygon and that disc's linking_circle. Certify builds the
+    arcs and the circle once for both of its pairs and calls linking_count
+    itself."""
+    polygons, _ = linking_arcs(loop.m, loop_segments)
+    circle = linking_circle(spec.a, spec.b, circle_segments)
+    return linking_count(polygons[loop.variant], spec, circle, loop_segments)

@@ -52,7 +52,7 @@ def _circle_tangents(spec: WarpedDiscSpec, s: np.ndarray) -> np.ndarray:
 def _circle_samples(spec: WarpedDiscSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint samples of the disc boundary and its s-derivative."""
     s = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    return _circle(spec, s), _circle_tangents(spec, s)
+    return _circle(spec, np.cos(s), np.sin(s)), _circle_tangents(spec, s)
 
 
 def _pair_sum(

@@ -21,6 +21,7 @@ import quadrant_atlas
 import quadrant_atlas.cli as cli
 import quadrant_atlas.sampler as sampler
 import quadrant_atlas.topology as topology
+from quadrant_atlas.interval import Interval
 from quadrant_atlas.maps import _phi_terms, _xi_terms
 from quadrant_atlas.parallel import thread_count
 from quadrant_atlas.solver import SolverFailure
@@ -627,6 +628,45 @@ def test_certify_builds_its_circle_once_an_op(capsys, monkeypatch):
         assert builds == ["points", "boxes"] * ops
 
 
+def test_certify_takes_one_interval_phi_pass_and_no_fraction_an_op(capsys, monkeypatch):
+    # both loops' arcs come from one phi pass on doubles, and both arcs'
+    # cell boxes with criterion 5's from one on intervals; the four
+    # crossing heights are determinants of integers, not Fractions
+    phi_on_intervals, dets = [], []
+
+    def counted_phi(*args):
+        phi_on_intervals.append(isinstance(args[1], Interval))
+        return _phi_terms(*args)
+
+    def counted_det(*rows, real=topology._det_sign):
+        dets.append({type(v).__name__ for row in rows for v in row})
+        return real(*rows)
+
+    monkeypatch.setattr(topology, "_phi_terms", counted_phi)
+    monkeypatch.setattr(topology, "_det_sign", counted_det)
+    argv = ["certify", "--A", "1", "--B", "2", "--format", "json"]
+    for ops in (1, 2):
+        code, doc = run_json(argv, capsys)
+        assert code == 0
+        assert [pair["linking"]["crossings"] for pair in doc["results"]["pairs"]] == [2, 2]
+        assert phi_on_intervals == [False, True] * ops
+        assert dets == [{"int"}] * 4 * ops
+
+
+def assert_pinned(capsys, a, b, closest, arc_segments, residual):
+    """certify at (a, b) and the default 4096 segments passes with these
+    values, the same for both pairs."""
+    code, doc = run_json(["certify", "--A", a, "--B", b, "--format", "json"], capsys)
+    assert code == 0
+    for pair, sign in zip(doc["results"]["pairs"], (1, -1)):
+        link = pair["linking"]
+        assert (link["value"], link["rounded"], link["crossings"]) == (sign, sign, 2)
+        assert (link["loop_segments"], link["circle_segments"]) == (4096, 4096)
+        assert link["arc_segments"] == arc_segments
+        assert link["closest_approach"].hex() == closest
+        assert pair["quadric_residual"] == residual
+
+
 @pytest.mark.parametrize(
     "a, b, closest, arc_segments, residual",
     [
@@ -637,16 +677,24 @@ def test_certify_builds_its_circle_once_an_op(capsys, monkeypatch):
     ],
 )
 def test_certify_pins_the_benchmark_pairs(capsys, a, b, closest, arc_segments, residual):
-    # the benchmark's four pairs at the default 4096 segments
-    code, doc = run_json(["certify", "--A", a, "--B", b, "--format", "json"], capsys)
-    assert code == 0
-    for pair, sign in zip(doc["results"]["pairs"], (1, -1)):
-        link = pair["linking"]
-        assert (link["value"], link["rounded"], link["crossings"]) == (sign, sign, 2)
-        assert (link["loop_segments"], link["circle_segments"]) == (4096, 4096)
-        assert link["arc_segments"] == arc_segments
-        assert link["closest_approach"].hex() == closest
-        assert pair["quadric_residual"] == residual
+    # the benchmark's four pairs
+    assert_pinned(capsys, a, b, closest, arc_segments, residual)
+
+
+@pytest.mark.parametrize(
+    "a, b, closest, arc_segments, residual",
+    [
+        ("1e-9", "2e-9", "0x1.12aac05b984cbp-30", 4096, 4.440892098500626e-16),
+        ("1e-153", "2e-153", "0x1.acb87c932c5eap-509", 4096, 4.440892098500626e-16),
+        ("1", "1000", "0x1.ff9b6e3c77dcap-1", 4, 3.3306690738754696e-16),
+        ("1e80", "2e80", "0x1.af7a23c42b166p+265", 4, 4.440892098500626e-16),
+        ("1.31e150", "2.71e150", "0x1.997ca8bc06b2bp+498", 4, 4.440892098500626e-16),
+    ],
+)
+def test_certify_pins_the_far_scale_pairs(capsys, a, b, closest, arc_segments, residual):
+    # far from unit scale: the arc takes all the loop's segments where the
+    # disc is small, and its least 4 cells where the loop is long
+    assert_pinned(capsys, a, b, closest, arc_segments, residual)
 
 
 def tube_rule(m0=None, epsilon=None, m=None):

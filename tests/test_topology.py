@@ -54,6 +54,11 @@ from linking_oracle import _circle_samples, _leg_integrals, _pair_sum, arc_pair_
 from scan_oracle import in_tube, transversality_scan
 
 
+def circle_at(spec, s):
+    """Disc boundary points at the angles s, n x 3."""
+    return _circle(spec, np.cos(s), np.sin(s))
+
+
 def loop_at(loop, t):
     """Loop points at an ascending list of parameters, as triples."""
     return [tuple(p) for p in _loop_points(loop, np.asarray(t, dtype=float)).tolist()]
@@ -93,7 +98,7 @@ def test_make_tube_rejects_bad_radii():
 
 def test_disc_boundary_frozen_points():
     d1 = WarpedDiscSpec("d1", 1.0, 2.0)
-    pts = _circle(d1, np.array([0.0, math.pi / 2])).tolist()
+    pts = circle_at(d1, np.array([0.0, math.pi / 2])).tolist()
     assert tuple(pts[0]) == (1.0, 0.0, 2.0)
     p = pts[1]
     assert abs(p[0]) <= 1e-15 and abs(p[1] - 1.0) <= 1e-15
@@ -105,7 +110,7 @@ def test_disc_boundary_lies_on_both_quadrics():
         spec = WarpedDiscSpec(variant, 1.3, 2.7)
         a2, b2 = spec.a**2, spec.b**2
         s = np.array([2.0 * math.pi * k / 257 for k in range(257)])
-        x, y, z = _circle(spec, s).T
+        x, y, z = circle_at(spec, s).T
         if variant == "d1":
             assert np.max(np.abs(x * x + y * y - a2)) <= 1e-12
             assert np.max(np.abs(y * y + z * z - b2)) <= 1e-12
@@ -409,7 +414,13 @@ NEAR_COLLINEAR = [
 
 
 def exact_orientation(a, b, c):
-    return topology._det_sign(topology._VIEW, topology._minus(b, a), topology._minus(c, a))
+    """The sign of det(_VIEW, b - a, c - a) in Fractions, by cofactors."""
+    (r, s, t), (u, v, w), (x, y, z) = (
+        topology._VIEW,
+        *([Fraction(p) - Fraction(q) for p, q in zip(row.tolist(), a.tolist())] for row in (b, c)),
+    )
+    det = r * (v * z - w * y) - s * (u * z - w * x) + t * (u * y - v * x)
+    return (det > 0) - (det < 0)
 
 
 def test_orientation_filter_defers_to_exact_arithmetic():
@@ -545,9 +556,8 @@ def test_linking_matches_the_whole_loop_midpoint_sum():
 def test_circle_through_a_leg_raises_degenerate_error(monkeypatch):
     # a unit circle in the plane z = 5 with a vertex on the z-axis, which is
     # the first leg of alpha1: that vertex's cell box meets the leg
-    def circle_through_axis(spec, s):
-        c, sn = np.cos(s), np.sin(s)
-        return np.stack([c - c[len(s) // 2], sn - sn[len(s) // 2], np.full(len(s), 5.0)], axis=-1)
+    def circle_through_axis(spec, c, sn):
+        return np.stack([c - c[len(c) // 2], sn - sn[len(c) // 2], np.full(len(c), 5.0)], axis=-1)
 
     monkeypatch.setattr(topology, "_circle", circle_through_axis)
     tube = make_tube(1.0, 2.0, "d1")
@@ -566,13 +576,13 @@ def test_circle_through_the_arc_raises_degenerate_error(monkeypatch):
     theta = np.linspace(0.0, HALF_PI, arc_segments + 1)[arc_segments // 2]
     arc_point = np.stack(_phi_terms(tube.m, *_trig_vec(np.array([HALF_PI - theta]))), axis=-1)[0]
 
-    def circle_through_arc(spec, s):
-        c, sn = np.cos(s), np.sin(s)
+    def circle_through_arc(spec, c, sn):
         x, y, z = arc_point
-        k = len(s) // 2
-        return np.stack([c - c[k] + x, sn - sn[k] + y, np.full(len(s), z)], axis=-1)
+        k = len(c) // 2
+        return np.stack([c - c[k] + x, sn - sn[k] + y, np.full(len(c), z)], axis=-1)
 
-    pts = circle_through_arc(tube.disc, np.arange(n) * (2.0 * math.pi / n))
+    s = np.arange(n) * (2.0 * math.pi / n)
+    pts = circle_through_arc(tube.disc, np.cos(s), np.sin(s))
     assert pts[n // 2].tolist() == arc_point.tolist()
     # the legs run along the z- and x-axes, so their distances are at least
     # those to the axes
@@ -781,13 +791,17 @@ def arc_inputs(a, b, n):
 
 def record_linking(monkeypatch, loop, disc, loop_segments, circle_segments):
     """gauss_linking's result, the arrays its phi evaluations on doubles
-    return, and the two polygons whose crossings it counts."""
+    return, each cut to the loop's own arc (linking_arcs evaluates both
+    loops' arcs in one call, alpha1's first), and the two polygons whose
+    crossings it counts."""
     phis, polygons = [], []
 
     def recording_phi_terms(*args):
         out = _phi_terms(*args)
         if not isinstance(args[1], Interval):
-            phis.append(np.array(out))
+            both = np.array(out)
+            half = both.shape[1] // 2
+            phis.append(both[:, :half] if loop.variant == "alpha1" else both[:, half:])
         return out
 
     def recording_crossings(*args):
@@ -847,7 +861,7 @@ def test_linking_arc_chords_end_on_the_leg_corners(a, b, arc_segments, monkeypat
         assert polygon.tolist() == [origin, *arc.T.tolist(), origin]
         assert polygon[1].tolist() == first and polygon[-2].tolist() == last
         s = np.arange(MIN_SEGMENTS) * (2.0 * math.pi / MIN_SEGMENTS)
-        assert circle.tolist() == [*_circle(tube.disc, s).tolist(), circle[0].tolist()]
+        assert circle.tolist() == [*circle_at(tube.disc, s).tolist(), circle[0].tolist()]
 
 
 def test_pair_sum_runs_at_unit_scale():
@@ -949,8 +963,8 @@ def test_cell_boxes_enclose_the_curves(a, b):
                         assert box.lo[k] <= v <= box.hi[k], (loop_variant, k, u)
             n = 256
             s = np.arange(n) * (2.0 * math.pi / n)
-            pts = _circle(tube.disc, s)
-            lo, hi = topology._circle_boxes(tube.disc, s, np.vstack([pts, pts[:1]]))
+            pts = circle_at(tube.disc, s)
+            lo, hi = topology._circle_boxes(tube.disc, s, np.cos(s), np.sin(s), closed(pts))
             ends = [mpmath.mpf(v) for v in s.tolist()] + [2 * pi]
             fa, fb = mpmath.mpf(a), mpmath.mpf(b)
             for j in range(n):
@@ -974,8 +988,8 @@ def test_linking_circle_gives_d2_the_d1_polygon_swapped(a, b):
     s = np.arange(n) * (2.0 * math.pi / n)
     for variant in ("d1", "d2"):
         spec = WarpedDiscSpec(variant, a, b)
-        pts = closed(_circle(spec, s))
-        direct = (pts, *topology._circle_boxes(spec, s, pts))
+        pts = closed(circle_at(spec, s))
+        direct = (pts, *topology._circle_boxes(spec, s, np.cos(s), np.sin(s), pts))
         shared = circle.polygon(variant)
         assert [v.tobytes() for v in shared] == [v.tobytes() for v in direct]
         for v, base in zip(shared, (circle.points, circle.lo, circle.hi)):
@@ -1020,3 +1034,40 @@ def test_projected_edge_boxes_hold_the_exact_projections(a, b, unscaled, monkeyp
                 for p in ends:
                     for c in range(2):
                         assert lo[j][c] <= p[c] <= hi[j][c], (loop_variant, j, c)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.5, 3.0), (1.0, 1000.0), (1e-9, 2e-9), (1e80, 2e80)])
+def test_linking_arcs_slices_are_the_bits_of_separate_passes(a, b, monkeypatch):
+    # linking_arcs runs phi once on intervals over both arcs' cells and
+    # criterion 5's four; each slice must hold the bits of a pass of its
+    # own: criterion 5's boxes those of its four cells on [0, pi/2], each
+    # loop's edge boxes its ends' hull widened by phi over its own cells
+    m = make_tube(a, b, "d1").m
+    seen = []
+    clears_tube = topology._clears_tube
+    monkeypatch.setattr(topology, "_clears_tube", lambda m, boxes: seen.append(boxes) or clears_tube(m, boxes))
+    polygons, clear = topology.linking_arcs(m, 4096)
+
+    def bits(boxes):
+        return [(v.lo.tobytes(), v.hi.tobytes()) for v in boxes]
+
+    with np.errstate(over="ignore"):
+        own = topology._arc_boxes(m, _trig_vec(np.linspace(0.0, HALF_PI, 5)))
+    [joined] = seen
+    assert bits(joined) == bits(own)
+    assert clear is topology._arc_clears_tube(m) is True
+    assert list(polygons) == ["alpha1", "alpha2"]
+    for variant, polygon in polygons.items():
+        n = polygon.arc_segments
+        theta = np.linspace(0.0, HALF_PI, n + 1)
+        if variant == "alpha1":
+            theta = HALF_PI - theta
+        trig = _trig_vec(theta)
+        pts = closed(np.vstack([np.zeros(3), np.array(_phi_terms(m, *trig)).T]))
+        lo, hi = np.minimum(pts[:-1], pts[1:]).T, np.maximum(pts[:-1], pts[1:]).T
+        for k, v in enumerate(topology._arc_boxes(m, trig)):
+            lo[k, 1:-1] = np.minimum(lo[k, 1:-1], v.lo)
+            hi[k, 1:-1] = np.maximum(hi[k, 1:-1], v.hi)
+        assert [polygon.points.tobytes(), polygon.lo.tobytes(), polygon.hi.tobytes()] == [
+            pts.tobytes(), lo.tobytes(), hi.tobytes()
+        ]
